@@ -16,16 +16,14 @@ from .analysis import (
     mather_discrepancy_check,
     oracle_check,
 )
-from .arcs import Arc, GenericComponent, JetPoint, generic_arc, make_arc, ord_ideal, push_arc, truncate
+from .arcs import Arc, GenericComponent, JetPoint, generic_arc, make_arc, push_arc
 from .errors import JetspaceError
 from .exact import (
     BaseField,
     FieldElement,
     RATIONALS,
     SparsePolynomial,
-    fe_arith,
     matrix_rank,
-    poly_derivative,
     transcendence_degree,
 )
 from .geometry import (
@@ -50,10 +48,6 @@ from .series import (
     OrderValue,
     SeriesExpression,
     TruncatedSeries,
-    expand,
-    order,
-    series_arith,
-    series_invert,
 )
 
 __version__ = "0.1.0"
@@ -87,8 +81,6 @@ __all__ = [
     "divisorial_arc",
     "embdim_arc",
     "embdim_jet",
-    "expand",
-    "fe_arith",
     "fiber_dim_formula",
     "fitting_minor_oracle",
     "generic_arc",
@@ -101,16 +93,10 @@ __all__ = [
     "matrix_rank",
     "omega_presentation",
     "oracle_check",
-    "ord_ideal",
-    "order",
-    "poly_derivative",
     "profile_of_omega",
     "push_arc",
     "refined_profile_of_omega",
     "relative_omega_presentation",
-    "series_arith",
-    "series_invert",
     "smith_orders",
     "transcendence_degree",
-    "truncate",
 ]

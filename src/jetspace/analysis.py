@@ -108,6 +108,7 @@ class OracleCheck:
     level: int
     formula_value: int
     corank: int
+    precision_limited: bool
 
     @property
     def match(self) -> bool:
@@ -129,7 +130,12 @@ def oracle_check(arc: Arc, n: int, cap: int = PRECISION_CAP) -> OracleCheck:
         arc = arc.with_precision(n + 1)
     jet = arc.truncate(n)
     corank = jet_jacobian_corank(arc.variety, n, jet.coordinates)
-    return OracleCheck(level=n, formula_value=fiber.value, corank=corank)
+    return OracleCheck(
+        level=n,
+        formula_value=fiber.value,
+        corank=corank,
+        precision_limited=fiber.arc_profile.precision_limited,
+    )
 
 
 @dataclass(frozen=True)

@@ -24,7 +24,7 @@ from .errors import (
     NotOnVariety,
     PrecisionTooLow,
 )
-from .exact import FieldElement, echelon_rank_profile, transcendence_degree
+from .exact import FieldElement, echelon_rank_profile, jacobian_row, transcendence_degree
 from .geometry import MorphismPresentation, VarietyPresentation
 from .series import (
     DEFAULT_PRECISION,
@@ -220,9 +220,7 @@ class Arc:
                 if g.is_constant():
                     continue
                 any_nonconstant = True
-                rows.append(
-                    [g.num.derivative(u) * g.den - g.num * g.den.derivative(u) for u in names]
-                )
+                rows.append(jacobian_row(g, names))
             blocks.append(rows)
         ranks = echelon_rank_profile(blocks, field)
         return ranks, any_nonconstant and field.characteristic > 0
@@ -258,14 +256,6 @@ def generic_arc(
     starts = list(start_orders) if start_orders is not None else [0] * len(X.variables)
     comps = [GenericComponent(i + 1, s) for i, s in enumerate(starts)]
     return Arc(X, comps, precision)
-
-
-def ord_ideal(arc: Arc, generators) -> OrderValue:
-    return arc.ord_ideal(generators)
-
-
-def truncate(arc: Arc, n: int) -> JetPoint:
-    return arc.truncate(n)
 
 
 def push_arc(f: MorphismPresentation, beta: Arc) -> Arc:

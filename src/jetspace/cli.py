@@ -284,15 +284,15 @@ def _cmd_oracle_check(args, doc, cap):
     arc = doc.build_arc(name, precision)
     n = _param(args, doc, "n")
     levels = [int(n)] if n is not None else list(range(7))
-    checks = [oracle_check(arc, level, cap).to_json() for level in levels]
+    results = [oracle_check(arc, level, cap) for level in levels]
     report = {
         "command": "oracle-check",
         "variety": doc.variety.name or "variety",
         "arc": name,
-        "checks": checks,
-        "all_match": all(c["match"] for c in checks),
+        "checks": [r.to_json() for r in results],
+        "all_match": all(r.match for r in results),
     }
-    return report, False
+    return report, any(r.precision_limited for r in results)
 
 
 def _cmd_catalog(args, doc, cap):

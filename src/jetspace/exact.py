@@ -8,18 +8,19 @@ terms; equality is decided by cross-multiplication, so no multivariate
 gcd is ever needed.  A content-stripping pass (integer content plus the
 largest common monomial) keeps intermediate growth bounded.
 
-The module also provides exact linear algebra over the fraction field:
-matrix rank by fraction-free (Bareiss) elimination, and transcendence
-degree of a family of rational functions via the Jacobian criterion.
+The module also provides exact linear algebra over the fraction field.
+One elimination routine, ``echelon_rank_profile``, computes every rank:
+matrix rank, and transcendence degree of a family of rational functions
+via the Jacobian criterion.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
-from math import gcd, isqrt
+from math import gcd
 from typing import Callable, Iterable, Mapping, NamedTuple, Sequence
 
-from .errors import DivisionByZero, InternalInvariantViolation, NotPrime, UnknownVariable
+from .errors import DivisionByZero, InputError, NotPrime, UnknownVariable
 
 # A monomial is a tuple of (variable, exponent) pairs, sorted by variable
 # name, with every exponent positive.  The empty tuple is the constant
@@ -27,6 +28,36 @@ from .errors import DivisionByZero, InternalInvariantViolation, NotPrime, Unknow
 Monomial = tuple
 
 _ONE_MONO: Monomial = ()
+
+
+# Miller-Rabin with the first 13 prime bases is a deterministic primality
+# test for every n below this bound (Sorenson and Webster, 2015).
+_MILLER_RABIN_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41)
+_MILLER_RABIN_LIMIT = 3317044064679887385961981
+
+
+def _is_prime(n: int) -> bool:
+    """Exact primality for n below _MILLER_RABIN_LIMIT."""
+    if n < 2:
+        return False
+    for b in _MILLER_RABIN_BASES:
+        if n % b == 0:
+            return n == b
+    d, s = n - 1, 0
+    while d % 2 == 0:
+        d //= 2
+        s += 1
+    for a in _MILLER_RABIN_BASES:
+        x = pow(a, d, n)
+        if x == 1 or x == n - 1:
+            continue
+        for _ in range(s - 1):
+            x = x * x % n
+            if x == n - 1:
+                break
+        else:
+            return False
+    return True
 
 
 class BaseField:
@@ -40,7 +71,11 @@ class BaseField:
 
     def __init__(self, p: int | None = None):
         if p is not None:
-            if p < 2 or any(p % d == 0 for d in range(2, isqrt(p) + 1)):
+            if p >= _MILLER_RABIN_LIMIT:
+                raise InputError(
+                    f"prime field characteristic must be below {_MILLER_RABIN_LIMIT}, got {p}"
+                )
+            if not _is_prime(p):
                 raise NotPrime(p)
         self.p = p
 
@@ -114,12 +149,6 @@ def _mono_mul(a: Monomial, b: Monomial) -> Monomial:
     return tuple(sorted(out.items()))
 
 
-def _mono_divides(a: Monomial, b: Monomial) -> bool:
-    """True when monomial a divides monomial b."""
-    db = dict(b)
-    return all(db.get(var, 0) >= exp for var, exp in a)
-
-
 def _mono_div(a: Monomial, b: Monomial) -> Monomial:
     """Quotient a / b, assuming b divides a."""
     out = dict(a)
@@ -137,36 +166,8 @@ def _mono_degree(m: Monomial) -> int:
 
 
 def _mono_key(m: Monomial):
-    # Deterministic order for rendering and iteration; not used where a
-    # genuine monomial order is required (see _mono_greater).
+    # Deterministic order for rendering and iteration.
     return (_mono_degree(m), m)
-
-
-def _mono_greater(a: Monomial, b: Monomial) -> bool:
-    """Graded lexicographic comparison (earlier variable names weigh more).
-
-    This is a true monomial order - multiplicative, so the leading term
-    of a product is the product of leading terms - which is what makes
-    exact long division terminate.
-    """
-    da, db = _mono_degree(a), _mono_degree(b)
-    if da != db:
-        return da > db
-    ia = ib = 0
-    while ia < len(a) or ib < len(b):
-        na = a[ia][0] if ia < len(a) else None
-        nb = b[ib][0] if ib < len(b) else None
-        if na == nb:
-            ea, eb = a[ia][1], b[ib][1]
-            if ea != eb:
-                return ea > eb
-            ia += 1
-            ib += 1
-        elif nb is None or (na is not None and na < nb):
-            return True
-        else:
-            return False
-    return False
 
 
 def _mono_str(m: Monomial) -> str:
@@ -235,11 +236,6 @@ class SparsePolynomial:
             for var, _ in mono:
                 seen.add(var)
         return sorted(seen)
-
-    def total_degree(self) -> int:
-        if not self.terms:
-            return 0
-        return max(_mono_degree(m) for m in self.terms)
 
     def __add__(self, other: "SparsePolynomial") -> "SparsePolynomial":
         field = self.field
@@ -358,40 +354,6 @@ class SparsePolynomial:
             return const(self.field.zero())
         return total
 
-    def leading(self) -> tuple[Monomial, object]:
-        """Leading term under graded lexicographic order."""
-        best = None
-        for mono in self.terms:
-            if best is None or _mono_greater(mono, best):
-                best = mono
-        return best, self.terms[best]
-
-    def exact_divide(self, divisor: "SparsePolynomial") -> "SparsePolynomial":
-        """Quotient self/divisor when the division is known to be exact.
-
-        Used by Bareiss elimination, where divisibility is guaranteed by
-        the Sylvester identity; a nonzero remainder means a bug upstream.
-        """
-        field = self.field
-        if divisor.is_zero():
-            raise DivisionByZero("polynomial division by zero")
-        if divisor.is_constant():
-            inv = field.inv(divisor.constant_value())
-            return self.scale(inv)
-        lead_mono, lead_coeff = divisor.leading()
-        lead_inv = field.inv(lead_coeff)
-        remainder = self
-        quotient: dict = {}
-        while not remainder.is_zero():
-            mono, coeff = remainder.leading()
-            if not _mono_divides(lead_mono, mono):
-                raise InternalInvariantViolation("inexact polynomial division in Bareiss step")
-            q_mono = _mono_div(mono, lead_mono)
-            q_coeff = field.mul(coeff, lead_inv)
-            quotient[q_mono] = q_coeff
-            remainder = remainder - SparsePolynomial._raw(field, {q_mono: q_coeff}) * divisor
-        return SparsePolynomial._raw(field, quotient)
-
     def _content(self) -> Fraction | None:
         """Rational content (gcd of coefficients); None over prime fields."""
         if self.field.p is not None or not self.terms:
@@ -426,13 +388,6 @@ class SparsePolynomial:
 
     def __repr__(self):
         return f"SparsePolynomial({self})"
-
-
-def poly_derivative(f: SparsePolynomial, var: str, declared: Sequence[str] | None = None):
-    """Partial derivative, checking ``var`` against a declared variable list."""
-    if declared is not None and var not in declared:
-        raise UnknownVariable(var)
-    return f.derivative(var)
 
 
 class FieldElement:
@@ -605,19 +560,6 @@ def _normalize_fraction(num: SparsePolynomial, den: SparsePolynomial):
     return num, den
 
 
-def fe_arith(a: FieldElement, b: FieldElement, op: str) -> FieldElement:
-    """Named dispatch over the four field operations."""
-    if op == "add":
-        return a + b
-    if op == "sub":
-        return a - b
-    if op == "mul":
-        return a * b
-    if op == "div":
-        return a / b
-    raise ValueError(f"unknown operation {op!r}")
-
-
 def _clear_row_denominators(row: Sequence[FieldElement]) -> list[SparsePolynomial]:
     """Scale a row by a common denominator multiple; rank is unchanged."""
     field = row[0].field if row else RATIONALS
@@ -635,50 +577,6 @@ def _clear_row_denominators(row: Sequence[FieldElement]) -> list[SparsePolynomia
     return out
 
 
-def _poly_matrix_rank(rows: list[list[SparsePolynomial]], field: BaseField) -> int:
-    """Rank over the fraction field by fraction-free (Bareiss) elimination.
-
-    Pivots are chosen by sparsity (term count, then degree) so the exact
-    divisions stay cheap on the mostly-monomial matrices this package
-    produces.
-    """
-    if not rows or not rows[0]:
-        return 0
-    m = [[entry for entry in row] for row in rows]
-    active_rows = list(range(len(m)))
-    active_cols = list(range(len(m[0])))
-    prev = SparsePolynomial.constant(field, 1)
-    rank = 0
-    while active_rows and active_cols:
-        best = None
-        for i in active_rows:
-            for j in active_cols:
-                entry = m[i][j]
-                if entry.is_zero():
-                    continue
-                key = (len(entry.terms), entry.total_degree(), i, j)
-                if best is None or key < best[0]:
-                    best = (key, i, j)
-        if best is None:
-            break
-        _, pi, pj = best
-        pivot = m[pi][pj]
-        for i in active_rows:
-            if i == pi:
-                continue
-            row_entry = m[i][pj]
-            for j in active_cols:
-                if j == pj:
-                    continue
-                m[i][j] = (pivot * m[i][j] - row_entry * m[pi][j]).exact_divide(prev)
-            m[i][pj] = SparsePolynomial.zero(field)
-        prev = pivot
-        active_rows.remove(pi)
-        active_cols.remove(pj)
-        rank += 1
-    return rank
-
-
 def matrix_rank(matrix: Sequence[Sequence[FieldElement]]) -> int:
     """Exact rank of a matrix of field elements over the fraction field."""
     rows = [row for row in matrix if row]
@@ -686,7 +584,7 @@ def matrix_rank(matrix: Sequence[Sequence[FieldElement]]) -> int:
         return 0
     field = rows[0][0].field
     poly_rows = [_clear_row_denominators(row) for row in rows]
-    return _poly_matrix_rank(poly_rows, field)
+    return echelon_rank_profile([poly_rows], field)[-1]
 
 
 def _strip_row(row: list[SparsePolynomial], field: BaseField) -> list[SparsePolynomial]:
@@ -753,6 +651,16 @@ def echelon_rank_profile(
     return ranks
 
 
+def jacobian_row(g: FieldElement, names: Sequence[str]) -> list[SparsePolynomial]:
+    """Gradient of g = num/den in the given variables, scaled by den^2.
+
+    Entry u is num_u*den - num*den_u.  Scaling a row by a nonzero factor
+    keeps the rank, so these rows give the Jacobian-criterion rank with
+    polynomial entries only.
+    """
+    return [g.num.derivative(u) * g.den - g.num * g.den.derivative(u) for u in names]
+
+
 class TranscendenceDegree(NamedTuple):
     value: int
     char_p_jacobian: bool
@@ -778,12 +686,6 @@ def transcendence_degree(
         for g in elements:
             seen.update(g.variables())
         transcendentals = sorted(seen)
-    rows = []
-    for g in elements:
-        # d(num/den)/du, row scaled by den^2: num_u*den - num*den_u.
-        row = [
-            g.num.derivative(u) * g.den - g.num * g.den.derivative(u) for u in transcendentals
-        ]
-        rows.append(row)
-    rank = _poly_matrix_rank(rows, field)
+    rows = [jacobian_row(g, transcendentals) for g in elements]
+    rank = echelon_rank_profile([rows], field)[-1]
     return TranscendenceDegree(rank, field.characteristic > 0)

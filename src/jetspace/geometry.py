@@ -150,21 +150,26 @@ def polynomial_minors(
     col_count = len(rows[0])
     for row_idx in combinations(range(len(rows)), size):
         for col_idx in combinations(range(col_count), size):
-            out.append(_poly_det([[rows[i][j] for j in col_idx] for i in row_idx], base))
+            out.append(cofactor_det([[rows[i][j] for j in col_idx] for i in row_idx]))
     return out
 
 
-def _poly_det(m: list[list[SparsePolynomial]], base: BaseField) -> SparsePolynomial:
-    n = len(m)
-    if n == 1:
+def cofactor_det(m: Sequence[Sequence]):
+    """Determinant of a nonempty square matrix over any commutative ring.
+
+    Entries need only +, unary - and *.  Zero entries are not skipped: a
+    truncated series that is zero to its precision still bounds the
+    precision of the sum, and dropping it would overstate what is known.
+    """
+    if len(m) == 1:
         return m[0][0]
-    acc = SparsePolynomial.zero(base)
-    for j in range(n):
-        if m[0][j].is_zero():
-            continue
-        sub = [[m[i][k] for k in range(n) if k != j] for i in range(1, n)]
-        term = m[0][j] * _poly_det(sub, base)
-        acc = acc + (term if j % 2 == 0 else -term)
+    acc = None
+    for j, top in enumerate(m[0]):
+        sub = [[row[k] for k in range(len(m)) if k != j] for row in m[1:]]
+        term = top * cofactor_det(sub)
+        if j % 2 == 1:
+            term = -term
+        acc = term if acc is None else acc + term
     return acc
 
 

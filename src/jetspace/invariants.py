@@ -29,7 +29,7 @@ from typing import Sequence
 
 from .arcs import Arc
 from .errors import MatrixTooLarge, PrecisionTooLow
-from .geometry import DifferentialPresentation, omega_presentation
+from .geometry import DifferentialPresentation, cofactor_det, omega_presentation
 from .series import PRECISION_CAP, OrderValue, TruncatedSeries
 
 # Level value meaning "along the whole arc, to working precision".
@@ -174,21 +174,6 @@ def smith_orders(
     )
 
 
-def _series_det(m: list[list[TruncatedSeries]]) -> TruncatedSeries:
-    # Cofactor expansion; the refined precision rule of series products
-    # keeps the reported precision honest even through all-zero entries.
-    if len(m) == 1:
-        return m[0][0]
-    acc = None
-    for j, top in enumerate(m[0]):
-        sub = [[row[k] for k in range(len(m)) if k != j] for row in m[1:]]
-        term = top * _series_det(sub)
-        if j % 2 == 1:
-            term = -term
-        acc = term if acc is None else acc + term
-    return acc
-
-
 def fitting_minor_oracle(
     matrix: Sequence[Sequence[TruncatedSeries]],
     i: int,
@@ -220,7 +205,7 @@ def fitting_minor_oracle(
     result = OrderValue.at_least(precision)
     for row_idx in combinations(range(len(rows)), size):
         for col_idx in combinations(range(num_columns), size):
-            det = _series_det([[rows[r][c] for c in col_idx] for r in row_idx])
+            det = cofactor_det([[rows[r][c] for c in col_idx] for r in row_idx])
             result = result.min(det.truncate(min(det.precision, precision)).order())
     return result
 
@@ -257,14 +242,7 @@ def refined_profile_of_omega(
     arc cannot be re-expanded, the profile comes back precision limited:
     the undecided blocks are reported, never guessed.
     """
-    current = arc
-    while True:
-        profile = profile_of_omega(current, ARC_LEVEL)
-        if not profile.precision_limited:
-            return profile, current
-        if not current.refinable or current.precision >= cap:
-            return profile, current
-        current = current.with_precision(min(2 * current.precision, cap))
+    return refined_pullback_profile(omega_presentation(arc.variety), arc, cap)
 
 
 def refined_pullback_profile(

@@ -211,24 +211,6 @@ class TruncatedSeries:
         return f"TruncatedSeries({self})"
 
 
-def series_arith(a: TruncatedSeries, b: TruncatedSeries, op: str) -> TruncatedSeries:
-    if op == "add":
-        return a + b
-    if op == "sub":
-        return a - b
-    if op == "mul":
-        return a * b
-    raise ValueError(f"unknown operation {op!r}")
-
-
-def series_invert(a: TruncatedSeries) -> TruncatedSeries:
-    return a.invert()
-
-
-def order(a: TruncatedSeries) -> OrderValue:
-    return a.order()
-
-
 def _coeffs_text(coeffs) -> str:
     parts = []
     for i, c in enumerate(coeffs):
@@ -386,10 +368,6 @@ class SeriesExpression:
 
     def __repr__(self):
         return f"SeriesExpression({self})"
-
-
-def expand(e: SeriesExpression, precision: int) -> TruncatedSeries:
-    return e.expand(precision)
 
 
 def evaluate_poly_at_series(

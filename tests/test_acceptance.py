@@ -4,6 +4,7 @@ Every tolerance is exact (integer equality); there are no numeric
 slacks anywhere.  Randomized criteria run from fixed seeds.
 """
 
+import hashlib
 import json
 import time
 
@@ -25,6 +26,10 @@ from jetspace.geometry import jacobian_ideal_generators
 from jetspace.invariants import refined_profile_of_omega
 from jetspace.analysis import mather_discrepancy_check
 from jetspace.series import OrderValue, SeriesExpression
+
+# sha256 of the 23778 bytes `jetspace catalog` prints; a change that alters
+# the report on purpose updates this pin and says so.
+CATALOG_SHA256 = "04725e0659fd4e221a1fe459be88a02b1120b577689340a807c066f7c5f1f475"
 
 
 def _report(criterion, ok, detail=""):
@@ -157,7 +162,18 @@ def test_criterion_10_deterministic_catalog(capsys):
     out_a = capsys.readouterr().out
     code_b = main(["catalog", "--format", "json"])
     out_b = capsys.readouterr().out
-    ok = code_a == 0 and code_b == 0 and out_a == out_b and json.loads(out_a)["passed"]
+    digest = hashlib.sha256(out_a.encode()).hexdigest()
+    ok = (
+        code_a == 0
+        and code_b == 0
+        and out_a == out_b
+        and json.loads(out_a)["passed"]
+        and digest == CATALOG_SHA256
+    )
     with capsys.disabled():
-        _report("criterion 10: catalog output is byte-identical across runs", ok, f"{len(out_a)} bytes")
+        _report(
+            "criterion 10: catalog output is byte-identical across runs and to the pin",
+            ok,
+            f"{len(out_a)} bytes, sha256 {digest[:8]}",
+        )
     assert ok

@@ -3,7 +3,7 @@
 import pytest
 
 from conftest import Q, affine_space, blowup_chart_2d, cusp_variety, fe, fev, sexpr, tser, whitney_variety
-from jetspace.arcs import GenericComponent, generic_arc, make_arc, ord_ideal, push_arc, truncate
+from jetspace.arcs import GenericComponent, generic_arc, make_arc, push_arc
 from jetspace.errors import MorphismInvalidOnArc, NotOnVariety, PrecisionTooLow
 from jetspace.exact import SparsePolynomial
 from jetspace.geometry import MorphismPresentation, jacobian_ideal_generators
@@ -50,11 +50,11 @@ class TestOrdIdeal:
     def test_cusp_jacobian_ideal(self):
         arc = _cusp_arc()
         gens = jacobian_ideal_generators(cusp_variety(), 1)
-        assert ord_ideal(arc, gens) == OrderValue.finite(3)
+        assert arc.ord_ideal(gens) == OrderValue.finite(3)
 
     def test_unit_ideal(self):
         arc = _cusp_arc()
-        assert ord_ideal(arc, [SparsePolynomial.constant(Q, 1)]) == OrderValue.finite(0)
+        assert arc.ord_ideal([SparsePolynomial.constant(Q, 1)]) == OrderValue.finite(0)
 
     def test_identically_vanishing(self):
         arc = make_arc(
@@ -63,41 +63,41 @@ class TestOrdIdeal:
             8,
         )
         gens = jacobian_ideal_generators(whitney_variety(), 2)
-        assert ord_ideal(arc, gens) == OrderValue.at_least(8)
+        assert arc.ord_ideal(gens) == OrderValue.at_least(8)
 
     def test_monotone_under_more_generators(self):
         arc = _cusp_arc()
         x = SparsePolynomial.variable(Q, "x")
-        small = ord_ideal(arc, [x * x])
-        bigger = ord_ideal(arc, [x * x, x])
+        small = arc.ord_ideal([x * x])
+        bigger = arc.ord_ideal([x * x, x])
         assert bigger.min(small) == bigger
 
 
 class TestTruncate:
     def test_cusp_coordinates(self):
-        jet = truncate(_cusp_arc(), 3)
+        jet = _cusp_arc().truncate(3)
         values = [fe(0), fe(0), fe(1), fe(0), fe(0), fe(0), fe(0), fe(1)]
         assert list(jet.coordinates) == values
         assert jet.residue_dim == 0
 
     def test_generic_line_window(self):
         arc = generic_arc(affine_space(1, names=("x",)), [0], 8)
-        assert truncate(arc, 2).residue_dim == 3
+        assert arc.truncate(2).residue_dim == 3
 
     def test_mixed_constants(self):
         # y1 = u*t, y2 = v with u, v transcendental
         space = affine_space(2, names=("y1", "y2"))
         arc = make_arc(space, [sexpr(0, fev("u")), sexpr(fev("v"))], 8)
-        assert truncate(arc, 1).residue_dim == 2
+        assert arc.truncate(1).residue_dim == 2
 
     def test_rational_points_have_zero_residue_dim(self):
         arc = _cusp_arc()
         for n in range(6):
-            assert truncate(arc, n).residue_dim == 0
+            assert arc.truncate(n).residue_dim == 0
 
     def test_needs_precision(self):
         with pytest.raises(PrecisionTooLow):
-            truncate(_cusp_arc(6), 6)
+            _cusp_arc(6).truncate(6)
 
 
 class TestPrecision:
@@ -105,7 +105,7 @@ class TestPrecision:
         arc = _cusp_arc(8)
         finer = arc.with_precision(20)
         for n in range(7):
-            assert truncate(arc, n).coordinates == truncate(finer, n).coordinates
+            assert arc.truncate(n).coordinates == finer.truncate(n).coordinates
 
     def test_generic_arc_refinement_keeps_names(self):
         arc = generic_arc(affine_space(1, names=("x",)), [1], 6)
@@ -133,7 +133,7 @@ class TestResidueProfile:
         for arc in (beta, alpha):
             dims, _ = arc.residue_dimension_profile(6)
             for n in range(7):
-                assert dims[n] == truncate(arc, n).residue_dim
+                assert dims[n] == arc.truncate(n).residue_dim
 
 
 class TestPushArc:

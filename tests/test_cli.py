@@ -126,6 +126,18 @@ def test_strict_mode_flags_precision_limited(tmp_path, capsys, monkeypatch):
     assert json.loads(out)["profile"]["precision_limited"] is True
 
 
+def test_strict_oracle_check_flags_precision_limited(tmp_path, capsys, monkeypatch):
+    monkeypatch.setenv("JETSPACE_PRECISION_CAP", "48")
+    path = _write(tmp_path, WHITNEY_DOC)
+    argv = ["oracle-check", path, "--arc", "singular-generic", "--n", "2"]
+    code, out, _ = _run(capsys, argv)
+    assert code == 0
+    strict_code, strict_out, _ = _run(capsys, argv + ["--strict"])
+    assert strict_code == 2
+    assert strict_out == out
+    assert json.loads(out)["all_match"] is True
+
+
 def test_btr_command(tmp_path, capsys):
     path = _write(tmp_path, BLOWUP_DOC)
     code, out, _ = _run(capsys, ["btr", path, "--arc", "contact1", "--n-max", "8"])

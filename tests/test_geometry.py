@@ -4,13 +4,14 @@ import random
 
 import pytest
 
-from conftest import Q, affine_space, blowup_chart_2d, cusp_variety, fe, var, whitney_variety
+from conftest import Q, affine_space, blowup_chart_2d, cusp_variety, fe, tser, var, whitney_variety
 from jetspace.arcs import generic_arc, make_arc, push_arc
 from jetspace.errors import InputError
 from jetspace.exact import SparsePolynomial
 from jetspace.geometry import (
     MorphismPresentation,
     VarietyPresentation,
+    cofactor_det,
     compose_morphisms,
     jacobian_ideal_generators,
     omega_presentation,
@@ -80,6 +81,13 @@ class TestMorphismValidation:
     def test_generator_outside_ambient(self):
         with pytest.raises(InputError):
             VarietyPresentation(Q, ("x",), (var("y"),))
+
+
+def test_cofactor_det_keeps_precision_of_zero_entries():
+    # 0 + O(t^3) times a unit leaves the determinant unknown from t^3 on,
+    # although the other product, t^5, is known to precision 10.
+    m = [[tser([], 3), tser([1], 10)], [tser([0, 0, 0, 0, 0, 1], 10), tser([1], 10)]]
+    assert cofactor_det(m).order() == OrderValue.at_least(3)
 
 
 def test_jacobian_ideal_generators_cusp():
