@@ -163,9 +163,6 @@ class Arc:
             raise PrecisionTooLow(precision - 1, self.precision)
         return Arc(self.variety, self.components, precision)
 
-    def component_series(self) -> tuple[TruncatedSeries, ...]:
-        return self.expansions
-
     def transcendentals(self) -> list[str]:
         """All transcendental names appearing in the stored coefficients."""
         names: set[str] = set()

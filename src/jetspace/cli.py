@@ -17,6 +17,8 @@ import os
 import sys
 
 from .analysis import (
+    DEFAULT_N_MAX,
+    DEFAULT_WINDOW,
     btr_check,
     divisorial_arc,
     embdim_arc,
@@ -33,19 +35,6 @@ from .invariants import profile_of_omega, refined_profile_of_omega
 from .jets import jet_ideal
 from .series import DEFAULT_PRECISION, PRECISION_CAP
 
-_COMMANDS_NEEDING_DOCUMENT = (
-    "jet-ideal",
-    "profile",
-    "fiber-dim",
-    "embdim-jet",
-    "embdim-arc",
-    "jet-codim",
-    "btr",
-    "divisorial",
-    "mather-check",
-    "oracle-check",
-)
-
 
 def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
@@ -54,7 +43,7 @@ def _build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def add(name, help_text, needs_n=False):
+    def add(name, help_text):
         p = sub.add_parser(name, help=help_text)
         if name != "catalog":
             p.add_argument("document", help="JSON problem document")
@@ -186,8 +175,8 @@ def _cmd_embdim_jet(args, doc, cap):
 
 def _cmd_embdim_arc(args, doc, cap):
     precision = int(_param(args, doc, "precision", DEFAULT_PRECISION))
-    n_max = int(_param(args, doc, "n_max", 12))
-    window = int(_param(args, doc, "window", 3))
+    n_max = int(_param(args, doc, "n_max", DEFAULT_N_MAX))
+    window = int(_param(args, doc, "window", DEFAULT_WINDOW))
     name = _arc_name(args, doc)
     arc = doc.build_arc(name, precision)
     result = embdim_arc(arc, n_max, window, cap)
@@ -204,8 +193,8 @@ def _cmd_embdim_arc(args, doc, cap):
 
 def _cmd_jet_codim(args, doc, cap):
     precision = int(_param(args, doc, "precision", DEFAULT_PRECISION))
-    n_max = int(_param(args, doc, "n_max", 12))
-    window = int(_param(args, doc, "window", 3))
+    n_max = int(_param(args, doc, "n_max", DEFAULT_N_MAX))
+    window = int(_param(args, doc, "window", DEFAULT_WINDOW))
     dim_source = _param(args, doc, "dim_source", "betti")
     name = _arc_name(args, doc)
     arc = doc.build_arc(name, precision)
@@ -223,8 +212,8 @@ def _cmd_jet_codim(args, doc, cap):
 
 def _cmd_btr(args, doc, cap):
     precision = int(_param(args, doc, "precision", DEFAULT_PRECISION))
-    n_max = int(_param(args, doc, "n_max", 12))
-    window = int(_param(args, doc, "window", 3))
+    n_max = int(_param(args, doc, "n_max", DEFAULT_N_MAX))
+    window = int(_param(args, doc, "window", DEFAULT_WINDOW))
     beta, name = _source_arc(args, doc, precision)
     result = btr_check(doc.morphism, beta, n_max, window, cap)
     report = {
@@ -264,8 +253,8 @@ def _cmd_mather_check(args, doc, cap):
     if doc.morphism is None:
         raise InputError("document declares no morphism")
     precision = int(_param(args, doc, "precision", DEFAULT_PRECISION))
-    n_max = int(_param(args, doc, "n_max", 12))
-    window = int(_param(args, doc, "window", 3))
+    n_max = int(_param(args, doc, "n_max", DEFAULT_N_MAX))
+    window = int(_param(args, doc, "window", DEFAULT_WINDOW))
     q = int(_param(args, doc, "q", required=True))
     divisor_var = _param(args, doc, "divisor_var", required=True)
     result = mather_discrepancy_check(doc.morphism, divisor_var, q, precision, n_max, window, cap)
@@ -275,7 +264,11 @@ def _cmd_mather_check(args, doc, cap):
         "report": result.to_json(),
         "passed": result.passed,
     }
-    return report, False
+    limited = (
+        result.source.arc_profile.precision_limited
+        or result.target.arc_profile.precision_limited
+    )
+    return report, limited
 
 
 def _cmd_oracle_check(args, doc, cap):
@@ -368,7 +361,7 @@ def main(argv=None) -> int:
         if cap < 2:
             raise InputError("JETSPACE_PRECISION_CAP must be >= 2")
         doc = None
-        if args.command in _COMMANDS_NEEDING_DOCUMENT:
+        if args.command != "catalog":
             doc = load_document(args.document)
         report, limited = _DISPATCH[args.command](args, doc, cap)
     except JetspaceError as err:

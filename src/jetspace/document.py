@@ -55,9 +55,6 @@ class ProblemDocument:
     params: dict[str, Any]
     tasks: tuple[dict[str, Any], ...]
 
-    def arc_names(self) -> list[str]:
-        return list(self.arc_specs)
-
     def build_arc(self, name: str, precision: int = DEFAULT_PRECISION) -> Arc:
         if name not in self.arc_specs:
             raise InputError(

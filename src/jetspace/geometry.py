@@ -52,10 +52,6 @@ class VarietyPresentation:
                     + ", ".join(extra)
                 )
 
-    @property
-    def ambient_dim(self) -> int:
-        return len(self.variables)
-
 
 @dataclass(frozen=True)
 class MorphismPresentation:
@@ -96,10 +92,6 @@ class DifferentialPresentation:
     @property
     def num_columns(self) -> int:
         return len(self.column_symbols)
-
-    @property
-    def num_rows(self) -> int:
-        return len(self.matrix)
 
 
 def omega_presentation(X: VarietyPresentation) -> DifferentialPresentation:

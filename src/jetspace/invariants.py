@@ -56,10 +56,6 @@ class InvariantProfile:
     precision: int
     precision_limited: bool
 
-    @property
-    def is_arc_level(self) -> bool:
-        return self.level is None
-
     def invariant_factor(self, i: int) -> OrderValue:
         """e_i: cap below the free rank, then the descending pivot orders."""
         if i < 0:

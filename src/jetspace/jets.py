@@ -4,8 +4,9 @@ The level-n jet scheme of a presented variety is cut out, inside the
 affine space with one coordinate per (ambient variable, t-power <= n),
 by the t-coefficients of each ideal generator evaluated on the generic
 truncated curve x_i(t) = sum_p x_i[p] t^p.  The substitution is done by
-straight polynomial arithmetic modulo t^(n+1), which works uniformly in
-every characteristic.
+straight polynomial arithmetic modulo t^(n+1) (the shared truncated
+product of ``jetspace.series``), which works uniformly in every
+characteristic.
 
 ``jet_jacobian_corank`` differentiates those equations directly and
 evaluates at a supplied point; it is the brute-force route to the fiber
@@ -22,6 +23,7 @@ from typing import Sequence
 from .errors import PointNotOnJetScheme
 from .exact import FieldElement, SparsePolynomial, matrix_rank
 from .geometry import VarietyPresentation
+from .series import truncated_product
 
 
 def jet_variable(var: str, p: int) -> str:
@@ -43,9 +45,6 @@ class JetIdeal:
     jet_variables: tuple[str, ...]  # component-major: x[0..n], y[0..n], ...
     generators: tuple[tuple[SparsePolynomial, ...], ...]
 
-    def flat_generators(self) -> list[SparsePolynomial]:
-        return [g for row in self.generators for g in row]
-
 
 def jet_ideal(X: VarietyPresentation, n: int) -> JetIdeal:
     """Hasse-Schmidt equations of the level-n jet scheme of X."""
@@ -58,16 +57,6 @@ def jet_ideal(X: VarietyPresentation, n: int) -> JetIdeal:
         v: [SparsePolynomial.variable(field, jet_variable(v, p)) for p in range(n + 1)]
         for v in X.variables
     }
-
-    def poly_series_mul(a, b):
-        out = [zero] * (n + 1)
-        for i, ca in enumerate(a):
-            if ca.is_zero():
-                continue
-            for j in range(min(n - i, len(b) - 1) + 1):
-                if not b[j].is_zero():
-                    out[i + j] = out[i + j] + ca * b[j]
-        return out
 
     def const_series(c):
         out = [zero] * (n + 1)
@@ -88,7 +77,7 @@ def jet_ideal(X: VarietyPresentation, n: int) -> JetIdeal:
             )
 
         def __mul__(self, other):
-            return _SeriesWrapper(poly_series_mul(self.coeffs, other.coeffs))
+            return _SeriesWrapper(truncated_product(self.coeffs, other.coeffs, n + 1, zero))
 
     env = {v: _SeriesWrapper(curve) for v, curve in curves.items()}
     gens = []

@@ -11,6 +11,10 @@ t-truncated rings exact at full working precision.
 Series expressions (quotients of t-polynomials with unit denominator)
 carry exact data that can be re-expanded at any precision, which is what
 the stabilization drivers rely on when they need more coefficients.
+
+All products and quotients of coefficient lists, here and in the jet
+equations, go through one kernel: ``truncated_product`` and
+``truncated_quotient``.
 """
 
 from __future__ import annotations
@@ -22,6 +26,45 @@ from .exact import BaseField, FieldElement, SparsePolynomial
 
 DEFAULT_PRECISION = 24
 PRECISION_CAP = 192
+
+
+def truncated_product(a: Sequence, b: Sequence, length: int, zero) -> list:
+    """First ``length`` coefficients of the product of two coefficient lists.
+
+    Ring-generic: coefficients need ``is_zero``, ``+`` and ``*``.  Terms
+    are accumulated onto ``zero`` in (i ascending, j ascending) order and
+    zero coefficients are skipped; fractions are never reduced, so that
+    order fixes the representatives of the result.
+    """
+    zb = 0
+    while zb < len(b) and b[zb].is_zero():
+        zb += 1
+    out = [zero] * length
+    for i in range(min(len(a), length - zb)):
+        ca = a[i]
+        if ca.is_zero():
+            continue
+        for j in range(zb, min(len(b), length - i)):
+            cb = b[j]
+            if not cb.is_zero():
+                out[i + j] = out[i + j] + ca * cb
+    return out
+
+
+def truncated_quotient(num: Sequence, den: Sequence, length: int, zero) -> list:
+    """First ``length`` coefficients of num/den, by long division.
+
+    ``den[0]`` must be a unit (it needs ``inverse``); missing coefficients
+    of ``num`` are ``zero``.
+    """
+    inv0 = den[0].inverse()
+    out = []
+    for k in range(length):
+        acc = num[k] if k < len(num) else zero
+        for i in range(1, min(k, len(den) - 1) + 1):
+            acc = acc - den[i] * out[k - i]
+        out.append(inv0 * acc)
+    return out
 
 
 class OrderValue:
@@ -101,11 +144,6 @@ class TruncatedSeries:
         self.coeffs = tuple(coeffs)
 
     @classmethod
-    def zero(cls, field: BaseField, precision: int) -> "TruncatedSeries":
-        z = FieldElement.from_scalar(field, 0)
-        return cls(field, [z] * precision)
-
-    @classmethod
     def constant(cls, field: BaseField, value, precision: int) -> "TruncatedSeries":
         z = FieldElement.from_scalar(field, 0)
         coeffs = [z] * precision
@@ -160,19 +198,9 @@ class TruncatedSeries:
         # other below this bound, so the product is exact to it.
         precision = min(pa + zb, pb + za)
         zero = FieldElement.from_scalar(self.field, 0)
-        out = [zero] * precision
-        for i in range(za, pa):
-            a = self.coeffs[i]
-            if a.is_zero():
-                continue
-            for j in range(zb, min(pb, precision - i)):
-                b = other.coeffs[j]
-                if not b.is_zero():
-                    out[i + j] = out[i + j] + a * b
-        return TruncatedSeries(self.field, out)
-
-    def scale(self, factor: FieldElement) -> "TruncatedSeries":
-        return TruncatedSeries(self.field, [factor * c for c in self.coeffs])
+        return TruncatedSeries(
+            self.field, truncated_product(self.coeffs, other.coeffs, precision, zero)
+        )
 
     def shift_down(self, e: int) -> "TruncatedSeries":
         """Divide by t^e; the first e coefficients must be exact zeros."""
@@ -186,14 +214,11 @@ class TruncatedSeries:
         """Multiplicative inverse of a unit (order exactly zero)."""
         if self.coeffs[0].is_zero():
             raise NotAUnit("series has positive or undetermined order")
-        inv0 = self.coeffs[0].inverse()
-        out = [inv0]
-        for k in range(1, len(self.coeffs)):
-            acc = FieldElement.from_scalar(self.field, 0)
-            for i in range(1, k + 1):
-                acc = acc + self.coeffs[i] * out[k - i]
-            out.append(-(inv0 * acc))
-        return TruncatedSeries(self.field, out)
+        one = FieldElement.from_scalar(self.field, 1)
+        zero = FieldElement.from_scalar(self.field, 0)
+        return TruncatedSeries(
+            self.field, truncated_quotient([one], self.coeffs, len(self.coeffs), zero)
+        )
 
     def __eq__(self, other):
         return (
@@ -281,14 +306,7 @@ class SeriesExpression:
 
     def _poly_mul(self, a, b):
         zero = FieldElement.from_scalar(self.field, 0)
-        out = [zero] * (len(a) + len(b) - 1)
-        for i, ca in enumerate(a):
-            if ca.is_zero():
-                continue
-            for j, cb in enumerate(b):
-                if not cb.is_zero():
-                    out[i + j] = out[i + j] + ca * cb
-        return out
+        return truncated_product(a, b, len(a) + len(b) - 1, zero)
 
     def _poly_add(self, a, b):
         zero = FieldElement.from_scalar(self.field, 0)
@@ -351,14 +369,9 @@ class SeriesExpression:
         if precision < 1:
             raise ValueError("precision must be >= 1")
         zero = FieldElement.from_scalar(self.field, 0)
-        inv0 = self.den[0].inverse()
-        out = []
-        for k in range(precision):
-            acc = self.num[k] if k < len(self.num) else zero
-            for i in range(1, min(k, len(self.den) - 1) + 1):
-                acc = acc - self.den[i] * out[k - i]
-            out.append(inv0 * acc)
-        return TruncatedSeries(self.field, out)
+        return TruncatedSeries(
+            self.field, truncated_quotient(self.num, self.den, precision, zero)
+        )
 
     def __str__(self):
         num = _coeffs_text(self.num)
@@ -380,12 +393,3 @@ def evaluate_poly_at_series(
     return poly.evaluate(
         assignment, lambda c: TruncatedSeries.constant(field, FieldElement.from_scalar(field, c), precision)
     )
-
-
-def evaluate_poly_at_expressions(
-    poly: SparsePolynomial,
-    assignment: Mapping[str, SeriesExpression],
-    field: BaseField,
-) -> SeriesExpression:
-    """Evaluate an ambient polynomial on exact series expressions."""
-    return poly.evaluate(assignment, lambda c: SeriesExpression.constant(field, c))

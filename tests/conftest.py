@@ -53,3 +53,18 @@ def blowup_chart_2d():
     tgt = VarietyPresentation(Q, ("x", "y"), (), declared_dim=2, name="plane")
     u, v = var("u"), var("v")
     return MorphismPresentation(src, tgt, (u, u * v), name="blowup2")
+
+
+def to_sympy(value):
+    """A polynomial or field element as a sympy expression."""
+    import sympy
+
+    if isinstance(value, FieldElement):
+        return to_sympy(value.num) / to_sympy(value.den)
+    expr = sympy.Integer(0)
+    for mono, coeff in value.terms.items():
+        term = sympy.Rational(coeff)
+        for name, exp in mono:
+            term *= sympy.Symbol(name) ** exp
+        expr += term
+    return expr

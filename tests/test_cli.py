@@ -138,6 +138,43 @@ def test_strict_oracle_check_flags_precision_limited(tmp_path, capsys, monkeypat
     assert json.loads(out)["all_match"] is True
 
 
+CUSP_NORMALIZATION_DOC = {
+    "field": "rationals",
+    "variety": {
+        "name": "cusp",
+        "variables": ["x", "y"],
+        "generators": ["y^2 - x^3"],
+        "declared_dim": 1,
+    },
+    "morphism": {
+        "name": "normalization",
+        "source": {"name": "line", "variables": ["u"], "declared_dim": 1},
+        "components": ["u^2", "u^3"],
+    },
+}
+
+
+def test_strict_mather_check_flags_precision_limited(tmp_path, capsys, monkeypatch):
+    monkeypatch.setenv("JETSPACE_PRECISION_CAP", "24")
+    path = _write(tmp_path, CUSP_NORMALIZATION_DOC)
+    argv = ["mather-check", path, "--q", "9", "--divisor-var", "u"]
+    code, out, _ = _run(capsys, argv)
+    assert code == 0
+    strict_code, strict_out, _ = _run(capsys, argv + ["--strict"])
+    assert strict_code == 2
+    assert strict_out == out
+    target = json.loads(out)["report"]["embdim_target"]
+    assert target["precision"] == {"kind": "at_least", "bound": 24}
+
+
+def test_strict_mather_check_passes_when_exact(tmp_path, capsys):
+    path = _write(tmp_path, BLOWUP_DOC)
+    argv = ["mather-check", path, "--q", "2", "--divisor-var", "u", "--strict"]
+    code, out, _ = _run(capsys, argv)
+    assert code == 0
+    assert json.loads(out)["passed"] is True
+
+
 def test_btr_command(tmp_path, capsys):
     path = _write(tmp_path, BLOWUP_DOC)
     code, out, _ = _run(capsys, ["btr", path, "--arc", "contact1", "--n-max", "8"])

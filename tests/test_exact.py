@@ -5,11 +5,11 @@ from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings, strategies as st
-from sympy import Integer, Rational, symbols
+from sympy import symbols
 from sympy.polys.domains import GF, QQ
 from sympy.polys.matrices import DomainMatrix
 
-from conftest import Q, fe, fev, var
+from conftest import Q, fe, fev, to_sympy, var
 from jetspace.errors import DivisionByZero, InputError, NotPrime
 from jetspace.exact import (
     BaseField,
@@ -187,16 +187,7 @@ def _random_sparse_poly(rng, field=Q):
 
 
 def _sympy_rank(rows, cols, domain):
-    def convert(poly):
-        expr = Integer(0)
-        for mono, coeff in poly.terms.items():
-            term = Rational(coeff)
-            for name, exp in mono:
-                term *= symbols(name) ** exp
-            expr += term
-        return domain.from_sympy(expr)
-
-    entries = [[convert(p) for p in row] for row in rows]
+    entries = [[domain.from_sympy(to_sympy(p)) for p in row] for row in rows]
     return DomainMatrix(entries, (len(rows), cols), domain).rank()
 
 

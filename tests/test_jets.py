@@ -4,8 +4,9 @@ import random
 from fractions import Fraction
 
 import pytest
+import sympy
 
-from conftest import Q, affine_space, cusp_variety, fe, var
+from conftest import Q, affine_space, cusp_variety, fe, to_sympy, var, whitney_variety
 from jetspace.arcs import make_arc
 from jetspace.errors import PointNotOnJetScheme
 from jetspace.exact import FieldElement, SparsePolynomial
@@ -72,6 +73,23 @@ def test_leibniz_consistency():
             for a in range(p + 1):
                 convolution = convolution + Df[a] * Dg[p - a]
             assert Dfg[p] == convolution
+
+
+@pytest.mark.parametrize("variety", [cusp_variety(), whitney_variety()], ids=lambda X: X.name)
+def test_jet_ideal_matches_sympy_expansion(variety):
+    """Coefficients of g(sum_p x[p] t^p) mod t^(n+1), expanded by sympy."""
+    t = sympy.Symbol("t")
+    for n in range(6):
+        ideal = jet_ideal(variety, n)
+        curve = {
+            sympy.Symbol(v): sum(sympy.Symbol(jet_variable(v, p)) * t**p for p in range(n + 1))
+            for v in variety.variables
+        }
+        for g, row in zip(variety.generators, ideal.generators):
+            expanded = sympy.expand(to_sympy(g).subs(curve, simultaneous=True))
+            assert len(row) == n + 1
+            for p, equation in enumerate(row):
+                assert sympy.expand(to_sympy(equation) - expanded.coeff(t, p)) == 0
 
 
 class TestJetJacobianCorank:

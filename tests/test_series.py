@@ -4,9 +4,10 @@ import random
 from fractions import Fraction
 
 import pytest
+import sympy
 from hypothesis import given, settings, strategies as st
 
-from conftest import Q, fe, fev, sexpr, tser
+from conftest import Q, fe, fev, sexpr, to_sympy, tser
 from jetspace.errors import DenominatorNotUnit, NotAUnit, PrecisionTooLow
 from jetspace.series import (
     OrderValue,
@@ -170,3 +171,55 @@ def test_shift_down_requires_zero_prefix():
         tser([1, 0, 0], 3).shift_down(1)
     shifted = tser([0, 0, 5], 4).shift_down(2)
     assert shifted == tser([5, 0], 2)
+
+
+T = sympy.Symbol("t")
+
+
+def _random_coefficient(rng):
+    """Zero, a rational, or a rational multiple of the transcendental u."""
+    roll = rng.random()
+    if roll < 0.3:
+        return fe(0)
+    value = fe(Fraction(rng.randint(-6, 6), rng.randint(1, 4)))
+    return value * fev("u") if roll > 0.8 else value
+
+
+def _sympy_series(coeffs):
+    return sum(to_sympy(c) * T**i for i, c in enumerate(coeffs))
+
+
+@pytest.mark.parametrize("seed", range(8))
+def test_expand_matches_sympy_series(seed):
+    rng = random.Random(seed)
+    num = [_random_coefficient(rng) for _ in range(rng.randint(1, 5))]
+    den = [fe(rng.choice([-3, -1, 1, 2]))] + [
+        _random_coefficient(rng) for _ in range(rng.randint(0, 3))
+    ]
+    precision = rng.randint(1, 8)
+    expanded = SeriesExpression(Q, num, den).expand(precision)
+    reference = sympy.series(_sympy_series(num) / _sympy_series(den), T, 0, precision).removeO()
+    reference = sympy.expand(reference)
+    assert expanded.precision == precision
+    for k, c in enumerate(expanded.coeffs):
+        assert sympy.cancel(to_sympy(c) - reference.coeff(T, k)) == 0
+
+
+@pytest.mark.parametrize("seed", range(12))
+def test_product_matches_sympy_with_zero_prefixes(seed):
+    rng = random.Random(100 + seed)
+    factors = []
+    for _ in range(2):
+        precision = rng.randint(1, 7)
+        prefix = rng.randint(0, precision)
+        coeffs = [fe(0)] * prefix + [_random_coefficient(rng) for _ in range(precision - prefix)]
+        if prefix < precision and coeffs[prefix].is_zero():
+            coeffs[prefix] = fe(1)
+        factors.append((coeffs, prefix))
+    (a, za), (b, zb) = factors
+    product = TruncatedSeries(Q, a) * TruncatedSeries(Q, b)
+    expected_precision = min(len(a) + zb, len(b) + za)
+    assert product.precision == expected_precision
+    reference = sympy.expand(_sympy_series(a) * _sympy_series(b))
+    for k, c in enumerate(product.coeffs):
+        assert sympy.cancel(to_sympy(c) - reference.coeff(T, k)) == 0
