@@ -54,7 +54,7 @@ class GenericComponent:
         coeffs = []
         for p in range(precision):
             if p < self.start:
-                coeffs.append(FieldElement.from_scalar(field, 0))
+                coeffs.append(field.fe_zero)
             else:
                 coeffs.append(FieldElement.variable(field, self.coefficient_name(p)))
         return TruncatedSeries(field, coeffs)

@@ -5,8 +5,8 @@ report to stdout as JSON (default) or a plain text rendering.  Reports
 never contain timestamps and all ordering is fixed, so identical inputs
 produce byte-identical output.
 
-Exit codes: 0 success, 1 validation or domain error, 2 when --strict is
-set and the result is precision limited.
+Exit codes: 0 success, 1 validation or domain error or a failing catalog
+check, 2 when --strict is set and the result is precision limited.
 """
 
 from __future__ import annotations
@@ -376,6 +376,8 @@ def main(argv=None) -> int:
         print(_render_catalog_text(report))
     else:
         print("\n".join(_render_text(report)))
+    if args.command == "catalog" and not report["passed"]:
+        return 1
     if limited and args.strict:
         return 2
     return 0

@@ -8,6 +8,13 @@ terms; equality is decided by cross-multiplication, so no multivariate
 gcd is ever needed.  A content-stripping pass (integer content plus the
 largest common monomial) keeps intermediate growth bounded.
 
+A polynomial never stores a zero coefficient (a term that cancels is
+deleted), and over GF(p) every coefficient is an int in ``range(1, p)``.
+The polynomial loops work on these raw scalars, ``Fraction`` or int mod
+p, with one test of ``p`` per call.  Each field holds its zero and one,
+as scalars and as field elements, shared by every caller: no polynomial,
+field element or scalar is mutated after construction.
+
 The module also provides exact linear algebra over the fraction field.
 One elimination routine, ``echelon_rank_profile``, computes every rank:
 matrix rank, and transcendence degree of a family of rational functions
@@ -17,7 +24,7 @@ via the Jacobian criterion.
 from __future__ import annotations
 
 from fractions import Fraction
-from math import gcd
+from math import gcd, lcm
 from typing import Callable, Iterable, Mapping, NamedTuple, Sequence
 
 from .errors import DivisionByZero, InputError, NotPrime, UnknownVariable
@@ -67,7 +74,7 @@ class BaseField:
     ints in ``range(p)``.
     """
 
-    __slots__ = ("p",)
+    __slots__ = ("p", "_zero", "_one", "fe_zero", "fe_one")
 
     def __init__(self, p: int | None = None):
         if p is not None:
@@ -78,49 +85,46 @@ class BaseField:
             if not _is_prime(p):
                 raise NotPrime(p)
         self.p = p
+        self._zero = 0 if p else Fraction(0)
+        self._one = 1 if p else Fraction(1)
+        # The zero and the unit of the fraction field, shared by every caller.
+        one_poly = SparsePolynomial(self, {_ONE_MONO: self._one})
+        self.fe_zero = FieldElement._raw(SparsePolynomial(self, {}), one_poly)
+        self.fe_one = FieldElement._raw(one_poly, one_poly)
 
     @property
     def characteristic(self) -> int:
         return self.p or 0
 
     def zero(self):
-        return 0 if self.p else Fraction(0)
+        return self._zero
 
     def one(self):
-        return 1 if self.p else Fraction(1)
+        return self._one
 
     def coerce(self, value):
         """Bring an int or Fraction into this field."""
-        if self.p is None:
-            return Fraction(value)
+        p = self.p
+        if p is None:
+            return value if type(value) is Fraction else Fraction(value)
+        if type(value) is int:
+            return value % p
         value = Fraction(value)
-        den = value.denominator % self.p
+        den = value.denominator % p
         if den == 0:
-            raise DivisionByZero(f"denominator of {value} vanishes mod {self.p}")
-        return value.numerator * pow(den, self.p - 2, self.p) % self.p
-
-    def add(self, a, b):
-        return (a + b) % self.p if self.p else a + b
-
-    def sub(self, a, b):
-        return (a - b) % self.p if self.p else a - b
+            raise DivisionByZero(f"denominator of {value} vanishes mod {p}")
+        return value.numerator * pow(den, p - 2, p) % p
 
     def mul(self, a, b):
         return a * b % self.p if self.p else a * b
 
-    def neg(self, a):
-        return -a % self.p if self.p else -a
-
     def inv(self, a):
-        if self.is_zero(a):
+        if a == 0:
             raise DivisionByZero("scalar division by zero")
         return pow(a, self.p - 2, self.p) if self.p else 1 / a
 
     def div(self, a, b):
         return self.mul(a, self.inv(b))
-
-    def is_zero(self, a) -> bool:
-        return a == 0
 
     def scalar_str(self, a) -> str:
         return str(a)
@@ -135,18 +139,30 @@ class BaseField:
         return "QQ" if self.p is None else f"GF({self.p})"
 
 
-RATIONALS = BaseField()
-
-
 def _mono_mul(a: Monomial, b: Monomial) -> Monomial:
+    """Product of two monomials: a merge of their sorted pairs."""
     if not a:
         return b
     if not b:
         return a
-    out = dict(a)
-    for var, exp in b:
-        out[var] = out.get(var, 0) + exp
-    return tuple(sorted(out.items()))
+    if a[-1][0] < b[0][0]:
+        return a + b
+    if b[-1][0] < a[0][0]:
+        return b + a
+    out = []
+    i = j = 0
+    while i < len(a) and j < len(b):
+        (va, ea), (vb, eb) = a[i], b[j]
+        if va == vb:
+            out.append((va, ea + eb))
+            i, j = i + 1, j + 1
+        elif va < vb:
+            out.append(a[i])
+            i += 1
+        else:
+            out.append(b[j])
+            j += 1
+    return tuple(out) + a[i:] + b[j:]
 
 
 def _mono_div(a: Monomial, b: Monomial) -> Monomial:
@@ -179,46 +195,29 @@ class SparsePolynomial:
 
     Stored as ``{monomial: coefficient}`` with no zero coefficients.  The
     variable set is open-ended: monomials carry variable names, so
-    polynomials over different variable subsets combine freely.
+    polynomials over different variable subsets combine freely.  The
+    constructor takes ownership of ``terms`` as is; build polynomials from
+    scalars with ``constant``, ``variable`` and the arithmetic.
     """
 
     __slots__ = ("field", "terms")
 
-    def __init__(self, field: BaseField, terms: Mapping[Monomial, object] | None = None):
+    def __init__(self, field: BaseField, terms: dict):
         self.field = field
-        clean = {}
-        if terms:
-            for mono, coeff in terms.items():
-                if not field.is_zero(coeff):
-                    clean[mono] = coeff
-        self.terms = clean
-
-    @classmethod
-    def _raw(cls, field, terms):
-        poly = cls.__new__(cls)
-        poly.field = field
-        poly.terms = terms
-        return poly
+        self.terms = terms
 
     @classmethod
     def zero(cls, field: BaseField) -> "SparsePolynomial":
-        return cls._raw(field, {})
+        return cls(field, {})
 
     @classmethod
     def constant(cls, field: BaseField, value) -> "SparsePolynomial":
         value = field.coerce(value)
-        return cls._raw(field, {} if field.is_zero(value) else {_ONE_MONO: value})
+        return cls(field, {_ONE_MONO: value} if value else {})
 
     @classmethod
     def variable(cls, field: BaseField, name: str) -> "SparsePolynomial":
-        return cls._raw(field, {((name, 1),): field.one()})
-
-    @classmethod
-    def monomial(cls, field: BaseField, mono: Monomial, coeff) -> "SparsePolynomial":
-        coeff = field.coerce(coeff)
-        if field.is_zero(coeff):
-            return cls.zero(field)
-        return cls._raw(field, {mono: coeff})
+        return cls(field, {((name, 1),): field.one()})
 
     def is_zero(self) -> bool:
         return not self.terms
@@ -238,44 +237,69 @@ class SparsePolynomial:
         return sorted(seen)
 
     def __add__(self, other: "SparsePolynomial") -> "SparsePolynomial":
-        field = self.field
+        p = self.field.p
         out = dict(self.terms)
+        get = out.get
         for mono, coeff in other.terms.items():
-            acc = field.add(out.get(mono, field.zero()), coeff)
-            if field.is_zero(acc):
-                out.pop(mono, None)
-            else:
+            old = get(mono)
+            if old is None:
+                out[mono] = coeff
+                continue
+            acc = (old + coeff) % p if p else old + coeff
+            if acc:
                 out[mono] = acc
-        return SparsePolynomial._raw(field, out)
+            else:
+                del out[mono]
+        return SparsePolynomial(self.field, out)
 
     def __neg__(self) -> "SparsePolynomial":
-        field = self.field
-        return SparsePolynomial._raw(field, {m: field.neg(c) for m, c in self.terms.items()})
+        p = self.field.p
+        return SparsePolynomial(self.field, {m: p - c if p else -c for m, c in self.terms.items()})
 
     def __sub__(self, other: "SparsePolynomial") -> "SparsePolynomial":
-        return self + (-other)
+        p = self.field.p
+        out = dict(self.terms)
+        get = out.get
+        for mono, coeff in other.terms.items():
+            old = get(mono)
+            if old is None:
+                out[mono] = p - coeff if p else -coeff
+                continue
+            acc = (old - coeff) % p if p else old - coeff
+            if acc:
+                out[mono] = acc
+            else:
+                del out[mono]
+        return SparsePolynomial(self.field, out)
 
     def __mul__(self, other: "SparsePolynomial") -> "SparsePolynomial":
-        field = self.field
+        p = self.field.p
         out: dict = {}
+        get = out.get
+        other_items = other.terms.items()
         for ma, ca in self.terms.items():
-            for mb, cb in other.terms.items():
+            for mb, cb in other_items:
                 mono = _mono_mul(ma, mb)
-                acc = field.add(out.get(mono, field.zero()), field.mul(ca, cb))
-                if field.is_zero(acc):
-                    out.pop(mono, None)
-                else:
+                # A product of two nonzero scalars is nonzero in a field.
+                prod = ca * cb % p if p else ca * cb
+                old = get(mono)
+                if old is None:
+                    out[mono] = prod
+                    continue
+                acc = (old + prod) % p if p else old + prod
+                if acc:
                     out[mono] = acc
-        return SparsePolynomial._raw(field, out)
+                else:
+                    del out[mono]
+        return SparsePolynomial(self.field, out)
 
     def scale(self, scalar) -> "SparsePolynomial":
         field = self.field
         scalar = field.coerce(scalar)
-        if field.is_zero(scalar):
+        if not scalar:
             return SparsePolynomial.zero(field)
-        return SparsePolynomial._raw(
-            field, {m: field.mul(c, scalar) for m, c in self.terms.items()}
-        )
+        p = field.p
+        return SparsePolynomial(field, {m: c * scalar % p if p else c * scalar for m, c in self.terms.items()})
 
     def __pow__(self, exponent: int) -> "SparsePolynomial":
         if exponent < 0:
@@ -301,27 +325,22 @@ class SparsePolynomial:
 
     def derivative(self, var: str) -> "SparsePolynomial":
         """Formal partial derivative; exponents divisible by char vanish."""
-        field = self.field
+        p = self.field.p
         out: dict = {}
         for mono, coeff in self.terms.items():
-            exps = dict(mono)
-            exp = exps.get(var, 0)
-            if exp == 0:
-                continue
-            new_coeff = field.mul(coeff, field.coerce(exp))
-            if field.is_zero(new_coeff):
-                continue
-            if exp > 1:
-                exps[var] = exp - 1
+            for k, (v, exp) in enumerate(mono):
+                if v == var:
+                    break
             else:
-                del exps[var]
-            new_mono = tuple(sorted(exps.items()))
-            acc = field.add(out.get(new_mono, field.zero()), new_coeff)
-            if field.is_zero(acc):
-                out.pop(new_mono, None)
-            else:
-                out[new_mono] = acc
-        return SparsePolynomial._raw(field, out)
+                continue
+            new_coeff = coeff * exp % p if p else coeff * exp
+            if not new_coeff:
+                continue
+            rest = ((var, exp - 1),) if exp > 1 else ()
+            # Dividing by var is injective on the monomials it divides, so
+            # no two terms land on the same monomial.
+            out[mono[:k] + rest + mono[k + 1:]] = new_coeff
+        return SparsePolynomial(self.field, out)
 
     def evaluate(self, assignment: Mapping[str, object], const: Callable):
         """Evaluate in any commutative ring.
@@ -353,17 +372,6 @@ class SparsePolynomial:
         if total is None:
             return const(self.field.zero())
         return total
-
-    def _content(self) -> Fraction | None:
-        """Rational content (gcd of coefficients); None over prime fields."""
-        if self.field.p is not None or not self.terms:
-            return None
-        num = 0
-        den = 1
-        for coeff in self.terms.values():
-            num = gcd(num, coeff.numerator)
-            den = den * coeff.denominator // gcd(den, coeff.denominator)
-        return Fraction(num, den)
 
     def __str__(self):
         if not self.terms:
@@ -415,17 +423,16 @@ class FieldElement:
 
     @classmethod
     def from_scalar(cls, field: BaseField, value) -> "FieldElement":
-        return cls._raw(
-            SparsePolynomial.constant(field, value), SparsePolynomial.constant(field, 1)
-        )
+        return cls._raw(SparsePolynomial.constant(field, value), field.fe_one.den)
 
     def _den_is_one(self) -> bool:
+        # Comparing with the int 1 takes Fraction.__eq__'s int fast path.
         terms = self.den.terms
-        return len(terms) == 1 and _ONE_MONO in terms and terms[_ONE_MONO] == self.field.one()
+        return len(terms) == 1 and terms.get(_ONE_MONO) == 1
 
     @classmethod
     def from_poly(cls, poly: SparsePolynomial) -> "FieldElement":
-        return cls._raw(poly, SparsePolynomial.constant(poly.field, 1))
+        return cls._raw(poly, poly.field.fe_one.den)
 
     @classmethod
     def variable(cls, field: BaseField, name: str) -> "FieldElement":
@@ -436,7 +443,7 @@ class FieldElement:
         return self.num.field
 
     def is_zero(self) -> bool:
-        return self.num.is_zero()
+        return not self.num.terms
 
     def is_constant(self) -> bool:
         """True when this is visibly a scalar (after light normalization).
@@ -500,7 +507,7 @@ class FieldElement:
         return sorted(set(self.num.variables()) | set(self.den.variables()))
 
     def __str__(self):
-        if self.den.is_constant() and self.den.constant_value() == self.field.one():
+        if self._den_is_one():
             return str(self.num)
         num = str(self.num)
         den = str(self.den)
@@ -512,6 +519,9 @@ class FieldElement:
 
     def __repr__(self):
         return f"FieldElement({self})"
+
+
+RATIONALS = BaseField()
 
 
 def _common_monomial(polys: Sequence[SparsePolynomial]) -> Monomial:
@@ -531,20 +541,26 @@ def _common_monomial(polys: Sequence[SparsePolynomial]) -> Monomial:
     return tuple(sorted((v, e) for v, e in mins.items() if e))
 
 
+def _rational_content(polys: Iterable[SparsePolynomial]) -> Fraction:
+    """gcd of all coefficients over Q: gcd of numerators over lcm of denominators."""
+    num, den = 0, 1
+    for poly in polys:
+        for coeff in poly.terms.values():
+            num = gcd(num, coeff.numerator)
+            den = lcm(den, coeff.denominator)
+    return Fraction(num, den)
+
+
 def _normalize_fraction(num: SparsePolynomial, den: SparsePolynomial):
     field = num.field
-    one = SparsePolynomial.constant(field, 1)
-    if num.is_zero():
-        return num, one
+    if not num.terms:
+        return num, field.fe_one.den
     common = _common_monomial((num, den))
     if common:
-        num = SparsePolynomial._raw(field, {_mono_div(m, common): c for m, c in num.terms.items()})
-        den = SparsePolynomial._raw(field, {_mono_div(m, common): c for m, c in den.terms.items()})
+        num = SparsePolynomial(field, {_mono_div(m, common): c for m, c in num.terms.items()})
+        den = SparsePolynomial(field, {_mono_div(m, common): c for m, c in den.terms.items()})
     if field.p is None:
-        c_num = num._content()
-        c_den = den._content()
-        d1, d2 = c_num.denominator, c_den.denominator
-        g = Fraction(gcd(c_num.numerator, c_den.numerator), d1 * d2 // gcd(d1, d2))
+        g = _rational_content((num, den))
         lead = den.terms[max(den.terms, key=_mono_key)]
         if lead < 0:
             g = -g
@@ -595,13 +611,7 @@ def _strip_row(row: list[SparsePolynomial], field: BaseField) -> list[SparsePoly
     common = _common_monomial(nonzero)
     scale = None
     if field.p is None:
-        num = 0
-        den = 1
-        for poly in nonzero:
-            c = poly._content()
-            num = gcd(num, c.numerator)
-            den = den * c.denominator // gcd(den, c.denominator)
-        content = Fraction(num, den)
+        content = _rational_content(nonzero)
         if content != 1:
             scale = 1 / content
     if common == _ONE_MONO and scale is None:
@@ -614,7 +624,7 @@ def _strip_row(row: list[SparsePolynomial], field: BaseField) -> list[SparsePoly
         terms = poly.terms
         if common != _ONE_MONO:
             terms = {_mono_div(m, common): c for m, c in terms.items()}
-        poly = SparsePolynomial._raw(field, terms)
+        poly = SparsePolynomial(field, terms)
         if scale is not None:
             poly = poly.scale(scale)
         out.append(poly)

@@ -6,6 +6,7 @@ variable ``t`` is reserved and ``/`` is a full division (the resulting
 denominator must be a unit at t = 0); in polynomial context ``/`` is
 only allowed with an integer literal divisor, so values stay
 polynomials.  Unknown symbols are a parse error, never new variables.
+Exponents are integer literals of at most ``MAX_EXPONENT``.
 """
 
 from __future__ import annotations
@@ -16,6 +17,11 @@ from typing import Sequence
 from .errors import ParseError, UnknownVariable
 from .exact import BaseField, FieldElement, SparsePolynomial
 from .series import SeriesExpression
+
+# Largest exponent accepted after ``^``.  It is above the default
+# precision cap (192), so every power of t that the default refinement can
+# see is writable, and it keeps a hostile exponent from running unbounded.
+MAX_EXPONENT = 256
 
 _SYMBOL_START = set("abcdefghijklmnopqrstuvwxyzABCDEFGHIJKLMNOPQRSTUVWXYZ_")
 _SYMBOL_BODY = _SYMBOL_START | set("0123456789")
@@ -131,6 +137,8 @@ class _Parser:
             nkind, nval, ncol = self.take()
             if nkind != "num":
                 self.fail("exponent must be a nonnegative integer", ncol)
+            if nval > MAX_EXPONENT:
+                self.fail(f"exponent {nval} exceeds the maximum {MAX_EXPONENT}", ncol)
             value = value ** nval
         return value
 

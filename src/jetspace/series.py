@@ -36,18 +36,17 @@ def truncated_product(a: Sequence, b: Sequence, length: int, zero) -> list:
     zero coefficients are skipped; fractions are never reduced, so that
     order fixes the representatives of the result.
     """
-    zb = 0
-    while zb < len(b) and b[zb].is_zero():
-        zb += 1
+    nonzero_b = [(j, cb) for j, cb in enumerate(b[:length]) if not cb.is_zero()]
     out = [zero] * length
-    for i in range(min(len(a), length - zb)):
-        ca = a[i]
+    if not nonzero_b:
+        return out
+    for i, ca in enumerate(a[: length - nonzero_b[0][0]]):
         if ca.is_zero():
             continue
-        for j in range(zb, min(len(b), length - i)):
-            cb = b[j]
-            if not cb.is_zero():
-                out[i + j] = out[i + j] + ca * cb
+        for j, cb in nonzero_b:
+            if i + j >= length:
+                break
+            out[i + j] = out[i + j] + ca * cb
     return out
 
 
@@ -145,8 +144,7 @@ class TruncatedSeries:
 
     @classmethod
     def constant(cls, field: BaseField, value, precision: int) -> "TruncatedSeries":
-        z = FieldElement.from_scalar(field, 0)
-        coeffs = [z] * precision
+        coeffs = [field.fe_zero] * precision
         coeffs[0] = value if isinstance(value, FieldElement) else FieldElement.from_scalar(field, value)
         return cls(field, coeffs)
 
@@ -154,8 +152,7 @@ class TruncatedSeries:
     def from_coefficients(
         cls, field: BaseField, coeffs: Sequence[FieldElement], precision: int
     ) -> "TruncatedSeries":
-        z = FieldElement.from_scalar(field, 0)
-        padded = list(coeffs[:precision]) + [z] * max(0, precision - len(coeffs))
+        padded = list(coeffs[:precision]) + [field.fe_zero] * max(0, precision - len(coeffs))
         return cls(field, padded)
 
     @property
@@ -197,9 +194,8 @@ class TruncatedSeries:
         # Unknown coefficients of one factor only meet stored zeros of the
         # other below this bound, so the product is exact to it.
         precision = min(pa + zb, pb + za)
-        zero = FieldElement.from_scalar(self.field, 0)
         return TruncatedSeries(
-            self.field, truncated_product(self.coeffs, other.coeffs, precision, zero)
+            self.field, truncated_product(self.coeffs, other.coeffs, precision, self.field.fe_zero)
         )
 
     def shift_down(self, e: int) -> "TruncatedSeries":
@@ -214,10 +210,9 @@ class TruncatedSeries:
         """Multiplicative inverse of a unit (order exactly zero)."""
         if self.coeffs[0].is_zero():
             raise NotAUnit("series has positive or undetermined order")
-        one = FieldElement.from_scalar(self.field, 1)
-        zero = FieldElement.from_scalar(self.field, 0)
+        field = self.field
         return TruncatedSeries(
-            self.field, truncated_quotient([one], self.coeffs, len(self.coeffs), zero)
+            field, truncated_quotient([field.fe_one], self.coeffs, len(self.coeffs), field.fe_zero)
         )
 
     def __eq__(self, other):
@@ -282,11 +277,9 @@ class SeriesExpression:
         num: Sequence[FieldElement],
         den: Sequence[FieldElement] | None = None,
     ):
-        zero = FieldElement.from_scalar(field, 0)
-        one = FieldElement.from_scalar(field, 1)
         self.field = field
-        self.num = _trim(list(num) or [zero])
-        self.den = _trim(list(den) if den is not None else [one])
+        self.num = _trim(list(num) or [field.fe_zero])
+        self.den = _trim(list(den) if den is not None else [field.fe_one])
         if self.den[0].is_zero():
             raise DenominatorNotUnit("series expression denominator vanishes at t = 0")
 
@@ -297,19 +290,17 @@ class SeriesExpression:
 
     @classmethod
     def t_power(cls, field: BaseField, e: int, coefficient=None) -> "SeriesExpression":
-        zero = FieldElement.from_scalar(field, 0)
-        c = coefficient if coefficient is not None else FieldElement.from_scalar(field, 1)
-        return cls(field, [zero] * e + [c])
+        c = coefficient if coefficient is not None else field.fe_one
+        return cls(field, [field.fe_zero] * e + [c])
 
     def is_zero(self) -> bool:
         return len(self.num) == 1 and self.num[0].is_zero()
 
     def _poly_mul(self, a, b):
-        zero = FieldElement.from_scalar(self.field, 0)
-        return truncated_product(a, b, len(a) + len(b) - 1, zero)
+        return truncated_product(a, b, len(a) + len(b) - 1, self.field.fe_zero)
 
     def _poly_add(self, a, b):
-        zero = FieldElement.from_scalar(self.field, 0)
+        zero = self.field.fe_zero
         out = []
         for i in range(max(len(a), len(b))):
             ca = a[i] if i < len(a) else zero
@@ -348,7 +339,7 @@ class SeriesExpression:
     def __pow__(self, exponent: int) -> "SeriesExpression":
         if exponent < 0:
             raise ValueError("negative exponent on a series expression")
-        result = SeriesExpression.constant(self.field, 1)
+        result = SeriesExpression.constant(self.field, self.field.fe_one)
         base = self
         while exponent:
             if exponent & 1:
@@ -368,14 +359,13 @@ class SeriesExpression:
         """First ``precision`` coefficients, by long division."""
         if precision < 1:
             raise ValueError("precision must be >= 1")
-        zero = FieldElement.from_scalar(self.field, 0)
         return TruncatedSeries(
-            self.field, truncated_quotient(self.num, self.den, precision, zero)
+            self.field, truncated_quotient(self.num, self.den, precision, self.field.fe_zero)
         )
 
     def __str__(self):
         num = _coeffs_text(self.num)
-        if len(self.den) == 1 and self.den[0] == FieldElement.from_scalar(self.field, 1):
+        if len(self.den) == 1 and self.den[0] == self.field.fe_one:
             return num
         return f"({num})/({_coeffs_text(self.den)})"
 

@@ -1,6 +1,8 @@
 """Command line interface: dispatch, parameters, exit codes, determinism."""
 
+import hashlib
 import json
+from pathlib import Path
 
 import pytest
 
@@ -253,3 +255,69 @@ def test_report_json_round_trips(tmp_path, capsys):
     assert code == code2 == 0
     assert first == second
     assert json.loads(first) == json.loads(second)
+
+
+def test_catalog_exits_one_when_a_check_fails(capsys, monkeypatch):
+    from jetspace import catalog
+
+    def failing_check():
+        return catalog.CheckResult("always-fails", False, 1, {"reason": "injected"})
+
+    monkeypatch.setattr(catalog, "_ALL_CHECKS", (("always-fails", failing_check),))
+    code, out, _ = _run(capsys, ["catalog", "--format", "text"])
+    assert code == 1
+    assert out.splitlines()[0] == "FAIL  always-fails  (1 cases)"
+    assert out.splitlines()[-1] == "overall: FAIL"
+    json_code, json_out, _ = _run(capsys, ["catalog"])
+    assert json_code == 1
+    assert json.loads(json_out)["passed"] is False
+
+
+# sha256 of the text output and the exit code of each command on the shipped
+# problem documents.  jet-ideal and divisorial render polynomial and
+# field-element strings, so a kernel change that alters a representative
+# shows up here even when the catalog bytes do not move.
+PROBLEMS = Path(__file__).resolve().parent.parent / "problems"
+GOLDEN_OUTPUTS = [
+    ("blowup-plane.json", ("jet-ideal", "--n", "3"), 0, "1f132028ef1b23d31262ea9b8c0c1881acb9153017d217ced07a47c8f55e8445"),
+    ("blowup-plane.json", ("profile", "--arc", "contact1"), 0, "7e9b50f0ab414322d4e6808ea047242becfcd740d74b30c34de599cbb5450fb7"),
+    ("blowup-plane.json", ("embdim-arc", "--arc", "contact1"), 0, "63a7bca10b2d1bebdd125086387e76da95490d1e9bd002e7aa96ab26a8b77c0f"),
+    ("blowup-plane.json", ("divisorial",), 0, "460f47225e8c816331b56cd12782e32e1f55a1466f79cb5cb4e2426c1845d685"),
+    ("blowup-plane.json", ("divisorial", "--q", "2"), 0, "683801a5f90c7c6fc82d745411f6bada5f89d967048b67e9e4f57c8a204edb85"),
+    ("cusp.json", ("jet-ideal", "--n", "3"), 0, "c92931a085cc44305482299f247e5e409be4f269258a0d76ac41543a73b3c5db"),
+    ("cusp.json", ("profile", "--arc", "main"), 0, "ad3e89b1320b91251be7c754e4f61839d13a3a426863dbd2ae4a1b068e9715d5"),
+    ("cusp.json", ("embdim-arc", "--arc", "main"), 0, "f1757fe80c7e36e9c7b5acbd9cd1eec6c89ca2d1975ef5c7170ac91775ab9ef6"),
+    ("cusp.json", ("profile", "--arc", "unit-branch"), 0, "381aea1144fda6a08b109a1d7da03c5cafa1d0108453efedd950775a77fd56bf"),
+    ("cusp.json", ("embdim-arc", "--arc", "unit-branch"), 0, "10b9fb5695e19555e83d5f1eed28f6d4a89732d36c7c72ddfa19e8150487c364"),
+    ("umbrella-char2.json", ("jet-ideal", "--n", "3"), 0, "d4abc5de71a7ba77ba3cf413fb0791d7da55e56c2bb8439edeb0c6a8ec939b2f"),
+    ("umbrella-char2.json", ("profile", "--arc", "off"), 0, "6137f8c430f295a3b37cd4dddfdc9c7f8bbdc8c716d8e5cbb6128a3cca44c75a"),
+    ("umbrella-char2.json", ("embdim-arc", "--arc", "off"), 0, "87cf76632626ff320c4956167fe6e2df11aaa666653cf31b40913638651ce064"),
+    ("umbrella-char2.json", ("profile", "--arc", "singular-jet"), 0, "ed21d3ed37ed96f122f697bf9d0d683ee20bd39f1ca6bc8d73b2a604a318baee"),
+    ("umbrella-char2.json", ("embdim-arc", "--arc", "singular-jet"), 0, "6634cba80c2d7e99cf4bc38ad53eb1e189429390b1f703799e2d913ec94bfd21"),
+    ("whitney.json", ("jet-ideal", "--n", "3"), 0, "2a9c832e5a52a36ba937712ba6b2a5a77a509bbfbe0c28c0bdb1b0a9758b0c99"),
+    ("whitney.json", ("profile", "--arc", "off-axis"), 0, "f02f3acd3ee5d3a228344ae638dd41492d59bd1409eab9a753e1bc67e8c28460"),
+    ("whitney.json", ("embdim-arc", "--arc", "off-axis"), 0, "2b6f14f67dc29ab2ca850b7ebd4b7de62f21eef40b8fac107ca44fc9ef2d979d"),
+    ("whitney.json", ("profile", "--arc", "through-origin"), 0, "d1d7662644cda46ee18d8d984ee5a09a09161ac6374cdce323d81e2138c73e07"),
+    ("whitney.json", ("embdim-arc", "--arc", "through-origin"), 0, "f0248ff184d456243a83cb6cc580634168cbf4982b50b9a6b5a8fa02c1cd53b8"),
+    ("whitney.json", ("profile", "--arc", "singular-jet"), 0, "1713547a6937dd93fe99a327bd6f61f06d9ef3603f09c786795732a01876357c"),
+    ("whitney.json", ("embdim-arc", "--arc", "singular-jet"), 0, "6f65f7ab9aa123c27bf033a03dd46e63c8d0b1613ee0999853b37f1beae4ea7e"),
+    ("whitney.json", ("profile", "--arc", "singular-generic"), 0, "1b4f9ab545f5c7c47732301f5aa5e0a1071747f8234566686813380da9b02fda"),
+    ("whitney.json", ("embdim-arc", "--arc", "singular-generic"), 0, "92de045f1e0706ff6d8cde4f105dee0a18f63fadba497c39d34bb6a32b270fc7"),
+]
+
+
+@pytest.mark.parametrize(
+    "document, argv, expected_code, expected_sha256",
+    GOLDEN_OUTPUTS,
+    ids=[f"{doc[:-5]}:{' '.join(argv)}" for doc, argv, _, _ in GOLDEN_OUTPUTS],
+)
+def test_golden_text_output(capsys, document, argv, expected_code, expected_sha256):
+    command, *flags = argv
+    code, out, _ = _run(capsys, [command, str(PROBLEMS / document), *flags, "--format", "text"])
+    assert code == expected_code
+    assert hashlib.sha256(out.encode()).hexdigest() == expected_sha256
+
+
+def test_golden_outputs_cover_every_problem_document():
+    covered = {doc for doc, _, _, _ in GOLDEN_OUTPUTS}
+    assert covered == {path.name for path in PROBLEMS.glob("*.json")}

@@ -9,7 +9,7 @@ from conftest import Q, fe, var
 from jetspace.document import parse_document
 from jetspace.errors import DenominatorNotUnit, InputError, ParseError
 from jetspace.exact import BaseField, SparsePolynomial
-from jetspace.exprs import parse_polynomial, parse_series_expression
+from jetspace.exprs import MAX_EXPONENT, parse_polynomial, parse_series_expression
 from jetspace.series import OrderValue
 
 
@@ -81,6 +81,28 @@ class TestParseSeriesExpression:
     def test_non_unit_denominator(self):
         with pytest.raises(DenominatorNotUnit):
             parse_series_expression("1/t", Q, ())
+
+
+class TestExponentCeiling:
+    # Single-monomial bases, so even a parser without the ceiling would
+    # finish quickly instead of expanding a huge power.
+    def test_polynomial_exponent_above_ceiling_rejected(self):
+        with pytest.raises(ParseError) as info:
+            parse_polynomial("y - x^1000000000", Q, ("x", "y"), context="variety.generators[0]")
+        assert info.value.column == 7
+        assert "1000000000" in str(info.value)
+
+    def test_polynomial_exponent_at_ceiling_accepted(self):
+        p = parse_polynomial(f"x^{MAX_EXPONENT}", Q, ("x",))
+        assert p.terms == {(("x", MAX_EXPONENT),): 1}
+        with pytest.raises(ParseError):
+            parse_polynomial(f"x^{MAX_EXPONENT + 1}", Q, ("x",))
+
+    def test_series_exponent_above_ceiling_rejected(self):
+        with pytest.raises(ParseError) as info:
+            parse_series_expression("2*u^1000000000", Q, ("u",), context="arcs.main.components[0]")
+        assert info.value.column == 5
+        assert "arcs.main.components[0]" in str(info.value)
 
 
 def _doc(**overrides):

@@ -5,7 +5,7 @@ from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings, strategies as st
-from sympy import symbols
+from sympy import Poly, symbols
 from sympy.polys.domains import GF, QQ
 from sympy.polys.matrices import DomainMatrix
 
@@ -227,3 +227,90 @@ def test_polynomial_rendering_is_deterministic():
     x, y = var("x"), var("y")
     p = y * y - x ** 3 + SparsePolynomial.constant(Q, Fraction(1, 2))
     assert str(p) == "-x^3 + y^2 + 1/2"
+
+
+# Independent oracle for the polynomial kernel: every operation against
+# sympy.Poly over the same field, plus the stored-form invariants (no zero
+# coefficient, prime-field coefficients reduced, monomials sorted).
+KERNEL_FIELDS = [Q, BaseField(2), BaseField(5)]
+KERNEL_NAMES = ("u1", "u2", "x")
+
+
+def _assert_well_formed(poly):
+    p = poly.field.p
+    for mono, coeff in poly.terms.items():
+        assert coeff != 0, f"stored zero coefficient at {mono} in {poly}"
+        if p is None:
+            assert type(coeff) is Fraction
+        else:
+            assert type(coeff) is int and 0 < coeff < p
+        assert list(mono) == sorted(mono) and all(exp > 0 for _, exp in mono)
+        assert len({name for name, _ in mono}) == len(mono)
+
+
+def _kernel_poly(rng, field):
+    poly = SparsePolynomial.zero(field)
+    for _ in range(rng.randint(0, 4)):
+        coeff = Fraction(rng.randint(-6, 6), rng.randint(1, 4)) if field.p is None else rng.randint(-6, 6)
+        term = SparsePolynomial.constant(field, coeff)
+        for name in KERNEL_NAMES:
+            term = term * SparsePolynomial.variable(field, name) ** rng.randint(0, 2)
+        poly = poly + term
+    return poly
+
+
+def _sympy_poly(poly):
+    gens = symbols(KERNEL_NAMES)
+    if poly.field.p is None:
+        return Poly(to_sympy(poly), *gens, domain=QQ)
+    return Poly(to_sympy(poly), *gens, modulus=poly.field.p)
+
+
+@pytest.mark.parametrize("field", KERNEL_FIELDS, ids=repr)
+@settings(deadline=None, max_examples=40)
+@given(seed=st.integers(min_value=0, max_value=10**6))
+def test_kernel_matches_sympy_poly(field, seed):
+    rng = random.Random(seed)
+    a, b = _kernel_poly(rng, field), _kernel_poly(rng, field)
+    sa, sb = _sympy_poly(a), _sympy_poly(b)
+    scalar = rng.randint(-3, 3)
+    exponent = rng.randint(0, 3)
+    cases = [
+        (a + b, sa + sb),
+        (a - b, sa - sb),
+        (a * b, sa * sb),
+        (-a, -sa),
+        (a.scale(scalar), sa * scalar),
+        (a ** exponent, sa ** exponent),
+    ]
+    cases += [(a.derivative(name), sa.diff(sympy_gen)) for name, sympy_gen in zip(KERNEL_NAMES, sa.gens)]
+    for ours, reference in cases:
+        _assert_well_formed(ours)
+        # Compared as expressions: sympy's diff over GF(p) can leave
+        # unstripped zero rows in its representation, which breaks ==.
+        assert _sympy_poly(ours).as_expr() == reference.as_expr()
+
+
+@pytest.mark.parametrize("field", KERNEL_FIELDS, ids=repr)
+@settings(deadline=None, max_examples=20)
+@given(seed=st.integers(min_value=0, max_value=10**6))
+def test_full_cancellation_stores_nothing(field, seed):
+    a = _kernel_poly(random.Random(seed), field)
+    for zero in (a + (-a), a - a, -a + a, a.scale(0), a * SparsePolynomial.zero(field)):
+        assert zero.terms == {}
+        assert zero.is_zero()
+
+
+def test_cancelling_products_delete_terms():
+    f2, f5 = BaseField(2), BaseField(5)
+    x2, one2 = SparsePolynomial.variable(f2, "x"), SparsePolynomial.constant(f2, 1)
+    square = (x2 + one2) * (x2 + one2)
+    assert square.terms == {(("x", 2),): 1, (): 1}
+    assert str(square) == "x^2 + 1"
+    x5 = SparsePolynomial.variable(f5, "x")
+    product = (x5 + SparsePolynomial.constant(f5, 1)) * (x5 + SparsePolynomial.constant(f5, 4))
+    assert product.terms == {(("x", 2),): 1, (): 4}
+    x, y = var("x"), var("y")
+    assert ((x + y) * (x - y)).terms == {(("x", 2),): 1, (("y", 2),): -1}
+    # d/dx x^2 = 2x vanishes in characteristic 2; x^3 -> 3x^2 = x^2 survives.
+    assert (x2 * x2 + x2 * x2 * x2).derivative("x").terms == {(("x", 2),): 1}
