@@ -344,6 +344,10 @@ def check_cusp_numbers() -> CheckResult:
 
 
 def _random_series_matrix(rng: random.Random, precision: int):
+    """Random matrix of rational series with small integer coefficients.
+
+    The data has no transcendentals, so the series hold plain scalars.
+    """
     rows = rng.randint(1, 4)
     cols = rng.randint(1, 4)
     matrix = []
@@ -352,10 +356,7 @@ def _random_series_matrix(rng: random.Random, precision: int):
         for _ in range(cols):
             coeffs = []
             for _ in range(6):
-                if rng.random() < 0.45:
-                    coeffs.append(_fe(_Q, 0))
-                else:
-                    coeffs.append(_fe(_Q, Fraction(rng.randint(-9, 9))))
+                coeffs.append(0 if rng.random() < 0.45 else rng.randint(-9, 9))
             row.append(TruncatedSeries.from_coefficients(_Q, coeffs, precision))
         matrix.append(row)
     return matrix, cols

@@ -7,6 +7,10 @@ produce byte-identical output.
 
 Exit codes: 0 success, 1 validation or domain error or a failing catalog
 check, 2 when --strict is set and the result is precision limited.
+
+Numeric parameters have ceilings (``PARAMETER_CEILINGS``), checked
+wherever a flag or a document supplies the value; a larger value is an
+``InputError`` before any computation starts.
 """
 
 from __future__ import annotations
@@ -78,8 +82,22 @@ def _build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+# Ceilings of the numeric parameters, tied to the default precision cap: no
+# parameter may ask for more t-coefficients than refinement can reach.  A
+# level n needs precision n + 1; mather-check needs n_max + 2 and 2q + 2.
+PARAMETER_CEILINGS = {
+    "precision": PRECISION_CAP,
+    "n": PRECISION_CAP - 1,
+    "n_max": PRECISION_CAP - 2,
+    "q": PRECISION_CAP // 2 - 1,
+}
+
+
 def _param(args, doc: ProblemDocument | None, key: str, default=None, required=False):
-    """Flag value, then the document's matching task/params, then default."""
+    """Flag value, then the document's matching task/params, then default.
+
+    A value above the key's entry in ``PARAMETER_CEILINGS`` is refused.
+    """
     value = getattr(args, key, None)
     if value is None and doc is not None:
         for task in doc.tasks:
@@ -92,6 +110,9 @@ def _param(args, doc: ProblemDocument | None, key: str, default=None, required=F
         value = default
     if value is None and required:
         raise InputError(f"missing parameter {key!r} (flag --{key.replace('_', '-')} or document params)")
+    ceiling = PARAMETER_CEILINGS.get(key)
+    if ceiling is not None and value is not None and int(value) > ceiling:
+        raise InputError(f"parameter {key!r} is {value}, above its ceiling {ceiling}")
     return value
 
 

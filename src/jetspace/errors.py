@@ -47,6 +47,18 @@ class DenominatorNotUnit(JetspaceError):
     """Series expression whose denominator vanishes at t = 0."""
 
 
+class ScalarSeriesOverPrimeField(JetspaceError):
+    """A truncated series over GF(p) given raw scalar coefficients.
+
+    Series arithmetic on raw ints would not reduce mod p, so over GF(p)
+    coefficients must be field elements.
+    """
+
+    def __init__(self, p):
+        self.p = p
+        super().__init__(f"a truncated series over GF({p}) needs field-element coefficients")
+
+
 class NotOnVariety(JetspaceError):
     """Arc components fail an ideal generator modulo the working precision."""
 

@@ -8,12 +8,17 @@ terms; equality is decided by cross-multiplication, so no multivariate
 gcd is ever needed.  A content-stripping pass (integer content plus the
 largest common monomial) keeps intermediate growth bounded.
 
-A polynomial never stores a zero coefficient (a term that cancels is
-deleted), and over GF(p) every coefficient is an int in ``range(1, p)``.
-The polynomial loops work on these raw scalars, ``Fraction`` or int mod
-p, with one test of ``p`` per call.  Each field holds its zero and one,
-as scalars and as field elements, shared by every caller: no polynomial,
-field element or scalar is mutated after construction.
+Scalars are canonical.  Over Q a scalar is an ``int`` exactly when it
+is integral and a ``Fraction`` with denominator > 1 otherwise, so the
+common integral data runs on machine-fast ints; over GF(p) it is an int
+in ``range(p)``.  A polynomial never stores a zero coefficient (a term
+that cancels is deleted), and every stored coefficient is canonical and
+nonzero.  The polynomial loops work on these raw scalars with one test
+of ``p`` per call; over Q a result that is an integral ``Fraction`` is
+stored as its ``int``.  The scalar zero and one are the ints 0 and 1 in
+every field, and each field holds its zero and one as field elements,
+shared by every caller: no polynomial, field element or scalar is
+mutated after construction.
 
 The module also provides exact linear algebra over the fraction field.
 One elimination routine, ``echelon_rank_profile``, computes every rank:
@@ -70,11 +75,13 @@ def _is_prime(n: int) -> bool:
 class BaseField:
     """The rationals, or the field with p elements for a prime p.
 
-    Rational scalars are ``fractions.Fraction``; prime-field scalars are
-    ints in ``range(p)``.
+    Rational scalars are canonical: an ``int`` when integral, otherwise a
+    ``fractions.Fraction`` with denominator > 1 (``zero()`` and ``one()``
+    are the ints 0 and 1).  Prime-field scalars are ints in ``range(p)``.
+    Every method returns an exact scalar of this form, never a float.
     """
 
-    __slots__ = ("p", "_zero", "_one", "fe_zero", "fe_one")
+    __slots__ = ("p", "fe_zero", "fe_one")
 
     def __init__(self, p: int | None = None):
         if p is not None:
@@ -85,10 +92,8 @@ class BaseField:
             if not _is_prime(p):
                 raise NotPrime(p)
         self.p = p
-        self._zero = 0 if p else Fraction(0)
-        self._one = 1 if p else Fraction(1)
         # The zero and the unit of the fraction field, shared by every caller.
-        one_poly = SparsePolynomial(self, {_ONE_MONO: self._one})
+        one_poly = SparsePolynomial(self, {_ONE_MONO: 1})
         self.fe_zero = FieldElement._raw(SparsePolynomial(self, {}), one_poly)
         self.fe_one = FieldElement._raw(one_poly, one_poly)
 
@@ -97,16 +102,18 @@ class BaseField:
         return self.p or 0
 
     def zero(self):
-        return self._zero
+        return 0
 
     def one(self):
-        return self._one
+        return 1
 
     def coerce(self, value):
-        """Bring an int or Fraction into this field."""
+        """Bring an int or Fraction into this field, in canonical form."""
         p = self.p
         if p is None:
-            return value if type(value) is Fraction else Fraction(value)
+            if type(value) is int:
+                return value
+            return _canonical(value if type(value) is Fraction else Fraction(value))
         if type(value) is int:
             return value % p
         value = Fraction(value)
@@ -116,12 +123,12 @@ class BaseField:
         return value.numerator * pow(den, p - 2, p) % p
 
     def mul(self, a, b):
-        return a * b % self.p if self.p else a * b
+        return a * b % self.p if self.p else _canonical(a * b)
 
     def inv(self, a):
         if a == 0:
             raise DivisionByZero("scalar division by zero")
-        return pow(a, self.p - 2, self.p) if self.p else 1 / a
+        return pow(a, self.p - 2, self.p) if self.p else _canonical(1 / Fraction(a))
 
     def div(self, a, b):
         return self.mul(a, self.inv(b))
@@ -137,6 +144,11 @@ class BaseField:
 
     def __repr__(self):
         return "QQ" if self.p is None else f"GF({self.p})"
+
+
+def _canonical(q):
+    """A rational scalar in canonical form: integral values as ``int``."""
+    return q.numerator if q.denominator == 1 else q
 
 
 def _mono_mul(a: Monomial, b: Monomial) -> Monomial:
@@ -222,12 +234,19 @@ class SparsePolynomial:
     def is_zero(self) -> bool:
         return not self.terms
 
+    def __bool__(self) -> bool:
+        return bool(self.terms)
+
     def is_constant(self) -> bool:
         return not self.terms or (len(self.terms) == 1 and _ONE_MONO in self.terms)
 
     def constant_value(self):
         """Coefficient of the constant monomial (the value at the origin)."""
         return self.terms.get(_ONE_MONO, self.field.zero())
+
+    def degree(self) -> int:
+        """Total degree; 0 for the zero polynomial."""
+        return max(map(_mono_degree, self.terms), default=0)
 
     def variables(self) -> list[str]:
         seen = set()
@@ -246,6 +265,8 @@ class SparsePolynomial:
                 out[mono] = coeff
                 continue
             acc = (old + coeff) % p if p else old + coeff
+            if type(acc) is Fraction and acc.denominator == 1:
+                acc = acc.numerator
             if acc:
                 out[mono] = acc
             else:
@@ -266,6 +287,8 @@ class SparsePolynomial:
                 out[mono] = p - coeff if p else -coeff
                 continue
             acc = (old - coeff) % p if p else old - coeff
+            if type(acc) is Fraction and acc.denominator == 1:
+                acc = acc.numerator
             if acc:
                 out[mono] = acc
             else:
@@ -282,11 +305,15 @@ class SparsePolynomial:
                 mono = _mono_mul(ma, mb)
                 # A product of two nonzero scalars is nonzero in a field.
                 prod = ca * cb % p if p else ca * cb
+                if type(prod) is Fraction and prod.denominator == 1:
+                    prod = prod.numerator
                 old = get(mono)
                 if old is None:
                     out[mono] = prod
                     continue
                 acc = (old + prod) % p if p else old + prod
+                if type(acc) is Fraction and acc.denominator == 1:
+                    acc = acc.numerator
                 if acc:
                     out[mono] = acc
                 else:
@@ -299,7 +326,9 @@ class SparsePolynomial:
         if not scalar:
             return SparsePolynomial.zero(field)
         p = field.p
-        return SparsePolynomial(field, {m: c * scalar % p if p else c * scalar for m, c in self.terms.items()})
+        return SparsePolynomial(
+            field, {m: c * scalar % p if p else _canonical(c * scalar) for m, c in self.terms.items()}
+        )
 
     def __pow__(self, exponent: int) -> "SparsePolynomial":
         if exponent < 0:
@@ -336,6 +365,8 @@ class SparsePolynomial:
             new_coeff = coeff * exp % p if p else coeff * exp
             if not new_coeff:
                 continue
+            if type(new_coeff) is Fraction and new_coeff.denominator == 1:
+                new_coeff = new_coeff.numerator
             rest = ((var, exp - 1),) if exp > 1 else ()
             # Dividing by var is injective on the monomials it divides, so
             # no two terms land on the same monomial.
@@ -426,7 +457,8 @@ class FieldElement:
         return cls._raw(SparsePolynomial.constant(field, value), field.fe_one.den)
 
     def _den_is_one(self) -> bool:
-        # Comparing with the int 1 takes Fraction.__eq__'s int fast path.
+        # Over Q and GF(p) alike the unit is stored as the int 1, so this
+        # is an int comparison.
         terms = self.den.terms
         return len(terms) == 1 and terms.get(_ONE_MONO) == 1
 
@@ -444,6 +476,9 @@ class FieldElement:
 
     def is_zero(self) -> bool:
         return not self.num.terms
+
+    def __bool__(self) -> bool:
+        return bool(self.num.terms)
 
     def is_constant(self) -> bool:
         """True when this is visibly a scalar (after light normalization).

@@ -6,7 +6,12 @@ variable ``t`` is reserved and ``/`` is a full division (the resulting
 denominator must be a unit at t = 0); in polynomial context ``/`` is
 only allowed with an integer literal divisor, so values stay
 polynomials.  Unknown symbols are a parse error, never new variables.
-Exponents are integer literals of at most ``MAX_EXPONENT``.
+Exponents are integer literals of at most ``MAX_EXPONENT``, and a power
+is refused before it is computed when its degree would exceed
+``MAX_EXPONENT``: the total degree for polynomials; for series
+expressions the degree in t or in the transcendentals of a coefficient,
+whichever is larger.  So nested powers such as ``((x)^256)^256`` cannot
+run unbounded either.
 """
 
 from __future__ import annotations
@@ -18,9 +23,10 @@ from .errors import ParseError, UnknownVariable
 from .exact import BaseField, FieldElement, SparsePolynomial
 from .series import SeriesExpression
 
-# Largest exponent accepted after ``^``.  It is above the default
-# precision cap (192), so every power of t that the default refinement can
-# see is writable, and it keeps a hostile exponent from running unbounded.
+# Largest exponent accepted after ``^``, and largest degree of a power.  It
+# is above the default precision cap (192), so every power of t that the
+# default refinement can see is writable, and it keeps a hostile exponent
+# from running unbounded.
 MAX_EXPONENT = 256
 
 _SYMBOL_START = set("abcdefghijklmnopqrstuvwxyzABCDEFGHIJKLMNOPQRSTUVWXYZ_")
@@ -62,12 +68,13 @@ def _tokenize(text: str, context: str):
 class _Parser:
     """Recursive-descent evaluator over a caller-supplied value ring."""
 
-    def __init__(self, text, context, symbol, const, full_division):
+    def __init__(self, text, context, symbol, const, degree, full_division):
         self.tokens = _tokenize(text, context)
         self.pos = 0
         self.context = context
         self.symbol = symbol
         self.const = const
+        self.degree = degree
         self.full_division = full_division
 
     def peek(self):
@@ -139,6 +146,9 @@ class _Parser:
                 self.fail("exponent must be a nonnegative integer", ncol)
             if nval > MAX_EXPONENT:
                 self.fail(f"exponent {nval} exceeds the maximum {MAX_EXPONENT}", ncol)
+            degree = self.degree(value) * nval
+            if degree > MAX_EXPONENT:
+                self.fail(f"power of degree {degree} exceeds the maximum {MAX_EXPONENT}", ncol)
             value = value ** nval
         return value
 
@@ -177,7 +187,7 @@ def parse_polynomial(
     def const(value):
         return SparsePolynomial.constant(field, value)
 
-    parser = _Parser(text, context, symbol, const, full_division=False)
+    parser = _Parser(text, context, symbol, const, SparsePolynomial.degree, full_division=False)
     value = parser.parse()
     # SparsePolynomial ** guards negative exponents; nothing else to check.
     return value
@@ -204,5 +214,12 @@ def parse_series_expression(
     def const(value):
         return SeriesExpression.constant(field, FieldElement.from_scalar(field, value))
 
-    parser = _Parser(text, context, symbol, const, full_division=True)
+    parser = _Parser(text, context, symbol, const, _series_degree, full_division=True)
     return parser.parse()
+
+
+def _series_degree(value: SeriesExpression) -> int:
+    """Larger of the degree in t and the degree of any coefficient."""
+    coeffs = value.num + value.den
+    coefficient_degree = max(max(c.num.degree(), c.den.degree()) for c in coeffs)
+    return max(len(value.num) - 1, len(value.den) - 1, coefficient_degree)

@@ -1,12 +1,20 @@
 """Truncated power series in t with explicit precision semantics.
 
-A series is a dense coefficient list of field elements; its precision is
-the list length.  Orders of vanishing distinguish an observed finite
-order from "no nonzero coefficient below P was seen", and all arithmetic
-propagates precision pessimistically except multiplication, which uses
-the sharper rule  P = min(P_a + z_b, P_b + z_a)  where z is the observed
-zero-prefix length.  That rule is what keeps diagonalization over
-t-truncated rings exact at full working precision.
+A series is a dense coefficient list; its precision is the list length.
+Orders of vanishing distinguish an observed finite order from "no
+nonzero coefficient below P was seen", and all arithmetic propagates
+precision pessimistically except multiplication, which uses the sharper
+rule  P = min(P_a + z_b, P_b + z_a)  where z is the observed zero-prefix
+length.  That rule is what keeps diagonalization over t-truncated rings
+exact at full working precision.
+
+The coefficients of a series are all of one kind: field elements
+(fractions of polynomials in the transcendentals), or, for rational data
+with no transcendentals, plain scalars of Q (ints and ``Fraction``s),
+which skip the ``FieldElement`` layer.  Over GF(p) only field elements
+are accepted, since a product of raw ints would not be reduced mod p.
+The kernel and ``TruncatedSeries`` test a coefficient for zero by its
+truthiness, so one path serves both kinds.
 
 Series expressions (quotients of t-polynomials with unit denominator)
 carry exact data that can be re-expanded at any precision, which is what
@@ -14,14 +22,15 @@ the stabilization drivers rely on when they need more coefficients.
 
 All products and quotients of coefficient lists, here and in the jet
 equations, go through one kernel: ``truncated_product`` and
-``truncated_quotient``.
+``truncated_quotient``.  The zero handed to the kernel is of the kind
+of the coefficients it works on.
 """
 
 from __future__ import annotations
 
 from typing import Mapping, Sequence
 
-from .errors import DenominatorNotUnit, NotAUnit, PrecisionTooLow
+from .errors import DenominatorNotUnit, NotAUnit, PrecisionTooLow, ScalarSeriesOverPrimeField
 from .exact import BaseField, FieldElement, SparsePolynomial
 
 DEFAULT_PRECISION = 24
@@ -31,17 +40,18 @@ PRECISION_CAP = 192
 def truncated_product(a: Sequence, b: Sequence, length: int, zero) -> list:
     """First ``length`` coefficients of the product of two coefficient lists.
 
-    Ring-generic: coefficients need ``is_zero``, ``+`` and ``*``.  Terms
-    are accumulated onto ``zero`` in (i ascending, j ascending) order and
-    zero coefficients are skipped; fractions are never reduced, so that
-    order fixes the representatives of the result.
+    Ring-generic: coefficients need ``+``, ``*`` and a truthiness that is
+    false exactly for zero.  Terms are accumulated onto ``zero`` in
+    (i ascending, j ascending) order and zero coefficients are skipped;
+    fractions are never reduced, so that order fixes the representatives
+    of the result.
     """
-    nonzero_b = [(j, cb) for j, cb in enumerate(b[:length]) if not cb.is_zero()]
+    nonzero_b = [(j, cb) for j, cb in enumerate(b[:length]) if cb]
     out = [zero] * length
     if not nonzero_b:
         return out
     for i, ca in enumerate(a[: length - nonzero_b[0][0]]):
-        if ca.is_zero():
+        if not ca:
             continue
         for j, cb in nonzero_b:
             if i + j >= length:
@@ -50,13 +60,13 @@ def truncated_product(a: Sequence, b: Sequence, length: int, zero) -> list:
     return out
 
 
-def truncated_quotient(num: Sequence, den: Sequence, length: int, zero) -> list:
+def truncated_quotient(num: Sequence, den: Sequence, length: int, zero, inv0) -> list:
     """First ``length`` coefficients of num/den, by long division.
 
-    ``den[0]`` must be a unit (it needs ``inverse``); missing coefficients
-    of ``num`` are ``zero``.
+    ``inv0`` is the inverse of the unit ``den[0]``, so coefficients need
+    only ``+``, ``-`` and ``*``; missing coefficients of ``num`` are
+    ``zero``.
     """
-    inv0 = den[0].inverse()
     out = []
     for k in range(length):
         acc = num[k] if k < len(num) else zero
@@ -131,16 +141,27 @@ class OrderValue:
         return {"kind": "at_least", "bound": self._value}
 
 
+def _zero_like(field: BaseField, coeff):
+    """The zero of the kind of ``coeff``: a field element or a scalar."""
+    return field.fe_zero if isinstance(coeff, FieldElement) else field.zero()
+
+
 class TruncatedSeries:
-    """Power series in t known modulo t^P, over a base field's fraction field."""
+    """Power series in t known modulo t^P.
+
+    Coefficients are field elements of the base field's fraction field,
+    or, over Q only, rational scalars; see the module docstring.
+    """
 
     __slots__ = ("field", "coeffs")
 
-    def __init__(self, field: BaseField, coeffs: Sequence[FieldElement]):
+    def __init__(self, field: BaseField, coeffs: Sequence):
         if not coeffs:
             raise ValueError("a truncated series needs precision >= 1")
         self.field = field
         self.coeffs = tuple(coeffs)
+        if field.p is not None and not isinstance(self.coeffs[0], FieldElement):
+            raise ScalarSeriesOverPrimeField(field.p)
 
     @classmethod
     def constant(cls, field: BaseField, value, precision: int) -> "TruncatedSeries":
@@ -149,10 +170,9 @@ class TruncatedSeries:
         return cls(field, coeffs)
 
     @classmethod
-    def from_coefficients(
-        cls, field: BaseField, coeffs: Sequence[FieldElement], precision: int
-    ) -> "TruncatedSeries":
-        padded = list(coeffs[:precision]) + [field.fe_zero] * max(0, precision - len(coeffs))
+    def from_coefficients(cls, field: BaseField, coeffs: Sequence, precision: int) -> "TruncatedSeries":
+        zero = _zero_like(field, coeffs[0]) if coeffs else field.fe_zero
+        padded = list(coeffs[:precision]) + [zero] * max(0, precision - len(coeffs))
         return cls(field, padded)
 
     @property
@@ -162,7 +182,7 @@ class TruncatedSeries:
     def zero_prefix(self) -> int:
         """Number of leading coefficients that are exactly zero."""
         for i, c in enumerate(self.coeffs):
-            if not c.is_zero():
+            if c:
                 return i
         return len(self.coeffs)
 
@@ -194,9 +214,8 @@ class TruncatedSeries:
         # Unknown coefficients of one factor only meet stored zeros of the
         # other below this bound, so the product is exact to it.
         precision = min(pa + zb, pb + za)
-        return TruncatedSeries(
-            self.field, truncated_product(self.coeffs, other.coeffs, precision, self.field.fe_zero)
-        )
+        zero = _zero_like(self.field, self.coeffs[0])
+        return TruncatedSeries(self.field, truncated_product(self.coeffs, other.coeffs, precision, zero))
 
     def shift_down(self, e: int) -> "TruncatedSeries":
         """Divide by t^e; the first e coefficients must be exact zeros."""
@@ -208,12 +227,15 @@ class TruncatedSeries:
 
     def invert(self) -> "TruncatedSeries":
         """Multiplicative inverse of a unit (order exactly zero)."""
-        if self.coeffs[0].is_zero():
+        c0 = self.coeffs[0]
+        if not c0:
             raise NotAUnit("series has positive or undetermined order")
         field = self.field
-        return TruncatedSeries(
-            field, truncated_quotient([field.fe_one], self.coeffs, len(self.coeffs), field.fe_zero)
-        )
+        if isinstance(c0, FieldElement):
+            one, zero, inv0 = field.fe_one, field.fe_zero, c0.inverse()
+        else:
+            one, zero, inv0 = field.one(), field.zero(), field.inv(c0)
+        return TruncatedSeries(field, truncated_quotient([one], self.coeffs, len(self.coeffs), zero, inv0))
 
     def __eq__(self, other):
         return (
@@ -234,7 +256,7 @@ class TruncatedSeries:
 def _coeffs_text(coeffs) -> str:
     parts = []
     for i, c in enumerate(coeffs):
-        if c.is_zero():
+        if not c:
             continue
         text = str(c)
         if "+" in text or "-" in text[1:] or "/" in text:
@@ -360,7 +382,8 @@ class SeriesExpression:
         if precision < 1:
             raise ValueError("precision must be >= 1")
         return TruncatedSeries(
-            self.field, truncated_quotient(self.num, self.den, precision, self.field.fe_zero)
+            self.field,
+            truncated_quotient(self.num, self.den, precision, self.field.fe_zero, self.den[0].inverse()),
         )
 
     def __str__(self):

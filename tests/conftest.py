@@ -61,6 +61,8 @@ def to_sympy(value):
 
     if isinstance(value, FieldElement):
         return to_sympy(value.num) / to_sympy(value.den)
+    if isinstance(value, (int, Fraction)):
+        return sympy.Rational(value)
     expr = sympy.Integer(0)
     for mono, coeff in value.terms.items():
         term = sympy.Rational(coeff)

@@ -6,7 +6,9 @@ from pathlib import Path
 
 import pytest
 
-from jetspace.cli import main
+from jetspace.analysis import DEFAULT_N_MAX
+from jetspace.cli import PARAMETER_CEILINGS, main
+from jetspace.series import DEFAULT_PRECISION, PRECISION_CAP
 
 CUSP_DOC = {
     "field": "rationals",
@@ -238,6 +240,42 @@ def test_parse_error_exit_code(tmp_path, capsys):
     code, out, err = _run(capsys, ["profile", path])
     assert code == 1
     assert "ParseError" in err and "column" in err
+
+
+@pytest.mark.parametrize(
+    "doc, argv, key",
+    [
+        (CUSP_DOC, ["profile", "--precision", "193"], "precision"),
+        (CUSP_DOC, ["fiber-dim", "--n", "192"], "n"),
+        (CUSP_DOC, ["embdim-arc", "--n-max", "191"], "n_max"),
+        (BLOWUP_DOC, ["divisorial", "--q", "96", "--divisor-var", "u"], "q"),
+        (dict(CUSP_DOC, params={"n": 10**9}), ["fiber-dim"], "n"),
+        (dict(CUSP_DOC, tasks=[{"command": "profile", "precision": 10**6}]), ["profile"], "precision"),
+    ],
+)
+def test_numeric_parameter_above_ceiling_rejected(tmp_path, capsys, doc, argv, key):
+    # Rejection only: the value is refused before any computation starts.
+    path = _write(tmp_path, doc)
+    code, out, err = _run(capsys, [argv[0], path] + argv[1:])
+    assert code == 1
+    assert out == ""
+    assert "error[InputError]" in err
+    assert f"parameter {key!r}" in err and f"ceiling {PARAMETER_CEILINGS[key]}" in err
+
+
+def test_parameter_ceilings_cover_shipped_values():
+    assert PARAMETER_CEILINGS["precision"] == PRECISION_CAP
+    assert DEFAULT_PRECISION <= PARAMETER_CEILINGS["precision"]
+    assert DEFAULT_N_MAX <= PARAMETER_CEILINGS["n_max"]
+    # The highest jet level and contact order the benchmark queries.
+    assert PARAMETER_CEILINGS["n"] >= 24 and PARAMETER_CEILINGS["q"] >= 3
+    problems = Path(__file__).resolve().parent.parent / "problems"
+    for path in sorted(problems.glob("*.json")):
+        doc = json.loads(path.read_text())
+        for values in [doc.get("params", {})] + doc.get("tasks", []):
+            for key, ceiling in PARAMETER_CEILINGS.items():
+                if key in values:
+                    assert int(values[key]) <= ceiling, (path.name, key)
 
 
 def test_text_format(tmp_path, capsys):

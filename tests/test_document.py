@@ -104,6 +104,30 @@ class TestExponentCeiling:
         assert info.value.column == 5
         assert "arcs.main.components[0]" in str(info.value)
 
+    @pytest.mark.parametrize(
+        "text, column, degree",
+        [("((x)^256)^256", 11, 65536), ("((x*y)^200)^2", 8, 400), ("(x^2*y)^100", 9, 300)],
+    )
+    def test_nested_polynomial_power_above_ceiling_rejected(self, text, column, degree):
+        with pytest.raises(ParseError) as info:
+            parse_polynomial(text, Q, ("x", "y"))
+        assert info.value.column == column
+        assert f"power of degree {degree}" in str(info.value)
+
+    def test_nested_polynomial_power_at_ceiling_accepted(self):
+        p = parse_polynomial("((x)^2)^128", Q, ("x",))
+        assert p.terms == {(("x", MAX_EXPONENT),): 1}
+
+    @pytest.mark.parametrize("text, column", [("((t)^256)^256", 11), ("((u*t)^128)^3", 13), ("((u)^256)^2", 11)])
+    def test_nested_series_power_above_ceiling_rejected(self, text, column):
+        with pytest.raises(ParseError) as info:
+            parse_series_expression(text, Q, ("u",))
+        assert info.value.column == column
+
+    def test_series_power_at_ceiling_accepted(self):
+        expr = parse_series_expression("((t/(1 - t))^2)^128", Q, ())
+        assert expr.expand(3).coeffs == (fe(0), fe(0), fe(0))
+
 
 def _doc(**overrides):
     raw = {

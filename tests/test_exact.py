@@ -54,6 +54,40 @@ class TestBaseField:
             BaseField(3).coerce(Fraction(1, 3))
 
 
+class TestCanonicalRationals:
+    """Over Q a scalar is an int exactly when it is integral."""
+
+    def test_coerce_integral_fraction_is_int(self):
+        two = Q.coerce(Fraction(6, 3))
+        assert type(two) is int and two == 2
+        half = Q.coerce(Fraction(2, 4))
+        assert type(half) is Fraction and half == Fraction(1, 2)
+
+    def test_zero_and_one_are_ints(self):
+        assert type(Q.zero()) is int and Q.zero() == 0
+        assert type(Q.one()) is int and Q.one() == 1
+
+    def test_inverse_is_exact(self):
+        third = Q.inv(3)
+        assert third == Fraction(1, 3)
+        assert type(third) is Fraction
+        three = Q.inv(Fraction(1, 3))
+        assert type(three) is int and three == 3
+        assert type(Q.mul(Fraction(1, 2), 2)) is int
+        assert type(Q.div(3, 3)) is int
+
+    def test_integral_results_are_stored_as_ints(self):
+        x = var("x")
+        half_x = x.scale(Fraction(1, 2))
+        total = half_x + half_x
+        assert total.terms == {(("x", 1),): 1}
+        assert type(total.terms[(("x", 1),)]) is int
+        assert type((x * x).scale(Fraction(1, 2)).derivative("x").terms[(("x", 1),)]) is int
+        assert type((half_x * x.scale(2)).terms[(("x", 2),)]) is int
+        assert type((x.scale(Fraction(3, 2)) - half_x).terms[(("x", 1),)]) is int
+        assert str(total) == "x"
+
+
 class TestFieldElement:
     def test_rational_add(self):
         assert fe(Fraction(1, 2)) + fe(Fraction(1, 3)) == fe(Fraction(5, 6))
@@ -241,7 +275,8 @@ def _assert_well_formed(poly):
     for mono, coeff in poly.terms.items():
         assert coeff != 0, f"stored zero coefficient at {mono} in {poly}"
         if p is None:
-            assert type(coeff) is Fraction
+            # Canonical rational: an int exactly when integral.
+            assert type(coeff) is int or (type(coeff) is Fraction and coeff.denominator > 1)
         else:
             assert type(coeff) is int and 0 < coeff < p
         assert list(mono) == sorted(mono) and all(exp > 0 for _, exp in mono)

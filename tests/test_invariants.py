@@ -102,6 +102,24 @@ def _orders_match(a, b):
     return a.is_finite == b.is_finite and (not a.is_finite or a.value == b.value)
 
 
+def _as_scalar_series(matrix):
+    return [[TruncatedSeries(Q, [c.constant_value() for c in entry.coeffs]) for entry in row] for row in matrix]
+
+
+@pytest.mark.parametrize("precision", [24, 4])
+def test_scalar_and_field_element_coefficients_agree(precision):
+    rng = random.Random(1703 + precision)
+    for _ in range(40):
+        matrix, cols = _random_matrix(rng, precision)
+        scalar = _as_scalar_series(matrix)
+        assert all(type(c) is int for row in scalar for entry in row for c in entry.coeffs)
+        assert smith_orders(scalar, cols) == smith_orders(matrix, cols)
+        for level in (1, precision - 1):
+            assert smith_orders(scalar, cols, level) == smith_orders(matrix, cols, level)
+        for i in range(cols + 1):
+            assert fitting_minor_oracle(scalar, i) == fitting_minor_oracle(matrix, i)
+
+
 def test_smith_matches_minor_oracle_randomized():
     rng = random.Random(1234)
     for _ in range(60):

@@ -8,7 +8,8 @@ import sympy
 from hypothesis import given, settings, strategies as st
 
 from conftest import Q, fe, fev, sexpr, to_sympy, tser
-from jetspace.errors import DenominatorNotUnit, NotAUnit, PrecisionTooLow
+from jetspace.errors import DenominatorNotUnit, NotAUnit, PrecisionTooLow, ScalarSeriesOverPrimeField
+from jetspace.exact import BaseField, FieldElement
 from jetspace.series import (
     OrderValue,
     SeriesExpression,
@@ -176,12 +177,19 @@ def test_shift_down_requires_zero_prefix():
 T = sympy.Symbol("t")
 
 
-def _random_coefficient(rng):
-    """Zero, a rational, or a rational multiple of the transcendental u."""
+def _random_coefficient(rng, scalar=False):
+    """Zero, a rational, or a rational multiple of the transcendental u.
+
+    With ``scalar`` the same draws give a plain rational scalar instead
+    (never a multiple of u).
+    """
     roll = rng.random()
     if roll < 0.3:
-        return fe(0)
-    value = fe(Fraction(rng.randint(-6, 6), rng.randint(1, 4)))
+        return 0 if scalar else fe(0)
+    value = Q.coerce(Fraction(rng.randint(-6, 6), rng.randint(1, 4)))
+    if scalar:
+        return value
+    value = fe(value)
     return value * fev("u") if roll > 0.8 else value
 
 
@@ -205,21 +213,67 @@ def test_expand_matches_sympy_series(seed):
         assert sympy.cancel(to_sympy(c) - reference.coeff(T, k)) == 0
 
 
-@pytest.mark.parametrize("seed", range(12))
-def test_product_matches_sympy_with_zero_prefixes(seed):
+@pytest.mark.parametrize(
+    "seed, scalar",
+    [pytest.param(seed, False, id=str(seed)) for seed in range(12)]
+    + [pytest.param(seed, True, id=f"scalar-{seed}") for seed in range(12)],
+)
+def test_product_matches_sympy_with_zero_prefixes(seed, scalar):
     rng = random.Random(100 + seed)
     factors = []
     for _ in range(2):
         precision = rng.randint(1, 7)
         prefix = rng.randint(0, precision)
-        coeffs = [fe(0)] * prefix + [_random_coefficient(rng) for _ in range(precision - prefix)]
-        if prefix < precision and coeffs[prefix].is_zero():
-            coeffs[prefix] = fe(1)
+        zero, one = (0, 1) if scalar else (fe(0), fe(1))
+        coeffs = [zero] * prefix + [_random_coefficient(rng, scalar) for _ in range(precision - prefix)]
+        if prefix < precision and not coeffs[prefix]:
+            coeffs[prefix] = one
         factors.append((coeffs, prefix))
     (a, za), (b, zb) = factors
     product = TruncatedSeries(Q, a) * TruncatedSeries(Q, b)
     expected_precision = min(len(a) + zb, len(b) + za)
     assert product.precision == expected_precision
+    assert all(isinstance(c, FieldElement) != scalar for c in product.coeffs)
     reference = sympy.expand(_sympy_series(a) * _sympy_series(b))
     for k, c in enumerate(product.coeffs):
         assert sympy.cancel(to_sympy(c) - reference.coeff(T, k)) == 0
+
+
+class TestScalarSeries:
+    """Series over Q whose coefficients are plain rational scalars."""
+
+    def test_padding_and_zero_are_scalars(self):
+        series = TruncatedSeries.from_coefficients(Q, [0, 3], 4)
+        assert series.coeffs == (0, 3, 0, 0)
+        assert all(type(c) is int for c in series.coeffs)
+        assert series.order() == OrderValue.finite(1)
+        assert series.shift_down(1).coeffs == (3, 0, 0)
+        assert TruncatedSeries.from_coefficients(Q, [0, 0], 3).order() == OrderValue.at_least(3)
+
+    def test_invert_is_exact(self):
+        inverse = TruncatedSeries(Q, [2, 1, 0]).invert()
+        assert inverse.coeffs == (Fraction(1, 2), Fraction(-1, 4), Fraction(1, 8))
+        assert not any(isinstance(c, float) for c in inverse.coeffs)
+        assert inverse * TruncatedSeries(Q, [2, 1, 0]) == TruncatedSeries(Q, [1, 0, 0])
+        with pytest.raises(NotAUnit):
+            TruncatedSeries(Q, [0, 1]).invert()
+
+    @pytest.mark.parametrize("coeffs", [[1, -1, 0], [0, Fraction(-1, 2), 3], [0, 0, 0], [Fraction(3, 4), 1, -2]])
+    def test_rendering_matches_field_elements(self, coeffs):
+        scalar = TruncatedSeries(Q, coeffs)
+        lifted = TruncatedSeries(Q, [fe(c) for c in coeffs])
+        assert str(scalar) == str(lifted)
+        assert str(scalar - scalar * scalar) == str(lifted - lifted * lifted)
+
+    def test_prime_field_scalars_refused(self):
+        f5 = BaseField(5)
+        # 3 * 4 = 12 wraps to 2 in GF(5); raw ints would store 12.
+        with pytest.raises(ScalarSeriesOverPrimeField):
+            TruncatedSeries(f5, [3, 1])
+        with pytest.raises(ScalarSeriesOverPrimeField):
+            TruncatedSeries.from_coefficients(f5, [4], 2)
+        three = TruncatedSeries.from_coefficients(f5, [fe(3, f5)], 2)
+        four = TruncatedSeries.from_coefficients(f5, [fe(4, f5)], 2)
+        product = three * four
+        assert product.coeffs[0] == fe(2, f5)
+        assert product.coeffs[0].num.terms == {(): 2}
