@@ -312,7 +312,7 @@ def test_catalog_exits_one_when_a_check_fails(capsys, monkeypatch):
 
 
 # sha256 of the text output and the exit code of each command on the shipped
-# problem documents.  jet-ideal and divisorial render polynomial and
+# problem documents (the --strict entries pin the precision-limited exit).  jet-ideal and divisorial render polynomial and
 # field-element strings, so a kernel change that alters a representative
 # shows up here even when the catalog bytes do not move.
 PROBLEMS = Path(__file__).resolve().parent.parent / "problems"
@@ -341,6 +341,31 @@ GOLDEN_OUTPUTS = [
     ("whitney.json", ("embdim-arc", "--arc", "singular-jet"), 0, "6f65f7ab9aa123c27bf033a03dd46e63c8d0b1613ee0999853b37f1beae4ea7e"),
     ("whitney.json", ("profile", "--arc", "singular-generic"), 0, "1b4f9ab545f5c7c47732301f5aa5e0a1071747f8234566686813380da9b02fda"),
     ("whitney.json", ("embdim-arc", "--arc", "singular-generic"), 0, "92de045f1e0706ff6d8cde4f105dee0a18f63fadba497c39d34bb6a32b270fc7"),
+    ("blowup-plane.json", ("btr", "--arc", "contact1"), 0, "91d443122ed18f8b731f2e47d9475f59ce40cdd0b01fc16fffb68da3031f1c2f"),
+    ("blowup-plane.json", ("btr", "--arc", "contact1", "--n-max", "6", "--strict"), 0, "235c14bf01b7e3d637d338ecbc4aa5533aba220229aa27abcb6de74336f86f9a"),
+    ("blowup-plane.json", ("mather-check",), 0, "94e0566dc24f7a071e23b380d86e72147141bdf3a6959216ddc1ec8acba20808"),
+    ("blowup-plane.json", ("mather-check", "--q", "2", "--strict"), 0, "1d2dfe4883a372c8919ecc205c3a3d9d8fda6ec307bac33d4af8c450ada90069"),
+    ("cusp.json", ("fiber-dim", "--arc", "main"), 0, "db1ec14ecb42118cac8e9706b1dc56113bab135bffbb7b7e4ababaca6593aa5a"),
+    ("cusp.json", ("fiber-dim", "--arc", "unit-branch", "--n", "4"), 0, "c29f16ecd9395f204b225766897e5a10c01e192e393aeb94b945bceb28571149"),
+    ("cusp.json", ("embdim-jet", "--arc", "main", "--n", "5"), 0, "49ce770cf56bc530f7954548cf1a1a40bfdd640e449f273c613d82259b07ad66"),
+    ("cusp.json", ("embdim-jet", "--arc", "unit-branch"), 0, "5919e6d122d42bbe54a37d42370831d3ecabe4c53c0b40de4e451ff92e9c964a"),
+    ("cusp.json", ("jet-codim", "--arc", "main"), 0, "f9550a1818a6c5f56384c4817e4dc12d6f3329278dd9363762dfd3031f9ef608"),
+    ("cusp.json", ("jet-codim", "--arc", "unit-branch", "--dim-source", "declared"), 0, "9e1c48dab6ff05c342c7339c78b5d4fd38bfba4215383bcc5f4676762c8c4468"),
+    ("cusp.json", ("oracle-check", "--arc", "main"), 0, "bf0170b386a57e2b79182543a5380da528bb1c498715689ecc9690482d2fd69b"),
+    ("cusp.json", ("oracle-check", "--arc", "unit-branch", "--n", "3"), 0, "504437f7a7703faf5f2ef4631bd080c2ce09c26aedff8e175d400812a0bf5588"),
+    ("umbrella-char2.json", ("fiber-dim", "--arc", "off", "--n", "3"), 0, "bbe3bbf2d4ab6f5815c4ceda3f37c0afd2fe4724f1afa945387f14f920b7942b"),
+    ("umbrella-char2.json", ("embdim-jet", "--arc", "singular-jet", "--n", "3"), 0, "6bdbb510e3cca8ece241b72a20489bab65b992628deddd80995a34f2e27a3d26"),
+    ("umbrella-char2.json", ("jet-codim", "--arc", "off", "--dim-source", "declared"), 0, "fcb1343943cfd398c7e950ded03b2b13c18f68eb0ba0a81de56c493138e5d7f0"),
+    ("umbrella-char2.json", ("jet-codim", "--arc", "singular-jet", "--strict"), 2, "fa16b11776052cdf894bce2dcd00a3bb2f7ed9daf9aa41b4d2790832ee2d7706"),
+    ("umbrella-char2.json", ("oracle-check", "--arc", "off", "--n", "4"), 0, "96ea1b08c79690d9041d415b48d6c03f9d7a8864ce0afa09070f47612c18ccb3"),
+    ("whitney.json", ("fiber-dim", "--arc", "through-origin", "--n", "3"), 0, "53d80b2df3aaa97f149bb976793225ebf46f391553b187bd58dd4e8209274747"),
+    ("whitney.json", ("fiber-dim", "--arc", "singular-jet", "--n", "2", "--strict"), 2, "830231ad86da60cba738db78c4c3ccacf5de83c1880552de9af4a71b46efafd8"),
+    ("whitney.json", ("embdim-jet", "--arc", "singular-jet", "--n", "2"), 0, "c6faa4f72fb6ef30a1f3d4eb56ec7cfb33ef4c628c93b52b455a26ad6580414b"),
+    ("whitney.json", ("embdim-jet", "--arc", "singular-generic", "--n", "1", "--strict"), 2, "38f584f520754e8c14861088cab1edf2352d3b725b1408e20a5e77e724bebd08"),
+    ("whitney.json", ("jet-codim", "--arc", "off-axis", "--dim-source", "declared"), 0, "50a2ae44258897f0038c4aba29d13d44ade5e99ae34334d517b853d2db0f4f81"),
+    ("whitney.json", ("jet-codim", "--arc", "singular-jet", "--strict"), 2, "928c65420ea86aca206c1694618dead8e01a117752306edecf433eae5d84b2b7"),
+    ("whitney.json", ("oracle-check", "--arc", "through-origin", "--n", "2"), 0, "aee04aa6275b5aee3dcb02fc35e45074866f7d12a8799a844a7ca70d811f3f0a"),
+    ("whitney.json", ("oracle-check", "--arc", "singular-generic", "--n", "1", "--strict"), 2, "c059acfde21d94dbc01c1f1cd9d800e194babc77cb3dc844287b8da1247f8917"),
 ]
 
 
@@ -359,3 +384,13 @@ def test_golden_text_output(capsys, document, argv, expected_code, expected_sha2
 def test_golden_outputs_cover_every_problem_document():
     covered = {doc for doc, _, _, _ in GOLDEN_OUTPUTS}
     assert covered == {path.name for path in PROBLEMS.glob("*.json")}
+
+
+# sha256 of `jetspace catalog --format text`.
+CATALOG_TEXT_SHA256 = "bf70edcb13943434b33bc86a845b08d1b19127226ed85338405658508659c014"
+
+
+def test_golden_catalog_text(capsys):
+    code, out, _ = _run(capsys, ["catalog", "--format", "text"])
+    assert code == 0
+    assert hashlib.sha256(out.encode()).hexdigest() == CATALOG_TEXT_SHA256
