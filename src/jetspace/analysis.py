@@ -58,6 +58,10 @@ class FiberDimension:
     arc_profile: InvariantProfile
     jet_profile: InvariantProfile
 
+    @property
+    def precision_limited(self) -> bool:
+        return self.arc_profile.precision_limited
+
     def to_json(self):
         return {
             "level": self.level,
@@ -65,7 +69,7 @@ class FiberDimension:
             "jet_free_rank": self.jet_betti,
             "fitting_order": self.fitting_order.to_json(),
             "precision": {
-                "kind": "at_least" if self.arc_profile.precision_limited else "finite",
+                "kind": "at_least" if self.precision_limited else "finite",
                 "bound": self.arc_profile.precision,
             },
         }
@@ -134,7 +138,7 @@ def oracle_check(arc: Arc, n: int, cap: int = PRECISION_CAP) -> OracleCheck:
         level=n,
         formula_value=fiber.value,
         corank=corank,
-        precision_limited=fiber.arc_profile.precision_limited,
+        precision_limited=fiber.precision_limited,
     )
 
 
@@ -145,6 +149,10 @@ class JetEmbeddingDimension:
     fiber: FiberDimension
     residue_dim: int
     char_p_jacobian: bool
+
+    @property
+    def precision_limited(self) -> bool:
+        return self.fiber.precision_limited
 
     def to_json(self):
         out = {
@@ -209,6 +217,10 @@ class StabilizationReport:
     def suspected_infinite(self) -> bool:
         return not self.stabilized
 
+    @property
+    def precision_limited(self) -> bool:
+        return self.arc_profile.precision_limited
+
     def verdict(self) -> str:
         if self.stabilized:
             return f"Stabilized({self.value})"
@@ -236,7 +248,7 @@ class StabilizationReport:
             "stabilized": self.stabilized,
             "value": self.value,
             "precision": {
-                "kind": "at_least" if self.arc_profile.precision_limited else "finite",
+                "kind": "at_least" if self.precision_limited else "finite",
                 "bound": self.arc_profile.precision,
             },
         }
@@ -361,6 +373,15 @@ class BtrReport:
     smooth_at_center: bool
     inequalities_hold: bool
     equality_holds: bool | None  # asserted only when the source is smooth at the center
+
+    @property
+    def precision_limited(self) -> bool:
+        """An undetermined Jacobian order, or either side's profile limited."""
+        return (
+            not self.ord_jacobian.is_finite
+            or self.source.precision_limited
+            or self.target.precision_limited
+        )
 
     def to_json(self):
         return {
@@ -508,6 +529,10 @@ class MatherReport:
         }
 
     @property
+    def precision_limited(self) -> bool:
+        return self.source.precision_limited or self.target.precision_limited
+
+    @property
     def passed(self) -> bool:
         ok = self.source_equals_q and self.target_matches
         if self.dim_bound_holds is not None:
@@ -550,7 +575,7 @@ def mather_discrepancy_check(
     center = alpha.center()
     center_closed = all(c.is_constant() for c in center)
     target_dim = f.target.declared_dim
-    if target_dim is None and not target_report.arc_profile.precision_limited:
+    if target_dim is None and not target_report.precision_limited:
         target_dim = target_report.arc_profile.betti
     bound = None
     if center_closed and target_dim is not None:

@@ -1,24 +1,26 @@
 """Command line front end.
 
-Reads a JSON problem document, dispatches one analysis, and prints a
-report to stdout as JSON (default) or a plain text rendering.  Reports
-never contain timestamps and all ordering is fixed, so identical inputs
-produce byte-identical output.
+Reads a JSON problem document, runs one analysis, and prints a report to
+stdout as JSON (default) or a plain text rendering.  Reports never
+contain timestamps and all ordering is fixed, so identical inputs produce
+byte-identical output.
 
-Exit codes: 0 success, 1 validation or domain error or a failing catalog
-check, 2 when --strict is set and the result is precision limited.
+One table, ``COMMANDS``, drives parsing, parameters and reports.  A
+command's flags are the parameters it reads, plus --strict and --format.
 
-Numeric parameters have ceilings (``PARAMETER_CEILINGS``), checked
-wherever a flag or a document supplies the value; a larger value is an
-``InputError`` before any computation starts.
+Exit codes: 0 success, 1 a usage, validation or domain error or a failing
+catalog check, 2 when --strict is set and the result is precision limited.
 """
 
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import os
 import sys
+from dataclasses import dataclass
+from typing import Any, Callable
 
 from .analysis import (
     DEFAULT_N_MAX,
@@ -33,302 +35,207 @@ from .analysis import (
     oracle_check,
 )
 from .catalog import run_catalog
-from .document import ProblemDocument, load_document
+from .document import PARAMETERS, load_document
 from .errors import InputError, JetspaceError
 from .invariants import profile_of_omega, refined_profile_of_omega
 from .jets import jet_ideal
 from .series import DEFAULT_PRECISION, PRECISION_CAP
 
+PARAMETER_CEILINGS = {k: spec.ceiling for k, spec in PARAMETERS.items() if spec.ceiling is not None}
 
-def _build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+REQUIRED = object()  # the default of a parameter that has none
+
+
+@dataclass(frozen=True)
+class Command:
+    """One row of the command table.
+
+    ``params`` maps each parameter the command reads to its default; an
+    ``arc`` becomes the named arc (default: the first declared) built at
+    ``precision``.  ``run(doc, values, cap)`` calls the analysis, and
+    ``body(result, values)`` follows the header naming the document's
+    ``subject`` (None: no document).  A result that did not stabilize gets
+    a note on the ``infinite`` quantity.
+    """
+
+    help: str
+    params: dict[str, Any]
+    run: Callable
+    body: Callable = lambda result, v: {"report": result.to_json()}
+    subject: str | None = "variety"
+    infinite: str | None = None
+
+
+def _profile(doc, v, cap):
+    if v.n is None:
+        return refined_profile_of_omega(v.arc, cap)[0]
+    arc = v.arc if v.arc.precision > v.n else v.arc.with_precision(v.n + 1)
+    return profile_of_omega(arc, v.n)
+
+
+_ARC = {"arc": None, "precision": DEFAULT_PRECISION}
+_STABILIZATION = {"n_max": DEFAULT_N_MAX, "window": DEFAULT_WINDOW}
+_DIVISOR = {"q": REQUIRED, "divisor_var": REQUIRED}
+
+COMMANDS = {
+    "jet-ideal": Command(
+        "equations of the level-n jet scheme",
+        {"n": REQUIRED},
+        lambda doc, v, cap: jet_ideal(doc.variety, v.n),
+        lambda ideal, v: {
+            "level": v.n,
+            "variables": list(ideal.jet_variables),
+            "generators": [[str(g) for g in row] for row in ideal.generators],
+        },
+    ),
+    "profile": Command(
+        "invariant factors and Fitting invariants along an arc",
+        {**_ARC, "n": None},
+        _profile,
+        lambda profile, v: {"profile": profile.to_json()},
+    ),
+    "fiber-dim": Command(
+        "fiber dimension of jet-scheme differentials, with oracle cross-check",
+        {**_ARC, "n": REQUIRED},
+        lambda doc, v, cap: (fiber_dim_formula(v.arc, v.n, cap), oracle_check(v.arc, v.n, cap)),
+        lambda pair, v: {"fiber_dim": pair[0].to_json(), "oracle": pair[1].to_json()},
+    ),
+    "embdim-jet": Command(
+        "embedding dimension of the jet scheme at a truncation",
+        {**_ARC, "n": REQUIRED},
+        lambda doc, v, cap: embdim_jet(v.arc, v.n, cap),
+        lambda result, v: {"embdim_jet": result.to_json()},
+    ),
+    "embdim-arc": Command(
+        "embedding dimension of the arc space at an arc",
+        {**_ARC, **_STABILIZATION},
+        lambda doc, v, cap: embdim_arc(v.arc, v.n_max, v.window, cap),
+        infinite="embedding dimension",
+    ),
+    "jet-codim": Command(
+        "jet codimension of an arc",
+        {**_ARC, **_STABILIZATION, "dim_source": "betti"},
+        lambda doc, v, cap: jet_codim(v.arc, v.dim_source, v.n_max, v.window, cap),
+        infinite="jet codimension",
+    ),
+    "btr": Command(
+        "birational transformation rule along a source arc",
+        {**_ARC, **_STABILIZATION},
+        lambda doc, v, cap: btr_check(doc.morphism, v.arc, v.n_max, v.window, cap),
+        subject="morphism",
+    ),
+    "divisorial": Command(
+        "build a maximal divisorial arc pair",
+        {"precision": DEFAULT_PRECISION, **_DIVISOR},
+        lambda doc, v, cap: divisorial_arc(doc.morphism, v.divisor_var, v.q, v.precision),
+        lambda arcs, v: {
+            "q": v.q,
+            "divisor_var": str(v.divisor_var),
+            "source_arc": [str(series) for series in arcs[0].expansions],
+            "image_arc": [str(series) for series in arcs[1].expansions],
+            "precision": v.precision,
+        },
+        subject="morphism",
+    ),
+    "mather-check": Command(
+        "check the Mather-discrepancy embedding-dimension formula",
+        {"precision": DEFAULT_PRECISION, **_STABILIZATION, **_DIVISOR},
+        lambda doc, v, cap: mather_discrepancy_check(
+            doc.morphism, v.divisor_var, v.q, v.precision, v.n_max, v.window, cap
+        ),
+        lambda result, v: {"report": result.to_json(), "passed": result.passed},
+        subject="morphism",
+    ),
+    "oracle-check": Command(
+        "fiber-dimension formula vs jet Jacobian corank",
+        {**_ARC, "n": None},
+        lambda doc, v, cap: [
+            oracle_check(v.arc, level, cap) for level in (range(7) if v.n is None else [v.n])
+        ],
+        lambda checks, v: {
+            "checks": [check.to_json() for check in checks],
+            "all_match": all(check.match for check in checks),
+        },
+    ),
+    "catalog": Command(
+        "run the built-in verification catalog",
+        {},
+        lambda doc, v, cap: run_catalog(),
+        lambda result, v: result.to_json(),
+        subject=None,
+    ),
+}
+
+
+class _Parser(argparse.ArgumentParser):
+    """Reports a usage error as an ``InputError`` instead of exiting with 2."""
+
+    def error(self, message):
+        raise InputError(f"{self.prog}: {message}")
+
+
+@functools.cache
+def _parser() -> argparse.ArgumentParser:
+    parser = _Parser(
         prog="jetspace",
         description="Exact invariants of arc spaces and jet schemes of affine varieties.",
     )
     sub = parser.add_subparsers(dest="command", required=True)
-
-    def add(name, help_text):
-        p = sub.add_parser(name, help=help_text)
-        if name != "catalog":
+    for name, row in COMMANDS.items():
+        p = sub.add_parser(name, help=row.help, allow_abbrev=False)
+        if row.subject is not None:
             p.add_argument("document", help="JSON problem document")
-            p.add_argument("--arc", help="arc name (default: first declared arc)")
-            p.add_argument("--n", type=int, help="jet level")
-            p.add_argument("--n-max", type=int, dest="n_max", help="stabilization horizon")
-            p.add_argument("--window", type=int, help="stabilization window")
-            p.add_argument("--precision", type=int, help="working precision in t")
-            p.add_argument("--q", type=int, help="contact order for divisorial arcs")
-            p.add_argument("--divisor-var", dest="divisor_var", help="divisor coordinate (name or 1-based index)")
+        for key in row.params:
+            spec = PARAMETERS[key]
             p.add_argument(
-                "--dim-source",
-                dest="dim_source",
-                choices=("betti", "declared"),
-                help="dimension source for jet codimension",
+                spec.flag, dest=key, type=spec.flag_type, choices=spec.choices, help=spec.help
             )
         p.add_argument("--strict", action="store_true", help="exit 2 on precision-limited results")
         p.add_argument("--format", choices=("json", "text"), default="json")
-        return p
-
-    add("jet-ideal", "equations of the level-n jet scheme")
-    add("profile", "invariant factors and Fitting invariants along an arc")
-    add("fiber-dim", "fiber dimension of jet-scheme differentials, with oracle cross-check")
-    add("embdim-jet", "embedding dimension of the jet scheme at a truncation")
-    add("embdim-arc", "embedding dimension of the arc space at an arc")
-    add("jet-codim", "jet codimension of an arc")
-    add("btr", "birational transformation rule along a source arc")
-    add("divisorial", "build a maximal divisorial arc pair")
-    add("mather-check", "check the Mather-discrepancy embedding-dimension formula")
-    add("oracle-check", "fiber-dimension formula vs jet Jacobian corank")
-    add("catalog", "run the built-in verification catalog")
     return parser
 
 
-# Ceilings of the numeric parameters, tied to the default precision cap: no
-# parameter may ask for more t-coefficients than refinement can reach.  A
-# level n needs precision n + 1; mather-check needs n_max + 2 and 2q + 2.
-PARAMETER_CEILINGS = {
-    "precision": PRECISION_CAP,
-    "n": PRECISION_CAP - 1,
-    "n_max": PRECISION_CAP - 2,
-    "q": PRECISION_CAP // 2 - 1,
-}
-
-
-def _param(args, doc: ProblemDocument | None, key: str, default=None, required=False):
-    """Flag value, then the document's matching task/params, then default.
-
-    A value above the key's entry in ``PARAMETER_CEILINGS`` is refused.
-    """
-    value = getattr(args, key, None)
-    if value is None and doc is not None:
-        for task in doc.tasks:
-            if task.get("command") == args.command and key in task:
-                value = task[key]
-                break
-    if value is None and doc is not None:
-        value = doc.params.get(key)
+def _param(args, doc, key: str, default):
+    """Flag value, then the first task of the command that sets it, then params, then default."""
+    value = getattr(args, key)
     if value is None:
-        value = default
-    if value is None and required:
-        raise InputError(f"missing parameter {key!r} (flag --{key.replace('_', '-')} or document params)")
-    ceiling = PARAMETER_CEILINGS.get(key)
-    if ceiling is not None and value is not None and int(value) > ceiling:
-        raise InputError(f"parameter {key!r} is {value}, above its ceiling {ceiling}")
-    return value
+        tasks = (t for t in doc.tasks if t.get("command") == args.command)
+        value = next((t for t in tasks if t.get(key) is not None), doc.params).get(key)
+    if value is None:
+        if default is REQUIRED:
+            flag = PARAMETERS[key].flag
+            raise InputError(f"missing parameter {key!r} (flag {flag} or document params)")
+        return default
+    return PARAMETERS[key].check(value)
 
 
-def _arc_name(args, doc: ProblemDocument) -> str:
-    name = _param(args, doc, "arc")
-    return name if name is not None else doc.default_arc_name()
+def _report(args, cap):
+    """The report of ``args.command`` and the analysis result behind it."""
+    row = COMMANDS[args.command]
+    report = {"command": args.command}
+    doc = None
+    if row.subject is not None:
+        doc = load_document(args.document)
+        subject = getattr(doc, row.subject)
+        if subject is None:
+            raise InputError(f"document declares no {row.subject}")
+        report[row.subject] = subject.name or row.subject
+    v = argparse.Namespace(**{k: _param(args, doc, k, d) for k, d in row.params.items()})
+    if "arc" in row.params:
+        report["arc"] = doc.default_arc_name() if v.arc is None else v.arc
+        v.arc = doc.build_arc(report["arc"], v.precision)
+    result = row.run(doc, v, cap)
+    report.update(row.body(result, v))
+    if row.infinite and result.suspected_infinite:
+        report["note"] = f"suspected infinite {row.infinite} (did not stabilize)"
+    return report, result
 
 
-def _source_arc(args, doc: ProblemDocument, precision: int):
-    if doc.morphism is None:
-        raise InputError("document declares no morphism")
-    name = _arc_name(args, doc)
-    return doc.build_arc(name, precision), name
-
-
-def _cmd_jet_ideal(args, doc, cap):
-    n = int(_param(args, doc, "n", required=True))
-    ideal = jet_ideal(doc.variety, n)
-    report = {
-        "command": "jet-ideal",
-        "variety": doc.variety.name or "variety",
-        "level": n,
-        "variables": list(ideal.jet_variables),
-        "generators": [[str(g) for g in row] for row in ideal.generators],
-    }
-    return report, False
-
-
-def _cmd_profile(args, doc, cap):
-    precision = int(_param(args, doc, "precision", DEFAULT_PRECISION))
-    name = _arc_name(args, doc)
-    arc = doc.build_arc(name, precision)
-    n = _param(args, doc, "n")
-    if n is None:
-        profile, arc = refined_profile_of_omega(arc, cap)
-    else:
-        n = int(n)
-        if arc.precision <= n:
-            arc = arc.with_precision(n + 1)
-        profile = profile_of_omega(arc, n)
-    report = {
-        "command": "profile",
-        "variety": doc.variety.name or "variety",
-        "arc": name,
-        "profile": profile.to_json(),
-    }
-    return report, profile.precision_limited
-
-
-def _cmd_fiber_dim(args, doc, cap):
-    precision = int(_param(args, doc, "precision", DEFAULT_PRECISION))
-    n = int(_param(args, doc, "n", required=True))
-    name = _arc_name(args, doc)
-    arc = doc.build_arc(name, precision)
-    fiber = fiber_dim_formula(arc, n, cap)
-    oracle = oracle_check(arc, n, cap)
-    report = {
-        "command": "fiber-dim",
-        "variety": doc.variety.name or "variety",
-        "arc": name,
-        "fiber_dim": fiber.to_json(),
-        "oracle": oracle.to_json(),
-    }
-    return report, fiber.arc_profile.precision_limited
-
-
-def _cmd_embdim_jet(args, doc, cap):
-    precision = int(_param(args, doc, "precision", DEFAULT_PRECISION))
-    n = int(_param(args, doc, "n", required=True))
-    name = _arc_name(args, doc)
-    arc = doc.build_arc(name, precision)
-    result = embdim_jet(arc, n, cap)
-    report = {
-        "command": "embdim-jet",
-        "variety": doc.variety.name or "variety",
-        "arc": name,
-        "embdim_jet": result.to_json(),
-    }
-    return report, result.fiber.arc_profile.precision_limited
-
-
-def _cmd_embdim_arc(args, doc, cap):
-    precision = int(_param(args, doc, "precision", DEFAULT_PRECISION))
-    n_max = int(_param(args, doc, "n_max", DEFAULT_N_MAX))
-    window = int(_param(args, doc, "window", DEFAULT_WINDOW))
-    name = _arc_name(args, doc)
-    arc = doc.build_arc(name, precision)
-    result = embdim_arc(arc, n_max, window, cap)
-    report = {
-        "command": "embdim-arc",
-        "variety": doc.variety.name or "variety",
-        "arc": name,
-        "report": result.to_json(),
-    }
-    if result.suspected_infinite:
-        report["note"] = "suspected infinite embedding dimension (did not stabilize)"
-    return report, result.arc_profile.precision_limited
-
-
-def _cmd_jet_codim(args, doc, cap):
-    precision = int(_param(args, doc, "precision", DEFAULT_PRECISION))
-    n_max = int(_param(args, doc, "n_max", DEFAULT_N_MAX))
-    window = int(_param(args, doc, "window", DEFAULT_WINDOW))
-    dim_source = _param(args, doc, "dim_source", "betti")
-    name = _arc_name(args, doc)
-    arc = doc.build_arc(name, precision)
-    result = jet_codim(arc, dim_source, n_max, window, cap)
-    report = {
-        "command": "jet-codim",
-        "variety": doc.variety.name or "variety",
-        "arc": name,
-        "report": result.to_json(),
-    }
-    if result.suspected_infinite:
-        report["note"] = "suspected infinite jet codimension (did not stabilize)"
-    return report, result.arc_profile.precision_limited
-
-
-def _cmd_btr(args, doc, cap):
-    precision = int(_param(args, doc, "precision", DEFAULT_PRECISION))
-    n_max = int(_param(args, doc, "n_max", DEFAULT_N_MAX))
-    window = int(_param(args, doc, "window", DEFAULT_WINDOW))
-    beta, name = _source_arc(args, doc, precision)
-    result = btr_check(doc.morphism, beta, n_max, window, cap)
-    report = {
-        "command": "btr",
-        "morphism": doc.morphism.name or "morphism",
-        "arc": name,
-        "report": result.to_json(),
-    }
-    limited = (
-        not result.ord_jacobian.is_finite
-        or result.source.arc_profile.precision_limited
-        or result.target.arc_profile.precision_limited
-    )
-    return report, limited
-
-
-def _cmd_divisorial(args, doc, cap):
-    if doc.morphism is None:
-        raise InputError("document declares no morphism")
-    precision = int(_param(args, doc, "precision", DEFAULT_PRECISION))
-    q = int(_param(args, doc, "q", required=True))
-    divisor_var = _param(args, doc, "divisor_var", required=True)
-    beta, alpha = divisorial_arc(doc.morphism, divisor_var, q, precision)
-    report = {
-        "command": "divisorial",
-        "morphism": doc.morphism.name or "morphism",
-        "q": q,
-        "divisor_var": str(divisor_var),
-        "source_arc": [str(series) for series in beta.expansions],
-        "image_arc": [str(series) for series in alpha.expansions],
-        "precision": precision,
-    }
-    return report, False
-
-
-def _cmd_mather_check(args, doc, cap):
-    if doc.morphism is None:
-        raise InputError("document declares no morphism")
-    precision = int(_param(args, doc, "precision", DEFAULT_PRECISION))
-    n_max = int(_param(args, doc, "n_max", DEFAULT_N_MAX))
-    window = int(_param(args, doc, "window", DEFAULT_WINDOW))
-    q = int(_param(args, doc, "q", required=True))
-    divisor_var = _param(args, doc, "divisor_var", required=True)
-    result = mather_discrepancy_check(doc.morphism, divisor_var, q, precision, n_max, window, cap)
-    report = {
-        "command": "mather-check",
-        "morphism": doc.morphism.name or "morphism",
-        "report": result.to_json(),
-        "passed": result.passed,
-    }
-    limited = (
-        result.source.arc_profile.precision_limited
-        or result.target.arc_profile.precision_limited
-    )
-    return report, limited
-
-
-def _cmd_oracle_check(args, doc, cap):
-    precision = int(_param(args, doc, "precision", DEFAULT_PRECISION))
-    name = _arc_name(args, doc)
-    arc = doc.build_arc(name, precision)
-    n = _param(args, doc, "n")
-    levels = [int(n)] if n is not None else list(range(7))
-    results = [oracle_check(arc, level, cap) for level in levels]
-    report = {
-        "command": "oracle-check",
-        "variety": doc.variety.name or "variety",
-        "arc": name,
-        "checks": [r.to_json() for r in results],
-        "all_match": all(r.match for r in results),
-    }
-    return report, any(r.precision_limited for r in results)
-
-
-def _cmd_catalog(args, doc, cap):
-    result = run_catalog()
-    report = {"command": "catalog"}
-    report.update(result.to_json())
-    return report, False
-
-
-_DISPATCH = {
-    "jet-ideal": _cmd_jet_ideal,
-    "profile": _cmd_profile,
-    "fiber-dim": _cmd_fiber_dim,
-    "embdim-jet": _cmd_embdim_jet,
-    "embdim-arc": _cmd_embdim_arc,
-    "jet-codim": _cmd_jet_codim,
-    "btr": _cmd_btr,
-    "divisorial": _cmd_divisorial,
-    "mather-check": _cmd_mather_check,
-    "oracle-check": _cmd_oracle_check,
-    "catalog": _cmd_catalog,
-}
+def _precision_cap() -> int:
+    text = os.environ.get("JETSPACE_PRECISION_CAP") or str(PRECISION_CAP)
+    if not text.strip().isdecimal() or not 2 <= int(text) <= PRECISION_CAP:
+        raise InputError(f"JETSPACE_PRECISION_CAP={text!r} is not an integer in 2..{PRECISION_CAP}")
+    return int(text)
 
 
 def _render_text(value, indent: int = 0) -> list[str]:
@@ -375,21 +282,13 @@ def _render_catalog_text(report) -> str:
 
 
 def main(argv=None) -> int:
-    args = _build_parser().parse_args(argv)
-    cap_env = os.environ.get("JETSPACE_PRECISION_CAP")
     try:
-        cap = int(cap_env) if cap_env else PRECISION_CAP
-        if cap < 2:
-            raise InputError("JETSPACE_PRECISION_CAP must be >= 2")
-        doc = None
-        if args.command != "catalog":
-            doc = load_document(args.document)
-        report, limited = _DISPATCH[args.command](args, doc, cap)
-    except JetspaceError as err:
+        args = _parser().parse_args(argv)
+        report, result = _report(args, _precision_cap())
+    except SystemExit as stop:  # --help
+        return stop.code
+    except (JetspaceError, ValueError) as err:
         print(f"error[{type(err).__name__}]: {err}", file=sys.stderr)
-        return 1
-    except ValueError as err:
-        print(f"error[ValueError]: {err}", file=sys.stderr)
         return 1
     if args.format == "json":
         print(json.dumps(report, indent=2, sort_keys=True))
@@ -399,7 +298,10 @@ def main(argv=None) -> int:
         print("\n".join(_render_text(report)))
     if args.command == "catalog" and not report["passed"]:
         return 1
-    if limited and args.strict:
+    # A result with no precision_limited (a jet ideal, an arc pair, the
+    # catalog) involves no truncated order, so it is never limited.
+    results = result if isinstance(result, (list, tuple)) else (result,)
+    if args.strict and any(getattr(r, "precision_limited", False) for r in results):
         return 2
     return 0
 

@@ -33,16 +33,78 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass
-from typing import Any
+from typing import Any, Callable
 
 from .arcs import Arc, GenericComponent, make_arc
 from .errors import InputError
 from .exact import BaseField
 from .exprs import parse_polynomial, parse_series_expression
 from .geometry import MorphismPresentation, VarietyPresentation
-from .series import DEFAULT_PRECISION
+from .series import DEFAULT_PRECISION, PRECISION_CAP
 
-_PARAM_KEYS = ("n", "n_max", "window", "precision", "q", "divisor_var", "arc", "dim_source")
+
+@dataclass(frozen=True)
+class Parameter:
+    """A task parameter, given by a command-line flag, a ``tasks`` entry or ``params``.
+
+    ``types`` are the JSON types a document may give; ``flag_type`` turns
+    a flag's text into such a value.  ``floor`` and ``ceiling`` bound a
+    numeric value, both inclusive.
+    """
+
+    name: str
+    help: str
+    types: tuple[type, ...]
+    flag_type: Callable[[str], Any]
+    floor: int | None = None
+    ceiling: int | None = None
+    choices: tuple[str, ...] | None = None
+
+    @property
+    def flag(self) -> str:
+        return "--" + self.name.replace("_", "-")
+
+    def check(self, value):
+        """``value`` itself once its type and bounds hold, else an ``InputError``."""
+        if isinstance(value, bool) or not isinstance(value, self.types):
+            kinds = " or ".join(kind.__name__ for kind in self.types)
+            raise InputError(f"parameter {self.name!r} is {json.dumps(value)}, expected {kinds}")
+        if self.choices is not None and value not in self.choices:
+            expected = ", ".join(self.choices)
+            raise InputError(f"parameter {self.name!r} is {value!r}, expected one of {expected}")
+        if self.floor is not None and value < self.floor:
+            raise InputError(f"parameter {self.name!r} is {value}, below its floor {self.floor}")
+        if self.ceiling is not None and value > self.ceiling:
+            raise InputError(f"parameter {self.name!r} is {value}, above its ceiling {self.ceiling}")
+        return value
+
+
+def _name_or_index(text: str):
+    """A flag value of decimal digits is a 1-based index, as a JSON integer is."""
+    return int(text) if text.isdecimal() else text
+
+
+# The ceilings tie the numeric parameters to the default precision cap: no
+# parameter may ask for more t-coefficients than refinement can reach.  A
+# level n needs precision n + 1; mather-check needs n_max + 2 and 2q + 2.
+PARAMETERS = {
+    spec.name: spec
+    for spec in (
+        Parameter("n", "jet level", (int,), int, 0, PRECISION_CAP - 1),
+        Parameter("n_max", "stabilization horizon", (int,), int, 0, PRECISION_CAP - 2),
+        Parameter("window", "stabilization window", (int,), int, 1),
+        Parameter("precision", "working precision in t", (int,), int, 1, PRECISION_CAP),
+        Parameter("q", "contact order for divisorial arcs", (int,), int, 1, PRECISION_CAP // 2 - 1),
+        Parameter(
+            "divisor_var", "divisor coordinate (name or 1-based index)", (str, int), _name_or_index
+        ),
+        Parameter("arc", "arc name (default: first declared arc)", (str,), str),
+        Parameter(
+            "dim_source", "dimension source for jet codimension", (str,), str,
+            choices=("betti", "declared"),
+        ),
+    )
+}
 
 
 @dataclass(frozen=True)
@@ -209,8 +271,8 @@ def parse_document(raw: Any) -> ProblemDocument:
 
     params = _expect(raw, "params", dict, "document", default={})
     for key in params:
-        if key not in _PARAM_KEYS:
-            raise InputError(f"params.{key}: unknown parameter (known: {', '.join(_PARAM_KEYS)})")
+        if key not in PARAMETERS:
+            raise InputError(f"params.{key}: unknown parameter (known: {', '.join(PARAMETERS)})")
 
     tasks = _expect(raw, "tasks", list, "document", default=[])
     for i, task in enumerate(tasks):

@@ -338,8 +338,9 @@ class SparsePolynomial:
         while exponent:
             if exponent & 1:
                 result = result * base
-            base = base * base
             exponent >>= 1
+            if exponent:
+                base = base * base
         return result
 
     def __eq__(self, other):

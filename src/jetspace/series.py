@@ -366,8 +366,9 @@ class SeriesExpression:
         while exponent:
             if exponent & 1:
                 result = result * base
-            base = base * base
             exponent >>= 1
+            if exponent:
+                base = base * base
         return result
 
     def __eq__(self, other):

@@ -394,3 +394,127 @@ def test_golden_catalog_text(capsys):
     code, out, _ = _run(capsys, ["catalog", "--format", "text"])
     assert code == 0
     assert hashlib.sha256(out.encode()).hexdigest() == CATALOG_TEXT_SHA256
+
+
+# Usage errors and unaccepted flags: exit 1 with a typed error, never SystemExit.
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["jet-ideal", "cusp.json", "--n", "1", "--q", "5"],
+        ["catalog", "--n", "3"],
+        ["profile", "cusp.json", "--bogus"],
+        ["fiber-dim"],
+        ["no-such-command"],
+        [],
+        ["fiber-dim", "cusp.json", "--n", "three"],
+        ["jet-codim", "cusp.json", "--dim-source", "guessed"],
+        ["embdim-arc", "cusp.json", "--n", "3"],
+    ],
+    ids=lambda argv: " ".join(argv) or "no-arguments",
+)
+def test_usage_error_returns_one(capsys, argv):
+    argv = [str(PROBLEMS / a) if a.endswith(".json") else a for a in argv]
+    code, out, err = _run(capsys, argv)
+    assert code == 1
+    assert out == ""
+    assert err.startswith("error[InputError]: ")
+
+
+def test_help_exits_zero(capsys):
+    assert main(["--help"]) == 0
+    assert main(["fiber-dim", "--help"]) == 0
+    assert "--n N" in capsys.readouterr().out
+
+
+def _unread_flags():
+    from jetspace.cli import COMMANDS
+    from jetspace.document import PARAMETERS
+
+    for command, row in COMMANDS.items():
+        document = [] if row.subject is None else [str(PROBLEMS / "blowup-plane.json")]
+        for key, spec in PARAMETERS.items():
+            if key not in row.params:
+                yield [command, *document, spec.flag, "1"]
+
+
+@pytest.mark.parametrize("argv", list(_unread_flags()), ids=lambda argv: f"{argv[0]}{argv[-2]}")
+def test_flag_the_command_does_not_read_is_rejected(capsys, argv):
+    code, out, err = _run(capsys, argv)
+    assert code == 1
+    assert out == ""
+    assert f"unrecognized arguments: {argv[-2]} 1" in err
+
+
+def test_parser_is_built_once(tmp_path, capsys):
+    from jetspace.cli import _parser
+
+    path = _write(tmp_path, CUSP_DOC)
+    for _ in range(3):
+        assert _run(capsys, ["jet-ideal", path, "--n", "1"])[0] == 0
+    assert _parser.cache_info().misses == 1
+
+
+# Floors and types, by rejection only: each value is refused before any
+# computation, from a flag, a tasks entry or the params block alike.
+REJECTED_VALUES = [
+    (CUSP_DOC, ["embdim-jet", "--n", "-2"], "parameter 'n' is -2, below its floor 0"),
+    (CUSP_DOC, ["fiber-dim", "--n", "-1"], "parameter 'n' is -1, below its floor 0"),
+    (CUSP_DOC, ["profile", "--n", "-1"], "parameter 'n' is -1, below its floor 0"),
+    (CUSP_DOC, ["oracle-check", "--n", "-1"], "parameter 'n' is -1, below its floor 0"),
+    (CUSP_DOC, ["embdim-arc", "--n-max", "-1"], "parameter 'n_max' is -1, below its floor 0"),
+    (CUSP_DOC, ["jet-codim", "--window", "0"], "parameter 'window' is 0, below its floor 1"),
+    (CUSP_DOC, ["profile", "--precision", "0"], "parameter 'precision' is 0, below its floor 1"),
+    (BLOWUP_DOC, ["divisorial", "--q", "0", "--divisor-var", "u"], "parameter 'q' is 0, below its floor 1"),
+    (dict(CUSP_DOC, params={"n": 3.7}), ["fiber-dim"], "parameter 'n' is 3.7, expected int"),
+    (dict(CUSP_DOC, params={"n": True}), ["fiber-dim"], "parameter 'n' is true, expected int"),
+    (dict(CUSP_DOC, params={"n": "3"}), ["jet-ideal"], "parameter 'n' is \"3\", expected int"),
+    (dict(CUSP_DOC, params={"window": 0}), ["embdim-arc"], "parameter 'window' is 0, below its floor 1"),
+    (dict(CUSP_DOC, tasks=[{"command": "profile", "precision": -1}]), ["profile"], "below its floor 1"),
+    (dict(CUSP_DOC, params={"arc": ["main"]}), ["profile"], "parameter 'arc' is [\"main\"], expected str"),
+    (dict(CUSP_DOC, params={"dim_source": "guessed"}), ["jet-codim"], "expected one of betti, declared"),
+    (dict(BLOWUP_DOC, params={"q": 1, "divisor_var": False}), ["divisorial"], "expected str or int"),
+]
+
+
+@pytest.mark.parametrize(
+    "doc, argv, message",
+    REJECTED_VALUES,
+    ids=[f"{argv[0]}:{message}" for _, argv, message in REJECTED_VALUES],
+)
+def test_parameter_below_floor_or_of_wrong_type_rejected(tmp_path, capsys, doc, argv, message):
+    path = _write(tmp_path, doc)
+    code, out, err = _run(capsys, [argv[0], path] + argv[1:])
+    assert code == 1
+    assert out == ""
+    assert err.startswith("error[InputError]: ") and message in err
+
+
+@pytest.mark.parametrize("cap", ["100000000", "193", "1", "abc", "4.5", "-48"])
+def test_precision_cap_out_of_range_rejected(tmp_path, capsys, monkeypatch, cap):
+    monkeypatch.setenv("JETSPACE_PRECISION_CAP", cap)
+    path = _write(tmp_path, CUSP_DOC)
+    code, out, err = _run(capsys, ["fiber-dim", path])
+    assert code == 1
+    assert out == ""
+    assert err.startswith("error[InputError]: JETSPACE_PRECISION_CAP=")
+
+
+def test_digit_divisor_var_is_a_one_based_index(capsys):
+    path = str(PROBLEMS / "blowup-plane.json")
+    by_name = json.loads(_run(capsys, ["divisorial", path, "--divisor-var", "u", "--q", "1"])[1])
+    code, out, _ = _run(capsys, ["divisorial", path, "--divisor-var", "1", "--q", "1"])
+    assert code == 0
+    by_index = json.loads(out)
+    assert by_index["divisor_var"] == "1"
+    assert by_index["source_arc"] == by_name["source_arc"]
+    assert by_index["image_arc"] == by_name["image_arc"]
+    argv = ["mather-check", path, "--q", "2", "--divisor-var"]
+    assert _run(capsys, argv + ["1"]) == _run(capsys, argv + ["u"])
+
+
+def test_strict_btr_flags_undetermined_jacobian_order(tmp_path, capsys):
+    doc = dict(BLOWUP_DOC, arcs={"in-exceptional": {"on": "source", "components": ["0", "t"]}})
+    path = _write(tmp_path, doc)
+    code, out, _ = _run(capsys, ["btr", path, "--n-max", "4", "--strict"])
+    assert code == 2
+    assert json.loads(out)["report"]["ord_jacobian"]["kind"] != "finite"

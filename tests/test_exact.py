@@ -154,6 +154,25 @@ def test_field_axioms_randomized(seed):
         assert (a / b) * b == a
 
 
+@pytest.mark.parametrize("exponent, products", [(0, 0), (1, 1), (2, 2), (3, 3), (8, 4), (11, 6)])
+def test_power_squares_only_while_bits_remain(monkeypatch, exponent, products):
+    x, y = var("x"), var("y")
+    base = x + y
+    expected = SparsePolynomial.constant(Q, 1)
+    for _ in range(exponent):
+        expected = expected * base
+    calls = []
+    multiply = SparsePolynomial.__mul__
+
+    def counting(self, other):
+        calls.append(other)
+        return multiply(self, other)
+
+    monkeypatch.setattr(SparsePolynomial, "__mul__", counting)
+    assert base**exponent == expected
+    assert len(calls) == products
+
+
 class TestPolyDerivative:
     def test_power_rule(self):
         x, y = var("x"), var("y")

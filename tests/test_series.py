@@ -162,6 +162,24 @@ def test_invert_twice_is_identity(seed):
     assert unit.invert().invert() == unit
 
 
+@pytest.mark.parametrize("exponent, products", [(0, 0), (1, 1), (3, 3), (8, 4)])
+def test_expression_power_squares_only_while_bits_remain(monkeypatch, exponent, products):
+    s = sexpr(0, 1, 1)
+    expected = sexpr(1)
+    for _ in range(exponent):
+        expected = expected * s
+    calls = []
+    multiply = SeriesExpression.__mul__
+
+    def counting(self, other):
+        calls.append(other)
+        return multiply(self, other)
+
+    monkeypatch.setattr(SeriesExpression, "__mul__", counting)
+    assert s**exponent == expected
+    assert len(calls) == products
+
+
 def test_truncate_beyond_precision_raises():
     with pytest.raises(PrecisionTooLow):
         tser([1], 3).truncate(4)
