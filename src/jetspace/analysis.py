@@ -14,9 +14,13 @@ non-decreasing sequence
 
 where D is the free rank of the pulled-back differentials along the arc
 and dim(alpha_n) the transcendence degree of the residue field of the
-level-n truncation.  Stabilization of s_n is detected heuristically over
-a window; a sequence that keeps growing is reported as "suspected
-infinite", never as a proof.
+level-n truncation.  No jet level is diagonalized on its own: the level-n
+module is the arc-level one base-changed to k[t]/t^(n+1), so its profile
+comes from the arc-level pivots (``InvariantProfile.at_level``).  One
+elimination gives dim(alpha_n) at every level
+(``Arc.residue_dimension_profile``).  Stabilization of s_n is detected
+heuristically over a window; a sequence that keeps growing is reported
+as "suspected infinite", never as a proof.
 """
 
 from __future__ import annotations
@@ -30,7 +34,6 @@ from .errors import (
     MissingDeclaredDim,
     NonDivisibleJacobianOrder,
     PrecisionLimited,
-    PrecisionTooLow,
 )
 from .exact import FieldElement, matrix_rank
 from .geometry import MorphismPresentation, relative_omega_presentation
@@ -56,7 +59,7 @@ class FiberDimension:
     jet_betti: int
     fitting_order: OrderValue
     arc_profile: InvariantProfile
-    jet_profile: InvariantProfile
+    arc: Arc  # evaluated on: the input arc with > level coefficients, refined
 
     @property
     def precision_limited(self) -> bool:
@@ -78,17 +81,16 @@ class FiberDimension:
 def fiber_dim_formula(arc: Arc, n: int, cap: int = PRECISION_CAP) -> FiberDimension:
     """(n+1) d_n plus the order of the matching Fitting ideal on the arc.
 
-    d_n is the free rank at level n; the Fitting order is read off the
-    arc-level decomposition (refined as needed).  The tail sums used here
-    are exact even when the arc-level free rank is provisional, because a
-    hidden factor lies above the working precision and therefore below
-    index d_n in the descending order.
+    d_n is the level-n free rank and the Fitting order a tail sum, both
+    read off the arc-level decomposition (refined as needed).  The tail
+    sums are exact even when the arc-level free rank is provisional,
+    because a hidden factor lies above the working precision and
+    therefore below index d_n in the descending order.
     """
     if arc.precision <= n:
         arc = arc.with_precision(n + 1)
     arc_profile, arc = refined_profile_of_omega(arc, cap)
-    jet_profile = profile_of_omega(arc, n)
-    d_n = jet_profile.betti
+    d_n = arc_profile.at_level(n).betti
     c = arc_profile.fitting_invariant(d_n)
     if not c.is_finite:
         raise PrecisionLimited(
@@ -101,7 +103,7 @@ def fiber_dim_formula(arc: Arc, n: int, cap: int = PRECISION_CAP) -> FiberDimens
         jet_betti=d_n,
         fitting_order=c,
         arc_profile=arc_profile,
-        jet_profile=jet_profile,
+        arc=arc,
     )
 
 
@@ -109,10 +111,16 @@ def fiber_dim_formula(arc: Arc, n: int, cap: int = PRECISION_CAP) -> FiberDimens
 class OracleCheck:
     """Closed formula vs. brute-force jet Jacobian corank at one level."""
 
-    level: int
-    formula_value: int
+    fiber: FiberDimension
     corank: int
-    precision_limited: bool
+
+    @property
+    def formula_value(self) -> int:
+        return self.fiber.value
+
+    @property
+    def precision_limited(self) -> bool:
+        return self.fiber.precision_limited
 
     @property
     def match(self) -> bool:
@@ -120,7 +128,7 @@ class OracleCheck:
 
     def to_json(self):
         return {
-            "level": self.level,
+            "level": self.fiber.level,
             "formula": self.formula_value,
             "jet_jacobian_corank": self.corank,
             "match": self.match,
@@ -130,16 +138,8 @@ class OracleCheck:
 def oracle_check(arc: Arc, n: int, cap: int = PRECISION_CAP) -> OracleCheck:
     """Compare the fiber-dimension formula with the jet Jacobian corank."""
     fiber = fiber_dim_formula(arc, n, cap)
-    if arc.precision <= n:
-        arc = arc.with_precision(n + 1)
-    jet = arc.truncate(n)
-    corank = jet_jacobian_corank(arc.variety, n, jet.coordinates)
-    return OracleCheck(
-        level=n,
-        formula_value=fiber.value,
-        corank=corank,
-        precision_limited=fiber.precision_limited,
-    )
+    jet = fiber.arc.truncate(n)
+    return OracleCheck(fiber, jet_jacobian_corank(arc.variety, n, jet.coordinates))
 
 
 @dataclass(frozen=True)
@@ -169,15 +169,13 @@ class JetEmbeddingDimension:
 def embdim_jet(arc: Arc, n: int, cap: int = PRECISION_CAP) -> JetEmbeddingDimension:
     """Embedding dimension of the jet scheme at the level-n truncation."""
     fiber = fiber_dim_formula(arc, n, cap)
-    if arc.precision <= n:
-        arc = arc.with_precision(n + 1)
-    jet = arc.truncate(n)
+    residue_dims, char_p = fiber.arc.residue_dimension_profile(n)
     return JetEmbeddingDimension(
         level=n,
-        value=fiber.value - jet.residue_dim,
+        value=fiber.value - residue_dims[n],
         fiber=fiber,
-        residue_dim=jet.residue_dim,
-        char_p_jacobian=jet.char_p_jacobian,
+        residue_dim=residue_dims[n],
+        char_p_jacobian=char_p,
     )
 
 
@@ -269,15 +267,17 @@ def _stabilization(
     if n_max < 0 or window < 1:
         raise InputError("n_max must be >= 0 and window >= 1")
     if arc.precision <= n_max:
-        if not arc.refinable:
-            raise PrecisionTooLow(n_max, arc.precision)
         arc = arc.with_precision(n_max + 1)
+    # A limited arc-level profile serves only the levels below its precision.
+    levels = arc_profile
+    if arc_profile.precision_limited and arc_profile.precision <= n_max:
+        levels = profile_of_omega(arc)
     residue_dims, char_p = arc.residue_dimension_profile(n_max)
     rows = []
     prev = None
     lower_bound = rank - residue_dims[0]
     for n in range(n_max + 1):
-        d_n = profile_of_omega(arc, n).betti
+        d_n = levels.at_level(n).betti
         s_n = (n + 1) * rank - residue_dims[n]
         if prev is not None and s_n < prev:
             raise InternalInvariantViolation(
@@ -459,7 +459,8 @@ def btr_check(
     )
 
 
-def _resolve_divisor_var(source, divisor_var) -> int:
+def resolve_divisor_var(source, divisor_var) -> int:
+    """Position of the divisor variable, given by name or 1-based index."""
     if isinstance(divisor_var, str):
         try:
             return source.variables.index(divisor_var)
@@ -488,7 +489,7 @@ def divisorial_arc(
         raise InputError("divisorial arcs are built on a smooth affine-space chart")
     if q < 1:
         raise InputError("contact order q must be >= 1")
-    j = _resolve_divisor_var(f.source, divisor_var)
+    j = resolve_divisor_var(f.source, divisor_var)
     starts = [q if i == j else 0 for i in range(len(f.source.variables))]
     beta = generic_arc(f.source, starts, precision)
     alpha = push_arc(f, beta)
@@ -580,7 +581,7 @@ def mather_discrepancy_check(
     bound = None
     if center_closed and target_dim is not None:
         bound = khat + 1 >= target_dim
-    j = _resolve_divisor_var(f.source, divisor_var)
+    j = resolve_divisor_var(f.source, divisor_var)
     return MatherReport(
         q=q,
         divisor_var=f.source.variables[j],

@@ -24,7 +24,7 @@ from .errors import (
     NotOnVariety,
     PrecisionTooLow,
 )
-from .exact import FieldElement, echelon_rank_profile, jacobian_row, transcendence_degree
+from .exact import FieldElement, TranscendenceDegree, transcendence_degree
 from .geometry import MorphismPresentation, VarietyPresentation
 from .series import (
     DEFAULT_PRECISION,
@@ -87,11 +87,6 @@ class JetPoint:
 
     level: int
     coordinates: tuple[FieldElement, ...]
-    residue_dim: int
-    char_p_jacobian: bool
-
-    def coordinate(self, component: int, p: int) -> FieldElement:
-        return self.coordinates[component * (self.level + 1) + p]
 
 
 class Arc:
@@ -188,39 +183,27 @@ class Arc:
         return result
 
     def truncate(self, n: int) -> JetPoint:
-        """Jet of this arc at level n, with the residue field dimension."""
+        """Jet of this arc at level n."""
         if n >= self.precision:
             raise PrecisionTooLow(n, self.precision)
         coords = []
         for series in self.expansions:
             coords.extend(series.coeffs[: n + 1])
-        trdeg = transcendence_degree(coords, self.transcendentals() or None)
-        return JetPoint(n, tuple(coords), trdeg.value, trdeg.char_p_jacobian)
+        return JetPoint(n, tuple(coords))
 
-    def residue_dimension_profile(self, n_max: int) -> tuple[list[int], bool]:
-        """Residue dimensions of all truncations up to n_max, in one pass.
+    def residue_dimension_profile(self, n_max: int) -> TranscendenceDegree:
+        """Residue dimensions dim(alpha_n) of the truncations at levels 0..n_max.
 
-        Same values as ``truncate(n).residue_dim`` level by level, but the
-        Jacobian-criterion elimination is shared across levels.  The flag
-        mirrors the characteristic-p caveat of ``transcendence_degree``.
+        dim(alpha_n) is the transcendence degree of the field generated by
+        the coefficients of t^0..t^n; ``transcendence_degree`` gets one
+        block of coefficients per level and ranks them all in one
+        elimination.  The flag is its characteristic-p caveat.
         """
         if n_max >= self.precision:
             raise PrecisionTooLow(n_max, self.precision)
-        field = self.variety.base
-        names = self.transcendentals()
-        blocks = []
-        any_nonconstant = False
-        for n in range(n_max + 1):
-            rows = []
-            for series in self.expansions:
-                g = series.coeffs[n]
-                if g.is_constant():
-                    continue
-                any_nonconstant = True
-                rows.append(jacobian_row(g, names))
-            blocks.append(rows)
-        ranks = echelon_rank_profile(blocks, field)
-        return ranks, any_nonconstant and field.characteristic > 0
+        blocks = [[series.coeffs[n] for series in self.expansions] for n in range(n_max + 1)]
+        names = sorted({name for block in blocks for g in block for name in g.variables()})
+        return transcendence_degree(blocks, names, self.variety.base)
 
     def center(self) -> tuple[FieldElement, ...]:
         """Coordinates of the arc at t = 0."""

@@ -29,10 +29,10 @@ from .analysis import (
     divisorial_arc,
     embdim_arc,
     embdim_jet,
-    fiber_dim_formula,
     jet_codim,
     mather_discrepancy_check,
     oracle_check,
+    resolve_divisor_var,
 )
 from .catalog import run_catalog
 from .document import PARAMETERS, load_document
@@ -52,10 +52,11 @@ class Command:
 
     ``params`` maps each parameter the command reads to its default; an
     ``arc`` becomes the named arc (default: the first declared) built at
-    ``precision``.  ``run(doc, values, cap)`` calls the analysis, and
-    ``body(result, values)`` follows the header naming the document's
-    ``subject`` (None: no document).  A result that did not stabilize gets
-    a note on the ``infinite`` quantity.
+    ``precision``, and a ``divisor_var`` the source variable's name.
+    ``run(doc, values, cap)`` calls the analysis, and ``body(result,
+    values)`` follows the header naming the document's ``subject`` (None:
+    no document).  A result that did not stabilize gets a note on the
+    ``infinite`` quantity.
     """
 
     help: str
@@ -97,8 +98,8 @@ COMMANDS = {
     "fiber-dim": Command(
         "fiber dimension of jet-scheme differentials, with oracle cross-check",
         {**_ARC, "n": REQUIRED},
-        lambda doc, v, cap: (fiber_dim_formula(v.arc, v.n, cap), oracle_check(v.arc, v.n, cap)),
-        lambda pair, v: {"fiber_dim": pair[0].to_json(), "oracle": pair[1].to_json()},
+        lambda doc, v, cap: oracle_check(v.arc, v.n, cap),
+        lambda check, v: {"fiber_dim": check.fiber.to_json(), "oracle": check.to_json()},
     ),
     "embdim-jet": Command(
         "embedding dimension of the jet scheme at a truncation",
@@ -130,7 +131,7 @@ COMMANDS = {
         lambda doc, v, cap: divisorial_arc(doc.morphism, v.divisor_var, v.q, v.precision),
         lambda arcs, v: {
             "q": v.q,
-            "divisor_var": str(v.divisor_var),
+            "divisor_var": v.divisor_var,
             "source_arc": [str(series) for series in arcs[0].expansions],
             "image_arc": [str(series) for series in arcs[1].expansions],
             "precision": v.precision,
@@ -195,6 +196,17 @@ def _parser() -> argparse.ArgumentParser:
     return parser
 
 
+def _check_tasks(doc):
+    """Every ``tasks`` entry names a command and only parameters that command reads."""
+    for i, task in enumerate(doc.tasks):
+        command = task["command"]
+        if not isinstance(command, str) or command not in COMMANDS:
+            raise InputError(f"tasks[{i}].command: unknown command {json.dumps(command)}")
+        for key in task:
+            if key != "command" and key not in COMMANDS[command].params:
+                raise InputError(f"tasks[{i}].{key}: not a parameter of {command!r}")
+
+
 def _param(args, doc, key: str, default):
     """Flag value, then the first task of the command that sets it, then params, then default."""
     value = getattr(args, key)
@@ -216,6 +228,7 @@ def _report(args, cap):
     doc = None
     if row.subject is not None:
         doc = load_document(args.document)
+        _check_tasks(doc)
         subject = getattr(doc, row.subject)
         if subject is None:
             raise InputError(f"document declares no {row.subject}")
@@ -224,6 +237,9 @@ def _report(args, cap):
     if "arc" in row.params:
         report["arc"] = doc.default_arc_name() if v.arc is None else v.arc
         v.arc = doc.build_arc(report["arc"], v.precision)
+    if "divisor_var" in row.params:
+        source = doc.morphism.source
+        v.divisor_var = source.variables[resolve_divisor_var(source, v.divisor_var)]
     result = row.run(doc, v, cap)
     report.update(row.body(result, v))
     if row.infinite and result.suspected_infinite:

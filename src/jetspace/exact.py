@@ -697,41 +697,33 @@ def echelon_rank_profile(
     return ranks
 
 
-def jacobian_row(g: FieldElement, names: Sequence[str]) -> list[SparsePolynomial]:
-    """Gradient of g = num/den in the given variables, scaled by den^2.
-
-    Entry u is num_u*den - num*den_u.  Scaling a row by a nonzero factor
-    keeps the rank, so these rows give the Jacobian-criterion rank with
-    polynomial entries only.
-    """
-    return [g.num.derivative(u) * g.den - g.num * g.den.derivative(u) for u in names]
-
-
 class TranscendenceDegree(NamedTuple):
-    value: int
+    ranks: list[int]
     char_p_jacobian: bool
 
 
 def transcendence_degree(
-    elements: Iterable[FieldElement],
-    transcendentals: Sequence[str] | None = None,
+    blocks: Sequence[Sequence[FieldElement]],
+    transcendentals: Sequence[str],
+    field: BaseField,
 ) -> TranscendenceDegree:
-    """Transcendence degree of the field generated by rational functions.
+    """Transcendence degrees of the fields generated by growing sets of rational functions.
 
-    Computed as the rank of the Jacobian matrix with respect to the
-    transcendentals.  In characteristic zero this is exact; in
-    characteristic p it is the Jacobian-criterion value and the returned
-    flag is set so callers can surface the caveat.
+    ``ranks[k]`` is the rank, in one elimination for all blocks, of the
+    Jacobian of the elements of ``blocks[0..k]`` with respect to the
+    ``transcendentals`` (every variable they use).  The row of g = num/den
+    is num_u*den - num*den_u, its gradient scaled by den^2, so entries stay
+    polynomials.  In characteristic zero this is exact; in characteristic
+    p it is the Jacobian-criterion value, and the flag is set when any
+    element is nonconstant so callers can surface the caveat.
     """
-    elements = [g for g in elements if not g.is_constant()]
-    if not elements:
-        return TranscendenceDegree(0, False)
-    field = elements[0].field
-    if transcendentals is None:
-        seen = set()
-        for g in elements:
-            seen.update(g.variables())
-        transcendentals = sorted(seen)
-    rows = [jacobian_row(g, transcendentals) for g in elements]
-    rank = echelon_rank_profile([rows], field)[-1]
-    return TranscendenceDegree(rank, field.characteristic > 0)
+    rows = [
+        [
+            [g.num.derivative(u) * g.den - g.num * g.den.derivative(u) for u in transcendentals]
+            for g in block
+            if not g.is_constant()
+        ]
+        for block in blocks
+    ]
+    char_p = field.characteristic > 0 and any(rows)
+    return TranscendenceDegree(echelon_rank_profile(rows, field), char_p)

@@ -11,12 +11,18 @@ is refused before it is computed when its degree would exceed
 ``MAX_EXPONENT``: the total degree for polynomials; for series
 expressions the degree in t or in the transcendentals of a coefficient,
 whichever is larger.  So nested powers such as ``((x)^256)^256`` cannot
-run unbounded either.
+run unbounded either.  A power is also refused when its term count could
+exceed ``MAX_POWER_TERMS``: a base of k terms to the n has at most
+C(n+k-1, k-1) terms.  A polynomial counts its terms; a series expression
+counts the distinct monomials in the transcendentals of its coefficients,
+in its numerator or denominator in t, whichever has more (its powers of t
+are already bounded by the degree).
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
+from math import comb
 from typing import Sequence
 
 from .errors import ParseError, UnknownVariable
@@ -28,6 +34,11 @@ from .series import SeriesExpression
 # default refinement can see is writable, and it keeps a hostile exponent
 # from running unbounded.
 MAX_EXPONENT = 256
+
+# Largest term count C(n+k-1, k-1) of a power of a k-term base.  Near this
+# bound (a/2+b/3+c/5)^43, 990 terms, parses in 0.6 s on a 2-vCPU VM;
+# (a+b+c+d+e+f)^256 would have about 10^10 terms.
+MAX_POWER_TERMS = 1000
 
 _SYMBOL_START = set("abcdefghijklmnopqrstuvwxyzABCDEFGHIJKLMNOPQRSTUVWXYZ_")
 _SYMBOL_BODY = _SYMBOL_START | set("0123456789")
@@ -68,13 +79,14 @@ def _tokenize(text: str, context: str):
 class _Parser:
     """Recursive-descent evaluator over a caller-supplied value ring."""
 
-    def __init__(self, text, context, symbol, const, degree, full_division):
+    def __init__(self, text, context, symbol, const, degree, terms, full_division):
         self.tokens = _tokenize(text, context)
         self.pos = 0
         self.context = context
         self.symbol = symbol
         self.const = const
         self.degree = degree
+        self.terms = terms
         self.full_division = full_division
 
     def peek(self):
@@ -149,6 +161,11 @@ class _Parser:
             degree = self.degree(value) * nval
             if degree > MAX_EXPONENT:
                 self.fail(f"power of degree {degree} exceeds the maximum {MAX_EXPONENT}", ncol)
+            k = self.terms(value)
+            if k > 1 and comb(nval + k - 1, k - 1) > MAX_POWER_TERMS:
+                self.fail(
+                    f"power {nval} of a {k}-term base may exceed {MAX_POWER_TERMS} terms", ncol
+                )
             value = value ** nval
         return value
 
@@ -187,7 +204,9 @@ def parse_polynomial(
     def const(value):
         return SparsePolynomial.constant(field, value)
 
-    parser = _Parser(text, context, symbol, const, SparsePolynomial.degree, full_division=False)
+    parser = _Parser(
+        text, context, symbol, const, SparsePolynomial.degree, _polynomial_terms, full_division=False
+    )
     value = parser.parse()
     # SparsePolynomial ** guards negative exponents; nothing else to check.
     return value
@@ -214,7 +233,7 @@ def parse_series_expression(
     def const(value):
         return SeriesExpression.constant(field, FieldElement.from_scalar(field, value))
 
-    parser = _Parser(text, context, symbol, const, _series_degree, full_division=True)
+    parser = _Parser(text, context, symbol, const, _series_degree, _series_terms, full_division=True)
     return parser.parse()
 
 
@@ -223,3 +242,12 @@ def _series_degree(value: SeriesExpression) -> int:
     coeffs = value.num + value.den
     coefficient_degree = max(max(c.num.degree(), c.den.degree()) for c in coeffs)
     return max(len(value.num) - 1, len(value.den) - 1, coefficient_degree)
+
+
+def _polynomial_terms(value: SparsePolynomial) -> int:
+    return len(value.terms)
+
+
+def _series_terms(value: SeriesExpression) -> int:
+    """Distinct monomials in the transcendentals over the numerator or denominator in t."""
+    return max(len({m for c in coeffs for m in c.num.terms}) for coeffs in (value.num, value.den))

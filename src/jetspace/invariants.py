@@ -80,17 +80,32 @@ class InvariantProfile:
             tail = min(self.level + 1, tail)
         return OrderValue.finite(tail)
 
-    def fitting_invariants(self, count: int) -> list[OrderValue]:
-        return [self.fitting_invariant(i) for i in range(count)]
+    def at_level(self, n: int) -> "InvariantProfile":
+        """The level-n profile of this arc-level one.
+
+        Reduction mod t^(n+1) maps the diagonalization to a level-n one:
+        pivots e <= n survive; pivots e > n and an undecided block (zero
+        mod t^precision, so valid only for n < precision) become free.
+        """
+        if self.level is not None:
+            raise ValueError("at_level needs an arc-level profile")
+        if self.precision_limited and n >= self.precision:
+            raise PrecisionTooLow(n, self.precision)
+        return InvariantProfile(
+            level=n,
+            num_columns=self.num_columns,
+            betti=self.betti + sum(e > n for e in self.factors),
+            factors=tuple(e for e in self.factors if e <= n),
+            precision=n + 1,
+            precision_limited=False,
+        )
 
     def to_json(self):
         return {
             "level": "infinity" if self.level is None else self.level,
             "free_rank": self.betti,
             "factors": list(self.factors),
-            "fitting": [
-                ov.to_json() for ov in self.fitting_invariants(self.num_columns + 1)
-            ],
+            "fitting": [self.fitting_invariant(i).to_json() for i in range(self.num_columns + 1)],
             "precision": self.precision,
             "precision_limited": self.precision_limited,
         }

@@ -1,8 +1,24 @@
 """Arc validation, truncation, ideal orders, precision semantics."""
 
-import pytest
+import random
 
-from conftest import Q, affine_space, blowup_chart_2d, cusp_variety, fe, fev, sexpr, tser, whitney_variety
+import pytest
+import sympy
+from sympy.polys.domains import QQ
+from sympy.polys.matrices import DomainMatrix
+
+from conftest import (
+    Q,
+    affine_space,
+    blowup_chart_2d,
+    cusp_variety,
+    fe,
+    fev,
+    sexpr,
+    to_sympy,
+    tser,
+    whitney_variety,
+)
 from jetspace.arcs import GenericComponent, generic_arc, make_arc, push_arc
 from jetspace.errors import MorphismInvalidOnArc, NotOnVariety, PrecisionTooLow
 from jetspace.exact import SparsePolynomial
@@ -78,22 +94,20 @@ class TestTruncate:
         jet = _cusp_arc().truncate(3)
         values = [fe(0), fe(0), fe(1), fe(0), fe(0), fe(0), fe(0), fe(1)]
         assert list(jet.coordinates) == values
-        assert jet.residue_dim == 0
+        assert _cusp_arc().residue_dimension_profile(3).ranks[3] == 0
 
     def test_generic_line_window(self):
         arc = generic_arc(affine_space(1, names=("x",)), [0], 8)
-        assert arc.truncate(2).residue_dim == 3
+        assert arc.residue_dimension_profile(2).ranks[2] == 3
 
     def test_mixed_constants(self):
         # y1 = u*t, y2 = v with u, v transcendental
         space = affine_space(2, names=("y1", "y2"))
         arc = make_arc(space, [sexpr(0, fev("u")), sexpr(fev("v"))], 8)
-        assert arc.truncate(1).residue_dim == 2
+        assert arc.residue_dimension_profile(1).ranks[1] == 2
 
     def test_rational_points_have_zero_residue_dim(self):
-        arc = _cusp_arc()
-        for n in range(6):
-            assert arc.truncate(n).residue_dim == 0
+        assert _cusp_arc().residue_dimension_profile(5).ranks == [0] * 6
 
     def test_needs_precision(self):
         with pytest.raises(PrecisionTooLow):
@@ -125,15 +139,40 @@ class TestPrecision:
         assert arc.precision == 5
 
 
+def _seeded_coefficient(rng):
+    """A random polynomial of degree <= 2 in the transcendentals a, b, c."""
+    value = fe(rng.randint(-2, 2))
+    for _ in range(rng.randint(0, 2)):
+        term = fe(rng.choice((-1, 1, 2)))
+        for _ in range(rng.randint(1, 2)):
+            term = term * fev(rng.choice("abc"))
+        value = value + term
+    return value
+
+
 class TestResidueProfile:
-    def test_matches_truncate(self):
+    @pytest.mark.parametrize("seed", range(6))
+    def test_matches_sympy_jacobian_rank(self, seed):
+        # dim(alpha_n) is the rank over Q(transcendentals) of the Jacobian
+        # of the coefficients of t^0..t^n, here by sympy's fraction-free
+        # elimination over QQ.frac_field.
+        rng = random.Random(seed)
         chart = blowup_chart_2d()
-        beta = generic_arc(chart.source, [1, 0], 10)
-        alpha = push_arc(chart, beta)
-        for arc in (beta, alpha):
-            dims, _ = arc.residue_dimension_profile(6)
-            for n in range(7):
-                assert dims[n] == arc.truncate(n).residue_dim
+        beta = generic_arc(chart.source, [rng.randint(0, 2), rng.randint(0, 2)], 7)
+        space = affine_space(2, names=("y1", "y2"))
+        seeded = make_arc(
+            space, [sexpr(*(_seeded_coefficient(rng) for _ in range(7))) for _ in "12"], 7
+        )
+        for arc in (beta, push_arc(chart, beta), seeded):
+            symbols = sympy.symbols(arc.transcendentals())
+            domain = QQ.frac_field(*symbols) if symbols else QQ
+            ranks, char_p = arc.residue_dimension_profile(5)
+            assert not char_p
+            for n in range(6):
+                coeffs = [to_sympy(s.coeffs[p]) for s in arc.expansions for p in range(n + 1)]
+                rows = [[domain.from_sympy(sympy.diff(c, u)) for u in symbols] for c in coeffs]
+                matrix = DomainMatrix(rows, (len(rows), len(symbols)), domain)
+                assert ranks[n] == (len(matrix.rref_den()[2]) if symbols else 0)
 
 
 class TestPushArc:

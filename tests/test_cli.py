@@ -74,6 +74,17 @@ def test_fiber_dim_with_oracle(tmp_path, capsys):
     assert report["oracle"]["match"] is True
 
 
+def test_fiber_dim_evaluates_the_formula_once(tmp_path, capsys, monkeypatch):
+    from jetspace import analysis
+
+    calls = []
+    formula = analysis.fiber_dim_formula
+    monkeypatch.setattr(analysis, "fiber_dim_formula", lambda *a: calls.append(a) or formula(*a))
+    path = _write(tmp_path, CUSP_DOC)
+    assert _run(capsys, ["fiber-dim", path, "--n", "3"])[0] == 0
+    assert len(calls) == 1
+
+
 def test_parameter_falls_back_to_document(tmp_path, capsys):
     path = _write(tmp_path, CUSP_DOC)
     code, out, _ = _run(capsys, ["fiber-dim", path])
@@ -396,6 +407,30 @@ def test_golden_catalog_text(capsys):
     assert hashlib.sha256(out.encode()).hexdigest() == CATALOG_TEXT_SHA256
 
 
+# Text output with JETSPACE_PRECISION_CAP=4, where the arc-level profile of
+# the singular jet stays precision limited.  At the default precision it
+# serves every level up to n_max; with --precision 8 <= n_max it serves none
+# of the higher levels, so it is recomputed once at precision n_max + 1.
+CAP4_GOLDEN_OUTPUTS = [
+    (("embdim-arc", "--arc", "singular-jet", "--n-max", "12"), 0, "27a60640df38b7eb64ee708985198278cd49429da1a3ee16fdea8f83f2dca4d1"),
+    (("embdim-arc", "--arc", "singular-jet", "--n-max", "12", "--precision", "8"), 0, "08b36dbd97868be94f074b18f833c309f2574cd8dbd67ee4e23e422cad6425b9"),
+    (("jet-codim", "--arc", "singular-jet", "--n-max", "12", "--precision", "8", "--strict"), 2, "dd26fa5adaa2388fc92ae1e51ce1e0aa9c3765684f11c0a74d26177d60dc5b8b"),
+]
+
+
+@pytest.mark.parametrize(
+    "argv, expected_code, expected_sha256",
+    CAP4_GOLDEN_OUTPUTS,
+    ids=[" ".join(argv) for argv, _, _ in CAP4_GOLDEN_OUTPUTS],
+)
+def test_golden_whitney_output_at_precision_cap_4(capsys, monkeypatch, argv, expected_code, expected_sha256):
+    monkeypatch.setenv("JETSPACE_PRECISION_CAP", "4")
+    command, *flags = argv
+    code, out, _ = _run(capsys, [command, str(PROBLEMS / "whitney.json"), *flags, "--format", "text"])
+    assert code == expected_code
+    assert hashlib.sha256(out.encode()).hexdigest() == expected_sha256
+
+
 # Usage errors and unaccepted flags: exit 1 with a typed error, never SystemExit.
 @pytest.mark.parametrize(
     "argv",
@@ -499,13 +534,31 @@ def test_precision_cap_out_of_range_rejected(tmp_path, capsys, monkeypatch, cap)
     assert err.startswith("error[InputError]: JETSPACE_PRECISION_CAP=")
 
 
+@pytest.mark.parametrize(
+    "task, message",
+    [
+        ({"command": "fiber-dimm"}, 'tasks[1].command: unknown command "fiber-dimm"'),
+        ({"command": ["fiber-dim"]}, 'tasks[1].command: unknown command ["fiber-dim"]'),
+        ({"command": "fiber-dim", "level": 1}, "tasks[1].level: not a parameter of 'fiber-dim'"),
+        ({"command": "fiber-dim", "n_max": 4}, "tasks[1].n_max: not a parameter of 'fiber-dim'"),
+    ],
+)
+def test_task_with_unknown_command_or_unread_key_rejected(tmp_path, capsys, task, message):
+    doc = dict(CUSP_DOC, tasks=[{"command": "profile"}, task])
+    path = _write(tmp_path, doc)
+    code, out, err = _run(capsys, ["profile", path])
+    assert code == 1
+    assert out == ""
+    assert err.startswith("error[InputError]: ") and message in err
+
+
 def test_digit_divisor_var_is_a_one_based_index(capsys):
     path = str(PROBLEMS / "blowup-plane.json")
     by_name = json.loads(_run(capsys, ["divisorial", path, "--divisor-var", "u", "--q", "1"])[1])
     code, out, _ = _run(capsys, ["divisorial", path, "--divisor-var", "1", "--q", "1"])
     assert code == 0
     by_index = json.loads(out)
-    assert by_index["divisor_var"] == "1"
+    assert by_index["divisor_var"] == "u"
     assert by_index["source_arc"] == by_name["source_arc"]
     assert by_index["image_arc"] == by_name["image_arc"]
     argv = ["mather-check", path, "--q", "2", "--divisor-var"]

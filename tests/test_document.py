@@ -9,7 +9,7 @@ from conftest import Q, fe, var
 from jetspace.document import parse_document
 from jetspace.errors import DenominatorNotUnit, InputError, ParseError
 from jetspace.exact import BaseField, SparsePolynomial
-from jetspace.exprs import MAX_EXPONENT, parse_polynomial, parse_series_expression
+from jetspace.exprs import MAX_EXPONENT, MAX_POWER_TERMS, parse_polynomial, parse_series_expression
 from jetspace.series import OrderValue
 
 
@@ -123,6 +123,26 @@ class TestExponentCeiling:
         with pytest.raises(ParseError) as info:
             parse_series_expression(text, Q, ("u",))
         assert info.value.column == column
+
+    @pytest.mark.parametrize(
+        "text, column, message",
+        [
+            ("(a+b+c+d+e+f)^256", 15, "power 256 of a 6-term base"),
+            ("(a+b+c)^44", 9, "power 44 of a 3-term base"),
+            ("((a+b)^8)^8", 11, "power 8 of a 9-term base"),
+        ],
+    )
+    def test_polynomial_power_above_term_ceiling_rejected(self, text, column, message):
+        with pytest.raises(ParseError) as info:
+            parse_polynomial(text, Q, tuple("abcdef"))
+        assert info.value.column == column
+        assert message in str(info.value) and str(MAX_POWER_TERMS) in str(info.value)
+
+    def test_series_power_above_term_ceiling_rejected(self):
+        with pytest.raises(ParseError) as info:
+            parse_series_expression("t*(1 + a*t + b*t^2 + c*t^3)^60", Q, ("a", "b", "c"))
+        assert info.value.column == 29
+        assert "power 60 of a 4-term base" in str(info.value)
 
     def test_series_power_at_ceiling_accepted(self):
         expr = parse_series_expression("((t/(1 - t))^2)^128", Q, ())

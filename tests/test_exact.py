@@ -244,36 +244,48 @@ def _sympy_rank(rows, cols, domain):
     return DomainMatrix(entries, (len(rows), cols), domain).rank()
 
 
+def _trdeg(elements, field=Q):
+    """Transcendence degree of one block of elements, over all their variables."""
+    names = sorted({name for g in elements for name in g.variables()})
+    return transcendence_degree([elements], names, field)
+
+
 class TestTranscendenceDegree:
     def test_two_independent(self):
         u1, u2 = fev("u1"), fev("u2")
-        assert transcendence_degree([u1, u2, u1 * u2]).value == 2
+        assert _trdeg([u1, u2, u1 * u2]).ranks == [2]
 
     def test_constants(self):
-        assert transcendence_degree([fe(3), fe(Fraction(1, 2))]).value == 0
+        assert _trdeg([fe(3), fe(Fraction(1, 2))]).ranks == [0]
 
     def test_powers_of_one_variable(self):
         u1 = fev("u1")
-        assert transcendence_degree([u1 * u1, u1 * u1 * u1]).value == 1
+        assert _trdeg([u1 * u1, u1 * u1 * u1]).ranks == [1]
 
     def test_char_p_flag(self):
         f3 = BaseField(3)
         u = FieldElement.variable(f3, "u")
-        result = transcendence_degree([u])
-        assert result.value == 1
+        result = _trdeg([u], f3)
+        assert result.ranks == [1]
         assert result.char_p_jacobian
-        assert not transcendence_degree([fev("u")]).char_p_jacobian
+        assert not _trdeg([fev("u")]).char_p_jacobian
 
     def test_invariance_under_permutation_and_combination(self):
         rng = random.Random(3)
         for _ in range(10):
             elems = [_random_field_element(rng) for _ in range(3)]
-            base = transcendence_degree(elems).value
+            base = _trdeg(elems).ranks
             shuffled = list(elems)
             rng.shuffle(shuffled)
-            assert transcendence_degree(shuffled).value == base
+            assert _trdeg(shuffled).ranks == base
             extended = elems + [elems[0] * elems[1] + elems[2]]
-            assert transcendence_degree(extended).value == base
+            assert _trdeg(extended).ranks == base
+
+    def test_rank_after_each_block(self):
+        u1, u2 = fev("u1"), fev("u2")
+        blocks = [[fe(2)], [u1 * u1], [u1 + fe(1)], [u1 * u2, u2]]
+        result = transcendence_degree(blocks, ["u1", "u2"], Q)
+        assert result == ([0, 1, 1, 2], False)
 
 
 def test_polynomial_rendering_is_deterministic():

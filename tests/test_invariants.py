@@ -5,9 +5,9 @@ from fractions import Fraction
 
 import pytest
 
-from conftest import Q, affine_space, cusp_variety, fe, tser, whitney_variety
+from conftest import Q, affine_space, cusp_variety, fe, sexpr, tser, whitney_variety
 from jetspace.arcs import generic_arc, make_arc
-from jetspace.errors import MatrixTooLarge
+from jetspace.errors import MatrixTooLarge, PrecisionTooLow
 from jetspace.invariants import (
     fitting_minor_oracle,
     profile_of_omega,
@@ -221,3 +221,48 @@ def test_betti_monotone_cusp():
     bettis = [profile_of_omega(arc, n).betti for n in range(9)]
     assert all(a >= b for a, b in zip(bettis, bettis[1:]))
     assert bettis[0] == 2 and bettis[-1] == 1
+
+
+# The level-n profile derived from the arc-level pivots equals a fresh
+# diagonalization at level n: every catalog arc, every level below the
+# refined precision, including precision-limited arcs at a low cap.
+@pytest.mark.parametrize("start, cap", [(4, 4), (8, 16), (16, 64)])
+def test_at_level_matches_profile_of_omega_on_catalog(start, cap):
+    from jetspace.catalog import build_catalog
+
+    limited = 0
+    for entry in build_catalog():
+        for spec in entry.arcs:
+            arc = make_arc(entry.variety, spec.components, start)
+            profile, arc = refined_profile_of_omega(arc, cap)
+            limited += profile.precision_limited
+            for n in range(profile.precision):
+                assert profile.at_level(n) == profile_of_omega(arc, n), (entry.key, spec.name, n)
+    assert limited
+
+
+@pytest.mark.parametrize("e", [1, 2])
+def test_at_level_on_limited_whitney_arc_at_cap_4(e):
+    arc = make_arc(whitney_variety(), [SeriesExpression.t_power(Q, e), sexpr(0), sexpr(0)], 4)
+    profile, arc = refined_profile_of_omega(arc, 4)
+    assert profile.precision_limited and profile.precision == 4
+    for n in range(4):
+        assert profile.at_level(n) == profile_of_omega(arc, n)
+    with pytest.raises(PrecisionTooLow):
+        profile.at_level(4)
+
+
+def test_at_level_beyond_precision_of_a_resolved_profile():
+    # A profile with no undecided block serves every level.
+    arc = make_arc(cusp_variety(), [SeriesExpression.t_power(Q, 2), SeriesExpression.t_power(Q, 3)], 6)
+    profile = profile_of_omega(arc)
+    assert not profile.precision_limited
+    finer = arc.with_precision(13)
+    for n in range(13):
+        assert profile.at_level(n) == profile_of_omega(finer, n)
+
+
+def test_at_level_needs_an_arc_level_profile():
+    arc = make_arc(cusp_variety(), [SeriesExpression.t_power(Q, 2), SeriesExpression.t_power(Q, 3)], 6)
+    with pytest.raises(ValueError):
+        profile_of_omega(arc, 3).at_level(2)
