@@ -16,9 +16,12 @@ where D is the free rank of the pulled-back differentials along the arc
 and dim(alpha_n) the transcendence degree of the residue field of the
 level-n truncation.  No jet level is diagonalized on its own: the level-n
 module is the arc-level one base-changed to k[t]/t^(n+1), so its profile
-comes from the arc-level pivots (``InvariantProfile.at_level``).  One
-elimination gives dim(alpha_n) at every level
-(``Arc.residue_dimension_profile``).  Stabilization of s_n is detected
+comes from the arc-level pivots (``InvariantProfile.at_level``).  Each
+command refines an arc once, and every level is read off that one
+profile: the oracle's fiber dimensions at all its levels, and level 0,
+which is Omega_X at the arc's center, so its free rank N - rank J(center)
+is the BTR smoothness test.  One elimination gives dim(alpha_n) at every
+level (``Arc.residue_dimension_profile``).  Stabilization of s_n is detected
 heuristically over a window; a sequence that keeps growing is reported
 as "suspected infinite", never as a proof.
 """
@@ -26,8 +29,9 @@ as "suspected infinite", never as a proof.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import Sequence
 
-from .arcs import Arc, generic_arc, push_arc, validate_morphism_on_arc
+from .arcs import Arc, generic_arc, push_arc
 from .errors import (
     InputError,
     InternalInvariantViolation,
@@ -35,7 +39,6 @@ from .errors import (
     NonDivisibleJacobianOrder,
     PrecisionLimited,
 )
-from .exact import FieldElement, matrix_rank
 from .geometry import MorphismPresentation, relative_omega_presentation
 from .invariants import (
     InvariantProfile,
@@ -48,6 +51,7 @@ from .series import PRECISION_CAP, OrderValue
 
 DEFAULT_N_MAX = 12
 DEFAULT_WINDOW = 3
+ORACLE_LEVELS = range(7)  # the levels an oracle check covers when none is named
 
 
 @dataclass(frozen=True)
@@ -78,18 +82,22 @@ class FiberDimension:
         }
 
 
-def fiber_dim_formula(arc: Arc, n: int, cap: int = PRECISION_CAP) -> FiberDimension:
+def _refined(arc: Arc, n: int, cap: int) -> tuple[InvariantProfile, Arc]:
+    """Arc-level profile of an arc that knows its coefficients up to level n."""
+    if arc.precision <= n:
+        arc = arc.with_precision(n + 1)
+    return refined_profile_of_omega(arc, cap)
+
+
+def _fiber_dimension(arc_profile: InvariantProfile, arc: Arc, n: int) -> FiberDimension:
     """(n+1) d_n plus the order of the matching Fitting ideal on the arc.
 
     d_n is the level-n free rank and the Fitting order a tail sum, both
-    read off the arc-level decomposition (refined as needed).  The tail
-    sums are exact even when the arc-level free rank is provisional,
-    because a hidden factor lies above the working precision and
-    therefore below index d_n in the descending order.
+    read off the arc-level decomposition.  The tail sums are exact even
+    when the arc-level free rank is provisional, because a hidden factor
+    lies above the working precision and therefore below index d_n in
+    the descending order.
     """
-    if arc.precision <= n:
-        arc = arc.with_precision(n + 1)
-    arc_profile, arc = refined_profile_of_omega(arc, cap)
     d_n = arc_profile.at_level(n).betti
     c = arc_profile.fitting_invariant(d_n)
     if not c.is_finite:
@@ -105,6 +113,11 @@ def fiber_dim_formula(arc: Arc, n: int, cap: int = PRECISION_CAP) -> FiberDimens
         arc_profile=arc_profile,
         arc=arc,
     )
+
+
+def fiber_dim_formula(arc: Arc, n: int, cap: int = PRECISION_CAP) -> FiberDimension:
+    """Fiber dimension at level n from the refined arc-level profile."""
+    return _fiber_dimension(*_refined(arc, n, cap), n)
 
 
 @dataclass(frozen=True)
@@ -135,11 +148,21 @@ class OracleCheck:
         }
 
 
-def oracle_check(arc: Arc, n: int, cap: int = PRECISION_CAP) -> OracleCheck:
-    """Compare the fiber-dimension formula with the jet Jacobian corank."""
-    fiber = fiber_dim_formula(arc, n, cap)
-    jet = fiber.arc.truncate(n)
-    return OracleCheck(fiber, jet_jacobian_corank(arc.variety, n, jet.coordinates))
+def oracle_check(
+    arc: Arc, levels: Sequence[int], cap: int = PRECISION_CAP
+) -> list[OracleCheck]:
+    """Compare the fiber-dimension formula with the jet Jacobian corank, level by level.
+
+    The arc is refined once; every level's formula reads that profile.
+    """
+    profile, arc = _refined(arc, max(levels), cap)
+    return [
+        OracleCheck(
+            _fiber_dimension(profile, arc, n),
+            jet_jacobian_corank(arc.variety, n, arc.truncate(n).coordinates),
+        )
+        for n in levels
+    ]
 
 
 @dataclass(frozen=True)
@@ -394,23 +417,6 @@ class BtrReport:
         }
 
 
-def _smooth_at_center(f: MorphismPresentation, beta: Arc, source_dim: int) -> bool:
-    """Jacobian criterion for the source at the arc's center."""
-    if not f.source.generators:
-        return True
-    center = dict(zip(f.source.variables, beta.center()))
-    field = f.source.base
-
-    def const(c):
-        return FieldElement.from_scalar(field, c)
-
-    rows = [
-        [g.derivative(v).evaluate(center, const) for v in f.source.variables]
-        for g in f.source.generators
-    ]
-    return matrix_rank(rows) == len(f.source.variables) - source_dim
-
-
 def btr_check(
     f: MorphismPresentation,
     beta: Arc,
@@ -425,7 +431,6 @@ def btr_check(
     embedding dimensions on both sides, the two-sided inequalities, and
     the equality whenever the source is smooth at the arc's center.
     """
-    validate_morphism_on_arc(f, beta)
     alpha = push_arc(f, beta)
     relative = relative_omega_presentation(f)
     rel_profile, beta = refined_pullback_profile(relative, beta, cap)
@@ -435,7 +440,8 @@ def btr_check(
     source_dim = f.source.declared_dim
     if source_dim is None:
         source_dim = source_report.arc_profile.betti
-    smooth = _smooth_at_center(f, beta, source_dim)
+    # Level 0 is Omega_X at the center: free rank N - rank J(center).
+    smooth = not f.source.generators or source_report.arc_profile.at_level(0).betti == source_dim
     ineq = _at_most(source_report, target_report) and _at_most_sum(
         target_report, source_report, ord_jac
     )

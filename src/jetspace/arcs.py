@@ -253,17 +253,3 @@ def push_arc(f: MorphismPresentation, beta: Arc) -> Arc:
     except NotOnVariety as err:
         raise MorphismInvalidOnArc(err.generator_index, err.order) from err
 
-
-def validate_morphism_on_arc(f: MorphismPresentation, beta: Arc) -> None:
-    """Check every target generator vanishes mod t^P on the image of beta."""
-    field = f.source.base
-    env = dict(zip(f.source.variables, beta.expansions))
-    image_series = [
-        evaluate_poly_at_series(c, env, beta.precision) for c in f.components
-    ]
-    target_env = dict(zip(f.target.variables, image_series))
-    for j, g in enumerate(f.target.generators):
-        value = evaluate_poly_at_series(g, target_env, beta.precision)
-        ord_g = value.order()
-        if ord_g.is_finite:
-            raise MorphismInvalidOnArc(j, ord_g.value)

@@ -20,10 +20,10 @@ from fractions import Fraction
 from typing import Callable
 
 from .analysis import (
+    ORACLE_LEVELS,
     btr_check,
     embdim_arc,
     embdim_jet,
-    fiber_dim_formula,
     jet_codim,
     mather_discrepancy_check,
     oracle_check,
@@ -31,11 +31,10 @@ from .analysis import (
 from .arcs import Arc, GenericComponent, make_arc
 from .exact import BaseField, FieldElement, RATIONALS, SparsePolynomial
 from .geometry import MorphismPresentation, VarietyPresentation, jacobian_ideal_generators
-from .invariants import fitting_minor_oracle, profile_of_omega, refined_profile_of_omega, smith_orders
+from .invariants import fitting_minor_oracle, profile_of_omega, smith_orders
 from .series import OrderValue, SeriesExpression, TruncatedSeries
 
 _Q = RATIONALS
-_ORACLE_MAX_LEVEL = 6
 _TRUNCATION_MAX_LEVEL = 8
 _STAB_N_MAX = 12
 _FITTING_TRIALS = 200
@@ -278,18 +277,16 @@ def _order_values_match(a: OrderValue, b: OrderValue) -> bool:
     return (not a.is_finite) or a.value == b.value
 
 
-def check_oracle_equivalence(catalog=None) -> CheckResult:
+def check_oracle_equivalence() -> CheckResult:
     """Fiber-dimension formula vs. jet Jacobian corank, levels 0..6."""
-    catalog = catalog or build_catalog()
     failures = []
     values = {}
     cases = 0
-    for entry in catalog:
+    for entry in build_catalog():
         for arc_spec in entry.arcs:
             arc = make_arc(entry.variety, arc_spec.components, 16)
             row = []
-            for n in range(_ORACLE_MAX_LEVEL + 1):
-                result = oracle_check(arc, n, cap=64)
+            for result in oracle_check(arc, ORACLE_LEVELS, cap=64):
                 cases += 1
                 row.append(result.formula_value)
                 if not result.match:
@@ -297,7 +294,7 @@ def check_oracle_equivalence(catalog=None) -> CheckResult:
                         {
                             "variety": entry.key,
                             "arc": arc_spec.name,
-                            "level": n,
+                            "level": result.fiber.level,
                             "formula": result.formula_value,
                             "corank": result.corank,
                         }
@@ -315,20 +312,18 @@ def check_cusp_numbers() -> CheckResult:
     """Pinned invariants of the cuspidal arc (t^2, t^3)."""
     catalog = {e.key: e for e in build_catalog()}
     entry = catalog["cusp"]
-    arc = make_arc(entry.variety, entry.arcs[0].components, 16)
-    profile, arc = refined_profile_of_omega(arc)
+    oracle3 = oracle_check(make_arc(entry.variety, entry.arcs[0].components, 16), [3])[0]
+    profile, arc = oracle3.fiber.arc_profile, oracle3.fiber.arc
     jac_gens = jacobian_ideal_generators(entry.variety, 1)
     ord_jac = arc.ord_ideal(jac_gens)
-    fiber = fiber_dim_formula(arc, 3)
-    corank3 = oracle_check(arc, 3).corank
     emb = embdim_jet(arc, 3)
     got = {
         "free_rank": profile.betti,
         "factors": list(profile.factors),
         "ord_jacobian_ideal": ord_jac.to_json(),
         "ord_jacobian_via_fitting": profile.fitting_invariant(1).to_json(),
-        "fiber_dim_n3": fiber.value,
-        "jet_jacobian_corank_n3": corank3,
+        "fiber_dim_n3": oracle3.formula_value,
+        "jet_jacobian_corank_n3": oracle3.corank,
         "embdim_jet_n3": emb.value,
     }
     passed = (
@@ -336,8 +331,8 @@ def check_cusp_numbers() -> CheckResult:
         and list(profile.factors) == [3]
         and ord_jac == OrderValue.finite(3)
         and profile.fitting_invariant(1) == OrderValue.finite(3)
-        and fiber.value == 7
-        and corank3 == 7
+        and oracle3.formula_value == 7
+        and oracle3.corank == 7
         and emb.value == 7
     )
     return CheckResult("cusp-numbers", passed, 7, got)
@@ -362,12 +357,12 @@ def _random_series_matrix(rng: random.Random, precision: int):
     return matrix, cols
 
 
-def check_fitting_oracle(trials: int = _FITTING_TRIALS) -> CheckResult:
+def check_fitting_oracle() -> CheckResult:
     """Diagonalization-based Fitting orders vs. raw minors, random matrices."""
     rng = random.Random(_FITTING_SEED)
     failures = []
     cases = 0
-    for trial in range(trials):
+    for trial in range(_FITTING_TRIALS):
         matrix, cols = _random_series_matrix(rng, 24)
         profile = smith_orders(matrix, cols)
         for i in range(cols + 1):
@@ -384,16 +379,15 @@ def check_fitting_oracle(trials: int = _FITTING_TRIALS) -> CheckResult:
                     }
                 )
     return CheckResult(
-        "fitting-oracle", not failures, cases, {"trials": trials, "failures": failures}
+        "fitting-oracle", not failures, cases, {"trials": _FITTING_TRIALS, "failures": failures}
     )
 
 
-def check_truncation_compatibility(catalog=None) -> CheckResult:
+def check_truncation_compatibility() -> CheckResult:
     """e_i at level n equals min(n+1, e_i at level m) for n < m <= 8."""
-    catalog = catalog or build_catalog()
     failures = []
     cases = 0
-    for entry in catalog:
+    for entry in build_catalog():
         width = len(entry.variety.variables)
         for arc_spec in entry.arcs:
             arc = make_arc(entry.variety, arc_spec.components, _TRUNCATION_MAX_LEVEL + 2)
@@ -423,12 +417,11 @@ def check_truncation_compatibility(catalog=None) -> CheckResult:
     )
 
 
-def check_betti_monotonicity(catalog=None) -> CheckResult:
+def check_betti_monotonicity() -> CheckResult:
     """Level-n free rank never increases with n."""
-    catalog = catalog or build_catalog()
     failures = []
     cases = 0
-    for entry in catalog:
+    for entry in build_catalog():
         for arc_spec in entry.arcs:
             arc = make_arc(entry.variety, arc_spec.components, _TRUNCATION_MAX_LEVEL + 2)
             previous = None
@@ -443,13 +436,12 @@ def check_betti_monotonicity(catalog=None) -> CheckResult:
     return CheckResult("betti-monotonicity", not failures, cases, {"failures": failures})
 
 
-def check_codim_monotonicity(catalog=None) -> CheckResult:
+def check_codim_monotonicity() -> CheckResult:
     """s_n sequences are non-decreasing and bounded below by D - dim(center)."""
-    catalog = catalog or build_catalog()
     failures = []
     sequences = {}
     cases = 0
-    for entry in catalog:
+    for entry in build_catalog():
         for arc_spec in entry.arcs:
             arc = make_arc(entry.variety, arc_spec.components, _STAB_N_MAX + 4)
             report = embdim_arc(arc, n_max=_STAB_N_MAX, cap=96)
@@ -488,7 +480,7 @@ def _random_chart_arc(rng: random.Random, chart: MorphismPresentation, precision
     return make_arc(chart.source, comps, precision)
 
 
-def check_btr(trials: int = _BTR_TRIALS) -> CheckResult:
+def check_btr() -> CheckResult:
     """Birational transformation rule on blow-up charts, randomized arcs."""
     rng = random.Random(_BTR_SEED)
     failures = []
@@ -496,7 +488,7 @@ def check_btr(trials: int = _BTR_TRIALS) -> CheckResult:
     summary = []
     for dim in (2, 3):
         chart = blow_up_chart(dim)
-        for trial in range(trials):
+        for trial in range(_BTR_TRIALS):
             beta = _random_chart_arc(rng, chart, 16)
             report = btr_check(chart, beta, n_max=_STAB_N_MAX, cap=96)
             cases += 1
@@ -592,12 +584,11 @@ def check_infinite_detection() -> CheckResult:
     )
 
 
-def check_embdim_equals_jet_codim(catalog=None) -> CheckResult:
+def check_embdim_equals_jet_codim() -> CheckResult:
     """Embedding dimension agrees with jet codimension off the singular arcs."""
-    catalog = catalog or build_catalog()
     failures = []
     cases = 0
-    for entry in catalog:
+    for entry in build_catalog():
         for arc_spec in entry.arcs:
             if not arc_spec.off_singular_locus:
                 continue

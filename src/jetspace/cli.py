@@ -25,6 +25,7 @@ from typing import Any, Callable
 from .analysis import (
     DEFAULT_N_MAX,
     DEFAULT_WINDOW,
+    ORACLE_LEVELS,
     btr_check,
     divisorial_arc,
     embdim_arc,
@@ -98,7 +99,7 @@ COMMANDS = {
     "fiber-dim": Command(
         "fiber dimension of jet-scheme differentials, with oracle cross-check",
         {**_ARC, "n": REQUIRED},
-        lambda doc, v, cap: oracle_check(v.arc, v.n, cap),
+        lambda doc, v, cap: oracle_check(v.arc, [v.n], cap)[0],
         lambda check, v: {"fiber_dim": check.fiber.to_json(), "oracle": check.to_json()},
     ),
     "embdim-jet": Command(
@@ -150,9 +151,7 @@ COMMANDS = {
     "oracle-check": Command(
         "fiber-dimension formula vs jet Jacobian corank",
         {**_ARC, "n": None},
-        lambda doc, v, cap: [
-            oracle_check(v.arc, level, cap) for level in (range(7) if v.n is None else [v.n])
-        ],
+        lambda doc, v, cap: oracle_check(v.arc, ORACLE_LEVELS if v.n is None else [v.n], cap),
         lambda checks, v: {
             "checks": [check.to_json() for check in checks],
             "all_match": all(check.match for check in checks),

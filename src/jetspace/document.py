@@ -137,7 +137,8 @@ def _expect(mapping, key, kind, context, default=None, required=False):
             raise InputError(f"{context}: missing required key {key!r}")
         return default
     value = mapping[key]
-    if kind is not None and not isinstance(value, kind):
+    # A JSON true or false is never an integer here, although Python's bool is an int.
+    if kind is not None and (not isinstance(value, kind) or isinstance(value, bool)):
         raise InputError(f"{context}.{key}: expected {kind.__name__}, got {type(value).__name__}")
     return value
 
@@ -170,6 +171,8 @@ def _parse_variety(block, field, context) -> VarietyPresentation:
             parse_polynomial(text, field, variables, f"{context}.generators[{i}]")
         )
     declared = _expect(block, "declared_dim", int, context)
+    if declared is not None and not 0 <= declared <= len(variables):
+        raise InputError(f"{context}.declared_dim: {declared} is not in 0..{len(variables)}")
     name = _expect(block, "name", str, context, default="")
     return VarietyPresentation(field, tuple(variables), tuple(generators), declared, name)
 
@@ -183,10 +186,10 @@ def _parse_component(value, index, field, transcendentals, context):
         spec = value["generic"]
         start = 0
         if isinstance(spec, dict):
-            start = spec.get("start", 0)
+            start = _expect(spec, "start", int, f"{context}[{index}].generic", default=0)
         elif spec is not None:
             raise InputError(f"{context}[{index}].generic: expected an object")
-        if not isinstance(start, int) or start < 0:
+        if start < 0:
             raise InputError(f"{context}[{index}].generic.start: expected a natural number")
         return GenericComponent(index + 1, start)
     raise InputError(f"{context}[{index}]: expected an expression string or a generic spec")

@@ -9,7 +9,7 @@ import json
 import time
 
 from conftest import Q
-from jetspace.analysis import embdim_arc, embdim_jet, fiber_dim_formula, oracle_check
+from jetspace.analysis import embdim_arc, embdim_jet, oracle_check
 from jetspace.arcs import make_arc
 from jetspace.catalog import (
     blow_up_chart,
@@ -56,8 +56,8 @@ def test_criterion_2_cusp_numbers():
     arc = make_arc(entry.variety, entry.arcs[0].components, 16)
     profile, arc = refined_profile_of_omega(arc)
     ord_jac = arc.ord_ideal(jacobian_ideal_generators(entry.variety, 1))
-    fiber = fiber_dim_formula(arc, 3)
-    corank = oracle_check(arc, 3).corank
+    oracle = oracle_check(arc, [3])[0]
+    fiber, corank = oracle.fiber, oracle.corank
     emb = embdim_jet(arc, 3)
     ok = (
         profile.betti == 1
@@ -76,7 +76,7 @@ def test_criterion_2_cusp_numbers():
 
 
 def test_criterion_3_fitting_oracle():
-    result = check_fitting_oracle(trials=200)
+    result = check_fitting_oracle()
     assert _report(
         "criterion 3: smith c_i = minor oracle on 200 random matrices",
         result.passed,
@@ -103,7 +103,7 @@ def test_criterion_5_monotonicity_and_lower_bound():
 
 
 def test_criterion_6_btr():
-    result = check_btr(trials=20)
+    result = check_btr()
     assert _report(
         "criterion 6: BTR inequalities and smooth-center equality, 20 arcs per chart",
         result.passed,

@@ -1,8 +1,21 @@
 """Fiber dimensions, embedding dimensions, BTR, divisorial arcs."""
 
 import pytest
+import sympy
+from sympy.polys.domains import GF
+from sympy.polys.matrices import DomainMatrix
 
-from conftest import Q, affine_space, blowup_chart_2d, cusp_variety, fev, sexpr, var, whitney_variety
+from conftest import (
+    Q,
+    affine_space,
+    blowup_chart_2d,
+    cusp_variety,
+    fev,
+    sexpr,
+    to_sympy,
+    var,
+    whitney_variety,
+)
 from jetspace.analysis import (
     btr_check,
     divisorial_arc,
@@ -14,9 +27,12 @@ from jetspace.analysis import (
     oracle_check,
 )
 from jetspace.arcs import GenericComponent, generic_arc, make_arc
+from jetspace.catalog import build_catalog
 from jetspace.errors import InputError, MissingDeclaredDim
 from jetspace.exact import SparsePolynomial
 from jetspace.geometry import MorphismPresentation, VarietyPresentation
+from jetspace.invariants import refined_profile_of_omega
+from jetspace.jets import jet_jacobian_corank
 from jetspace.series import OrderValue, SeriesExpression
 
 
@@ -157,6 +173,58 @@ class TestBtr:
         assert report.inequalities_hold and report.equality_holds
 
 
+    def test_source_with_generators_smoothness_at_the_center(self):
+        # the cusp y^2 = x^3 mapped into the plane by (x, y)
+        cusp = cusp_variety()
+        f = MorphismPresentation(cusp, affine_space(2, names=("x", "y")), (var("x"), var("y")))
+        through_cusp = make_arc(cusp, [SeriesExpression.t_power(Q, 2), SeriesExpression.t_power(Q, 3)], 16)
+        off_cusp = make_arc(cusp, [sexpr(1, 2, 1), sexpr(1, 3, 3, 1)], 16)  # ((1+t)^2, (1+t)^3)
+        assert btr_check(f, through_cusp).smooth_at_center is False
+        assert btr_check(f, off_cusp).smooth_at_center is True
+
+
+class TestOneRefinement:
+    """Every level, level 0 included, is read off one arc-level profile."""
+
+    @staticmethod
+    def _catalog_arcs():
+        for entry in build_catalog():
+            for spec in entry.arcs:
+                yield entry, spec
+
+    def test_oracle_levels_match_the_per_level_routes(self):
+        cases = [(e.variety, s.components, 16, 64) for e, s in self._catalog_arcs()]
+        # refinement stops at the cap: the whitney arcs come out precision limited
+        cases += [(e.variety, s.components, 1, 4) for e, s in self._catalog_arcs() if e.key == "whitney"]
+        for variety, components, precision, cap in cases:
+            arc = make_arc(variety, components, precision)
+            checks = oracle_check(arc, range(7), cap)
+            assert [check.fiber.level for check in checks] == list(range(7))
+            for n, check in enumerate(checks):
+                fiber = fiber_dim_formula(arc, n, cap)
+                jet = fiber.arc.truncate(n)
+                assert check.formula_value == fiber.value, (variety.name, n)
+                assert check.fiber.jet_betti == fiber.jet_betti
+                assert check.fiber.fitting_order == fiber.fitting_order
+                assert check.corank == jet_jacobian_corank(variety, n, jet.coordinates)
+
+    def test_level_zero_free_rank_is_the_corank_of_the_jacobian_at_the_center(self):
+        for entry, spec in self._catalog_arcs():
+            variety = entry.variety
+            profile, arc = refined_profile_of_omega(make_arc(variety, spec.components, 16), 64)
+            names = [sympy.Symbol(v) for v in variety.variables]
+            center = {x: to_sympy(c) for x, c in zip(names, arc.center())}
+            jacobian = sympy.Matrix(
+                [[sympy.diff(to_sympy(g), x).subs(center) for x in names] for g in variety.generators]
+            )
+            p = variety.base.characteristic
+            if p:
+                rank = DomainMatrix.from_Matrix(jacobian).convert_to(GF(p)).rank()
+            else:
+                rank = jacobian.rank()
+            assert profile.at_level(0).betti == len(names) - rank, (entry.key, spec.name)
+
+
 class TestDivisorial:
     def test_contact_orders_on_identity_line(self):
         line = affine_space(1, names=("x",))
@@ -224,8 +292,7 @@ def test_formula_vs_oracle_on_mixed_arcs():
         generic_arc(affine_space(2), [1, 0], 10),
     ]
     for arc in arcs:
-        for n in range(5):
-            assert oracle_check(arc, n).match
+        assert all(check.match for check in oracle_check(arc, range(5)))
 
 
 def test_formula_vs_oracle_random_monomial_curves():
@@ -267,8 +334,8 @@ def test_formula_vs_oracle_random_monomial_curves():
                 ],
                 12,
             )
-            for n in range(4):
-                assert oracle_check(arc, n, cap=48).match, (field, a, b, n)
+            for check in oracle_check(arc, range(4), cap=48):
+                assert check.match, (field, a, b, check.fiber.level)
             profiles = [profile_of_omega(arc, n) for n in range(5)]
             for m in range(1, 5):
                 for n in range(m):

@@ -78,8 +78,8 @@ def test_fiber_dim_evaluates_the_formula_once(tmp_path, capsys, monkeypatch):
     from jetspace import analysis
 
     calls = []
-    formula = analysis.fiber_dim_formula
-    monkeypatch.setattr(analysis, "fiber_dim_formula", lambda *a: calls.append(a) or formula(*a))
+    refine = analysis.refined_profile_of_omega
+    monkeypatch.setattr(analysis, "refined_profile_of_omega", lambda *a: calls.append(a) or refine(*a))
     path = _write(tmp_path, CUSP_DOC)
     assert _run(capsys, ["fiber-dim", path, "--n", "3"])[0] == 0
     assert len(calls) == 1
@@ -229,6 +229,29 @@ def test_oracle_check_all_levels(tmp_path, capsys):
     report = json.loads(out)
     assert report["all_match"] is True
     assert [c["level"] for c in report["checks"]] == list(range(7))
+
+
+def test_oracle_check_refines_the_arc_once_for_all_levels(tmp_path, capsys, monkeypatch):
+    from jetspace import analysis
+
+    calls = []
+    refine = analysis.refined_profile_of_omega
+    monkeypatch.setattr(analysis, "refined_profile_of_omega", lambda *a: calls.append(a) or refine(*a))
+    monkeypatch.setenv("JETSPACE_PRECISION_CAP", "48")
+    path = _write(tmp_path, WHITNEY_DOC)
+    code, out, _ = _run(capsys, ["oracle-check", path, "--arc", "singular-generic", "--strict"])
+    assert code == 2
+    assert len(json.loads(out)["checks"]) == 7
+    assert len(calls) == 1
+
+
+def test_negative_declared_dim_is_an_input_error(tmp_path, capsys):
+    doc = json.loads(json.dumps(CUSP_DOC))
+    doc["variety"]["declared_dim"] = -2
+    path = _write(tmp_path, doc)
+    code, _, err = _run(capsys, ["jet-codim", path, "--dim-source", "declared"])
+    assert code == 1
+    assert err.startswith("error[InputError]: variety.declared_dim")
 
 
 def test_validation_error_exit_code(tmp_path, capsys):

@@ -186,6 +186,20 @@ class TestParseDocument:
         assert arc.expansions[0].coeffs[1].is_zero()
         assert not arc.expansions[0].coeffs[2].is_zero()
 
+    @pytest.mark.parametrize("declared", [-2, 3, True, 1.0])
+    def test_declared_dim_outside_zero_to_variable_count_rejected(self, declared):
+        raw = _doc()
+        raw["variety"]["declared_dim"] = declared
+        with pytest.raises(InputError, match="variety.declared_dim"):
+            parse_document(raw)
+
+    @pytest.mark.parametrize("start", [True, -1, "2"])
+    def test_generic_start_must_be_a_natural_number(self, start):
+        raw = _doc()
+        raw["arcs"] = {"g": {"components": [{"generic": {"start": start}}, "t^3"]}}
+        with pytest.raises(InputError, match=r"generic\.start"):
+            parse_document(raw)
+
     def test_component_count_checked(self):
         raw = _doc()
         raw["arcs"]["main"]["components"] = ["t^2"]
