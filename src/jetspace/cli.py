@@ -8,8 +8,10 @@ byte-identical output.
 One table, ``COMMANDS``, drives parsing, parameters and reports.  A
 command's flags are the parameters it reads, plus --strict and --format.
 
-Exit codes: 0 success, 1 a usage, validation or domain error or a failing
-catalog check, 2 when --strict is set and the result is precision limited.
+Exit codes: 0 success, 1 a usage, validation or domain error, a failing
+catalog check, or a formula that disagrees with its oracle (``fiber-dim``,
+``oracle-check``), 2 when --strict is set and the result is precision
+limited.  A failed check takes precedence over --strict.
 """
 
 from __future__ import annotations
@@ -57,7 +59,8 @@ class Command:
     ``run(doc, values, cap)`` calls the analysis, and ``body(result,
     values)`` follows the header naming the document's ``subject`` (None:
     no document).  A result that did not stabilize gets a note on the
-    ``infinite`` quantity.
+    ``infinite`` quantity.  ``failed(result)`` is true when the result
+    is a failed check; the command then exits 1 after printing its report.
     """
 
     help: str
@@ -66,6 +69,7 @@ class Command:
     body: Callable = lambda result, v: {"report": result.to_json()}
     subject: str | None = "variety"
     infinite: str | None = None
+    failed: Callable = lambda result: False
 
 
 def _profile(doc, v, cap):
@@ -101,6 +105,7 @@ COMMANDS = {
         {**_ARC, "n": REQUIRED},
         lambda doc, v, cap: oracle_check(v.arc, [v.n], cap)[0],
         lambda check, v: {"fiber_dim": check.fiber.to_json(), "oracle": check.to_json()},
+        failed=lambda check: not check.match,
     ),
     "embdim-jet": Command(
         "embedding dimension of the jet scheme at a truncation",
@@ -156,6 +161,7 @@ COMMANDS = {
             "checks": [check.to_json() for check in checks],
             "all_match": all(check.match for check in checks),
         },
+        failed=lambda checks: not all(check.match for check in checks),
     ),
     "catalog": Command(
         "run the built-in verification catalog",
@@ -163,6 +169,7 @@ COMMANDS = {
         lambda doc, v, cap: run_catalog(),
         lambda result, v: result.to_json(),
         subject=None,
+        failed=lambda result: not result.passed,
     ),
 }
 
@@ -311,7 +318,7 @@ def main(argv=None) -> int:
         print(_render_catalog_text(report))
     else:
         print("\n".join(_render_text(report)))
-    if args.command == "catalog" and not report["passed"]:
+    if COMMANDS[args.command].failed(result):
         return 1
     # A result with no precision_limited (a jet ideal, an arc pair, the
     # catalog) involves no truncated order, so it is never limited.

@@ -92,7 +92,8 @@ PARAMETERS = {
     for spec in (
         Parameter("n", "jet level", (int,), int, 0, PRECISION_CAP - 1),
         Parameter("n_max", "stabilization horizon", (int,), int, 0, PRECISION_CAP - 2),
-        Parameter("window", "stabilization window", (int,), int, 1),
+        # n_max <= PRECISION_CAP - 2, so a wider window could never close.
+        Parameter("window", "stabilization window", (int,), int, 1, PRECISION_CAP - 1),
         Parameter("precision", "working precision in t", (int,), int, 1, PRECISION_CAP),
         Parameter("q", "contact order for divisorial arcs", (int,), int, 1, PRECISION_CAP // 2 - 1),
         Parameter(

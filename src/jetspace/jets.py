@@ -12,7 +12,14 @@ characteristic.
 evaluates at a supplied point; it is the brute-force route to the fiber
 dimension of the differentials of the jet scheme, kept fully independent
 of the diagonalization machinery so the two can be played against each
-other.
+other.  An equation is differentiated only by the jet variables that
+occur in it.  At a k-rational point (every coordinate a visible
+constant) the equations and their partials are evaluated on raw base-field
+scalars, ints or ``Fraction``s, and each value is lifted into a
+``FieldElement`` only once, for the shared exact rank.  Over GF(p) the
+evaluation runs over Z and the lift reduces mod p, which is exact because
+evaluation commutes with reduction.  Any other point is evaluated on
+``FieldElement``s.
 """
 
 from __future__ import annotations
@@ -104,26 +111,39 @@ def jet_jacobian_corank(
     Returns (n+1)N - rank of the matrix of partials of the jet equations,
     which is the fiber dimension of the differentials of the jet scheme
     at the point.  The point must satisfy every jet equation exactly.
+    Each equation is differentiated only by the jet variables occurring
+    in it; every other partial is zero.
     """
     ideal = jet_ideal(X, n)
     env = jet_point_assignment(ideal, point)
     field = X.base
 
-    def const(c):
-        return FieldElement.from_scalar(field, c)
+    if all(c.is_constant() for c in point):
+        # A k-rational point: evaluate on raw scalars, lift only the value.
+        scalars = {v: c.constant_value() for v, c in env.items()}
+
+        def value(poly: SparsePolynomial) -> FieldElement:
+            return FieldElement.from_scalar(field, poly.evaluate(scalars, lambda c: c))
+
+    else:
+
+        def value(poly: SparsePolynomial) -> FieldElement:
+            return poly.evaluate(env, lambda c: FieldElement.from_scalar(field, c))
 
     for j, row in enumerate(ideal.generators):
         for p, equation in enumerate(row):
-            if not equation.evaluate(env, const).is_zero():
+            if not value(equation).is_zero():
                 raise PointNotOnJetScheme(j, p)
 
+    total = len(ideal.jet_variables)
+    column = {v: k for k, v in enumerate(ideal.jet_variables)}
     rows = []
     for row in ideal.generators:
         for equation in row:
-            rows.append(
-                [equation.derivative(v).evaluate(env, const) for v in ideal.jet_variables]
-            )
-    total = len(ideal.jet_variables)
+            entries = [field.fe_zero] * total
+            for v in equation.variables():
+                entries[column[v]] = value(equation.derivative(v))
+            rows.append(entries)
     if not rows:
         return total
     return total - matrix_rank(rows)

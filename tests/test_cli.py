@@ -285,6 +285,8 @@ def test_parse_error_exit_code(tmp_path, capsys):
         (BLOWUP_DOC, ["divisorial", "--q", "96", "--divisor-var", "u"], "q"),
         (dict(CUSP_DOC, params={"n": 10**9}), ["fiber-dim"], "n"),
         (dict(CUSP_DOC, tasks=[{"command": "profile", "precision": 10**6}]), ["profile"], "precision"),
+        (CUSP_DOC, ["embdim-arc", "--window", "99999999999999999999"], "window"),
+        (dict(CUSP_DOC, params={"window": 192}), ["jet-codim"], "window"),
     ],
 )
 def test_numeric_parameter_above_ceiling_rejected(tmp_path, capsys, doc, argv, key):
@@ -327,6 +329,48 @@ def test_report_json_round_trips(tmp_path, capsys):
     assert code == code2 == 0
     assert first == second
     assert json.loads(first) == json.loads(second)
+
+
+CUSP_PROBLEM = str(Path(__file__).resolve().parent.parent / "problems" / "cusp.json")
+
+
+@pytest.mark.parametrize(
+    "argv, verdict",
+    [
+        (["oracle-check", CUSP_PROBLEM, "--arc", "main", "--n", "3"], lambda r: r["all_match"]),
+        (["oracle-check", CUSP_PROBLEM, "--arc", "main"], lambda r: r["all_match"]),
+        (["fiber-dim", CUSP_PROBLEM, "--arc", "main", "--n", "3"], lambda r: r["oracle"]["match"]),
+    ],
+    ids=["oracle-check-n3", "oracle-check-all-levels", "fiber-dim-n3"],
+)
+def test_oracle_mismatch_exits_one(capsys, monkeypatch, argv, verdict):
+    from jetspace import analysis
+
+    corank = analysis.jet_jacobian_corank
+    assert _run(capsys, argv)[0] == 0
+    monkeypatch.setattr(analysis, "jet_jacobian_corank", lambda *a: corank(*a) + 1)
+    code, out, err = _run(capsys, argv)
+    assert code == 1
+    assert err == ""
+    assert verdict(json.loads(out)) is False
+
+
+def test_oracle_mismatch_exits_one_under_strict(tmp_path, capsys, monkeypatch):
+    # Unpatched, this check matches and is precision limited, so --strict
+    # exits 2 (test_strict_oracle_check_flags_precision_limited); a failed
+    # check takes precedence.
+    from jetspace import analysis
+
+    corank = analysis.jet_jacobian_corank
+    monkeypatch.setattr(analysis, "jet_jacobian_corank", lambda *a: corank(*a) + 1)
+    monkeypatch.setenv("JETSPACE_PRECISION_CAP", "48")
+    path = _write(tmp_path, WHITNEY_DOC)
+    argv = ["oracle-check", path, "--arc", "singular-generic", "--n", "2"]
+    code, out, _ = _run(capsys, argv)
+    strict_code, strict_out, _ = _run(capsys, argv + ["--strict"])
+    assert (code, strict_code) == (1, 1)
+    assert strict_out == out
+    assert json.loads(out)["all_match"] is False
 
 
 def test_catalog_exits_one_when_a_check_fails(capsys, monkeypatch):

@@ -6,8 +6,12 @@ from fractions import Fraction
 import pytest
 import sympy
 
-from conftest import Q, affine_space, cusp_variety, fe, to_sympy, var, whitney_variety
+from sympy.polys.matrices import DomainMatrix
+
+from conftest import Q, affine_space, cusp_variety, fe, fev, to_sympy, var, whitney_variety
+from jetspace.analysis import fiber_dim_formula
 from jetspace.arcs import make_arc
+from jetspace.catalog import build_catalog
 from jetspace.errors import PointNotOnJetScheme
 from jetspace.exact import FieldElement, SparsePolynomial
 from jetspace.geometry import VarietyPresentation
@@ -111,3 +115,124 @@ class TestJetJacobianCorank:
     def test_point_not_on_jet_scheme(self):
         with pytest.raises(PointNotOnJetScheme):
             jet_jacobian_corank(cusp_variety(), 0, [fe(1), fe(2)])
+
+
+# A parametrization of each catalog variety by series u, v in t: every
+# choice of u and v gives an arc, so truncations are seeded k-rational
+# points of the jet schemes.
+T = sympy.Symbol("t")
+PARAMETRIZATIONS = {
+    "affine-line": lambda u, v: (u,),
+    "affine-plane": lambda u, v: (u, v),
+    "cusp": lambda u, v: (u**2, u**3),
+    "node": lambda u, v: (u**2 - 1, u**3 - u),
+    "whitney": lambda u, v: (u**2, v, u * v),
+    "a1": lambda u, v: (u**2, v**2, u * v),
+    "a2": lambda u, v: (u**3, v**3, u * v),
+    "a3": lambda u, v: (u**4, v**4, u * v),
+    "umbrella2": lambda u, v: (u**2, v, u * v),
+    "umbrella3": lambda u, v: (u**3, v, u * v),
+}
+
+
+def _random_series(rng, n, rational):
+    coeffs = [sympy.Rational(rng.randint(-3, 3), rng.randint(1, 3) if rational else 1) for _ in range(n + 1)]
+    if rng.random() < 0.5:
+        coeffs[0] = 0  # through the singular locus, for most of the catalog
+    return sum(c * T**k for k, c in enumerate(coeffs))
+
+
+def _seeded_jet(entry, n, rng):
+    """Coordinates of a seeded k-rational level-n jet, as sympy numbers."""
+    X = entry.variety
+    u, v = (_random_series(rng, n, X.base.p is None) for _ in range(2))
+    coords = []
+    for component in PARAMETRIZATIONS[entry.key](u, v):
+        expanded = sympy.expand(component)
+        coords += [expanded.coeff(T, k) % X.base.p if X.base.p else expanded.coeff(T, k) for k in range(n + 1)]
+    return coords
+
+
+def _sympy_jacobian_rank(X, n, coords):
+    ideal = jet_ideal(X, n)
+    equations = [to_sympy(eq) for row in ideal.generators for eq in row]
+    if not equations:
+        return 0
+    symbols = [sympy.Symbol(v) for v in ideal.jet_variables]
+    at_point = sympy.Matrix(equations).jacobian(symbols).subs(dict(zip(symbols, coords)))
+    matrix = DomainMatrix.from_list_sympy(*at_point.shape, at_point.tolist())
+    return matrix.convert_to(sympy.GF(X.base.p)).rank() if X.base.p else matrix.rank()
+
+
+def test_catalog_parametrizations_cover_the_catalog():
+    assert {entry.key for entry in build_catalog()} == set(PARAMETRIZATIONS)
+
+
+@pytest.mark.parametrize("entry", build_catalog(), ids=lambda entry: entry.key)
+def test_corank_at_rational_jets_matches_sympy_rank(entry):
+    """(n+1)N minus sympy's rank of the differentiated jet equations, n <= 5."""
+    X = entry.variety
+    rng = random.Random(f"rational-jets-{entry.key}")
+    for n in range(6):
+        for _ in range(2):
+            coords = _seeded_jet(entry, n, rng)
+            point = [fe(Fraction(int(c.p), int(c.q)), X.base) for c in coords]
+            assert all(c.is_constant() for c in point)
+            expected = (n + 1) * len(X.variables) - _sympy_jacobian_rank(X, n, coords)
+            assert jet_jacobian_corank(X, n, point) == expected, (entry.key, n, coords)
+
+
+def _unit_branch():
+    cusp = next(entry for entry in build_catalog() if entry.key == "cusp")
+    spec = next(arc for arc in cusp.arcs if arc.name == "unit-branch")
+    return make_arc(cusp.variety, spec.components, 16)
+
+
+def test_corank_at_transcendental_jets_matches_the_formula():
+    """Cusp unit-branch jets are not k-rational: the FieldElement path."""
+    arc = _unit_branch()
+    for n in range(3, 7):
+        fiber = fiber_dim_formula(arc, n)
+        point = fiber.arc.truncate(n).coordinates
+        assert not all(c.is_constant() for c in point)
+        assert jet_jacobian_corank(arc.variety, n, point) == fiber.value
+
+
+def test_point_off_the_jet_scheme_raises_the_same_error_on_both_paths():
+    # x = 0, y = c t: y^2 - x^3 vanishes at t^0 and t^1, not at t^2.
+    for c in (fe(1), fev("a")):
+        point = [fe(0)] * 3 + [fe(0), c, fe(0)]
+        with pytest.raises(PointNotOnJetScheme) as raised:
+            jet_jacobian_corank(cusp_variety(), 2, point)
+        assert (raised.value.generator_index, raised.value.level_index) == (0, 2)
+
+
+def _count_field_element_arithmetic(monkeypatch):
+    calls = []
+    for name in ("__add__", "__mul__"):
+        original = getattr(FieldElement, name)
+
+        def counted(self, other, original=original):
+            calls.append(name)
+            return original(self, other)
+
+        monkeypatch.setattr(FieldElement, name, counted)
+    return calls
+
+
+def test_rational_jet_point_runs_on_scalars(monkeypatch):
+    arcs = [
+        (entry.variety, spec.components)
+        for entry in build_catalog()
+        if entry.key in ("whitney", "umbrella2")
+        for spec in entry.arcs
+    ]
+    points = [(X, 6, make_arc(X, components, 8).truncate(6).coordinates) for X, components in arcs]
+    calls = _count_field_element_arithmetic(monkeypatch)
+    for X, n, point in points:
+        if all(c.is_constant() for c in point):
+            jet_jacobian_corank(X, n, point)
+    assert calls == []
+    arc = _unit_branch().with_precision(8)
+    jet_jacobian_corank(arc.variety, 4, arc.truncate(4).coordinates)
+    assert calls  # the wrapper sees the FieldElement path
