@@ -23,7 +23,16 @@ which is Omega_X at the arc's center, so its free rank N - rank J(center)
 is the BTR smoothness test.  One elimination gives dim(alpha_n) at every
 level (``Arc.residue_dimension_profile``).  Stabilization of s_n is detected
 heuristically over a window; a sequence that keeps growing is reported
-as "suspected infinite", never as a proof.
+as "suspected infinite", never as a proof.  ``embdim_arc`` and
+``jet_codim`` are one stabilization driver and differ only in D.
+
+The Mather check is the birational transformation rule at the maximal
+divisorial arc.  On a smooth chart the generic contact-order-q arc beta
+along a divisor E has embedding dimension q and ord_beta(Jac_f) =
+q * khat_E, so the BTR at beta gives q * (khat_E + 1) at its image;
+``mather_discrepancy_check`` runs one ``btr_check`` at beta and reads
+the Jacobian order, both embedding dimensions and the image's center
+off its report.
 """
 
 from __future__ import annotations
@@ -82,13 +91,6 @@ class FiberDimension:
         }
 
 
-def _refined(arc: Arc, n: int, cap: int) -> tuple[InvariantProfile, Arc]:
-    """Arc-level profile of an arc that knows its coefficients up to level n."""
-    if arc.precision <= n:
-        arc = arc.with_precision(n + 1)
-    return refined_profile_of_omega(arc, cap)
-
-
 def _fiber_dimension(arc_profile: InvariantProfile, arc: Arc, n: int) -> FiberDimension:
     """(n+1) d_n plus the order of the matching Fitting ideal on the arc.
 
@@ -117,7 +119,7 @@ def _fiber_dimension(arc_profile: InvariantProfile, arc: Arc, n: int) -> FiberDi
 
 def fiber_dim_formula(arc: Arc, n: int, cap: int = PRECISION_CAP) -> FiberDimension:
     """Fiber dimension at level n from the refined arc-level profile."""
-    return _fiber_dimension(*_refined(arc, n, cap), n)
+    return _fiber_dimension(*refined_profile_of_omega(arc.through_level(n), cap), n)
 
 
 @dataclass(frozen=True)
@@ -155,7 +157,7 @@ def oracle_check(
 
     The arc is refined once; every level's formula reads that profile.
     """
-    profile, arc = _refined(arc, max(levels), cap)
+    profile, arc = refined_profile_of_omega(arc.through_level(max(levels)), cap)
     return [
         OracleCheck(
             _fiber_dimension(profile, arc, n),
@@ -229,6 +231,7 @@ class StabilizationReport:
     value: int | None
     arc_profile: InvariantProfile
     char_p_jacobian: bool
+    arc: Arc  # evaluated on: the input arc, refined and known up to level n_max
 
     @property
     def n_max(self) -> int:
@@ -279,18 +282,25 @@ class StabilizationReport:
 
 
 def _stabilization(
-    arc: Arc,
-    rank: int,
-    dim_source: str,
-    kind: str,
-    n_max: int,
-    window: int,
-    arc_profile: InvariantProfile,
+    arc: Arc, dim_source: str, kind: str, n_max: int, window: int, cap: int
 ) -> StabilizationReport:
+    """s_n for n <= n_max on the refined arc, with D taken from ``dim_source``.
+
+    ``declared`` trusts the presentation's declared_dim; ``betti`` uses
+    the free rank of the differentials along this arc.
+    """
+    arc_profile, arc = refined_profile_of_omega(arc, cap)
+    if dim_source == "declared":
+        if arc.variety.declared_dim is None:
+            raise MissingDeclaredDim()
+        rank = arc.variety.declared_dim
+    elif dim_source == "betti":
+        rank = arc_profile.betti
+    else:
+        raise InputError(f"unknown dimension source {dim_source!r}")
     if n_max < 0 or window < 1:
         raise InputError("n_max must be >= 0 and window >= 1")
-    if arc.precision <= n_max:
-        arc = arc.with_precision(n_max + 1)
+    arc = arc.through_level(n_max)
     # A limited arc-level profile serves only the levels below its precision.
     levels = arc_profile
     if arc_profile.precision_limited and arc_profile.precision <= n_max:
@@ -328,6 +338,7 @@ def _stabilization(
         value=tail[-1].codim if stabilized else None,
         arc_profile=arc_profile,
         char_p_jacobian=char_p,
+        arc=arc,
     )
 
 
@@ -338,8 +349,7 @@ def embdim_arc(
     cap: int = PRECISION_CAP,
 ) -> StabilizationReport:
     """Embedding dimension of the arc space at the arc, via stabilization."""
-    profile, arc = refined_profile_of_omega(arc, cap)
-    return _stabilization(arc, profile.betti, "betti", "embdim-arc", n_max, window, profile)
+    return _stabilization(arc, "betti", "embdim-arc", n_max, window, cap)
 
 
 def jet_codim(
@@ -351,21 +361,10 @@ def jet_codim(
 ) -> StabilizationReport:
     """Jet codimension of the arc, with the dimension source made explicit.
 
-    ``declared`` trusts the presentation's declared_dim; ``betti`` uses
-    the free rank of the differentials along this arc, which is the
-    dimension at the arc's generic point for reduced equidimensional
-    varieties away from the singular locus.
+    The ``betti`` source is the dimension at the arc's generic point for
+    reduced equidimensional varieties away from the singular locus.
     """
-    profile, arc = refined_profile_of_omega(arc, cap)
-    if dim_source == "declared":
-        if arc.variety.declared_dim is None:
-            raise MissingDeclaredDim()
-        rank = arc.variety.declared_dim
-    elif dim_source == "betti":
-        rank = profile.betti
-    else:
-        raise InputError(f"unknown dimension source {dim_source!r}")
-    return _stabilization(arc, rank, dim_source, "jet-codim", n_max, window, profile)
+    return _stabilization(arc, dim_source, "jet-codim", n_max, window, cap)
 
 
 def _at_most(left: StabilizationReport, right: StabilizationReport) -> bool:
@@ -478,18 +477,12 @@ def resolve_divisor_var(source, divisor_var) -> int:
     return idx - 1
 
 
-def divisorial_arc(
-    f: MorphismPresentation,
-    divisor_var,
-    q: int,
-    precision: int,
-) -> tuple[Arc, Arc]:
-    """Generic contact-order-q arc along a coordinate divisor, and its image.
+def _divisor_arc(f: MorphismPresentation, divisor_var, q: int, precision: int) -> tuple[Arc, str]:
+    """Generic contact-order-q source arc along a coordinate divisor, and its variable.
 
     The source chart must be affine space; the divisor is the vanishing
-    locus of one source coordinate.  The source arc carries one fresh
-    transcendental per coefficient (the divisor coordinate starting at
-    t^q), and the image arc is its pushforward.
+    locus of one source coordinate.  The arc carries one fresh
+    transcendental per coefficient, the divisor coordinate starting at t^q.
     """
     if f.source.generators:
         raise InputError("divisorial arcs are built on a smooth affine-space chart")
@@ -497,9 +490,13 @@ def divisorial_arc(
         raise InputError("contact order q must be >= 1")
     j = resolve_divisor_var(f.source, divisor_var)
     starts = [q if i == j else 0 for i in range(len(f.source.variables))]
-    beta = generic_arc(f.source, starts, precision)
-    alpha = push_arc(f, beta)
-    return beta, alpha
+    return generic_arc(f.source, starts, precision), f.source.variables[j]
+
+
+def divisorial_arc(f: MorphismPresentation, divisor_var, q: int, precision: int) -> tuple[Arc, Arc]:
+    """Generic contact-order-q arc along a coordinate divisor, and its pushforward."""
+    beta = _divisor_arc(f, divisor_var, q, precision)[0]
+    return beta, push_arc(f, beta)
 
 
 @dataclass(frozen=True)
@@ -556,41 +553,36 @@ def mather_discrepancy_check(
     window: int = DEFAULT_WINDOW,
     cap: int = PRECISION_CAP,
 ) -> MatherReport:
-    """Build the maximal divisorial arc data and check the discrepancy formula.
+    """The BTR at the maximal divisorial arc, checked against the discrepancy formula.
 
-    The embedding dimension at the image arc must be q times (Mather
-    discrepancy + 1); the source arc itself must have embedding dimension
-    q.  When the image arc is centered at a closed point, the discrepancy
-    plus one must also bound the target dimension from below.
+    On the smooth chart the generic contact-order-q arc beta along the
+    divisor has embedding dimension q and ord_beta(Jac_f) = q * khat, so
+    the BTR gives q * (khat + 1) at its image arc, khat being the Mather
+    discrepancy.  When the image arc is centered at a closed point, the
+    discrepancy plus one must also bound the target dimension from below.
     """
-    needed = max(precision, n_max + 2, 2 * q + 2)
-    beta, alpha = divisorial_arc(f, divisor_var, q, needed)
-    relative = relative_omega_presentation(f)
-    rel_profile, beta = refined_pullback_profile(relative, beta, cap)
-    ord_jac = rel_profile.fitting_invariant(0)
+    beta, name = _divisor_arc(f, divisor_var, q, max(precision, n_max + 2, 2 * q + 2))
+    btr = btr_check(f, beta, n_max, window, cap)
+    ord_jac, source_report, target_report = btr.ord_jacobian, btr.source, btr.target
     if not ord_jac.is_finite:
         raise PrecisionLimited(
             "order of the morphism Jacobian is undetermined below the precision cap",
-            bound=rel_profile.precision,
+            bound=ord_jac.bound,
         )
     if ord_jac.value % q != 0:
         raise NonDivisibleJacobianOrder(ord_jac.value, q)
     khat = ord_jac.value // q
-    source_report = embdim_arc(beta, n_max, window, cap)
-    target_report = embdim_arc(alpha, n_max, window, cap)
     expected = q * (khat + 1)
-    center = alpha.center()
-    center_closed = all(c.is_constant() for c in center)
+    center_closed = all(c.is_constant() for c in target_report.arc.center())
     target_dim = f.target.declared_dim
     if target_dim is None and not target_report.precision_limited:
         target_dim = target_report.arc_profile.betti
     bound = None
     if center_closed and target_dim is not None:
         bound = khat + 1 >= target_dim
-    j = resolve_divisor_var(f.source, divisor_var)
     return MatherReport(
         q=q,
-        divisor_var=f.source.variables[j],
+        divisor_var=name,
         ord_jacobian=ord_jac.value,
         mather_discrepancy=khat,
         source=source_report,

@@ -158,6 +158,10 @@ class Arc:
             raise PrecisionTooLow(precision - 1, self.precision)
         return Arc(self.variety, self.components, precision)
 
+    def through_level(self, n: int) -> "Arc":
+        """This arc knowing its coefficients up to level n: level n needs precision n + 1."""
+        return self if self.precision > n else self.with_precision(n + 1)
+
     def transcendentals(self) -> list[str]:
         """All transcendental names appearing in the stored coefficients."""
         names: set[str] = set()

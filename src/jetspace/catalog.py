@@ -495,25 +495,16 @@ def check_btr() -> CheckResult:
             ok = report.inequalities_hold and report.smooth_at_center
             if report.equality_holds is not None:
                 ok = ok and report.equality_holds
+            run = {
+                "chart": chart.name,
+                "trial": trial,
+                "ord_jacobian": report.ord_jacobian.to_json(),
+                "source": report.source.verdict(),
+                "target": report.target.verdict(),
+            }
+            summary.append(run)
             if not ok:
-                failures.append(
-                    {
-                        "chart": chart.name,
-                        "trial": trial,
-                        "ord_jacobian": report.ord_jacobian.to_json(),
-                        "source": report.source.verdict(),
-                        "target": report.target.verdict(),
-                    }
-                )
-            summary.append(
-                {
-                    "chart": chart.name,
-                    "trial": trial,
-                    "ord_jacobian": report.ord_jacobian.to_json(),
-                    "source": report.source.verdict(),
-                    "target": report.target.verdict(),
-                }
-            )
+                failures.append(run)
     return CheckResult("btr", not failures, cases, {"runs": summary, "failures": failures})
 
 

@@ -75,8 +75,7 @@ class Command:
 def _profile(doc, v, cap):
     if v.n is None:
         return refined_profile_of_omega(v.arc, cap)[0]
-    arc = v.arc if v.arc.precision > v.n else v.arc.with_precision(v.n + 1)
-    return profile_of_omega(arc, v.n)
+    return profile_of_omega(v.arc.through_level(v.n), v.n)
 
 
 _ARC = {"arc": None, "precision": DEFAULT_PRECISION}

@@ -190,8 +190,10 @@ def _parse_component(value, index, field, transcendentals, context):
             start = _expect(spec, "start", int, f"{context}[{index}].generic", default=0)
         elif spec is not None:
             raise InputError(f"{context}[{index}].generic: expected an object")
-        if start < 0:
-            raise InputError(f"{context}[{index}].generic.start: expected a natural number")
+        if not 0 <= start <= PRECISION_CAP - 1:  # the ceiling of a level n
+            raise InputError(
+                f"{context}[{index}].generic.start: {start} is not in 0..{PRECISION_CAP - 1}"
+            )
         return GenericComponent(index + 1, start)
     raise InputError(f"{context}[{index}]: expected an expression string or a generic spec")
 

@@ -137,7 +137,7 @@ def smith_orders(
     else:
         if precision is None:
             raise ValueError("empty matrix needs an explicit precision")
-        ring_precision = precision if level is None else level + 1
+        ring_precision = precision
 
     active_rows = list(range(len(rows)))
     active_cols = list(range(num_columns))

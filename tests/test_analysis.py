@@ -27,8 +27,8 @@ from jetspace.analysis import (
     oracle_check,
 )
 from jetspace.arcs import GenericComponent, generic_arc, make_arc
-from jetspace.catalog import build_catalog
-from jetspace.errors import InputError, MissingDeclaredDim
+from jetspace.catalog import blow_up_chart, build_catalog
+from jetspace.errors import InputError, MissingDeclaredDim, PrecisionLimited
 from jetspace.exact import SparsePolynomial
 from jetspace.geometry import MorphismPresentation, VarietyPresentation
 from jetspace.invariants import refined_profile_of_omega
@@ -279,6 +279,31 @@ class TestMather:
             assert report.passed
             # the lower bound on the discrepancy is tight here
             assert report.mather_discrepancy + 1 == report.target_dim
+
+    @pytest.mark.parametrize("dim", [2, 3])
+    @pytest.mark.parametrize("q", [1, 2, 3])
+    def test_is_the_btr_at_the_divisorial_arc(self, dim, q):
+        chart = blow_up_chart(dim)
+        divisor = chart.source.variables[0]
+        report = mather_discrepancy_check(chart, divisor, q, precision=20, n_max=8, cap=96)
+        beta, _ = divisorial_arc(chart, divisor, q, 20)
+        btr = btr_check(chart, beta, n_max=8, cap=96)
+        assert btr.ord_jacobian == OrderValue.finite(report.ord_jacobian)
+        assert report.source.to_json() == btr.source.to_json()
+        assert report.target.to_json() == btr.target.to_json()
+        assert report.ord_jacobian == q * (dim - 1)
+
+    def test_zero_jacobian_is_precision_limited_at_the_cap(self):
+        chart = blowup_chart_2d()
+        collapse = MorphismPresentation(chart.source, chart.target, (var("u"), var("u")))
+        with pytest.raises(PrecisionLimited, match="morphism Jacobian is undetermined") as err:
+            mather_discrepancy_check(collapse, "u", 1, precision=20, cap=48)
+        assert err.value.bound == 48
+
+    def test_requires_smooth_chart(self):
+        f = MorphismPresentation(cusp_variety(), affine_space(1, names=("z",)), (var("x"),))
+        with pytest.raises(InputError, match="divisorial arcs are built on a smooth affine-space chart"):
+            mather_discrepancy_check(f, "x", 1, precision=20)
 
 
 def test_formula_vs_oracle_on_mixed_arcs():

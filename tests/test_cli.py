@@ -85,6 +85,20 @@ def test_fiber_dim_evaluates_the_formula_once(tmp_path, capsys, monkeypatch):
     assert len(calls) == 1
 
 
+def test_mather_check_pushes_once_and_refines_three_times(capsys, monkeypatch):
+    from jetspace import analysis, invariants
+
+    pushes, refines = [], []
+    push, refine = analysis.push_arc, invariants.refined_pullback_profile
+    monkeypatch.setattr(analysis, "push_arc", lambda *a: pushes.append(a) or push(*a))
+    counted = lambda *a: refines.append(a) or refine(*a)
+    monkeypatch.setattr(analysis, "refined_pullback_profile", counted)
+    monkeypatch.setattr(invariants, "refined_pullback_profile", counted)
+    path = str(PROBLEMS / "blowup-plane.json")
+    assert _run(capsys, ["mather-check", path, "--q", "2", "--divisor-var", "u"])[0] == 0
+    assert (len(pushes), len(refines)) == (1, 3)
+
+
 def test_parameter_falls_back_to_document(tmp_path, capsys):
     path = _write(tmp_path, CUSP_DOC)
     code, out, _ = _run(capsys, ["fiber-dim", path])
@@ -638,3 +652,14 @@ def test_strict_btr_flags_undetermined_jacobian_order(tmp_path, capsys):
     code, out, _ = _run(capsys, ["btr", path, "--n-max", "4", "--strict"])
     assert code == 2
     assert json.loads(out)["report"]["ord_jacobian"]["kind"] != "finite"
+
+
+def test_mather_check_with_zero_jacobian_is_precision_limited(tmp_path, capsys):
+    doc = json.loads((PROBLEMS / "blowup-plane.json").read_text())
+    doc["morphism"]["components"] = ["u", "u"]
+    path = _write(tmp_path, doc)
+    code, out, err = _run(capsys, ["mather-check", path, "--q", "1", "--divisor-var", "u"])
+    assert (code, out) == (1, "")
+    assert err == (
+        "error[PrecisionLimited]: order of the morphism Jacobian is undetermined below the precision cap\n"
+    )

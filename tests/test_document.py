@@ -10,7 +10,7 @@ from jetspace.document import parse_document
 from jetspace.errors import DenominatorNotUnit, InputError, ParseError
 from jetspace.exact import BaseField, SparsePolynomial
 from jetspace.exprs import MAX_EXPONENT, MAX_POWER_TERMS, parse_polynomial, parse_series_expression
-from jetspace.series import OrderValue
+from jetspace.series import PRECISION_CAP, OrderValue
 
 
 class TestParsePolynomial:
@@ -198,6 +198,12 @@ class TestParseDocument:
         raw = _doc()
         raw["arcs"] = {"g": {"components": [{"generic": {"start": start}}, "t^3"]}}
         with pytest.raises(InputError, match=r"generic\.start"):
+            parse_document(raw)
+
+    def test_generic_start_above_ceiling_rejected(self):
+        raw = _doc()
+        raw["arcs"] = {"g": {"components": [{"generic": {"start": PRECISION_CAP}}, "t^3"]}}
+        with pytest.raises(InputError, match=rf"generic\.start: {PRECISION_CAP} is not in 0\.\.191"):
             parse_document(raw)
 
     def test_component_count_checked(self):
