@@ -24,7 +24,9 @@ is the BTR smoothness test.  One elimination gives dim(alpha_n) at every
 level (``Arc.residue_dimension_profile``).  Stabilization of s_n is detected
 heuristically over a window; a sequence that keeps growing is reported
 as "suspected infinite", never as a proof.  ``embdim_arc`` and
-``jet_codim`` are one stabilization driver and differ only in D.
+``jet_codim`` are one stabilization driver and differ only in D; the
+driver serves several dimension sources from one refinement and one
+elimination.
 
 The Mather check is the birational transformation rule at the maximal
 divisorial arc.  On a smooth chart the generic contact-order-q arc beta
@@ -281,23 +283,27 @@ class StabilizationReport:
         return out
 
 
-def _stabilization(
-    arc: Arc, dim_source: str, kind: str, n_max: int, window: int, cap: int
-) -> StabilizationReport:
-    """s_n for n <= n_max on the refined arc, with D taken from ``dim_source``.
+def _stabilizations(
+    arc: Arc, requests: Sequence[tuple[str, str]], n_max: int, window: int, cap: int
+) -> list[StabilizationReport]:
+    """s_n for n <= n_max on the refined arc, one report per (kind, dim_source).
 
-    ``declared`` trusts the presentation's declared_dim; ``betti`` uses
-    the free rank of the differentials along this arc.
+    The arc is refined and its residue dimensions eliminated once for all
+    requests, which differ only in D: ``declared`` trusts the
+    presentation's declared_dim; ``betti`` uses the free rank of the
+    differentials along this arc.
     """
     arc_profile, arc = refined_profile_of_omega(arc, cap)
-    if dim_source == "declared":
-        if arc.variety.declared_dim is None:
-            raise MissingDeclaredDim()
-        rank = arc.variety.declared_dim
-    elif dim_source == "betti":
-        rank = arc_profile.betti
-    else:
-        raise InputError(f"unknown dimension source {dim_source!r}")
+    ranks = []
+    for _, dim_source in requests:
+        if dim_source == "declared":
+            if arc.variety.declared_dim is None:
+                raise MissingDeclaredDim()
+            ranks.append(arc.variety.declared_dim)
+        elif dim_source == "betti":
+            ranks.append(arc_profile.betti)
+        else:
+            raise InputError(f"unknown dimension source {dim_source!r}")
     if n_max < 0 or window < 1:
         raise InputError("n_max must be >= 0 and window >= 1")
     arc = arc.through_level(n_max)
@@ -305,41 +311,46 @@ def _stabilization(
     levels = arc_profile
     if arc_profile.precision_limited and arc_profile.precision <= n_max:
         levels = profile_of_omega(arc)
+    jet_bettis = [levels.at_level(n).betti for n in range(n_max + 1)]
     residue_dims, char_p = arc.residue_dimension_profile(n_max)
-    rows = []
-    prev = None
-    lower_bound = rank - residue_dims[0]
-    for n in range(n_max + 1):
-        d_n = levels.at_level(n).betti
-        s_n = (n + 1) * rank - residue_dims[n]
-        if prev is not None and s_n < prev:
-            raise InternalInvariantViolation(
-                f"codimension sequence decreased at level {n}: {s_n} < {prev}"
+    reports = []
+    for (kind, dim_source), rank in zip(requests, ranks):
+        rows = []
+        prev = None
+        lower_bound = rank - residue_dims[0]
+        for n, d_n in enumerate(jet_bettis):
+            s_n = (n + 1) * rank - residue_dims[n]
+            if prev is not None and s_n < prev:
+                raise InternalInvariantViolation(
+                    f"codimension sequence decreased at level {n}: {s_n} < {prev}"
+                )
+            if s_n < lower_bound:
+                raise InternalInvariantViolation(
+                    f"codimension {s_n} fell below the center bound {lower_bound} at level {n}"
+                )
+            rows.append(StabRow(n, d_n, residue_dims[n], s_n))
+            prev = s_n
+        tail = rows[-window:]
+        stabilized = (
+            len(tail) == window
+            and len({r.codim for r in tail}) == 1
+            and all(r.jet_betti == arc_profile.betti for r in tail)
+        )
+        reports.append(
+            StabilizationReport(
+                kind=kind,
+                dim_source=dim_source,
+                ambient_rank=rank,
+                rows=tuple(rows),
+                window=window,
+                stabilized=stabilized,
+                value=tail[-1].codim if stabilized else None,
+                arc_profile=arc_profile,
+                char_p_jacobian=char_p,
+                arc=arc,
             )
-        if s_n < lower_bound:
-            raise InternalInvariantViolation(
-                f"codimension {s_n} fell below the center bound {lower_bound} at level {n}"
-            )
-        rows.append(StabRow(n, d_n, residue_dims[n], s_n))
-        prev = s_n
-    tail = rows[-window:]
-    stabilized = (
-        len(tail) == window
-        and len({r.codim for r in tail}) == 1
-        and all(r.jet_betti == arc_profile.betti for r in tail)
-    )
-    return StabilizationReport(
-        kind=kind,
-        dim_source=dim_source,
-        ambient_rank=rank,
-        rows=tuple(rows),
-        window=window,
-        stabilized=stabilized,
-        value=tail[-1].codim if stabilized else None,
-        arc_profile=arc_profile,
-        char_p_jacobian=char_p,
-        arc=arc,
-    )
+        )
+    return reports
 
 
 def embdim_arc(
@@ -349,7 +360,7 @@ def embdim_arc(
     cap: int = PRECISION_CAP,
 ) -> StabilizationReport:
     """Embedding dimension of the arc space at the arc, via stabilization."""
-    return _stabilization(arc, "betti", "embdim-arc", n_max, window, cap)
+    return _stabilizations(arc, [("embdim-arc", "betti")], n_max, window, cap)[0]
 
 
 def jet_codim(
@@ -364,7 +375,7 @@ def jet_codim(
     The ``betti`` source is the dimension at the arc's generic point for
     reduced equidimensional varieties away from the singular locus.
     """
-    return _stabilization(arc, dim_source, "jet-codim", n_max, window, cap)
+    return _stabilizations(arc, [("jet-codim", dim_source)], n_max, window, cap)[0]
 
 
 def _at_most(left: StabilizationReport, right: StabilizationReport) -> bool:

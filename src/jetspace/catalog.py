@@ -20,11 +20,12 @@ from fractions import Fraction
 from typing import Callable
 
 from .analysis import (
+    DEFAULT_WINDOW,
     ORACLE_LEVELS,
+    _stabilizations,
     btr_check,
     embdim_arc,
     embdim_jet,
-    jet_codim,
     mather_discrepancy_check,
     oracle_check,
 )
@@ -575,6 +576,9 @@ def check_infinite_detection() -> CheckResult:
     )
 
 
+_EMBDIM_AND_CODIMS = (("embdim-arc", "betti"), ("jet-codim", "betti"), ("jet-codim", "declared"))
+
+
 def check_embdim_equals_jet_codim() -> CheckResult:
     """Embedding dimension agrees with jet codimension off the singular arcs."""
     failures = []
@@ -584,9 +588,10 @@ def check_embdim_equals_jet_codim() -> CheckResult:
             if not arc_spec.off_singular_locus:
                 continue
             arc = make_arc(entry.variety, arc_spec.components, _STAB_N_MAX + 4)
-            emb = embdim_arc(arc, n_max=_STAB_N_MAX, cap=96)
-            by_betti = jet_codim(arc, "betti", n_max=_STAB_N_MAX, cap=96)
-            by_declared = jet_codim(arc, "declared", n_max=_STAB_N_MAX, cap=96)
+            # One refinement and one residue elimination serve all three reports.
+            emb, by_betti, by_declared = _stabilizations(
+                arc, _EMBDIM_AND_CODIMS, _STAB_N_MAX, DEFAULT_WINDOW, 96
+            )
             for other in (by_betti, by_declared):
                 cases += 1
                 same = (

@@ -23,7 +23,9 @@ mutated after construction.
 The module also provides exact linear algebra over the fraction field.
 One elimination routine, ``echelon_rank_profile``, computes every rank:
 matrix rank, and transcendence degree of a family of rational functions
-via the Jacobian criterion.
+via the Jacobian criterion.  It reduces rows sparsely: a row keeps only
+its nonzero entries, so a row update multiplies no zeros, which is most
+of a residue Jacobian.
 """
 
 from __future__ import annotations
@@ -639,31 +641,28 @@ def matrix_rank(matrix: Sequence[Sequence[FieldElement]]) -> int:
     return echelon_rank_profile([poly_rows], field)[-1]
 
 
-def _strip_row(row: list[SparsePolynomial], field: BaseField) -> list[SparsePolynomial]:
-    """Divide a whole row by its common content; rank-preserving."""
-    nonzero = [p for p in row if not p.is_zero()]
-    if not nonzero:
+def _strip_row(row: dict[int, SparsePolynomial], field: BaseField) -> dict[int, SparsePolynomial]:
+    """Divide a sparse row by its common content; rank-preserving."""
+    if not row:
         return row
-    common = _common_monomial(nonzero)
+    polys = row.values()
+    common = _common_monomial(polys)
     scale = None
     if field.p is None:
-        content = _rational_content(nonzero)
+        content = _rational_content(polys)
         if content != 1:
             scale = 1 / content
     if common == _ONE_MONO and scale is None:
         return row
-    out = []
-    for poly in row:
-        if poly.is_zero():
-            out.append(poly)
-            continue
+    out = {}
+    for j, poly in row.items():
         terms = poly.terms
         if common != _ONE_MONO:
             terms = {_mono_div(m, common): c for m, c in terms.items()}
         poly = SparsePolynomial(field, terms)
         if scale is not None:
             poly = poly.scale(scale)
-        out.append(poly)
+        out[j] = poly
     return out
 
 
@@ -672,26 +671,44 @@ def echelon_rank_profile(
 ) -> list[int]:
     """Rank after each block of rows, in one elimination pass.
 
-    Rows arrive in blocks; the returned list gives the rank of the span
-    of all rows seen so far, one entry per block.  Basis rows are kept in
-    echelon form (sorted by leading column), so reducing an incoming row
+    Rows arrive dense, in blocks; the returned list gives the rank of the
+    span of all rows seen so far, one entry per block.  Each row is
+    reduced sparsely, as ``{column: entry}`` over its nonzero entries, so
+    an update touches only the columns where the incoming row or the
+    basis row is nonzero.  Basis rows are kept in echelon form (sorted by
+    leading column, the first nonzero one), so reducing an incoming row
     against them in order never disturbs already-cleared columns.
     """
-    basis: list[tuple[int, list[SparsePolynomial]]] = []
+    basis: list[tuple[int, dict[int, SparsePolynomial]]] = []
     ranks = []
     for block in row_blocks:
-        for row in block:
-            row = list(row)
+        for dense in block:
+            row = _strip_row({j: c for j, c in enumerate(dense) if c.terms}, field)
             for lead, brow in basis:
-                coeff = row[lead]
-                if coeff.is_zero():
+                coeff = row.pop(lead, None)
+                if coeff is None:
                     continue
+                # blead * row - coeff * brow; its lead column cancels exactly.
                 blead = brow[lead]
-                row = [blead * rc - coeff * bc for rc, bc in zip(row, brow)]
-                row = _strip_row(row, field)
-            lead = next((j for j, c in enumerate(row) if not c.is_zero()), None)
-            if lead is not None:
-                basis.append((lead, _strip_row(row, field)))
+                out = {j: blead * c for j, c in row.items()}
+                for j, bc in brow.items():
+                    if j == lead:
+                        continue
+                    prod = coeff * bc
+                    old = out.get(j)
+                    if old is None:
+                        out[j] = -prod
+                        continue
+                    diff = old - prod
+                    if diff.terms:
+                        out[j] = diff
+                    else:
+                        del out[j]
+                row = _strip_row(out, field)
+                if not row:
+                    break
+            if row:
+                basis.append((min(row), row))
                 basis.sort(key=lambda item: item[0])
         ranks.append(len(basis))
     return ranks

@@ -17,6 +17,7 @@ from conftest import (
     whitney_variety,
 )
 from jetspace.analysis import (
+    _stabilizations,
     btr_check,
     divisorial_arc,
     embdim_arc,
@@ -26,7 +27,7 @@ from jetspace.analysis import (
     mather_discrepancy_check,
     oracle_check,
 )
-from jetspace.arcs import GenericComponent, generic_arc, make_arc
+from jetspace.arcs import Arc, GenericComponent, generic_arc, make_arc
 from jetspace.catalog import blow_up_chart, build_catalog
 from jetspace.errors import InputError, MissingDeclaredDim, PrecisionLimited
 from jetspace.exact import SparsePolynomial
@@ -132,6 +133,15 @@ class TestJetCodim:
         with pytest.raises(MissingDeclaredDim):
             jet_codim(arc, "declared", n_max=4)
 
+    def test_several_sources_from_one_refinement_match_the_single_calls(self):
+        requests = [("embdim-arc", "betti"), ("jet-codim", "betti"), ("jet-codim", "declared")]
+        for arc in (_cusp_arc(16), generic_arc(affine_space(2), [1, 0], 16)):
+            reports = _stabilizations(arc, requests, 8, 3, 64)
+            singles = [embdim_arc(arc, 8, 3, 64), jet_codim(arc, "betti", 8, 3, 64)]
+            singles.append(jet_codim(arc, "declared", 8, 3, 64))
+            assert [r.kind for r in reports] == [kind for kind, _ in requests]
+            assert [r.to_json() for r in reports] == [r.to_json() for r in singles]
+
 
 class TestBtr:
     def test_blowup_contact_one(self):
@@ -207,6 +217,21 @@ class TestOneRefinement:
                 assert check.fiber.jet_betti == fiber.jet_betti
                 assert check.fiber.fitting_order == fiber.fitting_order
                 assert check.corank == jet_jacobian_corank(variety, n, jet.coordinates)
+
+    def test_embdim_equals_jet_codim_refines_and_eliminates_once_per_arc(self, monkeypatch):
+        from jetspace import catalog, invariants
+
+        refines, eliminations = [], []
+        refine, residue = invariants.refined_pullback_profile, Arc.residue_dimension_profile
+        monkeypatch.setattr(
+            invariants, "refined_pullback_profile", lambda *a: refines.append(a) or refine(*a)
+        )
+        monkeypatch.setattr(
+            Arc, "residue_dimension_profile", lambda arc, n: eliminations.append(n) or residue(arc, n)
+        )
+        result = catalog.check_embdim_equals_jet_codim()
+        assert result.passed and result.cases == 36
+        assert (len(refines), len(eliminations)) == (18, 18)
 
     def test_level_zero_free_rank_is_the_corank_of_the_jacobian_at_the_center(self):
         for entry, spec in self._catalog_arcs():

@@ -20,8 +20,9 @@ from conftest import (
     whitney_variety,
 )
 from jetspace.arcs import GenericComponent, generic_arc, make_arc, push_arc
+from jetspace.catalog import blow_up_chart
 from jetspace.errors import MorphismInvalidOnArc, NotOnVariety, PrecisionTooLow
-from jetspace.exact import SparsePolynomial
+from jetspace.exact import BaseField, SparsePolynomial
 from jetspace.geometry import MorphismPresentation, jacobian_ideal_generators
 from jetspace.series import OrderValue, SeriesExpression, TruncatedSeries
 
@@ -173,6 +174,45 @@ class TestResidueProfile:
                 rows = [[domain.from_sympy(sympy.diff(c, u)) for u in symbols] for c in coeffs]
                 matrix = DomainMatrix(rows, (len(rows), len(symbols)), domain)
                 assert ranks[n] == (len(matrix.rref_den()[2]) if symbols else 0)
+
+
+# Residue profiles recorded before the elimination kernel reduced rows
+# sparsely; a faster kernel must give the same dimensions.
+_CUSP_SHIFTS = (1, -2, 3, -1, 2, -3, 1, -2, 3, -1)
+
+
+class TestPinnedResidueProfiles:
+    @pytest.mark.parametrize(
+        "T, ranks",
+        [
+            (3, [0, 0, 0, 1, 2, 3, 3, 3, 3, 3, 3, 3, 3]),
+            (5, [0, 0, 0, 1, 2, 3, 4, 5, 5, 5, 5, 5, 5]),
+            (7, [0, 0, 0, 1, 2, 3, 4, 5, 6, 7, 7, 7, 7]),
+            # Right dimensions; only the embdim-arc verdict on this arc is wrong.
+            (10, [0, 0, 0, 1, 2, 3, 4, 5, 6, 7, 8, 9, 10]),
+        ],
+    )
+    def test_cusp_arcs_with_transcendental_shifts(self, T, ranks):
+        # x = s^2, y = s^3 with s = t + (r_0 + a0) t^2 + ... + (r_(T-1) + a(T-1)) t^(T+1).
+        coeffs = [fe(0), fe(1)] + [fev(f"a{i}") + fe(r) for i, r in enumerate(_CUSP_SHIFTS[:T])]
+        s = SeriesExpression(Q, coeffs)
+        arc = make_arc(cusp_variety(), [s ** 2, s ** 3], 16)
+        assert arc.residue_dimension_profile(12) == (ranks, False)
+
+    def test_btr_image_arc_on_the_space_blowup_chart(self):
+        chart = blow_up_chart(3)
+        alpha = push_arc(chart, generic_arc(chart.source, [1, 0, 0], 16))
+        assert alpha.residue_dimension_profile(12) == ([3 * n for n in range(13)], False)
+
+    def test_gf3_generic_arc_and_its_char_p_flag(self):
+        # x = u^3 + v has no Jacobian-criterion rank in u at the center in characteristic 3.
+        f3 = BaseField(3)
+        u, v = SparsePolynomial.variable(f3, "u"), SparsePolynomial.variable(f3, "v")
+        source = affine_space(2, f3, names=("u", "v"))
+        target = affine_space(2, f3, names=("x", "y"))
+        f = MorphismPresentation(source, target, (u ** 3 + v, u * v))
+        alpha = push_arc(f, generic_arc(source, [0, 1], 10))
+        assert alpha.residue_dimension_profile(8) == ([2 * n for n in range(9)], True)
 
 
 class TestPushArc:

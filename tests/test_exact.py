@@ -227,6 +227,73 @@ class TestMatrixRank:
                 assert echelon_rank_profile([[row] for row in m], field) == expected
                 as_elements = [[FieldElement.from_poly(p) for p in row] for row in m]
                 assert matrix_rank(as_elements) == expected[-1]
+        # Residue-shaped blocks: several rows each, 6-10 columns, at least 70%
+        # zero entries, with empty blocks, zero rows and duplicate rows.
+        for field, domain in ((Q, QQ), (BaseField(2), GF(2)), (BaseField(3), GF(3)), (BaseField(5), GF(5))):
+            reference = domain.frac_field(*symbols("u1 u2 u3 u4"))
+            for _ in range(12):
+                cols = rng.randint(6, 10)
+                blocks = _residue_blocks(rng, field, cols)
+                rows = [row for block in blocks for row in block]
+                zeros = sum(not p for row in rows for p in row)
+                assert zeros >= 0.7 * cols * len(rows)
+                expected, seen = [], []
+                for block in blocks:
+                    seen += block
+                    expected.append(_sympy_rank(seen, cols, reference) if seen else 0)
+                assert echelon_rank_profile(blocks, field) == expected
+                as_elements = [[FieldElement.from_poly(p) for p in row] for row in rows]
+                assert matrix_rank(as_elements) == expected[-1]
+
+    def test_reduces_only_nonzero_columns(self, monkeypatch):
+        # Lower-bidiagonal: u_i on the diagonal, u_(100+i) below it.  Each
+        # update meets two nonzero columns, so the work must not scale with
+        # the twelve columns of a dense row (264 products).
+        zero = SparsePolynomial.zero(Q)
+        rows = [
+            [var(f"u{i}") if j == i else var(f"u{100 + i}") if j == i - 1 else zero for j in range(12)]
+            for i in range(12)
+        ]
+        calls = []
+        mul = SparsePolynomial.__mul__
+        monkeypatch.setattr(SparsePolynomial, "__mul__", lambda a, b: calls.append(1) or mul(a, b))
+        assert echelon_rank_profile([rows], Q) == [12]
+        assert len(calls) <= 33
+
+
+def _residue_blocks(rng, field, cols):
+    """Blocks of sparse rows: a row has at most 30% nonzero entries."""
+    zero = SparsePolynomial.zero(field)
+    blocks, rows = [], []
+    for _ in range(rng.randint(2, 4)):
+        block = []
+        for _ in range(rng.choice((0, 2, 3))):
+            draw = rng.random()
+            if rows and draw < 0.15:
+                row = list(rng.choice(rows))
+            elif draw < 0.25:
+                row = [zero] * cols
+            else:
+                row = [zero] * cols
+                for j in rng.sample(range(cols), rng.randint(1, cols * 3 // 10)):
+                    row[j] = _residue_entry(rng, field)
+            rows.append(row)
+            block.append(row)
+        blocks.append(block)
+    return blocks
+
+
+def _residue_entry(rng, field):
+    """A nonzero polynomial of degree <= 2 in u1..u4, like a gradient entry."""
+    poly = SparsePolynomial.zero(field)
+    while not poly:
+        for _ in range(rng.randint(1, 3)):
+            coeff = Fraction(rng.choice((-3, -2, -1, 1, 2, 3)), rng.randint(1, 3) if field.p is None else 1)
+            term = SparsePolynomial.constant(field, coeff)
+            for _ in range(rng.randint(0, 2)):
+                term = term * var(rng.choice(("u1", "u2", "u3")), field)
+            poly = poly + term
+    return poly
 
 
 def _random_sparse_poly(rng, field=Q):
