@@ -157,16 +157,16 @@ def oracle_check(
 ) -> list[OracleCheck]:
     """Compare the fiber-dimension formula with the jet Jacobian corank, level by level.
 
-    The arc is refined once; every level's formula reads that profile.
+    One refinement of the arc and one jet Jacobian serve every level: each
+    level's formula reads the refined profile, and one
+    ``jet_jacobian_corank`` call at the top level's jet gives every
+    level's corank.
     """
-    profile, arc = refined_profile_of_omega(arc.through_level(max(levels)), cap)
-    return [
-        OracleCheck(
-            _fiber_dimension(profile, arc, n),
-            jet_jacobian_corank(arc.variety, n, arc.truncate(n).coordinates),
-        )
-        for n in levels
-    ]
+    top = max(levels)
+    profile, arc = refined_profile_of_omega(arc.through_level(top), cap)
+    fibers = [_fiber_dimension(profile, arc, n) for n in levels]
+    coranks = jet_jacobian_corank(arc.variety, levels, arc.truncate(top).coordinates)
+    return [OracleCheck(fiber, corank) for fiber, corank in zip(fibers, coranks)]
 
 
 @dataclass(frozen=True)

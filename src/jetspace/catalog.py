@@ -31,8 +31,13 @@ from .analysis import (
 )
 from .arcs import Arc, GenericComponent, make_arc
 from .exact import BaseField, FieldElement, RATIONALS, SparsePolynomial
-from .geometry import MorphismPresentation, VarietyPresentation, jacobian_ideal_generators
-from .invariants import fitting_minor_oracle, profile_of_omega, smith_orders
+from .geometry import (
+    MorphismPresentation,
+    VarietyPresentation,
+    jacobian_ideal_generators,
+    omega_presentation,
+)
+from .invariants import InvariantProfile, fitting_minor_oracle, pullback_matrix, smith_orders
 from .series import OrderValue, SeriesExpression, TruncatedSeries
 
 _Q = RATIONALS
@@ -366,10 +371,9 @@ def check_fitting_oracle() -> CheckResult:
     for trial in range(_FITTING_TRIALS):
         matrix, cols = _random_series_matrix(rng, 24)
         profile = smith_orders(matrix, cols)
-        for i in range(cols + 1):
+        for i, minor_c in enumerate(fitting_minor_oracle(matrix, num_columns=cols)):
             cases += 1
             smith_c = profile.fitting_invariant(i)
-            minor_c = fitting_minor_oracle(matrix, i, num_columns=cols)
             if not _order_values_match(smith_c, minor_c):
                 failures.append(
                     {
@@ -384,6 +388,17 @@ def check_fitting_oracle() -> CheckResult:
     )
 
 
+def _level_profiles(variety: VarietyPresentation, components) -> list[InvariantProfile]:
+    """Profiles at levels 0.._TRUNCATION_MAX_LEVEL from one pullback of the arc."""
+    arc = make_arc(variety, components, _TRUNCATION_MAX_LEVEL + 2)
+    presentation = omega_presentation(variety)
+    matrix = pullback_matrix(presentation, arc)
+    return [
+        smith_orders(matrix, presentation.num_columns, level=n)
+        for n in range(_TRUNCATION_MAX_LEVEL + 1)
+    ]
+
+
 def check_truncation_compatibility() -> CheckResult:
     """e_i at level n equals min(n+1, e_i at level m) for n < m <= 8."""
     failures = []
@@ -391,10 +406,7 @@ def check_truncation_compatibility() -> CheckResult:
     for entry in build_catalog():
         width = len(entry.variety.variables)
         for arc_spec in entry.arcs:
-            arc = make_arc(entry.variety, arc_spec.components, _TRUNCATION_MAX_LEVEL + 2)
-            profiles = [
-                profile_of_omega(arc, n) for n in range(_TRUNCATION_MAX_LEVEL + 1)
-            ]
+            profiles = _level_profiles(entry.variety, arc_spec.components)
             for m in range(1, _TRUNCATION_MAX_LEVEL + 1):
                 for n in range(m):
                     for i in range(width + 1):
@@ -424,10 +436,9 @@ def check_betti_monotonicity() -> CheckResult:
     cases = 0
     for entry in build_catalog():
         for arc_spec in entry.arcs:
-            arc = make_arc(entry.variety, arc_spec.components, _TRUNCATION_MAX_LEVEL + 2)
             previous = None
-            for n in range(_TRUNCATION_MAX_LEVEL + 1):
-                betti = profile_of_omega(arc, n).betti
+            for n, profile in enumerate(_level_profiles(entry.variety, arc_spec.components)):
+                betti = profile.betti
                 cases += 1
                 if previous is not None and betti > previous:
                     failures.append(

@@ -138,31 +138,47 @@ def polynomial_minors(
         return [SparsePolynomial.constant(base, 1)]
     if not rows or size > len(rows) or size > len(rows[0]):
         return []
-    out = []
-    col_count = len(rows[0])
-    for row_idx in combinations(range(len(rows)), size):
-        for col_idx in combinations(range(col_count), size):
-            out.append(cofactor_det([[rows[i][j] for j in col_idx] for i in row_idx]))
-    return out
+    return minors(rows, size)
 
 
-def cofactor_det(m: Sequence[Sequence]):
-    """Determinant of a nonempty square matrix over any commutative ring.
+def minors(matrix: Sequence[Sequence], size: int, table: dict | None = None) -> list:
+    """All size x size minors of a matrix over any commutative ring.
 
-    Entries need only +, unary - and *.  Zero entries are not skipped: a
-    truncated series that is zero to its precision still bounds the
-    precision of the sum, and dropping it would overstate what is known.
+    Minors come row subsets first, then column subsets, each in
+    lexicographic order.  Each one expands along its first row, and its
+    sub-minors are read from ``table``, keyed by (row indices, column
+    indices) and filled as they are computed; pass one table for several
+    sizes and every minor is computed once.  Entries need only +, unary
+    - and *.  Zero entries are not skipped: a truncated series that is
+    zero to its precision still bounds the precision of the sum, and
+    dropping it would overstate what is known.
     """
-    if len(m) == 1:
-        return m[0][0]
-    acc = None
-    for j, top in enumerate(m[0]):
-        sub = [[row[k] for k in range(len(m)) if k != j] for row in m[1:]]
-        term = top * cofactor_det(sub)
-        if j % 2 == 1:
-            term = -term
-        acc = term if acc is None else acc + term
-    return acc
+    if table is None:
+        table = {}
+
+    def det(row_idx: tuple[int, ...], col_idx: tuple[int, ...]):
+        key = (row_idx, col_idx)
+        found = table.get(key)
+        if found is not None:
+            return found
+        top = matrix[row_idx[0]]
+        if len(row_idx) == 1:
+            found = top[col_idx[0]]
+        else:
+            for j, c in enumerate(col_idx):
+                term = top[c] * det(row_idx[1:], col_idx[:j] + col_idx[j + 1 :])
+                if j % 2 == 1:
+                    term = -term
+                found = term if j == 0 else found + term
+        table[key] = found
+        return found
+
+    col_count = len(matrix[0])
+    return [
+        det(row_idx, col_idx)
+        for row_idx in combinations(range(len(matrix)), size)
+        for col_idx in combinations(range(col_count), size)
+    ]
 
 
 def jacobian_ideal_generators(X: VarietyPresentation, dim: int) -> list[SparsePolynomial]:

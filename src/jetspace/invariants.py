@@ -16,20 +16,20 @@ free rank.  Fitting invariants are the tail sums
 
     c_i = min(cap, e_i + e_{i+1} + ...),
 
-and ``fitting_minor_oracle`` recomputes them from scratch as minimal
-orders of minors, giving an independent check that the decomposition and
-the minors agree (base-change compatibility of Fitting ideals).
+and ``fitting_minor_oracle`` computes all of them independently, as
+minimal orders of minors enumerated once from one table of
+sub-determinants, giving a check that the decomposition and the minors
+agree (base-change compatibility of Fitting ideals).
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import combinations
 from typing import Sequence
 
 from .arcs import Arc
 from .errors import MatrixTooLarge, PrecisionTooLow
-from .geometry import DifferentialPresentation, cofactor_det, omega_presentation
+from .geometry import DifferentialPresentation, minors, omega_presentation
 from .series import PRECISION_CAP, OrderValue, TruncatedSeries
 
 # Level value meaning "along the whole arc, to working precision".
@@ -187,15 +187,16 @@ def smith_orders(
 
 def fitting_minor_oracle(
     matrix: Sequence[Sequence[TruncatedSeries]],
-    i: int,
     num_columns: int | None = None,
     precision: int | None = None,
-) -> OrderValue:
-    """Order of the i-th Fitting ideal, straight from minors.
+) -> list[OrderValue]:
+    """Orders of the Fitting ideals, i = 0..N, straight from minors.
 
-    Enumerates every (N-i) x (N-i) minor and takes the minimal order.
-    Deliberately brute force and independent of ``smith_orders``; small
-    matrices only.
+    Entry i is the minimal order of the (N-i) x (N-i) minors.  Every
+    minor is enumerated, from one table shared by all sizes, so each is
+    computed once.  Deliberately brute force and independent of
+    ``smith_orders``; small matrices only, and the size bound is checked
+    before any minor.
     """
     rows = [list(row) for row in matrix]
     if num_columns is None:
@@ -206,19 +207,17 @@ def fitting_minor_oracle(
         precision = min(entry.precision for row in rows for entry in row)
     if precision is None:
         raise ValueError("empty matrix needs an explicit precision")
-    size = num_columns - i
-    if size <= 0:
-        return OrderValue.finite(0)
     if len(rows) > _MINOR_DIMENSION_BOUND or num_columns > _MINOR_DIMENSION_BOUND:
         raise MatrixTooLarge((len(rows), num_columns), _MINOR_DIMENSION_BOUND)
-    if size > len(rows):
-        return OrderValue.at_least(precision)
-    result = OrderValue.at_least(precision)
-    for row_idx in combinations(range(len(rows)), size):
-        for col_idx in combinations(range(num_columns), size):
-            det = cofactor_det([[rows[r][c] for c in col_idx] for r in row_idx])
-            result = result.min(det.truncate(min(det.precision, precision)).order())
-    return result
+    table: dict = {}
+    orders = []
+    for size in range(num_columns, -1, -1):
+        result = OrderValue.at_least(precision) if size else OrderValue.finite(0)
+        if 0 < size <= len(rows):
+            for det in minors(rows, size, table):
+                result = result.min(det.truncate(min(det.precision, precision)).order())
+        orders.append(result)
+    return orders
 
 
 def pullback_matrix(

@@ -12,14 +12,17 @@ characteristic.
 evaluates at a supplied point; it is the brute-force route to the fiber
 dimension of the differentials of the jet scheme, kept fully independent
 of the diagonalization machinery so the two can be played against each
-other.  An equation is differentiated only by the jet variables that
-occur in it.  At a k-rational point (every coordinate a visible
-constant) the equations and their partials are evaluated on raw base-field
-scalars, ints or ``Fraction``s, and each value is lifted into a
-``FieldElement`` only once, for the shared exact rank.  Over GF(p) the
-evaluation runs over Z and the lift reduces mod p, which is exact because
-evaluation commutes with reduction.  Any other point is evaluated on
-``FieldElement``s.
+other.  Several levels share one set of equations, built, checked and
+differentiated at the top level: the level-k equations are the t^p ones
+with p <= k, in the jet variables of t-power <= k, so each level ranks
+its own rows of that one Jacobian.  An equation is differentiated only by
+the jet variables that occur in it.  At a k-rational point (every
+coordinate a visible constant) the equations and their partials are
+evaluated on raw base-field scalars, ints or ``Fraction``s, and each
+value is lifted into a ``FieldElement`` only once, for the shared exact
+rank.  Over GF(p) the evaluation runs over Z and the lift reduces mod p,
+which is exact because evaluation commutes with reduction.  Any other
+point is evaluated on ``FieldElement``s.
 """
 
 from __future__ import annotations
@@ -104,17 +107,19 @@ def jet_point_assignment(ideal: JetIdeal, point: Sequence[FieldElement]) -> dict
 
 
 def jet_jacobian_corank(
-    X: VarietyPresentation, n: int, point: Sequence[FieldElement]
-) -> int:
-    """Corank of the jet-scheme Jacobian at a point of the jet scheme.
+    X: VarietyPresentation, levels: Sequence[int] | int, point: Sequence[FieldElement]
+) -> list[int] | int:
+    """Coranks of the jet-scheme Jacobian at the truncations of a jet.
 
-    Returns (n+1)N - rank of the matrix of partials of the jet equations,
-    which is the fiber dimension of the differentials of the jet scheme
-    at the point.  The point must satisfy every jet equation exactly.
-    Each equation is differentiated only by the jet variables occurring
-    in it; every other partial is zero.
+    ``point`` is a jet at level top = max(levels) and must satisfy every
+    level-top jet equation exactly.  Level k gets (k+1)N - rank of the
+    rows of t-power <= k, the fiber dimension of the differentials of the
+    level-k jet scheme at the truncated point.  One corank per level, in
+    the order given; a bare level n returns its corank alone.
     """
-    ideal = jet_ideal(X, n)
+    wanted = [levels] if isinstance(levels, int) else list(levels)
+    top = max(wanted)
+    ideal = jet_ideal(X, top)
     env = jet_point_assignment(ideal, point)
     field = X.base
 
@@ -135,15 +140,27 @@ def jet_jacobian_corank(
             if not value(equation).is_zero():
                 raise PointNotOnJetScheme(j, p)
 
-    total = len(ideal.jet_variables)
     column = {v: k for k, v in enumerate(ideal.jet_variables)}
-    rows = []
+    # jacobian[j][p]: the gradient of the t^p equation of generator j.
+    jacobian = []
     for row in ideal.generators:
+        gradients = []
         for equation in row:
-            entries = [field.fe_zero] * total
+            entries = [field.fe_zero] * len(column)
             for v in equation.variables():
                 entries[column[v]] = value(equation.derivative(v))
-            rows.append(entries)
-    if not rows:
-        return total
-    return total - matrix_rank(rows)
+            gradients.append(entries)
+        jacobian.append(gradients)
+
+    width = len(X.variables)
+    coranks = []
+    for k in wanted:
+        # Jet variables are component-major: x[0..top], y[0..top], ...
+        columns = [i * (top + 1) + q for i in range(width) for q in range(k + 1)]
+        rows = [
+            [gradient[c] for c in columns]
+            for gradients in jacobian
+            for gradient in gradients[: k + 1]
+        ]
+        coranks.append(len(columns) - (matrix_rank(rows) if rows else 0))
+    return coranks[0] if isinstance(levels, int) else coranks

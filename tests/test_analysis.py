@@ -233,6 +233,27 @@ class TestOneRefinement:
         assert result.passed and result.cases == 36
         assert (len(refines), len(eliminations)) == (18, 18)
 
+    def test_oracle_equivalence_builds_one_jet_ideal_per_arc(self, monkeypatch):
+        from jetspace import catalog, jets
+
+        ideals = []
+        build = jets.jet_ideal
+        monkeypatch.setattr(jets, "jet_ideal", lambda X, n: ideals.append(n) or build(X, n))
+        result = catalog.check_oracle_equivalence()
+        assert result.passed and result.cases == 154
+        assert ideals == [6] * 22  # one per arc, at the top level
+
+    @pytest.mark.parametrize("name", ["truncation-compatibility", "betti-monotonicity"])
+    def test_level_checks_pull_each_arc_back_once(self, name, monkeypatch):
+        from jetspace import catalog
+
+        pullbacks = []
+        pull = catalog.pullback_matrix
+        monkeypatch.setattr(catalog, "pullback_matrix", lambda *a: pullbacks.append(a) or pull(*a))
+        result = dict(catalog._ALL_CHECKS)[name]()
+        assert result.passed
+        assert len(pullbacks) == 22  # one per arc, for all nine levels
+
     def test_level_zero_free_rank_is_the_corank_of_the_jacobian_at_the_center(self):
         for entry, spec in self._catalog_arcs():
             variety = entry.variety

@@ -362,7 +362,7 @@ def test_oracle_mismatch_exits_one(capsys, monkeypatch, argv, verdict):
 
     corank = analysis.jet_jacobian_corank
     assert _run(capsys, argv)[0] == 0
-    monkeypatch.setattr(analysis, "jet_jacobian_corank", lambda *a: corank(*a) + 1)
+    monkeypatch.setattr(analysis, "jet_jacobian_corank", lambda *a: [c + 1 for c in corank(*a)])
     code, out, err = _run(capsys, argv)
     assert code == 1
     assert err == ""
@@ -376,7 +376,7 @@ def test_oracle_mismatch_exits_one_under_strict(tmp_path, capsys, monkeypatch):
     from jetspace import analysis
 
     corank = analysis.jet_jacobian_corank
-    monkeypatch.setattr(analysis, "jet_jacobian_corank", lambda *a: corank(*a) + 1)
+    monkeypatch.setattr(analysis, "jet_jacobian_corank", lambda *a: [c + 1 for c in corank(*a)])
     monkeypatch.setenv("JETSPACE_PRECISION_CAP", "48")
     path = _write(tmp_path, WHITNEY_DOC)
     argv = ["oracle-check", path, "--arc", "singular-generic", "--n", "2"]

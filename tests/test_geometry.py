@@ -11,13 +11,15 @@ from jetspace.exact import SparsePolynomial
 from jetspace.geometry import (
     MorphismPresentation,
     VarietyPresentation,
-    cofactor_det,
     compose_morphisms,
     jacobian_ideal_generators,
+    minors,
     omega_presentation,
+    polynomial_minors,
     relative_omega_presentation,
 )
 from jetspace.invariants import refined_profile_of_omega, refined_pullback_profile
+from jetspace.jets import jet_ideal
 from jetspace.series import OrderValue, SeriesExpression
 
 
@@ -83,11 +85,52 @@ class TestMorphismValidation:
             VarietyPresentation(Q, ("x",), (var("y"),))
 
 
-def test_cofactor_det_keeps_precision_of_zero_entries():
+def test_minors_keep_precision_of_zero_entries():
     # 0 + O(t^3) times a unit leaves the determinant unknown from t^3 on,
     # although the other product, t^5, is known to precision 10.
     m = [[tser([], 3), tser([1], 10)], [tser([0, 0, 0, 0, 0, 1], 10), tser([1], 10)]]
-    assert cofactor_det(m).order() == OrderValue.at_least(3)
+    assert minors(m, 2)[0].order() == OrderValue.at_least(3)
+
+
+# Every size of minors of the Jacobian of the generators, and the 2x2 minors
+# of the level-1 jet Jacobian: the first-row expansion fixes each term's order.
+POLYNOMIAL_MINOR_PINS = {
+    "cusp": (
+        [["1"], ["-3*x^2", "2*y"], [], []],
+        ["9*x[0]^4", "-6*x[0]^2*y[1] + 12*x[0]*x[1]*y[0]", "-6*x[0]^2*y[0]", "6*x[0]^2*y[0]", "0", "4*y[0]^2"],
+    ),
+    "whitney": (
+        [["1"], ["y^2", "2*x*y", "-2*z"], [], [], []],
+        [
+            "y[0]^4",
+            "2*x[1]*y[0]^3 - 2*x[0]*y[0]^2*y[1]",
+            "2*x[0]*y[0]^3",
+            "-2*y[0]^2*z[1] + 4*y[0]*y[1]*z[0]",
+            "-2*y[0]^2*z[0]",
+            "-2*x[0]*y[0]^3",
+            "0",
+            "2*y[0]^2*z[0]",
+            "0",
+            "4*x[0]^2*y[0]^2",
+            "4*x[1]*y[0]*z[0] + 4*x[0]*y[1]*z[0] - 4*x[0]*y[0]*z[1]",
+            "-4*x[0]*y[0]*z[0]",
+            "4*x[0]*y[0]*z[0]",
+            "0",
+            "4*z[0]^2",
+        ],
+    ),
+}
+
+
+@pytest.mark.parametrize("variety", [cusp_variety(), whitney_variety()], ids=lambda X: X.name)
+def test_polynomial_minors_of_the_jacobians_are_pinned(variety):
+    by_size, jet_level_one = POLYNOMIAL_MINOR_PINS[variety.name]
+    matrix = omega_presentation(variety).matrix
+    sizes = range(len(variety.variables) + 2)
+    assert [[str(m) for m in polynomial_minors(matrix, k, Q)] for k in sizes] == by_size
+    ideal = jet_ideal(variety, 1)
+    jacobian = [[eq.derivative(v) for v in ideal.jet_variables] for row in ideal.generators for eq in row]
+    assert [str(m) for m in polynomial_minors(jacobian, 2, Q)] == jet_level_one
 
 
 def test_jacobian_ideal_generators_cusp():

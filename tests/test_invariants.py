@@ -1,5 +1,6 @@
 """Diagonalization over truncated series rings and Fitting invariants."""
 
+import itertools
 import random
 from fractions import Fraction
 
@@ -68,18 +69,89 @@ class TestFittingMinorOracle:
     def test_diagonal_minors(self):
         zero = tser([], 10)
         matrix = [[_t_power(1, 10), zero], [zero, _t_power(2, 10)]]
-        assert fitting_minor_oracle(matrix, 0) == OrderValue.finite(3)
-        assert fitting_minor_oracle(matrix, 1) == OrderValue.finite(1)
+        orders = fitting_minor_oracle(matrix)
+        assert orders[0] == OrderValue.finite(3)
+        assert orders[1] == OrderValue.finite(1)
 
     def test_unit_ideal_above_column_count(self):
         matrix = [[_t_power(1, 10)]]
-        assert fitting_minor_oracle(matrix, 1) == OrderValue.finite(0)
-        assert fitting_minor_oracle(matrix, 5) == OrderValue.finite(0)
+        orders = fitting_minor_oracle(matrix)
+        assert orders[1] == OrderValue.finite(0)
+        assert len(orders) == 2  # i = 0..N; every Fitting ideal from N on is the unit ideal
 
     def test_too_large(self):
         zero = tser([], 4)
         with pytest.raises(MatrixTooLarge):
-            fitting_minor_oracle([[zero] * 9] * 9, 0)
+            fitting_minor_oracle([[zero] * 9] * 9)
+
+    @pytest.mark.parametrize("shape", [(9, 9), (1, 9), (9, 1)])
+    def test_bound_is_checked_before_any_minor(self, shape, monkeypatch):
+        # The bound holds for the whole call, whichever index needs no minor.
+        from jetspace import invariants
+
+        computed = []
+        monkeypatch.setattr(invariants, "minors", lambda *a: computed.append(a) or [])
+        rows, cols = shape
+        with pytest.raises(MatrixTooLarge):
+            fitting_minor_oracle([[tser([1], 4)] * cols] * rows)
+        assert computed == []
+
+    def test_one_table_serves_every_index(self, monkeypatch):
+        # Each minor of a 4x4 matrix once: 36 * 2 + 16 * 3 + 4 products.
+        rng = random.Random(41)
+        matrix = [[tser([rng.randint(-9, 9) for _ in range(6)], 24) for _ in range(4)] for _ in range(4)]
+        products = []
+        mul = TruncatedSeries.__mul__
+        monkeypatch.setattr(TruncatedSeries, "__mul__", lambda a, b: products.append(1) or mul(a, b))
+        fitting_minor_oracle(matrix)
+        assert len(products) <= 124
+
+
+def _cofactor_minor_orders(matrix, num_columns, precision):
+    """Fitting orders i = 0..N by enumerating every minor, each expanded afresh."""
+
+    def det(m):
+        if len(m) == 1:
+            return m[0][0]
+        acc = None
+        for j, top in enumerate(m[0]):
+            term = top * det([[row[k] for k in range(len(m)) if k != j] for row in m[1:]])
+            if j % 2 == 1:
+                term = -term
+            acc = term if acc is None else acc + term
+        return acc
+
+    orders = []
+    for i in range(num_columns + 1):
+        size = num_columns - i
+        if size == 0:
+            orders.append(OrderValue.finite(0))
+            continue
+        best = OrderValue.at_least(precision)
+        for row_idx in itertools.combinations(range(len(matrix)), size):
+            for col_idx in itertools.combinations(range(num_columns), size):
+                minor = det([[matrix[r][c] for c in col_idx] for r in row_idx])
+                best = best.min(minor.truncate(min(minor.precision, precision)).order())
+        orders.append(best)
+    return orders
+
+
+def test_all_index_oracle_matches_a_brute_force_enumeration():
+    rng = random.Random(1705)
+    for _ in range(60):
+        rows, cols = rng.randint(1, 4), rng.randint(1, 4)
+        matrix = []
+        for _ in range(rows):
+            row = []
+            for _ in range(cols):
+                precision = rng.choice((3, 6, 10))
+                if rng.random() < 0.25:
+                    row.append(tser([], precision))  # zero to its precision
+                else:
+                    row.append(tser([rng.randint(-2, 2) for _ in range(4)], precision))
+            matrix.append(row)
+        precision = min(entry.precision for row in matrix for entry in row)
+        assert fitting_minor_oracle(matrix) == _cofactor_minor_orders(matrix, cols, precision)
 
 
 def _random_matrix(rng, precision=24):
@@ -116,8 +188,7 @@ def test_scalar_and_field_element_coefficients_agree(precision):
         assert smith_orders(scalar, cols) == smith_orders(matrix, cols)
         for level in (1, precision - 1):
             assert smith_orders(scalar, cols, level) == smith_orders(matrix, cols, level)
-        for i in range(cols + 1):
-            assert fitting_minor_oracle(scalar, i) == fitting_minor_oracle(matrix, i)
+        assert fitting_minor_oracle(scalar) == fitting_minor_oracle(matrix)
 
 
 def test_smith_matches_minor_oracle_randomized():
@@ -125,10 +196,8 @@ def test_smith_matches_minor_oracle_randomized():
     for _ in range(60):
         matrix, cols = _random_matrix(rng)
         profile = smith_orders(matrix, cols)
-        for i in range(cols + 1):
-            assert _orders_match(
-                profile.fitting_invariant(i), fitting_minor_oracle(matrix, i)
-            )
+        for i, minor_order in enumerate(fitting_minor_oracle(matrix)):
+            assert _orders_match(profile.fitting_invariant(i), minor_order)
 
 
 def _apply_random_unimodular(rng, matrix, precision):

@@ -180,6 +180,23 @@ def test_corank_at_rational_jets_matches_sympy_rank(entry):
             assert all(c.is_constant() for c in point)
             expected = (n + 1) * len(X.variables) - _sympy_jacobian_rank(X, n, coords)
             assert jet_jacobian_corank(X, n, point) == expected, (entry.key, n, coords)
+    # One multi-level call at the last level-5 jet: every level against sympy.
+    coranks = jet_jacobian_corank(X, range(6), point)
+    for k in range(6):
+        truncated = [coords[i * 6 + q] for i in range(len(X.variables)) for q in range(k + 1)]
+        expected = (k + 1) * len(X.variables) - _sympy_jacobian_rank(X, k, truncated)
+        assert coranks[k] == expected, (entry.key, k, coords)
+
+
+@pytest.mark.parametrize("entry", build_catalog(), ids=lambda entry: entry.key)
+def test_multi_level_corank_equals_the_single_level_calls(entry):
+    """Over Q, GF(2) and GF(3), at k-rational and transcendental jets."""
+    for spec in entry.arcs:
+        arc = make_arc(entry.variety, spec.components, 16)
+        coranks = jet_jacobian_corank(entry.variety, range(7), arc.truncate(6).coordinates)
+        singles = [jet_jacobian_corank(entry.variety, n, arc.truncate(n).coordinates) for n in range(7)]
+        assert coranks == singles, (entry.key, spec.name)
+        assert jet_jacobian_corank(entry.variety, [4, 1], arc.truncate(4).coordinates) == [singles[4], singles[1]]
 
 
 def _unit_branch():
@@ -202,9 +219,10 @@ def test_point_off_the_jet_scheme_raises_the_same_error_on_both_paths():
     # x = 0, y = c t: y^2 - x^3 vanishes at t^0 and t^1, not at t^2.
     for c in (fe(1), fev("a")):
         point = [fe(0)] * 3 + [fe(0), c, fe(0)]
-        with pytest.raises(PointNotOnJetScheme) as raised:
-            jet_jacobian_corank(cusp_variety(), 2, point)
-        assert (raised.value.generator_index, raised.value.level_index) == (0, 2)
+        for levels in (2, [2], range(3)):
+            with pytest.raises(PointNotOnJetScheme) as raised:
+                jet_jacobian_corank(cusp_variety(), levels, point)
+            assert (raised.value.generator_index, raised.value.level_index) == (0, 2)
 
 
 def _count_field_element_arithmetic(monkeypatch):
