@@ -7,6 +7,11 @@ truncation compatibility, monotonicity, the birational transformation
 rule on blow-up charts, the discrepancy formula at divisorial arcs, and
 detection of suspected-infinite embedding dimensions.
 
+The catalog varieties and their arcs are written as problem documents
+(the input format of ``jetspace.document``) and parsed once per
+process; the blow-up charts are morphism documents too.  Only the
+choice of arcs that lie on the singular locus is kept beside them.
+
 Everything here is deterministic: randomized checks draw from fixed
 seeds, and the report layout is stable, so two runs emit identical
 bytes.
@@ -14,6 +19,7 @@ bytes.
 
 from __future__ import annotations
 
+import functools
 import random
 from dataclasses import dataclass
 from fractions import Fraction
@@ -30,7 +36,8 @@ from .analysis import (
     oracle_check,
 )
 from .arcs import Arc, GenericComponent, make_arc
-from .exact import BaseField, FieldElement, RATIONALS, SparsePolynomial
+from .document import parse_document
+from .exact import FieldElement, RATIONALS
 from .geometry import (
     MorphismPresentation,
     VarietyPresentation,
@@ -48,18 +55,104 @@ _FITTING_SEED = 94301
 _BTR_SEED = 52972
 _BTR_TRIALS = 20
 
+_XYZ = ["x", "y", "z"]
 
-def _fe(field, value):
-    return FieldElement.from_scalar(field, value)
+# The regression family: smooth spaces, plane curves, surfaces, char p.
+_CATALOG_DOCUMENTS = (
+    {
+        "transcendentals": ["w1_0", "w1_1", "w1_2"],
+        "variety": {"name": "affine-line", "variables": ["x"], "declared_dim": 1},
+        "arcs": {
+            "origin": {"components": ["0"]},
+            "line": {"components": ["t"]},
+            "window": {"components": ["w1_0 + w1_1*t + w1_2*t^2"]},
+            "generic": {"components": [{"generic": {}}]},
+        },
+    },
+    {
+        "variety": {"name": "affine-plane", "variables": ["x", "y"], "declared_dim": 2},
+        "arcs": {
+            "origin": {"components": ["0", "0"]},
+            "mono": {"components": ["t", "t^2"]},
+            "generic": {"components": [{"generic": {}}, {"generic": {}}]},
+        },
+    },
+    {
+        "transcendentals": ["a1"],
+        "variety": {
+            "name": "cusp",
+            "variables": ["x", "y"],
+            "generators": ["y^2 - x^3"],
+            "declared_dim": 1,
+        },
+        "arcs": {
+            "main": {"components": ["t^2", "t^3"]},
+            "unit-branch": {"components": ["t^2*(1 + t*a1)^2", "t^3*(1 + t*a1)^3"]},
+        },
+    },
+    {
+        "variety": {
+            "name": "node",
+            "variables": ["x", "y"],
+            "generators": ["y^2 - x^3 - x^2"],
+            "declared_dim": 1,
+        },
+        "arcs": {"branch": {"components": ["2*t + t^2", "2*t + 3*t^2 + t^3"]}},
+    },
+    {
+        "variety": {
+            "name": "whitney",
+            "variables": _XYZ,
+            "generators": ["x*y^2 - z^2"],
+            "declared_dim": 2,
+        },
+        "arcs": {
+            "off-axis": {"components": ["1", "t", "t"]},
+            "through-origin": {"components": ["t^2", "t", "t^2"]},
+            "singular-jet": {"components": ["t", "0", "0"]},
+            "singular-generic": {"components": [{"generic": {"start": 1}}, "0", "0"]},
+        },
+    },
+    *(
+        {
+            "variety": {
+                "name": f"a{k}",
+                "variables": _XYZ,
+                "generators": [f"x*y - z^{k + 1}"],
+                "declared_dim": 2,
+            },
+            "arcs": {
+                "diag": {"components": ["t", f"t^{k}", "t"]},
+                **({"fat": {"components": ["t^3", "t^3", "t^2"]}} if k == 2 else {}),
+            },
+        }
+        for k in (1, 2, 3)
+    ),
+    *(
+        {
+            "field": {"prime": p},
+            "variety": {
+                "name": f"umbrella{p}",
+                "variables": _XYZ,
+                "generators": [f"x*y^{p} - z^{p}"],
+                "declared_dim": 2,
+            },
+            "arcs": {
+                "off": {"components": [f"t^{p}", "t", "t^2"]},
+                "singular-jet": {"components": ["t", "0", "0"]},
+            },
+        }
+        for p in (2, 3)
+    ),
+)
 
-
-def _series(field, *coeffs) -> SeriesExpression:
-    return SeriesExpression(field, [_fe(field, c) for c in coeffs])
-
-
-def _poly(field, text_vars, builder) -> SparsePolynomial:
-    env = {v: SparsePolynomial.variable(field, v) for v in text_vars}
-    return builder(env)
+# (variety, arc) pairs whose arc lies in the singular locus of its variety.
+_ON_SINGULAR_LOCUS = {
+    ("whitney", "singular-jet"),
+    ("whitney", "singular-generic"),
+    ("umbrella2", "singular-jet"),
+    ("umbrella3", "singular-jet"),
+}
 
 
 @dataclass(frozen=True)
@@ -76,189 +169,36 @@ class CatalogVariety:
     arcs: tuple[CatalogArc, ...]
 
 
-def build_catalog() -> list[CatalogVariety]:
-    """The regression family: smooth spaces, plane curves, surfaces, char p."""
+@functools.cache
+def build_catalog() -> tuple[CatalogVariety, ...]:
+    """The catalog varieties and their arcs, parsed once per process."""
     entries = []
-
-    line = VarietyPresentation(_Q, ("x",), (), declared_dim=1, name="affine-line")
-    entries.append(
-        CatalogVariety(
-            "affine-line",
-            line,
-            (
-                CatalogArc("origin", (_series(_Q, 0),), True),
-                CatalogArc("line", (_series(_Q, 0, 1),), True),
-                CatalogArc("window", (_window_component(_Q, 1, 3),), True),
-                CatalogArc("generic", (GenericComponent(1, 0),), True),
-            ),
+    for raw in _CATALOG_DOCUMENTS:
+        document = parse_document(raw)
+        key = document.variety.name
+        arcs = tuple(
+            CatalogArc(name, components, (key, name) not in _ON_SINGULAR_LOCUS)
+            for name, (_, components) in document.arc_specs.items()
         )
-    )
-
-    plane = VarietyPresentation(_Q, ("x", "y"), (), declared_dim=2, name="affine-plane")
-    entries.append(
-        CatalogVariety(
-            "affine-plane",
-            plane,
-            (
-                CatalogArc("origin", (_series(_Q, 0), _series(_Q, 0)), True),
-                CatalogArc("mono", (_series(_Q, 0, 1), _series(_Q, 0, 0, 1)), True),
-                CatalogArc("generic", (GenericComponent(1, 0), GenericComponent(2, 0)), True),
-            ),
-        )
-    )
-
-    cusp = VarietyPresentation(
-        _Q,
-        ("x", "y"),
-        (_poly(_Q, ("x", "y"), lambda e: e["y"] ** 2 - e["x"] ** 3),),
-        declared_dim=1,
-        name="cusp",
-    )
-    unit = _series(_Q, 1) + _series(_Q, 0, 1) * SeriesExpression.constant(
-        _Q, FieldElement.variable(_Q, "a1")
-    )
-    t2 = SeriesExpression.t_power(_Q, 2)
-    t3 = SeriesExpression.t_power(_Q, 3)
-    entries.append(
-        CatalogVariety(
-            "cusp",
-            cusp,
-            (
-                CatalogArc("main", (t2, t3), True),
-                CatalogArc("unit-branch", (t2 * unit ** 2, t3 * unit ** 3), True),
-            ),
-        )
-    )
-
-    node = VarietyPresentation(
-        _Q,
-        ("x", "y"),
-        (_poly(_Q, ("x", "y"), lambda e: e["y"] ** 2 - e["x"] ** 3 - e["x"] ** 2),),
-        declared_dim=1,
-        name="node",
-    )
-    entries.append(
-        CatalogVariety(
-            "node",
-            node,
-            (CatalogArc("branch", (_series(_Q, 0, 2, 1), _series(_Q, 0, 2, 3, 1)), True),),
-        )
-    )
-
-    whitney = VarietyPresentation(
-        _Q,
-        ("x", "y", "z"),
-        (_poly(_Q, ("x", "y", "z"), lambda e: e["x"] * e["y"] ** 2 - e["z"] ** 2),),
-        declared_dim=2,
-        name="whitney",
-    )
-    zero = _series(_Q, 0)
-    entries.append(
-        CatalogVariety(
-            "whitney",
-            whitney,
-            (
-                CatalogArc("off-axis", (_series(_Q, 1), _series(_Q, 0, 1), _series(_Q, 0, 1)), True),
-                CatalogArc(
-                    "through-origin",
-                    (SeriesExpression.t_power(_Q, 2), _series(_Q, 0, 1), SeriesExpression.t_power(_Q, 2)),
-                    True,
-                ),
-                CatalogArc("singular-jet", (_series(_Q, 0, 1), zero, zero), False),
-                CatalogArc("singular-generic", (GenericComponent(1, 1), zero, zero), False),
-            ),
-        )
-    )
-
-    for k in (1, 2, 3):
-        surface = VarietyPresentation(
-            _Q,
-            ("x", "y", "z"),
-            (_poly(_Q, ("x", "y", "z"), lambda e, k=k: e["x"] * e["y"] - e["z"] ** (k + 1)),),
-            declared_dim=2,
-            name=f"a{k}",
-        )
-        arcs = [
-            CatalogArc(
-                "diag",
-                (
-                    SeriesExpression.t_power(_Q, 1),
-                    SeriesExpression.t_power(_Q, k),
-                    SeriesExpression.t_power(_Q, 1),
-                ),
-                True,
-            )
-        ]
-        if k == 2:
-            arcs.append(
-                CatalogArc(
-                    "fat",
-                    (
-                        SeriesExpression.t_power(_Q, 3),
-                        SeriesExpression.t_power(_Q, 3),
-                        SeriesExpression.t_power(_Q, 2),
-                    ),
-                    True,
-                )
-            )
-        entries.append(CatalogVariety(f"a{k}", surface, tuple(arcs)))
-
-    for p in (2, 3):
-        field = BaseField(p)
-        umbrella = VarietyPresentation(
-            field,
-            ("x", "y", "z"),
-            (
-                _poly(
-                    field,
-                    ("x", "y", "z"),
-                    lambda e, p=p: e["x"] * e["y"] ** p - e["z"] ** p,
-                ),
-            ),
-            declared_dim=2,
-            name=f"umbrella{p}",
-        )
-        zero_p = SeriesExpression.constant(field, 0)
-        entries.append(
-            CatalogVariety(
-                f"umbrella{p}",
-                umbrella,
-                (
-                    CatalogArc(
-                        "off",
-                        (
-                            SeriesExpression.t_power(field, p),
-                            SeriesExpression.t_power(field, 1),
-                            SeriesExpression.t_power(field, 2),
-                        ),
-                        True,
-                    ),
-                    CatalogArc("singular-jet", (SeriesExpression.t_power(field, 1), zero_p, zero_p), False),
-                ),
-            )
-        )
-
-    return entries
-
-
-def _window_component(field, index, width) -> SeriesExpression:
-    coeffs = [FieldElement.variable(field, f"w{index}_{p}") for p in range(width)]
-    return SeriesExpression(field, coeffs)
+        entries.append(CatalogVariety(key, document.variety, arcs))
+    return tuple(entries)
 
 
 def blow_up_chart(dim: int) -> MorphismPresentation:
     """Chart of the blow-up of the origin of affine dim-space."""
     if dim < 2:
         raise ValueError("blow-up chart needs dimension >= 2")
-    src_vars = tuple(f"y{i}" for i in range(1, dim + 1))
-    tgt_vars = tuple(f"x{i}" for i in range(1, dim + 1))
-    source = VarietyPresentation(_Q, src_vars, (), declared_dim=dim, name=f"chart{dim}")
-    target = VarietyPresentation(_Q, tgt_vars, (), declared_dim=dim, name=f"space{dim}")
-    first = SparsePolynomial.variable(_Q, src_vars[0])
-    components = [first]
-    for v in src_vars[1:]:
-        components.append(first * SparsePolynomial.variable(_Q, v))
-    return MorphismPresentation(source, target, tuple(components), name=f"blowup{dim}")
+    targets = [f"x{i}" for i in range(1, dim + 1)]
+    sources = [f"y{i}" for i in range(1, dim + 1)]
+    document = {
+        "variety": {"name": f"space{dim}", "variables": targets, "declared_dim": dim},
+        "morphism": {
+            "name": f"blowup{dim}",
+            "source": {"name": f"chart{dim}", "variables": sources, "declared_dim": dim},
+            "components": ["y1"] + [f"y1*{v}" for v in sources[1:]],
+        },
+    }
+    return parse_document(document).morphism
 
 
 @dataclass(frozen=True)
@@ -344,7 +284,7 @@ def check_cusp_numbers() -> CheckResult:
     return CheckResult("cusp-numbers", passed, 7, got)
 
 
-def _random_series_matrix(rng: random.Random, precision: int):
+def _random_matrix(rng: random.Random, precision: int):
     """Random matrix of rational series with small integer coefficients.
 
     The data has no transcendentals, so the series hold plain scalars.
@@ -369,7 +309,7 @@ def check_fitting_oracle() -> CheckResult:
     failures = []
     cases = 0
     for trial in range(_FITTING_TRIALS):
-        matrix, cols = _random_series_matrix(rng, 24)
+        matrix, cols = _random_matrix(rng, 24)
         profile = smith_orders(matrix, cols)
         for i, minor_c in enumerate(fitting_minor_oracle(matrix, num_columns=cols)):
             cases += 1
@@ -486,9 +426,9 @@ def _random_chart_arc(rng: random.Random, chart: MorphismPresentation, precision
             coeffs = [Fraction(rng.randint(-4, 4)) for _ in range(degree + 1)]
             if all(c == 0 for c in coeffs):
                 coeffs[degree] = Fraction(1)
-            comps.append(_series(_Q, *coeffs))
+            comps.append(SeriesExpression(_Q, [FieldElement.from_scalar(_Q, c) for c in coeffs]))
         else:
-            comps.append(_series(_Q, rng.randint(-3, 3)))
+            comps.append(SeriesExpression.constant(_Q, rng.randint(-3, 3)))
     return make_arc(chart.source, comps, precision)
 
 

@@ -27,6 +27,10 @@ Example::
 A morphism block has ``source`` (a variety block), optional ``target``
 (defaults to the document's variety), and ``components`` (polynomial
 strings in the source variables).
+
+Every object refuses a key it does not know: the document root, the
+variety and morphism blocks, each arc and each generic spec.  A misspelt
+key is an input error, never a silent default.
 """
 
 from __future__ import annotations
@@ -144,6 +148,13 @@ def _expect(mapping, key, kind, context, default=None, required=False):
     return value
 
 
+def _check_keys(block, known, context):
+    """Refuse a key of ``block`` outside ``known``: a misspelt key is never ignored."""
+    for key in block:
+        if key not in known:
+            raise InputError(f"{context}.{key}: unknown key (known: {', '.join(known)})")
+
+
 def _parse_field(spec, context) -> BaseField:
     if spec == "rationals":
         return BaseField()
@@ -158,6 +169,7 @@ def _parse_field(spec, context) -> BaseField:
 def _parse_variety(block, field, context) -> VarietyPresentation:
     if not isinstance(block, dict):
         raise InputError(f"{context}: expected an object")
+    _check_keys(block, ("name", "variables", "generators", "declared_dim"), context)
     variables = _expect(block, "variables", list, context, required=True)
     if not variables or not all(isinstance(v, str) for v in variables):
         raise InputError(f"{context}.variables: expected a nonempty list of names")
@@ -187,6 +199,7 @@ def _parse_component(value, index, field, transcendentals, context):
         spec = value["generic"]
         start = 0
         if isinstance(spec, dict):
+            _check_keys(spec, ("start",), f"{context}[{index}].generic")
             start = _expect(spec, "start", int, f"{context}[{index}].generic", default=0)
         elif spec is not None:
             raise InputError(f"{context}[{index}].generic: expected an object")
@@ -212,6 +225,11 @@ def load_document(path: str) -> ProblemDocument:
 def parse_document(raw: Any) -> ProblemDocument:
     if not isinstance(raw, dict):
         raise InputError("document root must be a JSON object")
+    _check_keys(
+        raw,
+        ("field", "transcendentals", "variety", "morphism", "arcs", "params", "tasks"),
+        "document",
+    )
     field = _parse_field(raw.get("field", "rationals"), "field")
     transcendentals = _expect(raw, "transcendentals", list, "document", default=[])
     for name in transcendentals:
@@ -229,6 +247,7 @@ def parse_document(raw: Any) -> ProblemDocument:
     morphism = None
     if "morphism" in raw:
         block = _expect(raw, "morphism", dict, "document", required=True)
+        _check_keys(block, ("name", "source", "target", "components"), "morphism")
         source = _parse_variety(
             _expect(block, "source", dict, "morphism", required=True), field, "morphism.source"
         )
@@ -253,6 +272,9 @@ def parse_document(raw: Any) -> ProblemDocument:
     arcs_block = _expect(raw, "arcs", dict, "document", default={})
     for name, block in arcs_block.items():
         context = f"arcs.{name}"
+        if not isinstance(block, dict):
+            raise InputError(f"{context}: expected an object")
+        _check_keys(block, ("on", "components"), context)
         where = _expect(block, "on", str, context, default="variety")
         if where == "variety":
             space = variety
@@ -276,9 +298,7 @@ def parse_document(raw: Any) -> ProblemDocument:
         )
 
     params = _expect(raw, "params", dict, "document", default={})
-    for key in params:
-        if key not in PARAMETERS:
-            raise InputError(f"params.{key}: unknown parameter (known: {', '.join(PARAMETERS)})")
+    _check_keys(params, PARAMETERS, "params")
 
     tasks = _expect(raw, "tasks", list, "document", default=[])
     for i, task in enumerate(tasks):

@@ -73,9 +73,6 @@ class MorphismPresentation:
             if extra:
                 raise InputError(f"component {comp} uses non-source variables: {', '.join(extra)}")
 
-    def component_map(self) -> dict[str, SparsePolynomial]:
-        return dict(zip(self.target.variables, self.components))
-
 
 @dataclass(frozen=True)
 class DifferentialPresentation:
@@ -115,19 +112,6 @@ def relative_omega_presentation(f: MorphismPresentation) -> DifferentialPresenta
     rows = [tuple(g.derivative(v) for v in src_vars) for g in f.source.generators]
     rows.extend(tuple(comp.derivative(v) for v in src_vars) for comp in f.components)
     return DifferentialPresentation(symbols, tuple(rows))
-
-
-def compose_morphisms(g: MorphismPresentation, f: MorphismPresentation) -> MorphismPresentation:
-    """g after f, as a single morphism presentation."""
-    if g.source.variables != f.target.variables:
-        raise InputError("composition mismatch: source of the outer map differs from the inner target")
-    env = f.component_map()
-    components = tuple(
-        comp.evaluate(env, lambda c: SparsePolynomial.constant(f.source.base, c))
-        for comp in g.components
-    )
-    name = f"{g.name or 'g'}{f.name or 'f'}"
-    return MorphismPresentation(f.source, g.target, components, name=name)
 
 
 def polynomial_minors(

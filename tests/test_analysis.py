@@ -271,6 +271,19 @@ class TestOneRefinement:
             assert profile.at_level(0).betti == len(names) - rank, (entry.key, spec.name)
 
 
+def test_catalog_documents_are_parsed_once_per_process(monkeypatch):
+    from jetspace import catalog
+
+    parses = []
+    parse = catalog.parse_document
+    monkeypatch.setattr(catalog, "parse_document", lambda raw: parses.append(raw) or parse(raw))
+    catalog.build_catalog.cache_clear()
+    entries = catalog.build_catalog()
+    assert len(parses) == len(entries) == 10  # one document per variety
+    assert catalog.build_catalog() is entries
+    assert len(parses) == 10
+
+
 class TestDivisorial:
     def test_contact_orders_on_identity_line(self):
         line = affine_space(1, names=("x",))

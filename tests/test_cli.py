@@ -291,6 +291,22 @@ def test_parse_error_exit_code(tmp_path, capsys):
 
 
 @pytest.mark.parametrize(
+    "doc, message",
+    [
+        (dict(CUSP_DOC, arcs={"main": 5}), "arcs.main: expected an object"),
+        (
+            dict(CUSP_DOC, variety={"variables": ["x", "y"], "generator": ["y^2 - x^3"]}),
+            "variety.generator: unknown key",
+        ),
+    ],
+)
+def test_malformed_document_exits_with_an_input_error(tmp_path, capsys, doc, message):
+    code, out, err = _run(capsys, ["profile", _write(tmp_path, doc)])
+    assert (code, out) == (1, "")
+    assert err.startswith(f"error[InputError]: {message}")
+
+
+@pytest.mark.parametrize(
     "doc, argv, key",
     [
         (CUSP_DOC, ["profile", "--precision", "193"], "precision"),

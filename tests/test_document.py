@@ -247,3 +247,36 @@ class TestParseDocument:
         doc = parse_document(_doc())
         with pytest.raises(InputError):
             doc.build_arc("missing")
+
+    @pytest.mark.parametrize("block", [5, None, "components"])
+    def test_arc_entry_that_is_not_an_object_rejected(self, block):
+        with pytest.raises(InputError, match=r"^arcs\.main: expected an object$"):
+            parse_document(_doc(arcs={"main": block}))
+
+
+class TestUnknownKeys:
+    """A misspelt key is an input error that names the key, never a silent default."""
+
+    def test_root(self):
+        with pytest.raises(InputError, match=r"^document\.param: unknown key"):
+            parse_document(_doc(param={"n": 3}))
+
+    def test_variety(self):
+        raw = _doc()
+        raw["variety"]["generator"] = raw["variety"].pop("generators")
+        with pytest.raises(InputError, match=r"^variety\.generator: unknown key"):
+            parse_document(raw)
+
+    def test_morphism(self):
+        morphism = {"source": {"variables": ["u"]}, "components": ["u^2", "u^3"], "nmae": "f"}
+        with pytest.raises(InputError, match=r"^morphism\.nmae: unknown key"):
+            parse_document(_doc(morphism=morphism))
+
+    def test_arc(self):
+        with pytest.raises(InputError, match=r"^arcs\.main\.component: unknown key"):
+            parse_document(_doc(arcs={"main": {"component": ["t^2", "t^3"]}}))
+
+    def test_generic_spec(self):
+        arcs = {"g": {"components": [{"generic": {"strat": 2}}, "t^3"]}}
+        with pytest.raises(InputError, match=r"^arcs\.g\.components\[0\]\.generic\.strat: unknown"):
+            parse_document(_doc(arcs=arcs))
