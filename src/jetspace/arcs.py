@@ -1,16 +1,18 @@
 """Arcs on a variety with exact precision semantics.
 
-An arc stores one component per ambient variable.  Components come in
-three flavors:
+An arc stores one component per ambient variable.  A component is one
+of three kinds, each re-expandable at any precision:
 
-* exact series expressions (re-expandable to any precision),
-* generic-to-precision components, written as a tail of fresh
-  transcendentals (one per coefficient from a fixed starting order), and
-* raw truncated series, capped at the precision they were given.
+* an exact series expression,
+* a generic component, written as a tail of fresh transcendentals (one
+  per coefficient from a fixed starting order), or
+* a mapped component of an image arc: a polynomial of a source arc's
+  components.
 
-Arc validity (every ideal generator vanishes modulo t^P) is checked at
-construction and again after every precision raise.  Raising precision
-returns a new arc; values never mutate.
+Any other value is an input error, so every arc can be refined.  Arc
+validity (every ideal generator vanishes modulo t^P) is checked at
+construction and again after every precision raise.  Refinement only
+raises precision and returns a new arc; values never mutate.
 """
 
 from __future__ import annotations
@@ -64,21 +66,20 @@ class GenericComponent:
 class MappedComponent:
     """Component of an image arc: a polynomial of a source arc's components.
 
-    Expansion refines the source arc to the requested precision and
-    evaluates the polynomial there, so image arcs stay refinable exactly
-    when their source is.
+    ``expand`` evaluates the polynomial on the source arc refined to the
+    requested precision, which ``Arc`` does once per distinct source.
     """
 
     polynomial: object  # SparsePolynomial in the source variables
     source: "Arc"
 
-    def expand(self, field, precision: int) -> TruncatedSeries:
-        src = self.source.with_precision(max(precision, self.source.precision))
-        env = dict(zip(src.variety.variables, src.expansions))
+    def expand(self, refined: "Arc", precision: int) -> TruncatedSeries:
+        """The polynomial on ``refined``, the source arc known to at least ``precision``."""
+        env = dict(zip(refined.variety.variables, refined.expansions))
         return evaluate_poly_at_series(self.polynomial, env, precision).truncate(precision)
 
 
-ArcComponent = SeriesExpression | GenericComponent | MappedComponent | TruncatedSeries
+ArcComponent = SeriesExpression | GenericComponent | MappedComponent
 
 
 @dataclass(frozen=True)
@@ -99,7 +100,6 @@ class Arc:
         variety: VarietyPresentation,
         components: Sequence[ArcComponent],
         precision: int,
-        _expansions: tuple[TruncatedSeries, ...] | None = None,
     ):
         if len(components) != len(variety.variables):
             raise InputError(
@@ -110,20 +110,24 @@ class Arc:
         self.variety = variety
         self.components = tuple(components)
         self.precision = precision
-        if _expansions is None:
-            _expansions = tuple(self._expand_component(c) for c in self.components)
-        self.expansions = _expansions
+        refined = {}  # each distinct source arc is refined once
+        expansions = []
+        for c in self.components:
+            if isinstance(c, SeriesExpression):
+                expansions.append(c.expand(precision))
+            elif isinstance(c, GenericComponent):
+                expansions.append(c.expand(variety.base, precision))
+            elif isinstance(c, MappedComponent):
+                if c.source not in refined:
+                    refined[c.source] = c.source.with_precision(precision)
+                expansions.append(c.expand(refined[c.source], precision))
+            else:
+                raise InputError(
+                    "an arc component is a SeriesExpression, GenericComponent or "
+                    f"MappedComponent, not {type(c).__name__}"
+                )
+        self.expansions = tuple(expansions)
         self._validate()
-
-    def _expand_component(self, comp: ArcComponent) -> TruncatedSeries:
-        field = self.variety.base
-        if isinstance(comp, SeriesExpression):
-            return comp.expand(self.precision)
-        if isinstance(comp, (GenericComponent, MappedComponent)):
-            return comp.expand(field, self.precision)
-        if comp.precision < self.precision:
-            raise PrecisionTooLow(self.precision - 1, comp.precision)
-        return comp.truncate(self.precision)
 
     def _validate(self):
         env = dict(zip(self.variety.variables, self.expansions))
@@ -133,29 +137,14 @@ class Arc:
             if ord_g.is_finite:
                 raise NotOnVariety(j, ord_g.value)
 
-    @property
-    def refinable(self) -> bool:
-        """True when every component can be re-expanded at a higher precision."""
-        for c in self.components:
-            if isinstance(c, TruncatedSeries):
-                return False
-            if isinstance(c, MappedComponent) and not c.source.refinable:
-                return False
-        return True
-
     def with_precision(self, precision: int) -> "Arc":
-        """Same arc, re-expanded (and re-validated) at the given precision."""
-        if precision == self.precision:
+        """This arc known to at least the given precision.
+
+        A higher precision re-expands and re-validates the components; any
+        other returns the arc itself.
+        """
+        if precision <= self.precision:
             return self
-        if precision < self.precision:
-            return Arc(
-                self.variety,
-                self.components,
-                precision,
-                tuple(e.truncate(precision) for e in self.expansions),
-            )
-        if not self.refinable:
-            raise PrecisionTooLow(precision - 1, self.precision)
         return Arc(self.variety, self.components, precision)
 
     def through_level(self, n: int) -> "Arc":
@@ -246,7 +235,7 @@ def push_arc(f: MorphismPresentation, beta: Arc) -> Arc:
     """Image arc f(beta) on the target variety.
 
     The image components are mapped components bound to beta, so the
-    image can be re-expanded whenever beta can.  Target generators are
+    image re-expands through beta.  Target generators are
     checked modulo t^P; a failure is reported as an invalid morphism.
     """
     if beta.variety is not f.source and beta.variety != f.source:

@@ -44,8 +44,6 @@ from .invariants import profile_of_omega, refined_profile_of_omega
 from .jets import jet_ideal
 from .series import DEFAULT_PRECISION, PRECISION_CAP
 
-PARAMETER_CEILINGS = {k: spec.ceiling for k, spec in PARAMETERS.items() if spec.ceiling is not None}
-
 REQUIRED = object()  # the default of a parameter that has none
 
 

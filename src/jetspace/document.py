@@ -31,18 +31,25 @@ strings in the source variables).
 Every object refuses a key it does not know: the document root, the
 variety and morphism blocks, each arc and each generic spec.  A misspelt
 key is an input error, never a silent default.
+
+Every variable and transcendental is a symbol of the ``exprs`` grammar
+(a letter or _, then letters, digits or _), so an expression can name
+it.  ``t`` is reserved for the series variable, and a transcendental may
+not be named ``u<digits>_<digits>``: those are the coefficients of
+generic components, and a declared one would alias them.
 """
 
 from __future__ import annotations
 
 import json
+import re
 from dataclasses import dataclass
 from typing import Any, Callable
 
 from .arcs import Arc, GenericComponent, make_arc
 from .errors import InputError
 from .exact import BaseField
-from .exprs import parse_polynomial, parse_series_expression
+from .exprs import is_symbol, parse_polynomial, parse_series_expression
 from .geometry import MorphismPresentation, VarietyPresentation
 from .series import DEFAULT_PRECISION, PRECISION_CAP
 
@@ -148,6 +155,19 @@ def _expect(mapping, key, kind, context, default=None, required=False):
     return value
 
 
+# The coefficient names of generic components (``GenericComponent.coefficient_name``).
+_GENERIC_COEFFICIENT = re.compile(r"u[0-9]+_[0-9]+")
+
+
+def _check_symbols(names, context):
+    """Each name is a symbol of the ``exprs`` grammar, so an expression can name it."""
+    for name in names:
+        if not isinstance(name, str) or not is_symbol(name):
+            raise InputError(
+                f"{context}: {json.dumps(name)} is not a symbol (a letter or _, then letters, digits or _)"
+            )
+
+
 def _check_keys(block, known, context):
     """Refuse a key of ``block`` outside ``known``: a misspelt key is never ignored."""
     for key in block:
@@ -171,8 +191,9 @@ def _parse_variety(block, field, context) -> VarietyPresentation:
         raise InputError(f"{context}: expected an object")
     _check_keys(block, ("name", "variables", "generators", "declared_dim"), context)
     variables = _expect(block, "variables", list, context, required=True)
-    if not variables or not all(isinstance(v, str) for v in variables):
+    if not variables:
         raise InputError(f"{context}.variables: expected a nonempty list of names")
+    _check_symbols(variables, f"{context}.variables")
     if "t" in variables:
         raise InputError(f"{context}.variables: 't' is reserved for the series variable")
     gen_strings = _expect(block, "generators", list, context, default=[])
@@ -232,9 +253,14 @@ def parse_document(raw: Any) -> ProblemDocument:
     )
     field = _parse_field(raw.get("field", "rationals"), "field")
     transcendentals = _expect(raw, "transcendentals", list, "document", default=[])
+    _check_symbols(transcendentals, "transcendentals")
     for name in transcendentals:
-        if not isinstance(name, str) or not name:
-            raise InputError("transcendentals: expected a list of names")
+        if name == "t":
+            raise InputError("transcendentals: 't' is reserved for the series variable")
+        if _GENERIC_COEFFICIENT.fullmatch(name):
+            raise InputError(
+                f"transcendentals: {name!r} is reserved for the coefficients of generic components"
+            )
     variety = _parse_variety(
         _expect(raw, "variety", dict, "document", required=True), field, "variety"
     )

@@ -44,6 +44,11 @@ _SYMBOL_START = set("abcdefghijklmnopqrstuvwxyzABCDEFGHIJKLMNOPQRSTUVWXYZ_")
 _SYMBOL_BODY = _SYMBOL_START | set("0123456789")
 
 
+def is_symbol(name: str) -> bool:
+    """True when ``name`` is one symbol token: a letter or _, then letters, digits or _."""
+    return bool(name) and name[0] in _SYMBOL_START and all(ch in _SYMBOL_BODY for ch in name)
+
+
 def _tokenize(text: str, context: str):
     tokens = []
     i = 0

@@ -248,9 +248,9 @@ def refined_profile_of_omega(
     """Arc-level profile, doubling the precision until it resolves.
 
     Returns the profile together with the (possibly re-expanded) arc so
-    callers keep the extra coefficients.  If the cap is reached, or the
-    arc cannot be re-expanded, the profile comes back precision limited:
-    the undecided blocks are reported, never guessed.
+    callers keep the extra coefficients.  If the cap is reached, the
+    profile comes back precision limited: the undecided blocks are
+    reported, never guessed.
     """
     return refined_pullback_profile(omega_presentation(arc.variety), arc, cap)
 
@@ -269,6 +269,6 @@ def refined_pullback_profile(
         )
         if not profile.precision_limited:
             return profile, current
-        if not current.refinable or current.precision >= cap:
+        if current.precision >= cap:
             return profile, current
         current = current.with_precision(min(2 * current.precision, cap))

@@ -3,10 +3,11 @@
 The level-n jet scheme of a presented variety is cut out, inside the
 affine space with one coordinate per (ambient variable, t-power <= n),
 by the t-coefficients of each ideal generator evaluated on the generic
-truncated curve x_i(t) = sum_p x_i[p] t^p.  The substitution is done by
-straight polynomial arithmetic modulo t^(n+1) (the shared truncated
-product of ``jetspace.series``), which works uniformly in every
-characteristic.
+truncated curve x_i(t) = sum_p x_i[p] t^p.  That curve is one
+``TruncatedSeries`` per ambient variable, known modulo t^(n+1), whose
+coefficients are the polynomial jet variables; arcs expand on the same
+series type.  Polynomials reduce their own coefficients mod p, so the
+substitution works uniformly in every characteristic.
 
 ``jet_jacobian_corank`` differentiates those equations directly and
 evaluates at a supplied point; it is the brute-force route to the fiber
@@ -33,7 +34,7 @@ from typing import Sequence
 from .errors import PointNotOnJetScheme
 from .exact import FieldElement, SparsePolynomial, matrix_rank
 from .geometry import VarietyPresentation
-from .series import truncated_product
+from .series import TruncatedSeries
 
 
 def jet_variable(var: str, p: int) -> str:
@@ -61,41 +62,17 @@ def jet_ideal(X: VarietyPresentation, n: int) -> JetIdeal:
     if n < 0:
         raise ValueError("jet level must be >= 0")
     field = X.base
-    zero = SparsePolynomial.zero(field)
-    # Generic curve per ambient variable: list of t-coefficients.
-    curves = {
-        v: [SparsePolynomial.variable(field, jet_variable(v, p)) for p in range(n + 1)]
+    curve = {
+        v: TruncatedSeries(field, [SparsePolynomial.variable(field, jet_variable(v, p)) for p in range(n + 1)])
         for v in X.variables
     }
 
-    def const_series(c):
-        out = [zero] * (n + 1)
-        out[0] = SparsePolynomial.constant(field, c)
-        return out
+    def constant(c) -> TruncatedSeries:
+        return TruncatedSeries.from_coefficients(field, [SparsePolynomial.constant(field, c)], n + 1)
 
-    class _SeriesWrapper:
-        # Minimal ring wrapper so SparsePolynomial.evaluate can run with
-        # truncated coefficient lists as values.
-        __slots__ = ("coeffs",)
-
-        def __init__(self, coeffs):
-            self.coeffs = coeffs
-
-        def __add__(self, other):
-            return _SeriesWrapper(
-                [a + b for a, b in zip(self.coeffs, other.coeffs)]
-            )
-
-        def __mul__(self, other):
-            return _SeriesWrapper(truncated_product(self.coeffs, other.coeffs, n + 1, zero))
-
-    env = {v: _SeriesWrapper(curve) for v, curve in curves.items()}
-    gens = []
-    for g in X.generators:
-        series = g.evaluate(env, lambda c: _SeriesWrapper(const_series(c)))
-        gens.append(tuple(series.coeffs))
+    gens = tuple(g.evaluate(curve, constant).coeffs for g in X.generators)
     jet_vars = tuple(jet_variable(v, p) for v in X.variables for p in range(n + 1))
-    return JetIdeal(n, X.variables, jet_vars, tuple(gens))
+    return JetIdeal(n, X.variables, jet_vars, gens)
 
 
 def jet_point_assignment(ideal: JetIdeal, point: Sequence[FieldElement]) -> dict[str, FieldElement]:

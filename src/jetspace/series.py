@@ -9,28 +9,30 @@ length.  That rule is what keeps diagonalization over t-truncated rings
 exact at full working precision.
 
 The coefficients of a series are all of one kind: field elements
-(fractions of polynomials in the transcendentals), or, for rational data
+(fractions of polynomials in the transcendentals); or, for rational data
 with no transcendentals, plain scalars of Q (ints and ``Fraction``s),
-which skip the ``FieldElement`` layer.  Over GF(p) only field elements
-are accepted, since a product of raw ints would not be reduced mod p.
-The kernel and ``TruncatedSeries`` test a coefficient for zero by its
-truthiness, so one path serves both kinds.
+which skip the ``FieldElement`` layer; or ``SparsePolynomial``s, which
+carry the jet equations as the coefficients of a generator evaluated on
+the generic truncated curve.  Over GF(p) raw scalars are refused, since
+a product of raw ints would not be reduced mod p; field elements and
+polynomials reduce mod p themselves.  The kernel and ``TruncatedSeries``
+test a coefficient for zero by its truthiness, so one path serves every
+kind.
 
 Series expressions (quotients of t-polynomials with unit denominator)
 carry exact data that can be re-expanded at any precision, which is what
 the stabilization drivers rely on when they need more coefficients.
 
-All products and quotients of coefficient lists, here and in the jet
-equations, go through one kernel: ``truncated_product`` and
-``truncated_quotient``.  The zero handed to the kernel is of the kind
-of the coefficients it works on.
+All products and quotients of coefficient lists go through one kernel:
+``truncated_product`` and ``truncated_quotient``.  The zero handed to
+the kernel is of the kind of the coefficients it works on.
 """
 
 from __future__ import annotations
 
 from typing import Mapping, Sequence
 
-from .errors import DenominatorNotUnit, NotAUnit, PrecisionTooLow, ScalarSeriesOverPrimeField
+from .errors import DenominatorNotUnit, PrecisionTooLow, ScalarSeriesOverPrimeField
 from .exact import BaseField, FieldElement, SparsePolynomial
 
 DEFAULT_PRECISION = 24
@@ -142,15 +144,18 @@ class OrderValue:
 
 
 def _zero_like(field: BaseField, coeff):
-    """The zero of the kind of ``coeff``: a field element or a scalar."""
-    return field.fe_zero if isinstance(coeff, FieldElement) else field.zero()
+    """The zero of the kind of ``coeff``: a field element, a polynomial or a scalar."""
+    if isinstance(coeff, FieldElement):
+        return field.fe_zero
+    return field.fe_zero.num if isinstance(coeff, SparsePolynomial) else field.zero()
 
 
 class TruncatedSeries:
     """Power series in t known modulo t^P.
 
     Coefficients are field elements of the base field's fraction field,
-    or, over Q only, rational scalars; see the module docstring.
+    polynomials over the base field, or, over Q only, rational scalars;
+    see the module docstring.
     """
 
     __slots__ = ("field", "coeffs")
@@ -160,7 +165,7 @@ class TruncatedSeries:
             raise ValueError("a truncated series needs precision >= 1")
         self.field = field
         self.coeffs = tuple(coeffs)
-        if field.p is not None and not isinstance(self.coeffs[0], FieldElement):
+        if field.p is not None and not isinstance(self.coeffs[0], (FieldElement, SparsePolynomial)):
             raise ScalarSeriesOverPrimeField(field.p)
 
     @classmethod
@@ -224,18 +229,6 @@ class TruncatedSeries:
         if self.zero_prefix() < e or len(self.coeffs) <= e:
             raise ValueError("cannot divide series by t^e: low coefficients not zero")
         return TruncatedSeries(self.field, self.coeffs[e:])
-
-    def invert(self) -> "TruncatedSeries":
-        """Multiplicative inverse of a unit (order exactly zero)."""
-        c0 = self.coeffs[0]
-        if not c0:
-            raise NotAUnit("series has positive or undetermined order")
-        field = self.field
-        if isinstance(c0, FieldElement):
-            one, zero, inv0 = field.fe_one, field.fe_zero, c0.inverse()
-        else:
-            one, zero, inv0 = field.one(), field.zero(), field.inv(c0)
-        return TruncatedSeries(field, truncated_quotient([one], self.coeffs, len(self.coeffs), zero, inv0))
 
     def __eq__(self, other):
         return (

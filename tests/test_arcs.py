@@ -17,14 +17,15 @@ from conftest import (
     sexpr,
     to_sympy,
     tser,
+    var,
     whitney_variety,
 )
-from jetspace.arcs import GenericComponent, generic_arc, make_arc, push_arc
+from jetspace.arcs import Arc, GenericComponent, generic_arc, make_arc, push_arc
 from jetspace.catalog import blow_up_chart
-from jetspace.errors import MorphismInvalidOnArc, NotOnVariety, PrecisionTooLow
+from jetspace.errors import InputError, MorphismInvalidOnArc, NotOnVariety, PrecisionTooLow
 from jetspace.exact import BaseField, SparsePolynomial
-from jetspace.geometry import MorphismPresentation, jacobian_ideal_generators
-from jetspace.series import OrderValue, SeriesExpression, TruncatedSeries
+from jetspace.geometry import MorphismPresentation, VarietyPresentation, jacobian_ideal_generators
+from jetspace.series import OrderValue, SeriesExpression
 
 
 def _cusp_arc(precision=12):
@@ -127,17 +128,15 @@ class TestPrecision:
         finer = arc.with_precision(12)
         assert finer.expansions[0].coeffs[:6] == arc.expansions[0].coeffs
 
-    def test_raw_series_arcs_are_capped(self):
-        series = tser([0, 0, 1], 6)
-        cusp_like = affine_space(1, names=("x",))
-        arc = make_arc(cusp_like, [series], 6)
-        assert not arc.refinable
-        with pytest.raises(PrecisionTooLow):
-            arc.with_precision(12)
+    def test_truncated_series_component_is_an_input_error(self):
+        # Every component re-expands; a raw series could not.
+        with pytest.raises(InputError, match="not TruncatedSeries"):
+            make_arc(affine_space(1, names=("x",)), [tser([0, 0, 1], 6)], 6)
 
-    def test_lowering_precision_is_always_allowed(self):
-        arc = _cusp_arc(12).with_precision(5)
-        assert arc.precision == 5
+    def test_with_precision_at_or_below_returns_the_arc_itself(self):
+        arc = _cusp_arc(12)
+        assert arc.with_precision(12) is arc
+        assert arc.with_precision(5) is arc
 
 
 def _seeded_coefficient(rng):
@@ -230,6 +229,22 @@ class TestPushArc:
         alpha = push_arc(chart, beta)
         finer = alpha.with_precision(16)
         assert finer.expansions[0].coeffs[:8] == alpha.expansions[0].coeffs
+
+    def test_image_arc_refines_its_source_once(self, monkeypatch):
+        # The A1 chart (u, u*v^2, u*v) onto x*y = z^2: three components, one source arc.
+        source = affine_space(2, names=("u", "v"))
+        x, y, z, u, v = (var(name) for name in "xyzuv")
+        a1 = VarietyPresentation(Q, ("x", "y", "z"), (x * y - z * z,), declared_dim=2)
+        alpha = push_arc(MorphismPresentation(source, a1, (u, u * v * v, u * v)), generic_arc(source, [1, 0], 8))
+        built = []
+        init = Arc.__init__
+        monkeypatch.setattr(
+            Arc, "__init__", lambda arc, variety, *rest: built.append(variety) or init(arc, variety, *rest)
+        )
+        finer = alpha.with_precision(16)
+        assert sum(variety is source for variety in built) == 1
+        assert finer.precision == 16
+        assert [e.coeffs[:8] for e in finer.expansions] == [e.coeffs for e in alpha.expansions]
 
     def test_invalid_image_reported(self):
         src = affine_space(1, names=("u",))

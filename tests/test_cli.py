@@ -7,7 +7,8 @@ from pathlib import Path
 import pytest
 
 from jetspace.analysis import DEFAULT_N_MAX
-from jetspace.cli import PARAMETER_CEILINGS, main
+from jetspace.cli import main
+from jetspace.document import PARAMETERS
 from jetspace.series import DEFAULT_PRECISION, PRECISION_CAP
 
 CUSP_DOC = {
@@ -326,22 +327,22 @@ def test_numeric_parameter_above_ceiling_rejected(tmp_path, capsys, doc, argv, k
     assert code == 1
     assert out == ""
     assert "error[InputError]" in err
-    assert f"parameter {key!r}" in err and f"ceiling {PARAMETER_CEILINGS[key]}" in err
+    assert f"parameter {key!r}" in err and f"ceiling {PARAMETERS[key].ceiling}" in err
 
 
 def test_parameter_ceilings_cover_shipped_values():
-    assert PARAMETER_CEILINGS["precision"] == PRECISION_CAP
-    assert DEFAULT_PRECISION <= PARAMETER_CEILINGS["precision"]
-    assert DEFAULT_N_MAX <= PARAMETER_CEILINGS["n_max"]
+    assert PARAMETERS["precision"].ceiling == PRECISION_CAP
+    assert DEFAULT_PRECISION <= PARAMETERS["precision"].ceiling
+    assert DEFAULT_N_MAX <= PARAMETERS["n_max"].ceiling
     # The highest jet level and contact order the benchmark queries.
-    assert PARAMETER_CEILINGS["n"] >= 24 and PARAMETER_CEILINGS["q"] >= 3
+    assert PARAMETERS["n"].ceiling >= 24 and PARAMETERS["q"].ceiling >= 3
     problems = Path(__file__).resolve().parent.parent / "problems"
     for path in sorted(problems.glob("*.json")):
         doc = json.loads(path.read_text())
         for values in [doc.get("params", {})] + doc.get("tasks", []):
-            for key, ceiling in PARAMETER_CEILINGS.items():
-                if key in values:
-                    assert int(values[key]) <= ceiling, (path.name, key)
+            for key, spec in PARAMETERS.items():
+                if key in values and spec.ceiling is not None:
+                    assert int(values[key]) <= spec.ceiling, (path.name, key)
 
 
 def test_text_format(tmp_path, capsys):
@@ -560,7 +561,6 @@ def test_help_exits_zero(capsys):
 
 def _unread_flags():
     from jetspace.cli import COMMANDS
-    from jetspace.document import PARAMETERS
 
     for command, row in COMMANDS.items():
         document = [] if row.subject is None else [str(PROBLEMS / "blowup-plane.json")]

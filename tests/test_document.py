@@ -239,6 +239,29 @@ class TestParseDocument:
         with pytest.raises(InputError):
             parse_document(_doc(transcendentals=["x"]))
 
+    def test_generic_coefficient_name_is_not_a_transcendental(self):
+        # A declared u2_0 would alias the t^0 coefficient of a second generic component.
+        plane = {"variables": ["x", "y"]}
+        arcs = {"main": {"components": ["w", {"generic": {}}]}}
+        doc = parse_document(_doc(variety=plane, transcendentals=["w"], arcs=arcs))
+        assert doc.build_arc("main", 8).residue_dimension_profile(3).ranks == [2, 3, 4, 5]
+        arcs = {"main": {"components": ["u2_0", {"generic": {}}]}}
+        with pytest.raises(InputError, match=r"^transcendentals: 'u2_0' is reserved"):
+            parse_document(_doc(variety=plane, transcendentals=["u2_0"], arcs=arcs))
+        parse_document(_doc(transcendentals=["u2", "u_0", "U2_0", "u2_0a"]))
+
+    @pytest.mark.parametrize("name", ["x y", "1x", "", "x-1"])
+    def test_names_are_symbols_of_the_grammar(self, name):
+        with pytest.raises(InputError, match=r"^variety\.variables: .* is not a symbol"):
+            parse_document(_doc(variety={"variables": ["x", name]}, arcs={}))
+        with pytest.raises(InputError, match=r"^transcendentals: .* is not a symbol"):
+            parse_document(_doc(transcendentals=[name]))
+
+    @pytest.mark.parametrize("arcs", [{"main": {"components": ["t^2", "t^3"]}}, {}])
+    def test_t_transcendental_reported_at_transcendentals(self, arcs):
+        with pytest.raises(InputError, match=r"^transcendentals: 't' is reserved"):
+            parse_document(_doc(transcendentals=["t"], arcs=arcs))
+
     def test_bad_field_spec(self):
         with pytest.raises(InputError):
             parse_document(_doc(field="reals"))

@@ -13,7 +13,7 @@ from jetspace.analysis import fiber_dim_formula
 from jetspace.arcs import make_arc
 from jetspace.catalog import build_catalog
 from jetspace.errors import PointNotOnJetScheme
-from jetspace.exact import FieldElement, SparsePolynomial
+from jetspace.exact import BaseField, FieldElement, SparsePolynomial
 from jetspace.geometry import VarietyPresentation
 from jetspace.jets import jet_ideal, jet_jacobian_corank, jet_variable
 from jetspace.series import SeriesExpression
@@ -79,10 +79,17 @@ def test_leibniz_consistency():
             assert Dfg[p] == convolution
 
 
-@pytest.mark.parametrize("variety", [cusp_variety(), whitney_variety()], ids=lambda X: X.name)
+def _umbrella_gf2():
+    f2 = BaseField(2)
+    x, y, z = (var(name, f2) for name in "xyz")
+    return VarietyPresentation(f2, ("x", "y", "z"), (x * y * y - z * z,), declared_dim=2, name="umbrella2")
+
+
+@pytest.mark.parametrize("variety", [cusp_variety(), whitney_variety(), _umbrella_gf2()], ids=lambda X: X.name)
 def test_jet_ideal_matches_sympy_expansion(variety):
-    """Coefficients of g(sum_p x[p] t^p) mod t^(n+1), expanded by sympy."""
+    """Coefficients of g(sum_p x[p] t^p) mod t^(n+1), expanded by sympy; over GF(p), mod p."""
     t = sympy.Symbol("t")
+    modulus = variety.base.p
     for n in range(6):
         ideal = jet_ideal(variety, n)
         curve = {
@@ -93,7 +100,10 @@ def test_jet_ideal_matches_sympy_expansion(variety):
             expanded = sympy.expand(to_sympy(g).subs(curve, simultaneous=True))
             assert len(row) == n + 1
             for p, equation in enumerate(row):
-                assert sympy.expand(to_sympy(equation) - expanded.coeff(t, p)) == 0
+                difference = sympy.expand(to_sympy(equation) - expanded.coeff(t, p))
+                if modulus:
+                    difference = sum(c % modulus * m for m, c in difference.as_coefficients_dict().items())
+                assert difference == 0
 
 
 class TestJetJacobianCorank:
