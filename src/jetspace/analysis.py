@@ -28,6 +28,10 @@ as "suspected infinite", never as a proof.  ``embdim_arc`` and
 driver serves several dimension sources from one refinement and one
 elimination.
 
+The BTR and the Mather check compare embedding dimensions as one
+extended value (``_extended``): a report that did not stabilize reads
+as infinity, and so does a Jacobian order known only from below.
+
 The Mather check is the birational transformation rule at the maximal
 divisorial arc.  On a smooth chart the generic contact-order-q arc beta
 along a divisor E has embedding dimension q and ord_beta(Jac_f) =
@@ -39,6 +43,7 @@ off its report.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Sequence
 
@@ -121,7 +126,7 @@ def _fiber_dimension(arc_profile: InvariantProfile, arc: Arc, n: int) -> FiberDi
 
 def fiber_dim_formula(arc: Arc, n: int, cap: int = PRECISION_CAP) -> FiberDimension:
     """Fiber dimension at level n from the refined arc-level profile."""
-    return _fiber_dimension(*refined_profile_of_omega(arc.through_level(n), cap), n)
+    return _fiber_dimension(*refined_profile_of_omega(arc.with_precision(n + 1), cap), n)
 
 
 @dataclass(frozen=True)
@@ -163,7 +168,7 @@ def oracle_check(
     level's corank.
     """
     top = max(levels)
-    profile, arc = refined_profile_of_omega(arc.through_level(top), cap)
+    profile, arc = refined_profile_of_omega(arc.with_precision(top + 1), cap)
     fibers = [_fiber_dimension(profile, arc, n) for n in levels]
     coranks = jet_jacobian_corank(arc.variety, levels, arc.truncate(top).coordinates)
     return [OracleCheck(fiber, corank) for fiber, corank in zip(fibers, coranks)]
@@ -240,10 +245,6 @@ class StabilizationReport:
         return self.rows[-1].level
 
     @property
-    def suspected_infinite(self) -> bool:
-        return not self.stabilized
-
-    @property
     def precision_limited(self) -> bool:
         return self.arc_profile.precision_limited
 
@@ -306,7 +307,7 @@ def _stabilizations(
             raise InputError(f"unknown dimension source {dim_source!r}")
     if n_max < 0 or window < 1:
         raise InputError("n_max must be >= 0 and window >= 1")
-    arc = arc.through_level(n_max)
+    arc = arc.with_precision(n_max + 1)
     # A limited arc-level profile serves only the levels below its precision.
     levels = arc_profile
     if arc_profile.precision_limited and arc_profile.precision <= n_max:
@@ -378,22 +379,9 @@ def jet_codim(
     return _stabilizations(arc, [("jet-codim", dim_source)], n_max, window, cap)[0]
 
 
-def _at_most(left: StabilizationReport, right: StabilizationReport) -> bool:
-    """left <= right with NotStabilized treated as suspected infinity."""
-    if left.stabilized:
-        return (not right.stabilized) or left.value <= right.value
-    return not right.stabilized
-
-
-def _at_most_sum(
-    target: StabilizationReport, source: StabilizationReport, extra: OrderValue
-) -> bool:
-    """target <= source + extra under the same extended semantics."""
-    if not target.stabilized:
-        return (not source.stabilized) or not extra.is_finite
-    if not source.stabilized or not extra.is_finite:
-        return True
-    return target.value <= source.value + extra.value
+def _extended(report: StabilizationReport) -> float:
+    """The report's value, with a sequence that did not stabilize read as infinity."""
+    return report.value if report.stabilized else math.inf
 
 
 @dataclass(frozen=True)
@@ -452,26 +440,17 @@ def btr_check(
         source_dim = source_report.arc_profile.betti
     # Level 0 is Omega_X at the center: free rank N - rank J(center).
     smooth = not f.source.generators or source_report.arc_profile.at_level(0).betti == source_dim
-    ineq = _at_most(source_report, target_report) and _at_most_sum(
-        target_report, source_report, ord_jac
-    )
-    equality = None
-    if smooth:
-        if source_report.stabilized and target_report.stabilized and ord_jac.is_finite:
-            equality = target_report.value == source_report.value + ord_jac.value
-        else:
-            # All quantities suspected infinite is consistent; a finite
-            # side against an infinite one is not.
-            equality = (not source_report.stabilized or not ord_jac.is_finite) == (
-                not target_report.stabilized
-            )
+    # A side that did not stabilize, or an undetermined order, is infinity: all
+    # quantities infinite is consistent, a finite side against an infinite one is not.
+    src, tgt = _extended(source_report), _extended(target_report)
+    jac = ord_jac.value if ord_jac.is_finite else math.inf
     return BtrReport(
         ord_jacobian=ord_jac,
         source=source_report,
         target=target_report,
         smooth_at_center=smooth,
-        inequalities_hold=ineq,
-        equality_holds=equality,
+        inequalities_hold=src <= tgt <= src + jac,
+        equality_holds=(tgt == src + jac) if smooth else None,
     )
 
 
@@ -599,8 +578,8 @@ def mather_discrepancy_check(
         source=source_report,
         target=target_report,
         expected_embdim=expected,
-        source_equals_q=source_report.stabilized and source_report.value == q,
-        target_matches=target_report.stabilized and target_report.value == expected,
+        source_equals_q=_extended(source_report) == q,
+        target_matches=_extended(target_report) == expected,
         center_is_closed_point=center_closed,
         target_dim=target_dim,
         dim_bound_holds=bound,

@@ -12,7 +12,10 @@ of three kinds, each re-expandable at any precision:
 Any other value is an input error, so every arc can be refined.  Arc
 validity (every ideal generator vanishes modulo t^P) is checked at
 construction and again after every precision raise.  Refinement only
-raises precision and returns a new arc; values never mutate.
+raises precision and returns a new arc; values never mutate.  A level-n
+jet needs precision n + 1, so ``with_precision(n + 1)`` is the one way
+to know an arc through level n: it returns the arc itself when its
+precision is already above n.
 """
 
 from __future__ import annotations
@@ -146,10 +149,6 @@ class Arc:
         if precision <= self.precision:
             return self
         return Arc(self.variety, self.components, precision)
-
-    def through_level(self, n: int) -> "Arc":
-        """This arc knowing its coefficients up to level n: level n needs precision n + 1."""
-        return self if self.precision > n else self.with_precision(n + 1)
 
     def transcendentals(self) -> list[str]:
         """All transcendental names appearing in the stored coefficients."""

@@ -9,7 +9,9 @@ detection of suspected-infinite embedding dimensions.
 
 The catalog varieties and their arcs are written as problem documents
 (the input format of ``jetspace.document``) and parsed once per
-process; the blow-up charts are morphism documents too.  Only the
+process; the blow-up charts are morphism documents too.  The parsed
+documents are the catalog: every check builds its arcs with
+``ProblemDocument.build_arc``, the route of the command line.  Only the
 choice of arcs that lie on the singular locus is kept beside them.
 
 Everything here is deterministic: randomized checks draw from fixed
@@ -36,14 +38,9 @@ from .analysis import (
     oracle_check,
 )
 from .arcs import Arc, GenericComponent, make_arc
-from .document import parse_document
+from .document import ProblemDocument, parse_document
 from .exact import FieldElement, RATIONALS
-from .geometry import (
-    MorphismPresentation,
-    VarietyPresentation,
-    jacobian_ideal_generators,
-    omega_presentation,
-)
+from .geometry import MorphismPresentation, jacobian_ideal_generators, omega_presentation
 from .invariants import InvariantProfile, fitting_minor_oracle, pullback_matrix, smith_orders
 from .series import OrderValue, SeriesExpression, TruncatedSeries
 
@@ -155,33 +152,28 @@ _ON_SINGULAR_LOCUS = {
 }
 
 
-@dataclass(frozen=True)
-class CatalogArc:
-    name: str
-    components: tuple
-    off_singular_locus: bool
-
-
-@dataclass(frozen=True)
-class CatalogVariety:
-    key: str
-    variety: VarietyPresentation
-    arcs: tuple[CatalogArc, ...]
-
-
 @functools.cache
-def build_catalog() -> tuple[CatalogVariety, ...]:
-    """The catalog varieties and their arcs, parsed once per process."""
-    entries = []
-    for raw in _CATALOG_DOCUMENTS:
-        document = parse_document(raw)
+def build_catalog() -> tuple[ProblemDocument, ...]:
+    """The catalog's problem documents, parsed once per process."""
+    return tuple(parse_document(raw) for raw in _CATALOG_DOCUMENTS)
+
+
+def _catalog_document(name: str) -> ProblemDocument:
+    return next(d for d in build_catalog() if d.variety.name == name)
+
+
+def _catalog_arcs(precision: int, skip=frozenset()):
+    """(variety name, arc name, arc) per catalog arc, built at ``precision``.
+
+    Arcs are built afresh on each call, the way the command line builds
+    them (``ProblemDocument.build_arc``); an arc whose (variety name, arc
+    name) pair is in ``skip`` is never built.
+    """
+    for document in build_catalog():
         key = document.variety.name
-        arcs = tuple(
-            CatalogArc(name, components, (key, name) not in _ON_SINGULAR_LOCUS)
-            for name, (_, components) in document.arc_specs.items()
-        )
-        entries.append(CatalogVariety(key, document.variety, arcs))
-    return tuple(entries)
+        for name in document.arc_specs:
+            if (key, name) not in skip:
+                yield key, name, document.build_arc(name, precision)
 
 
 def blow_up_chart(dim: int) -> MorphismPresentation:
@@ -228,24 +220,22 @@ def check_oracle_equivalence() -> CheckResult:
     failures = []
     values = {}
     cases = 0
-    for entry in build_catalog():
-        for arc_spec in entry.arcs:
-            arc = make_arc(entry.variety, arc_spec.components, 16)
-            row = []
-            for result in oracle_check(arc, ORACLE_LEVELS, cap=64):
-                cases += 1
-                row.append(result.formula_value)
-                if not result.match:
-                    failures.append(
-                        {
-                            "variety": entry.key,
-                            "arc": arc_spec.name,
-                            "level": result.fiber.level,
-                            "formula": result.formula_value,
-                            "corank": result.corank,
-                        }
-                    )
-            values[f"{entry.key}/{arc_spec.name}"] = row
+    for key, name, arc in _catalog_arcs(16):
+        row = []
+        for result in oracle_check(arc, ORACLE_LEVELS, cap=64):
+            cases += 1
+            row.append(result.formula_value)
+            if not result.match:
+                failures.append(
+                    {
+                        "variety": key,
+                        "arc": name,
+                        "level": result.fiber.level,
+                        "formula": result.formula_value,
+                        "corank": result.corank,
+                    }
+                )
+        values[f"{key}/{name}"] = row
     return CheckResult(
         "oracle-equivalence",
         not failures,
@@ -256,11 +246,9 @@ def check_oracle_equivalence() -> CheckResult:
 
 def check_cusp_numbers() -> CheckResult:
     """Pinned invariants of the cuspidal arc (t^2, t^3)."""
-    catalog = {e.key: e for e in build_catalog()}
-    entry = catalog["cusp"]
-    oracle3 = oracle_check(make_arc(entry.variety, entry.arcs[0].components, 16), [3])[0]
+    oracle3 = oracle_check(_catalog_document("cusp").build_arc("main", 16), [3])[0]
     profile, arc = oracle3.fiber.arc_profile, oracle3.fiber.arc
-    jac_gens = jacobian_ideal_generators(entry.variety, 1)
+    jac_gens = jacobian_ideal_generators(arc.variety, 1)
     ord_jac = arc.ord_ideal(jac_gens)
     emb = embdim_jet(arc, 3)
     got = {
@@ -328,10 +316,9 @@ def check_fitting_oracle() -> CheckResult:
     )
 
 
-def _level_profiles(variety: VarietyPresentation, components) -> list[InvariantProfile]:
+def _level_profiles(arc: Arc) -> list[InvariantProfile]:
     """Profiles at levels 0.._TRUNCATION_MAX_LEVEL from one pullback of the arc."""
-    arc = make_arc(variety, components, _TRUNCATION_MAX_LEVEL + 2)
-    presentation = omega_presentation(variety)
+    presentation = omega_presentation(arc.variety)
     matrix = pullback_matrix(presentation, arc)
     return [
         smith_orders(matrix, presentation.num_columns, level=n)
@@ -343,28 +330,26 @@ def check_truncation_compatibility() -> CheckResult:
     """e_i at level n equals min(n+1, e_i at level m) for n < m <= 8."""
     failures = []
     cases = 0
-    for entry in build_catalog():
-        width = len(entry.variety.variables)
-        for arc_spec in entry.arcs:
-            profiles = _level_profiles(entry.variety, arc_spec.components)
-            for m in range(1, _TRUNCATION_MAX_LEVEL + 1):
-                for n in range(m):
-                    for i in range(width + 1):
-                        cases += 1
-                        e_n = profiles[n].invariant_factor(i).value
-                        e_m = profiles[m].invariant_factor(i).value
-                        if e_n != min(n + 1, e_m):
-                            failures.append(
-                                {
-                                    "variety": entry.key,
-                                    "arc": arc_spec.name,
-                                    "n": n,
-                                    "m": m,
-                                    "i": i,
-                                    "e_n": e_n,
-                                    "e_m": e_m,
-                                }
-                            )
+    for key, name, arc in _catalog_arcs(_TRUNCATION_MAX_LEVEL + 2):
+        profiles = _level_profiles(arc)
+        for m in range(1, _TRUNCATION_MAX_LEVEL + 1):
+            for n in range(m):
+                for i in range(len(arc.variety.variables) + 1):
+                    cases += 1
+                    e_n = profiles[n].invariant_factor(i).value
+                    e_m = profiles[m].invariant_factor(i).value
+                    if e_n != min(n + 1, e_m):
+                        failures.append(
+                            {
+                                "variety": key,
+                                "arc": name,
+                                "n": n,
+                                "m": m,
+                                "i": i,
+                                "e_n": e_n,
+                                "e_m": e_m,
+                            }
+                        )
     return CheckResult(
         "truncation-compatibility", not failures, cases, {"failures": failures}
     )
@@ -374,17 +359,14 @@ def check_betti_monotonicity() -> CheckResult:
     """Level-n free rank never increases with n."""
     failures = []
     cases = 0
-    for entry in build_catalog():
-        for arc_spec in entry.arcs:
-            previous = None
-            for n, profile in enumerate(_level_profiles(entry.variety, arc_spec.components)):
-                betti = profile.betti
-                cases += 1
-                if previous is not None and betti > previous:
-                    failures.append(
-                        {"variety": entry.key, "arc": arc_spec.name, "level": n}
-                    )
-                previous = betti
+    for key, name, arc in _catalog_arcs(_TRUNCATION_MAX_LEVEL + 2):
+        previous = None
+        for n, profile in enumerate(_level_profiles(arc)):
+            betti = profile.betti
+            cases += 1
+            if previous is not None and betti > previous:
+                failures.append({"variety": key, "arc": name, "level": n})
+            previous = betti
     return CheckResult("betti-monotonicity", not failures, cases, {"failures": failures})
 
 
@@ -393,23 +375,19 @@ def check_codim_monotonicity() -> CheckResult:
     failures = []
     sequences = {}
     cases = 0
-    for entry in build_catalog():
-        for arc_spec in entry.arcs:
-            arc = make_arc(entry.variety, arc_spec.components, _STAB_N_MAX + 4)
-            report = embdim_arc(arc, n_max=_STAB_N_MAX, cap=96)
-            seq = report.codim_sequence()
-            sequences[f"{entry.key}/{arc_spec.name}"] = seq
-            bound = report.ambient_rank - report.rows[0].residue_dim
-            for a, b in zip(seq, seq[1:]):
-                cases += 1
-                if b < a:
-                    failures.append({"variety": entry.key, "arc": arc_spec.name})
-            for s in seq:
-                cases += 1
-                if s < bound:
-                    failures.append(
-                        {"variety": entry.key, "arc": arc_spec.name, "bound": bound}
-                    )
+    for key, name, arc in _catalog_arcs(_STAB_N_MAX + 4):
+        report = embdim_arc(arc, n_max=_STAB_N_MAX, cap=96)
+        seq = report.codim_sequence()
+        sequences[f"{key}/{name}"] = seq
+        bound = report.ambient_rank - report.rows[0].residue_dim
+        for a, b in zip(seq, seq[1:]):
+            cases += 1
+            if b < a:
+                failures.append({"variety": key, "arc": name})
+        for s in seq:
+            cases += 1
+            if s < bound:
+                failures.append({"variety": key, "arc": name, "bound": bound})
     return CheckResult(
         "codim-monotonicity", not failures, cases, {"sequences": sequences, "failures": failures}
     )
@@ -496,7 +474,6 @@ def check_mather() -> CheckResult:
 
 def check_infinite_detection() -> CheckResult:
     """Arcs with suspected infinite embedding dimension keep growing."""
-    catalog = {e.key: e for e in build_catalog()}
     targets = [
         ("whitney", "singular-generic"),
         ("cusp", "main"),
@@ -505,9 +482,7 @@ def check_infinite_detection() -> CheckResult:
     runs = []
     cases = 0
     for vkey, arc_name in targets:
-        entry = catalog[vkey]
-        arc_spec = next(a for a in entry.arcs if a.name == arc_name)
-        arc = make_arc(entry.variety, arc_spec.components, _STAB_N_MAX + 4)
+        arc = _catalog_document(vkey).build_arc(arc_name, _STAB_N_MAX + 4)
         report = embdim_arc(arc, n_max=_STAB_N_MAX, cap=96)
         seq = report.codim_sequence()
         strictly_increasing = all(b > a for a, b in zip(seq, seq[1:]))
@@ -534,32 +509,28 @@ def check_embdim_equals_jet_codim() -> CheckResult:
     """Embedding dimension agrees with jet codimension off the singular arcs."""
     failures = []
     cases = 0
-    for entry in build_catalog():
-        for arc_spec in entry.arcs:
-            if not arc_spec.off_singular_locus:
-                continue
-            arc = make_arc(entry.variety, arc_spec.components, _STAB_N_MAX + 4)
-            # One refinement and one residue elimination serve all three reports.
-            emb, by_betti, by_declared = _stabilizations(
-                arc, _EMBDIM_AND_CODIMS, _STAB_N_MAX, DEFAULT_WINDOW, 96
+    for key, name, arc in _catalog_arcs(_STAB_N_MAX + 4, skip=_ON_SINGULAR_LOCUS):
+        # One refinement and one residue elimination serve all three reports.
+        emb, by_betti, by_declared = _stabilizations(
+            arc, _EMBDIM_AND_CODIMS, _STAB_N_MAX, DEFAULT_WINDOW, 96
+        )
+        for other in (by_betti, by_declared):
+            cases += 1
+            # ``value`` is None exactly when the report did not stabilize.
+            same = (
+                emb.value == other.value
+                and emb.codim_sequence() == other.codim_sequence()
             )
-            for other in (by_betti, by_declared):
-                cases += 1
-                same = (
-                    emb.stabilized == other.stabilized
-                    and emb.value == other.value
-                    and emb.codim_sequence() == other.codim_sequence()
+            if not same:
+                failures.append(
+                    {
+                        "variety": key,
+                        "arc": name,
+                        "dim_source": other.dim_source,
+                        "embdim": emb.codim_sequence(),
+                        "jet_codim": other.codim_sequence(),
+                    }
                 )
-                if not same:
-                    failures.append(
-                        {
-                            "variety": entry.key,
-                            "arc": arc_spec.name,
-                            "dim_source": other.dim_source,
-                            "embdim": emb.codim_sequence(),
-                            "jet_codim": other.codim_sequence(),
-                        }
-                    )
     return CheckResult(
         "embdim-equals-jet-codim", not failures, cases, {"failures": failures}
     )

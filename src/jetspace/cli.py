@@ -73,7 +73,7 @@ class Command:
 def _profile(doc, v, cap):
     if v.n is None:
         return refined_profile_of_omega(v.arc, cap)[0]
-    return profile_of_omega(v.arc.through_level(v.n), v.n)
+    return profile_of_omega(v.arc.with_precision(v.n + 1), v.n)
 
 
 _ARC = {"arc": None, "precision": DEFAULT_PRECISION}
@@ -245,7 +245,7 @@ def _report(args, cap):
         v.divisor_var = source.variables[resolve_divisor_var(source, v.divisor_var)]
     result = row.run(doc, v, cap)
     report.update(row.body(result, v))
-    if row.infinite and result.suspected_infinite:
+    if row.infinite and not result.stabilized:
         report["note"] = f"suspected infinite {row.infinite} (did not stabilize)"
     return report, result
 

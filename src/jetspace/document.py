@@ -44,7 +44,8 @@ from __future__ import annotations
 import json
 import re
 from dataclasses import dataclass
-from typing import Any, Callable
+from types import MappingProxyType
+from typing import Any, Callable, Mapping
 
 from .arcs import Arc, GenericComponent, make_arc
 from .errors import InputError
@@ -124,7 +125,9 @@ class ProblemDocument:
     field: BaseField
     transcendentals: tuple[str, ...]
     variety: VarietyPresentation
-    arc_specs: dict[str, tuple]  # name -> (space, components)
+    # name -> (space, components); read-only, since the catalog shares its
+    # parsed documents with every caller in the process
+    arc_specs: Mapping[str, tuple]
     morphism: MorphismPresentation | None
     params: dict[str, Any]
     tasks: tuple[dict[str, Any], ...]
@@ -186,6 +189,16 @@ def _parse_field(spec, context) -> BaseField:
     raise InputError(f'{context}: expected "rationals" or {{"prime": p}}')
 
 
+def _parse_polynomials(texts, field, variables, context) -> tuple:
+    """The strings of the list ``texts`` parsed as polynomials in ``variables``."""
+    polynomials = []
+    for i, text in enumerate(texts):
+        if not isinstance(text, str):
+            raise InputError(f"{context}[{i}]: expected a string")
+        polynomials.append(parse_polynomial(text, field, variables, f"{context}[{i}]"))
+    return tuple(polynomials)
+
+
 def _parse_variety(block, field, context) -> VarietyPresentation:
     if not isinstance(block, dict):
         raise InputError(f"{context}: expected an object")
@@ -197,18 +210,12 @@ def _parse_variety(block, field, context) -> VarietyPresentation:
     if "t" in variables:
         raise InputError(f"{context}.variables: 't' is reserved for the series variable")
     gen_strings = _expect(block, "generators", list, context, default=[])
-    generators = []
-    for i, text in enumerate(gen_strings):
-        if not isinstance(text, str):
-            raise InputError(f"{context}.generators[{i}]: expected a string")
-        generators.append(
-            parse_polynomial(text, field, variables, f"{context}.generators[{i}]")
-        )
+    generators = _parse_polynomials(gen_strings, field, variables, f"{context}.generators")
     declared = _expect(block, "declared_dim", int, context)
     if declared is not None and not 0 <= declared <= len(variables):
         raise InputError(f"{context}.declared_dim: {declared} is not in 0..{len(variables)}")
     name = _expect(block, "name", str, context, default="")
-    return VarietyPresentation(field, tuple(variables), tuple(generators), declared, name)
+    return VarietyPresentation(field, tuple(variables), generators, declared, name)
 
 
 def _parse_component(value, index, field, transcendentals, context):
@@ -281,17 +288,9 @@ def parse_document(raw: Any) -> ProblemDocument:
         if "target" in block:
             target = _parse_variety(block["target"], field, "morphism.target")
         comp_strings = _expect(block, "components", list, "morphism", required=True)
-        components = []
-        for i, text in enumerate(comp_strings):
-            if not isinstance(text, str):
-                raise InputError(f"morphism.components[{i}]: expected a string")
-            components.append(
-                parse_polynomial(
-                    text, field, source.variables, f"morphism.components[{i}]"
-                )
-            )
+        components = _parse_polynomials(comp_strings, field, source.variables, "morphism.components")
         morphism = MorphismPresentation(
-            source, target, tuple(components), name=_expect(block, "name", str, "morphism", default="")
+            source, target, components, name=_expect(block, "name", str, "morphism", default="")
         )
 
     arc_specs: dict[str, tuple] = {}
@@ -335,7 +334,7 @@ def parse_document(raw: Any) -> ProblemDocument:
         field=field,
         transcendentals=tuple(transcendentals),
         variety=variety,
-        arc_specs=arc_specs,
+        arc_specs=MappingProxyType(arc_specs),
         morphism=morphism,
         params=dict(params),
         tasks=tuple(tasks),

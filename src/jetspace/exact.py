@@ -78,8 +78,8 @@ class BaseField:
     """The rationals, or the field with p elements for a prime p.
 
     Rational scalars are canonical: an ``int`` when integral, otherwise a
-    ``fractions.Fraction`` with denominator > 1 (``zero()`` and ``one()``
-    are the ints 0 and 1).  Prime-field scalars are ints in ``range(p)``.
+    ``fractions.Fraction`` with denominator > 1 (zero and one are the
+    ints 0 and 1).  Prime-field scalars are ints in ``range(p)``.
     Every method returns an exact scalar of this form, never a float.
     """
 
@@ -102,12 +102,6 @@ class BaseField:
     @property
     def characteristic(self) -> int:
         return self.p or 0
-
-    def zero(self):
-        return 0
-
-    def one(self):
-        return 1
 
     def coerce(self, value):
         """Bring an int or Fraction into this field, in canonical form."""
@@ -134,9 +128,6 @@ class BaseField:
 
     def div(self, a, b):
         return self.mul(a, self.inv(b))
-
-    def scalar_str(self, a) -> str:
-        return str(a)
 
     def __eq__(self, other):
         return isinstance(other, BaseField) and self.p == other.p
@@ -231,7 +222,7 @@ class SparsePolynomial:
 
     @classmethod
     def variable(cls, field: BaseField, name: str) -> "SparsePolynomial":
-        return cls(field, {((name, 1),): field.one()})
+        return cls(field, {((name, 1),): 1})
 
     def is_zero(self) -> bool:
         return not self.terms
@@ -244,7 +235,7 @@ class SparsePolynomial:
 
     def constant_value(self):
         """Coefficient of the constant monomial (the value at the origin)."""
-        return self.terms.get(_ONE_MONO, self.field.zero())
+        return self.terms.get(_ONE_MONO, 0)
 
     def degree(self) -> int:
         """Total degree; 0 for the zero polynomial."""
@@ -404,7 +395,7 @@ class SparsePolynomial:
                 term = term * power(var, exp)
             total = term if total is None else total + term
         if total is None:
-            return const(self.field.zero())
+            return const(0)
         return total
 
     def __str__(self):
@@ -413,7 +404,7 @@ class SparsePolynomial:
         parts = []
         for mono in sorted(self.terms, key=_mono_key, reverse=True):
             coeff = self.terms[mono]
-            text = self.field.scalar_str(coeff)
+            text = str(coeff)
             mono_text = _mono_str(mono)
             if mono_text:
                 if text == "1":
@@ -608,7 +599,7 @@ def _normalize_fraction(num: SparsePolynomial, den: SparsePolynomial):
             den = den.scale(inv)
     else:
         lead_inv = field.inv(den.terms[max(den.terms, key=_mono_key)])
-        if lead_inv != field.one():
+        if lead_inv != 1:
             num = num.scale(lead_inv)
             den = den.scale(lead_inv)
     return num, den

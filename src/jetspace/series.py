@@ -147,7 +147,7 @@ def _zero_like(field: BaseField, coeff):
     """The zero of the kind of ``coeff``: a field element, a polynomial or a scalar."""
     if isinstance(coeff, FieldElement):
         return field.fe_zero
-    return field.fe_zero.num if isinstance(coeff, SparsePolynomial) else field.zero()
+    return field.fe_zero.num if isinstance(coeff, SparsePolynomial) else 0
 
 
 class TruncatedSeries:

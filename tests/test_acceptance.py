@@ -10,7 +10,6 @@ import time
 
 from conftest import Q
 from jetspace.analysis import embdim_arc, embdim_jet, oracle_check
-from jetspace.arcs import make_arc
 from jetspace.catalog import (
     blow_up_chart,
     build_catalog,
@@ -51,11 +50,9 @@ def test_criterion_1_oracle_equivalence():
 
 
 def test_criterion_2_cusp_numbers():
-    catalog = {e.key: e for e in build_catalog()}
-    entry = catalog["cusp"]
-    arc = make_arc(entry.variety, entry.arcs[0].components, 16)
-    profile, arc = refined_profile_of_omega(arc)
-    ord_jac = arc.ord_ideal(jacobian_ideal_generators(entry.variety, 1))
+    document = next(d for d in build_catalog() if d.variety.name == "cusp")
+    profile, arc = refined_profile_of_omega(document.build_arc("main", 16))
+    ord_jac = arc.ord_ideal(jacobian_ideal_generators(document.variety, 1))
     oracle = oracle_check(arc, [3])[0]
     fiber, corank = oracle.fiber, oracle.corank
     emb = embdim_jet(arc, 3)
@@ -132,13 +129,11 @@ def test_criterion_7_mather_discrepancy():
 
 
 def test_criterion_8_infinite_dimension_detection():
-    catalog = {e.key: e for e in build_catalog()}
+    catalog = {d.variety.name: d for d in build_catalog()}
     ok = True
     details = []
     for vkey, arc_name in (("whitney", "singular-generic"), ("cusp", "main")):
-        entry = catalog[vkey]
-        spec = next(a for a in entry.arcs if a.name == arc_name)
-        arc = make_arc(entry.variety, spec.components, 16)
+        arc = catalog[vkey].build_arc(arc_name, 16)
         report = embdim_arc(arc, n_max=12, cap=96)
         seq = report.codim_sequence()
         strictly = all(b > a for a, b in zip(seq, seq[1:]))

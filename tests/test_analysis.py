@@ -1,5 +1,8 @@
 """Fiber dimensions, embedding dimensions, BTR, divisorial arcs."""
 
+import itertools
+from types import SimpleNamespace
+
 import pytest
 import sympy
 from sympy.polys.domains import GF
@@ -28,7 +31,7 @@ from jetspace.analysis import (
     oracle_check,
 )
 from jetspace.arcs import Arc, GenericComponent, generic_arc, make_arc
-from jetspace.catalog import blow_up_chart, build_catalog
+from jetspace.catalog import _catalog_arcs, blow_up_chart
 from jetspace.errors import InputError, MissingDeclaredDim, PrecisionLimited
 from jetspace.exact import SparsePolynomial
 from jetspace.geometry import MorphismPresentation, VarietyPresentation
@@ -196,18 +199,12 @@ class TestBtr:
 class TestOneRefinement:
     """Every level, level 0 included, is read off one arc-level profile."""
 
-    @staticmethod
-    def _catalog_arcs():
-        for entry in build_catalog():
-            for spec in entry.arcs:
-                yield entry, spec
-
     def test_oracle_levels_match_the_per_level_routes(self):
-        cases = [(e.variety, s.components, 16, 64) for e, s in self._catalog_arcs()]
+        cases = [(arc, 64) for _, _, arc in _catalog_arcs(16)]
         # refinement stops at the cap: the whitney arcs come out precision limited
-        cases += [(e.variety, s.components, 1, 4) for e, s in self._catalog_arcs() if e.key == "whitney"]
-        for variety, components, precision, cap in cases:
-            arc = make_arc(variety, components, precision)
+        cases += [(arc, 4) for key, _, arc in _catalog_arcs(1) if key == "whitney"]
+        for arc, cap in cases:
+            variety = arc.variety
             checks = oracle_check(arc, range(7), cap)
             assert [check.fiber.level for check in checks] == list(range(7))
             for n, check in enumerate(checks):
@@ -255,9 +252,9 @@ class TestOneRefinement:
         assert len(pullbacks) == 22  # one per arc, for all nine levels
 
     def test_level_zero_free_rank_is_the_corank_of_the_jacobian_at_the_center(self):
-        for entry, spec in self._catalog_arcs():
-            variety = entry.variety
-            profile, arc = refined_profile_of_omega(make_arc(variety, spec.components, 16), 64)
+        for key, name, arc in _catalog_arcs(16):
+            variety = arc.variety
+            profile, arc = refined_profile_of_omega(arc, 64)
             names = [sympy.Symbol(v) for v in variety.variables]
             center = {x: to_sympy(c) for x, c in zip(names, arc.center())}
             jacobian = sympy.Matrix(
@@ -268,7 +265,7 @@ class TestOneRefinement:
                 rank = DomainMatrix.from_Matrix(jacobian).convert_to(GF(p)).rank()
             else:
                 rank = jacobian.rank()
-            assert profile.at_level(0).betti == len(names) - rank, (entry.key, spec.name)
+            assert profile.at_level(0).betti == len(names) - rank, (key, name)
 
 
 def test_catalog_documents_are_parsed_once_per_process(monkeypatch):
@@ -282,6 +279,8 @@ def test_catalog_documents_are_parsed_once_per_process(monkeypatch):
     assert len(parses) == len(entries) == 10  # one document per variety
     assert catalog.build_catalog() is entries
     assert len(parses) == 10
+    with pytest.raises(TypeError):  # no caller can change the shared arcs
+        entries[0].arc_specs["extra"] = entries[0].arc_specs["origin"]
 
 
 class TestDivisorial:
@@ -365,6 +364,82 @@ class TestMather:
             mather_discrepancy_check(f, "x", 1, precision=20)
 
 
+class TestExtendedVerdicts:
+    """BTR and Mather verdicts for every mix of stabilized and suspected infinite sides.
+
+    Stub reports stand in for ``embdim_arc`` and the Jacobian order, so the
+    mixes that no catalog arc reaches are pinned too: a side that did not
+    stabilize, and an order known only from below, count as infinity.
+    """
+
+    # (source, target, Jacobian order) -> (inequalities_hold, equality_holds when smooth);
+    # None is a side that did not stabilize, "3+" the order AtLeast(3).
+    BTR = {
+        (2, 1, 3): (False, False),
+        (2, 2, 3): (True, False),
+        (2, 5, 3): (True, True),
+        (2, 7, 3): (False, False),
+        (2, None, 3): (False, False),
+        (None, 1, 3): (False, False),
+        (None, 2, 3): (False, False),
+        (None, 5, 3): (False, False),
+        (None, 7, 3): (False, False),
+        (None, None, 3): (True, True),
+        (2, 1, "3+"): (False, False),
+        (2, 2, "3+"): (True, False),
+        (2, 5, "3+"): (True, False),
+        (2, 7, "3+"): (True, False),
+        (2, None, "3+"): (True, True),
+        (None, 1, "3+"): (False, False),
+        (None, 2, "3+"): (False, False),
+        (None, 5, "3+"): (False, False),
+        (None, 7, "3+"): (False, False),
+        (None, None, "3+"): (True, True),
+    }
+
+    @staticmethod
+    def _stub(monkeypatch, source_variety, source, target, ord_jac, center_betti=1):
+        """btr_check's Jacobian order and its two reports, each side a value or None.
+
+        The source profile's level-0 free rank decides smoothness at the center.
+        """
+        from jetspace import analysis
+
+        def embdim_arc(arc, *args):
+            value = source if arc.variety == source_variety else target
+            level0 = SimpleNamespace(betti=center_betti)
+            profile = SimpleNamespace(at_level=lambda n: level0)
+            return SimpleNamespace(stabilized=value is not None, value=value, arc=arc, arc_profile=profile)
+
+        order = SimpleNamespace(fitting_invariant=lambda i: ord_jac)
+        monkeypatch.setattr(analysis, "refined_pullback_profile", lambda relative, beta, cap: (order, beta))
+        monkeypatch.setattr(analysis, "embdim_arc", embdim_arc)
+
+    def test_btr(self, monkeypatch):
+        # the cusp y^2 = x^3 mapped into the plane by (x, y): declared dimension 1
+        cusp = cusp_variety()
+        f = MorphismPresentation(cusp, affine_space(2, names=("x", "y")), (var("x"), var("y")))
+        beta = _cusp_arc(4)
+        for (source, target, order), (inequalities, equality) in self.BTR.items():
+            ord_jac = OrderValue.finite(3) if order == 3 else OrderValue.at_least(3)
+            for center_betti, smooth in ((1, True), (2, False)):
+                self._stub(monkeypatch, cusp, source, target, ord_jac, center_betti)
+                report = btr_check(f, beta)
+                case = (source, target, order, smooth)
+                assert report.smooth_at_center is smooth, case
+                assert report.inequalities_hold is inequalities, case
+                assert report.equality_holds is (equality if smooth else None), case
+
+    def test_mather(self, monkeypatch):
+        chart = blow_up_chart(2)  # discrepancy 1 along y1: q = 1 expects 2
+        for source, target in itertools.product((None, 1, 2), (None, 2, 3)):
+            self._stub(monkeypatch, chart.source, source, target, OrderValue.finite(1))
+            report = mather_discrepancy_check(chart, "y1", 1, precision=4, n_max=2)
+            assert report.expected_embdim == 2
+            assert report.source_equals_q is (source == 1), (source, target)
+            assert report.target_matches is (target == 2), (source, target)
+
+
 def test_formula_vs_oracle_on_mixed_arcs():
     arcs = [
         _cusp_arc(10),
@@ -392,7 +467,7 @@ def test_formula_vs_oracle_random_monomial_curves():
     from jetspace.invariants import profile_of_omega
 
     def scalar_power(field, c, e):
-        out = field.one()
+        out = 1
         for _ in range(e):
             out = field.mul(out, c)
         return out

@@ -63,10 +63,6 @@ class TestCanonicalRationals:
         half = Q.coerce(Fraction(2, 4))
         assert type(half) is Fraction and half == Fraction(1, 2)
 
-    def test_zero_and_one_are_ints(self):
-        assert type(Q.zero()) is int and Q.zero() == 0
-        assert type(Q.one()) is int and Q.one() == 1
-
     def test_inverse_is_exact(self):
         third = Q.inv(3)
         assert third == Fraction(1, 3)

@@ -297,16 +297,14 @@ def test_betti_monotone_cusp():
 # refined precision, including precision-limited arcs at a low cap.
 @pytest.mark.parametrize("start, cap", [(4, 4), (8, 16), (16, 64)])
 def test_at_level_matches_profile_of_omega_on_catalog(start, cap):
-    from jetspace.catalog import build_catalog
+    from jetspace.catalog import _catalog_arcs
 
     limited = 0
-    for entry in build_catalog():
-        for spec in entry.arcs:
-            arc = make_arc(entry.variety, spec.components, start)
-            profile, arc = refined_profile_of_omega(arc, cap)
-            limited += profile.precision_limited
-            for n in range(profile.precision):
-                assert profile.at_level(n) == profile_of_omega(arc, n), (entry.key, spec.name, n)
+    for key, name, arc in _catalog_arcs(start):
+        profile, arc = refined_profile_of_omega(arc, cap)
+        limited += profile.precision_limited
+        for n in range(profile.precision):
+            assert profile.at_level(n) == profile_of_omega(arc, n), (key, name, n)
     assert limited
 
 

@@ -152,12 +152,11 @@ def _random_series(rng, n, rational):
     return sum(c * T**k for k, c in enumerate(coeffs))
 
 
-def _seeded_jet(entry, n, rng):
+def _seeded_jet(X, n, rng):
     """Coordinates of a seeded k-rational level-n jet, as sympy numbers."""
-    X = entry.variety
     u, v = (_random_series(rng, n, X.base.p is None) for _ in range(2))
     coords = []
-    for component in PARAMETRIZATIONS[entry.key](u, v):
+    for component in PARAMETRIZATIONS[X.name](u, v):
         expanded = sympy.expand(component)
         coords += [expanded.coeff(T, k) % X.base.p if X.base.p else expanded.coeff(T, k) for k in range(n + 1)]
     return coords
@@ -175,44 +174,44 @@ def _sympy_jacobian_rank(X, n, coords):
 
 
 def test_catalog_parametrizations_cover_the_catalog():
-    assert {entry.key for entry in build_catalog()} == set(PARAMETRIZATIONS)
+    assert {document.variety.name for document in build_catalog()} == set(PARAMETRIZATIONS)
 
 
-@pytest.mark.parametrize("entry", build_catalog(), ids=lambda entry: entry.key)
-def test_corank_at_rational_jets_matches_sympy_rank(entry):
+@pytest.mark.parametrize("document", build_catalog(), ids=lambda document: document.variety.name)
+def test_corank_at_rational_jets_matches_sympy_rank(document):
     """(n+1)N minus sympy's rank of the differentiated jet equations, n <= 5."""
-    X = entry.variety
-    rng = random.Random(f"rational-jets-{entry.key}")
+    X = document.variety
+    rng = random.Random(f"rational-jets-{X.name}")
     for n in range(6):
         for _ in range(2):
-            coords = _seeded_jet(entry, n, rng)
+            coords = _seeded_jet(X, n, rng)
             point = [fe(Fraction(int(c.p), int(c.q)), X.base) for c in coords]
             assert all(c.is_constant() for c in point)
             expected = (n + 1) * len(X.variables) - _sympy_jacobian_rank(X, n, coords)
-            assert jet_jacobian_corank(X, n, point) == expected, (entry.key, n, coords)
+            assert jet_jacobian_corank(X, n, point) == expected, (X.name, n, coords)
     # One multi-level call at the last level-5 jet: every level against sympy.
     coranks = jet_jacobian_corank(X, range(6), point)
     for k in range(6):
         truncated = [coords[i * 6 + q] for i in range(len(X.variables)) for q in range(k + 1)]
         expected = (k + 1) * len(X.variables) - _sympy_jacobian_rank(X, k, truncated)
-        assert coranks[k] == expected, (entry.key, k, coords)
+        assert coranks[k] == expected, (X.name, k, coords)
 
 
-@pytest.mark.parametrize("entry", build_catalog(), ids=lambda entry: entry.key)
-def test_multi_level_corank_equals_the_single_level_calls(entry):
+@pytest.mark.parametrize("document", build_catalog(), ids=lambda document: document.variety.name)
+def test_multi_level_corank_equals_the_single_level_calls(document):
     """Over Q, GF(2) and GF(3), at k-rational and transcendental jets."""
-    for spec in entry.arcs:
-        arc = make_arc(entry.variety, spec.components, 16)
-        coranks = jet_jacobian_corank(entry.variety, range(7), arc.truncate(6).coordinates)
-        singles = [jet_jacobian_corank(entry.variety, n, arc.truncate(n).coordinates) for n in range(7)]
-        assert coranks == singles, (entry.key, spec.name)
-        assert jet_jacobian_corank(entry.variety, [4, 1], arc.truncate(4).coordinates) == [singles[4], singles[1]]
+    X = document.variety
+    for name in document.arc_specs:
+        arc = document.build_arc(name, 16)
+        coranks = jet_jacobian_corank(X, range(7), arc.truncate(6).coordinates)
+        singles = [jet_jacobian_corank(X, n, arc.truncate(n).coordinates) for n in range(7)]
+        assert coranks == singles, (X.name, name)
+        assert jet_jacobian_corank(X, [4, 1], arc.truncate(4).coordinates) == [singles[4], singles[1]]
 
 
 def _unit_branch():
-    cusp = next(entry for entry in build_catalog() if entry.key == "cusp")
-    spec = next(arc for arc in cusp.arcs if arc.name == "unit-branch")
-    return make_arc(cusp.variety, spec.components, 16)
+    cusp = next(document for document in build_catalog() if document.variety.name == "cusp")
+    return cusp.build_arc("unit-branch", 16)
 
 
 def test_corank_at_transcendental_jets_matches_the_formula():
@@ -249,13 +248,12 @@ def _count_field_element_arithmetic(monkeypatch):
 
 
 def test_rational_jet_point_runs_on_scalars(monkeypatch):
-    arcs = [
-        (entry.variety, spec.components)
-        for entry in build_catalog()
-        if entry.key in ("whitney", "umbrella2")
-        for spec in entry.arcs
+    points = [
+        (document.variety, 6, document.build_arc(name, 8).truncate(6).coordinates)
+        for document in build_catalog()
+        if document.variety.name in ("whitney", "umbrella2")
+        for name in document.arc_specs
     ]
-    points = [(X, 6, make_arc(X, components, 8).truncate(6).coordinates) for X, components in arcs]
     calls = _count_field_element_arithmetic(monkeypatch)
     for X, n, point in points:
         if all(c.is_constant() for c in point):
