@@ -367,6 +367,30 @@ class SparsePolynomial:
             out[mono[:k] + rest + mono[k + 1:]] = new_coeff
         return SparsePolynomial(self.field, out)
 
+    def gradient(self) -> dict[str, "SparsePolynomial"]:
+        """Every nonzero partial derivative ``{var: d/dvar}``, in one pass.
+
+        Same coefficient rule as ``derivative``: exponents divisible by the
+        characteristic vanish, so a variable whose partial is zero is absent.
+        """
+        p = self.field.p
+        parts: dict = {}
+        for mono, coeff in self.terms.items():
+            for k, (v, exp) in enumerate(mono):
+                new_coeff = coeff * exp % p if p else coeff * exp
+                if not new_coeff:
+                    continue
+                if type(new_coeff) is Fraction and new_coeff.denominator == 1:
+                    new_coeff = new_coeff.numerator
+                rest = ((v, exp - 1),) if exp > 1 else ()
+                out = parts.get(v)
+                if out is None:
+                    out = parts[v] = {}
+                # As in ``derivative``: no two terms land on one monomial.
+                out[mono[:k] + rest + mono[k + 1:]] = new_coeff
+        field = self.field
+        return {v: SparsePolynomial(field, out) for v, out in parts.items()}
+
     def evaluate(self, assignment: Mapping[str, object], const: Callable):
         """Evaluate in any commutative ring.
 
@@ -525,12 +549,6 @@ class FieldElement:
 
     def __hash__(self):
         raise TypeError("FieldElement is not hashable (equality is cross-multiplicative)")
-
-    def derivative(self, var: str) -> "FieldElement":
-        return FieldElement(
-            self.num.derivative(var) * self.den - self.num * self.den.derivative(var),
-            self.den * self.den,
-        )
 
     def variables(self) -> list[str]:
         return sorted(set(self.num.variables()) | set(self.den.variables()))

@@ -16,8 +16,9 @@ of the diagonalization machinery so the two can be played against each
 other.  Several levels share one set of equations, built, checked and
 differentiated at the top level: the level-k equations are the t^p ones
 with p <= k, in the jet variables of t-power <= k, so each level ranks
-its own rows of that one Jacobian.  An equation is differentiated only by
-the jet variables that occur in it.  At a k-rational point (every
+its own rows of that one Jacobian.  Each equation is differentiated once:
+one pass over its terms gives all its nonzero partials
+(``SparsePolynomial.gradient``).  At a k-rational point (every
 coordinate a visible constant) the equations and their partials are
 evaluated on raw base-field scalars, ints or ``Fraction``s, and each
 value is lifted into a ``FieldElement`` only once, for the shared exact
@@ -124,8 +125,8 @@ def jet_jacobian_corank(
         gradients = []
         for equation in row:
             entries = [field.fe_zero] * len(column)
-            for v in equation.variables():
-                entries[column[v]] = value(equation.derivative(v))
+            for v, partial in equation.gradient().items():
+                entries[column[v]] = value(partial)
             gradients.append(entries)
         jacobian.append(gradients)
 

@@ -8,7 +8,6 @@ import hashlib
 import json
 import time
 
-from conftest import Q
 from jetspace.analysis import embdim_arc, embdim_jet, oracle_check
 from jetspace.catalog import (
     blow_up_chart,
@@ -24,7 +23,7 @@ from jetspace.cli import main
 from jetspace.geometry import jacobian_ideal_generators
 from jetspace.invariants import refined_profile_of_omega
 from jetspace.analysis import mather_discrepancy_check
-from jetspace.series import OrderValue, SeriesExpression
+from jetspace.series import OrderValue
 
 # sha256 of the 23778 bytes `jetspace catalog` prints; a change that alters
 # the report on purpose updates this pin and says so.

@@ -13,7 +13,6 @@ from conftest import (
     affine_space,
     blowup_chart_2d,
     cusp_variety,
-    fev,
     sexpr,
     to_sympy,
     var,

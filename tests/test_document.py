@@ -1,6 +1,5 @@
 """Expression grammar and problem-document loading."""
 
-import json
 from fractions import Fraction
 
 import pytest

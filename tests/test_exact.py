@@ -360,7 +360,7 @@ def test_polynomial_rendering_is_deterministic():
 # Independent oracle for the polynomial kernel: every operation against
 # sympy.Poly over the same field, plus the stored-form invariants (no zero
 # coefficient, prime-field coefficients reduced, monomials sorted).
-KERNEL_FIELDS = [Q, BaseField(2), BaseField(5)]
+KERNEL_FIELDS = [Q, BaseField(2), BaseField(3), BaseField(5)]
 KERNEL_NAMES = ("u1", "u2", "x")
 
 
@@ -413,6 +413,12 @@ def test_kernel_matches_sympy_poly(field, seed):
         (a ** exponent, sa ** exponent),
     ]
     cases += [(a.derivative(name), sa.diff(sympy_gen)) for name, sympy_gen in zip(KERNEL_NAMES, sa.gens)]
+    gradient = a.gradient()
+    assert all(partial for partial in gradient.values())  # zero partials are absent
+    cases += [
+        (gradient.get(name, SparsePolynomial.zero(field)), sa.diff(sympy_gen))
+        for name, sympy_gen in zip(KERNEL_NAMES, sa.gens)
+    ]
     for ours, reference in cases:
         _assert_well_formed(ours)
         # Compared as expressions: sympy's diff over GF(p) can leave
@@ -443,3 +449,13 @@ def test_cancelling_products_delete_terms():
     assert ((x + y) * (x - y)).terms == {(("x", 2),): 1, (("y", 2),): -1}
     # d/dx x^2 = 2x vanishes in characteristic 2; x^3 -> 3x^2 = x^2 survives.
     assert (x2 * x2 + x2 * x2 * x2).derivative("x").terms == {(("x", 2),): 1}
+
+
+def test_gradient_drops_partials_that_vanish_in_characteristic_p():
+    f2, f3 = BaseField(2), BaseField(3)
+    x3, y3 = var("x", f3), var("y", f3)
+    # d/dx x^3 = 3x^2 = 0 over GF(3): x has no entry.
+    assert (x3 ** 3 + y3).gradient() == {"y": SparsePolynomial.constant(f3, 1)}
+    x2, y2 = var("x", f2), var("y", f2)
+    # d/dx (x^2 y + x) = 2xy + 1 = 1 over GF(2); d/dy = x^2.
+    assert (x2 * x2 * y2 + x2).gradient() == {"x": SparsePolynomial.constant(f2, 1), "y": x2 * x2}

@@ -4,8 +4,8 @@ import random
 
 import pytest
 
-from conftest import Q, affine_space, blowup_chart_2d, cusp_variety, fe, tser, var, whitney_variety
-from jetspace.arcs import generic_arc, make_arc, push_arc
+from conftest import Q, affine_space, blowup_chart_2d, cusp_variety, tser, var, whitney_variety
+from jetspace.arcs import generic_arc, push_arc
 from jetspace.errors import InputError
 from jetspace.exact import SparsePolynomial
 from jetspace.geometry import (
@@ -19,7 +19,7 @@ from jetspace.geometry import (
 )
 from jetspace.invariants import refined_profile_of_omega, refined_pullback_profile
 from jetspace.jets import jet_ideal
-from jetspace.series import OrderValue, SeriesExpression
+from jetspace.series import OrderValue
 
 
 class TestOmegaPresentation:

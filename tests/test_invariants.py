@@ -6,7 +6,7 @@ from fractions import Fraction
 
 import pytest
 
-from conftest import Q, affine_space, cusp_variety, fe, sexpr, tser, whitney_variety
+from conftest import Q, affine_space, cusp_variety, sexpr, tser, whitney_variety
 from jetspace.arcs import generic_arc, make_arc
 from jetspace.errors import MatrixTooLarge, PrecisionTooLow
 from jetspace.invariants import (

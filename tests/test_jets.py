@@ -234,16 +234,16 @@ def test_point_off_the_jet_scheme_raises_the_same_error_on_both_paths():
             assert (raised.value.generator_index, raised.value.level_index) == (0, 2)
 
 
-def _count_field_element_arithmetic(monkeypatch):
+def _count_calls(monkeypatch, cls, names):
     calls = []
-    for name in ("__add__", "__mul__"):
-        original = getattr(FieldElement, name)
+    for name in names:
+        original = getattr(cls, name)
 
-        def counted(self, other, original=original):
+        def counted(self, *args, name=name, original=original):
             calls.append(name)
-            return original(self, other)
+            return original(self, *args)
 
-        monkeypatch.setattr(FieldElement, name, counted)
+        monkeypatch.setattr(cls, name, counted)
     return calls
 
 
@@ -254,7 +254,7 @@ def test_rational_jet_point_runs_on_scalars(monkeypatch):
         if document.variety.name in ("whitney", "umbrella2")
         for name in document.arc_specs
     ]
-    calls = _count_field_element_arithmetic(monkeypatch)
+    calls = _count_calls(monkeypatch, FieldElement, ("__add__", "__mul__"))
     for X, n, point in points:
         if all(c.is_constant() for c in point):
             jet_jacobian_corank(X, n, point)
@@ -262,3 +262,18 @@ def test_rational_jet_point_runs_on_scalars(monkeypatch):
     arc = _unit_branch().with_precision(8)
     jet_jacobian_corank(arc.variety, 4, arc.truncate(4).coordinates)
     assert calls  # the wrapper sees the FieldElement path
+
+
+def test_each_jet_equation_is_differentiated_once(monkeypatch):
+    """One gradient per equation, no per-variable derivative, on both paths."""
+    whitney = next(document for document in build_catalog() if document.variety.name == "whitney")
+    rational = whitney.build_arc(next(iter(whitney.arc_specs)), 8).truncate(6).coordinates
+    cusp_arc = _unit_branch().with_precision(8)
+    transcendental = cusp_arc.truncate(4).coordinates
+    assert all(c.is_constant() for c in rational)
+    assert not all(c.is_constant() for c in transcendental)
+    calls = _count_calls(monkeypatch, SparsePolynomial, ("derivative", "gradient"))
+    for X, levels, top, point in ((whitney.variety, [6, 2], 6, rational), (cusp_arc.variety, 4, 4, transcendental)):
+        calls.clear()
+        jet_jacobian_corank(X, levels, point)
+        assert calls == ["gradient"] * (len(X.generators) * (top + 1))
