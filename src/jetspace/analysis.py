@@ -62,7 +62,7 @@ from .invariants import (
     refined_profile_of_omega,
     refined_pullback_profile,
 )
-from .jets import jet_jacobian_corank
+from .jets import jet_jacobian_corank, jet_levels
 from .series import PRECISION_CAP, OrderValue
 
 DEFAULT_N_MAX = 12
@@ -165,8 +165,10 @@ def oracle_check(
     One refinement of the arc and one jet Jacobian serve every level: each
     level's formula reads the refined profile, and one
     ``jet_jacobian_corank`` call at the top level's jet gives every
-    level's corank.
+    level's corank.  Levels that are empty or not ints >= 0 raise
+    InputError, as in ``jet_jacobian_corank``.
     """
+    levels = jet_levels(levels)
     top = max(levels)
     profile, arc = refined_profile_of_omega(arc.with_precision(top + 1), cap)
     fibers = [_fiber_dimension(profile, arc, n) for n in levels]

@@ -367,30 +367,6 @@ class SparsePolynomial:
             out[mono[:k] + rest + mono[k + 1:]] = new_coeff
         return SparsePolynomial(self.field, out)
 
-    def gradient(self) -> dict[str, "SparsePolynomial"]:
-        """Every nonzero partial derivative ``{var: d/dvar}``, in one pass.
-
-        Same coefficient rule as ``derivative``: exponents divisible by the
-        characteristic vanish, so a variable whose partial is zero is absent.
-        """
-        p = self.field.p
-        parts: dict = {}
-        for mono, coeff in self.terms.items():
-            for k, (v, exp) in enumerate(mono):
-                new_coeff = coeff * exp % p if p else coeff * exp
-                if not new_coeff:
-                    continue
-                if type(new_coeff) is Fraction and new_coeff.denominator == 1:
-                    new_coeff = new_coeff.numerator
-                rest = ((v, exp - 1),) if exp > 1 else ()
-                out = parts.get(v)
-                if out is None:
-                    out = parts[v] = {}
-                # As in ``derivative``: no two terms land on one monomial.
-                out[mono[:k] + rest + mono[k + 1:]] = new_coeff
-        field = self.field
-        return {v: SparsePolynomial(field, out) for v, out in parts.items()}
-
     def evaluate(self, assignment: Mapping[str, object], const: Callable):
         """Evaluate in any commutative ring.
 
@@ -398,29 +374,54 @@ class SparsePolynomial:
         element; ``const`` lifts a scalar coefficient into the ring.
         Missing variables raise UnknownVariable.
         """
-        power_cache: dict = {}
-
-        def power(var, exp):
-            known = power_cache.get(var)
-            if known is None:
-                if var not in assignment:
-                    raise UnknownVariable(var)
-                known = {1: assignment[var]}
-                power_cache[var] = known
-            while exp not in known:
-                top = max(known)
-                known[top + 1] = known[top] * known[1]
-            return known[exp]
-
+        powers = PowerTable(assignment)
         total = None
         for mono in sorted(self.terms, key=_mono_key):
             term = const(self.terms[mono])
-            for var, exp in mono:
-                term = term * power(var, exp)
+            for pair in mono:
+                term = term * powers[pair]
             total = term if total is None else total + term
         if total is None:
             return const(0)
         return total
+
+    def value_and_gradient(self, powers: "PowerTable", const: Callable):
+        """The value at a point and the value there of every nonzero partial.
+
+        One pass over the terms, with the point's coordinate powers taken
+        from ``powers`` (shared by every polynomial evaluated at the point);
+        ``const`` lifts a scalar coefficient into their ring, as in
+        ``evaluate``.  Returns ``(value, {var: value of d/dvar})``.  The
+        partials follow ``derivative``'s coefficient rule: a coefficient
+        c*e that is zero in the field (p | e) is skipped, so a variable
+        whose partial is the zero polynomial has no entry.
+        """
+        p = self.field.p
+        value = None
+        partials: dict = {}
+        get = partials.get
+        power = powers.__getitem__
+        for mono, coeff in self.terms.items():
+            factors = list(map(power, mono))
+            term = const(coeff)
+            for factor in factors:
+                term = term * factor
+            value = term if value is None else value + term
+            for k, (var, exp) in enumerate(mono):
+                scaled = coeff * exp % p if p else coeff * exp
+                if not scaled:
+                    continue
+                if type(scaled) is Fraction and scaled.denominator == 1:
+                    scaled = scaled.numerator
+                part = const(scaled)
+                if exp > 1:
+                    part = part * powers[var, exp - 1]
+                for j, factor in enumerate(factors):
+                    if j != k:
+                        part = part * factor
+                old = get(var)
+                partials[var] = part if old is None else old + part
+        return (const(0) if value is None else value), partials
 
     def __str__(self):
         if not self.terms:
@@ -445,6 +446,32 @@ class SparsePolynomial:
 
     def __repr__(self):
         return f"SparsePolynomial({self})"
+
+
+class PowerTable(dict):
+    """Powers of the coordinates of one point, keyed like monomial pairs.
+
+    ``table[var, e]`` is the e-th power (e >= 1) of ``assignment[var]``, an
+    element of any commutative ring; each power is computed once, as
+    x^(e-1) * x, so every polynomial evaluated at the point shares them.
+    A variable missing from ``assignment`` raises UnknownVariable.
+    """
+
+    __slots__ = ("assignment",)
+
+    def __init__(self, assignment: Mapping[str, object]):
+        super().__init__()
+        self.assignment = assignment
+
+    def __missing__(self, pair):
+        var, exp = pair
+        if var not in self.assignment:
+            raise UnknownVariable(var)
+        x = power = self[var, 1] = self.assignment[var]
+        for e in range(2, exp + 1):
+            known = self.get((var, e))
+            power = self[var, e] = power * x if known is None else known
+        return power
 
 
 class FieldElement:

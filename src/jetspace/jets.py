@@ -16,9 +16,12 @@ of the diagonalization machinery so the two can be played against each
 other.  Several levels share one set of equations, built, checked and
 differentiated at the top level: the level-k equations are the t^p ones
 with p <= k, in the jet variables of t-power <= k, so each level ranks
-its own rows of that one Jacobian.  Each equation is differentiated once:
-one pass over its terms gives all its nonzero partials
-(``SparsePolynomial.gradient``).  At a k-rational point (every
+its own rows of that one Jacobian.  Each equation is differentiated
+term by term, once: one pass over its terms gives its value at the point
+and the value there of every nonzero partial
+(``SparsePolynomial.value_and_gradient``), with the powers of the point's
+coordinates computed once in one ``PowerTable`` shared by all equations.
+The value decides ``PointNotOnJetScheme``.  At a k-rational point (every
 coordinate a visible constant) the equations and their partials are
 evaluated on raw base-field scalars, ints or ``Fraction``s, and each
 value is lifted into a ``FieldElement`` only once, for the shared exact
@@ -30,10 +33,11 @@ point is evaluated on ``FieldElement``s.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import partial
 from typing import Sequence
 
-from .errors import PointNotOnJetScheme
-from .exact import FieldElement, SparsePolynomial, matrix_rank
+from .errors import InputError, PointNotOnJetScheme
+from .exact import FieldElement, PowerTable, SparsePolynomial, matrix_rank
 from .geometry import VarietyPresentation
 from .series import TruncatedSeries
 
@@ -58,10 +62,20 @@ class JetIdeal:
     generators: tuple[tuple[SparsePolynomial, ...], ...]
 
 
+def jet_levels(levels: Sequence[int]) -> list[int]:
+    """The requested jet levels as a list, or InputError: nonempty, each an int >= 0."""
+    wanted = list(levels)
+    if not wanted:
+        raise InputError("no jet level requested")
+    for n in wanted:
+        if not isinstance(n, int) or n < 0:
+            raise InputError(f"jet level must be an int >= 0, got {n!r}")
+    return wanted
+
+
 def jet_ideal(X: VarietyPresentation, n: int) -> JetIdeal:
     """Hasse-Schmidt equations of the level-n jet scheme of X."""
-    if n < 0:
-        raise ValueError("jet level must be >= 0")
+    jet_levels([n])
     field = X.base
     curve = {
         v: TruncatedSeries(field, [SparsePolynomial.variable(field, jet_variable(v, p)) for p in range(n + 1)])
@@ -76,12 +90,8 @@ def jet_ideal(X: VarietyPresentation, n: int) -> JetIdeal:
     return JetIdeal(n, X.variables, jet_vars, gens)
 
 
-def jet_point_assignment(ideal: JetIdeal, point: Sequence[FieldElement]) -> dict[str, FieldElement]:
-    if len(point) != len(ideal.jet_variables):
-        raise ValueError(
-            f"jet point needs {len(ideal.jet_variables)} coordinates, got {len(point)}"
-        )
-    return dict(zip(ideal.jet_variables, point))
+def _unchanged(value):
+    return value
 
 
 def jet_jacobian_corank(
@@ -93,44 +103,43 @@ def jet_jacobian_corank(
     level-top jet equation exactly.  Level k gets (k+1)N - rank of the
     rows of t-power <= k, the fiber dimension of the differentials of the
     level-k jet scheme at the truncated point.  One corank per level, in
-    the order given; a bare level n returns its corank alone.
+    the order given; a bare level n returns its corank alone.  Levels that
+    are empty or not ints >= 0, and a point whose length is not
+    (top+1)N, raise InputError.
     """
-    wanted = [levels] if isinstance(levels, int) else list(levels)
+    wanted = jet_levels([levels] if isinstance(levels, int) else levels)
     top = max(wanted)
+    width = len(X.variables)
+    if len(point) != (top + 1) * width:
+        raise InputError(f"a level-{top} jet point needs {(top + 1) * width} coordinates, got {len(point)}")
     ideal = jet_ideal(X, top)
-    env = jet_point_assignment(ideal, point)
     field = X.base
 
     if all(c.is_constant() for c in point):
-        # A k-rational point: evaluate on raw scalars, lift only the value.
-        scalars = {v: c.constant_value() for v, c in env.items()}
-
-        def value(poly: SparsePolynomial) -> FieldElement:
-            return FieldElement.from_scalar(field, poly.evaluate(scalars, lambda c: c))
-
+        # A k-rational point: evaluate on raw scalars, lift each value once.
+        coordinates = [c.constant_value() for c in point]
+        const, lift = _unchanged, partial(FieldElement.from_scalar, field)
     else:
-
-        def value(poly: SparsePolynomial) -> FieldElement:
-            return poly.evaluate(env, lambda c: FieldElement.from_scalar(field, c))
-
-    for j, row in enumerate(ideal.generators):
-        for p, equation in enumerate(row):
-            if not value(equation).is_zero():
-                raise PointNotOnJetScheme(j, p)
+        coordinates = point
+        const, lift = partial(FieldElement.from_scalar, field), _unchanged
+    # One table of coordinate powers, shared by every equation.
+    powers = PowerTable(dict(zip(ideal.jet_variables, coordinates)))
 
     column = {v: k for k, v in enumerate(ideal.jet_variables)}
-    # jacobian[j][p]: the gradient of the t^p equation of generator j.
+    # jacobian[j][p]: the gradient at the point of the t^p equation of generator j.
     jacobian = []
-    for row in ideal.generators:
+    for j, row in enumerate(ideal.generators):
         gradients = []
-        for equation in row:
+        for p, equation in enumerate(row):
+            value, partials = equation.value_and_gradient(powers, const)
+            if lift(value):
+                raise PointNotOnJetScheme(j, p)
             entries = [field.fe_zero] * len(column)
-            for v, partial in equation.gradient().items():
-                entries[column[v]] = value(partial)
+            for v, slope in partials.items():
+                entries[column[v]] = lift(slope)
             gradients.append(entries)
         jacobian.append(gradients)
 
-    width = len(X.variables)
     coranks = []
     for k in wanted:
         # Jet variables are component-major: x[0..top], y[0..top], ...

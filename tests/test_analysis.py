@@ -13,6 +13,8 @@ from conftest import (
     affine_space,
     blowup_chart_2d,
     cusp_variety,
+    fe,
+    fev,
     sexpr,
     to_sympy,
     var,
@@ -103,6 +105,24 @@ class TestEmbdimArc:
         assert report.ambient_rank == 3
         seq = report.codim_sequence()
         assert all(b > a for a, b in zip(seq, seq[1:]))
+
+
+    @pytest.mark.xfail(
+        strict=True,
+        reason="known wrong answer: the stabilization window reads a residue plateau as convergence",
+    )
+    def test_cusp_with_ten_transcendentals_does_not_stabilize(self):
+        """x = s^2, y = s^3, s = t + sum (1 + a_i) t^(i+2) for i < 10: D = 1, so s_n grows.
+
+        The residue dimension is bounded by the 10 transcendentals, so
+        s_n >= (n+1) D - 10 grows without bound; today the sequence reads
+        3 at levels 2-12 (residue dimensions 0,0,0,1,...,10) and the report
+        says Stabilized(3).
+        """
+        s = sexpr(0, 1, *(fev(f"a{i}") + fe(1) for i in range(10)))
+        report = embdim_arc(make_arc(cusp_variety(), [s ** 2, s ** 3], 16), n_max=12)
+        assert report.ambient_rank == 1
+        assert not report.stabilized, report.verdict()
 
 
 class TestJetCodim:
@@ -451,6 +471,12 @@ def test_formula_vs_oracle_on_mixed_arcs():
     ]
     for arc in arcs:
         assert all(check.match for check in oracle_check(arc, range(5)))
+
+
+@pytest.mark.parametrize("levels", [[3, -1], [], [2.0]], ids=["negative", "empty", "float"])
+def test_oracle_check_refuses_bad_levels(levels):
+    with pytest.raises(InputError, match="jet level"):
+        oracle_check(_cusp_arc(10), levels)
 
 
 def test_formula_vs_oracle_random_monomial_curves():

@@ -10,10 +10,11 @@ from sympy.polys.domains import GF, QQ
 from sympy.polys.matrices import DomainMatrix
 
 from conftest import Q, fe, fev, to_sympy, var
-from jetspace.errors import DivisionByZero, InputError, NotPrime
+from jetspace.errors import DivisionByZero, InputError, NotPrime, UnknownVariable
 from jetspace.exact import (
     BaseField,
     FieldElement,
+    PowerTable,
     SparsePolynomial,
     echelon_rank_profile,
     matrix_rank,
@@ -413,17 +414,72 @@ def test_kernel_matches_sympy_poly(field, seed):
         (a ** exponent, sa ** exponent),
     ]
     cases += [(a.derivative(name), sa.diff(sympy_gen)) for name, sympy_gen in zip(KERNEL_NAMES, sa.gens)]
-    gradient = a.gradient()
-    assert all(partial for partial in gradient.values())  # zero partials are absent
-    cases += [
-        (gradient.get(name, SparsePolynomial.zero(field)), sa.diff(sympy_gen))
-        for name, sympy_gen in zip(KERNEL_NAMES, sa.gens)
-    ]
     for ours, reference in cases:
         _assert_well_formed(ours)
         # Compared as expressions: sympy's diff over GF(p) can leave
         # unstripped zero rows in its representation, which breaks ==.
         assert _sympy_poly(ours).as_expr() == reference.as_expr()
+    # value_and_gradient against sympy's diff and subs at a scalar point.
+    point = {name: _kernel_scalar(rng, field) for name in KERNEL_NAMES}
+    value, partials = a.value_and_gradient(PowerTable(point), lambda c: c)
+    assert set(partials) == {name for name in KERNEL_NAMES if a.derivative(name)}
+    at_point = dict(zip(sa.gens, point.values()))
+    pairs = [(value, sa.as_expr().subs(at_point))]
+    pairs += [(partials.get(name, 0), sa.diff(gen).as_expr().subs(at_point)) for name, gen in zip(KERNEL_NAMES, sa.gens)]
+    for ours, reference in pairs:
+        # Over GF(p) the scalar evaluation runs over Z; it agrees mod p.
+        difference = ours - reference
+        assert (difference % field.p if field.p else difference) == 0
+
+
+def _kernel_scalar(rng, field):
+    return Fraction(rng.randint(-6, 6), rng.randint(1, 4)) if field.p is None else rng.randrange(field.p)
+
+
+def _kernel_field_element(rng, field):
+    """A rational function in u1, u2, u3 over the field, with a nonzero denominator."""
+    den = SparsePolynomial.zero(field)
+    while not den:
+        den = _random_sparse_poly(rng, field)
+    return FieldElement(_random_sparse_poly(rng, field), den)
+
+
+@pytest.mark.parametrize("field", KERNEL_FIELDS, ids=repr)
+@pytest.mark.parametrize("ring", ["scalar", "field-element"])
+@settings(deadline=None, max_examples=30)
+@given(seed=st.integers(min_value=0, max_value=10**6))
+def test_value_and_gradient_matches_evaluate_and_derivative(field, ring, seed):
+    """One pass gives evaluate's value and derivative(v).evaluate for every v."""
+    rng = random.Random(seed)
+    if ring == "scalar":
+        point = {name: _kernel_scalar(rng, field) for name in KERNEL_NAMES}
+
+        def const(c):
+            return c
+
+    else:
+        point = {name: _kernel_field_element(rng, field) for name in KERNEL_NAMES}
+
+        def const(c):
+            return FieldElement.from_scalar(field, c)
+
+    powers = PowerTable(point)  # one table, shared by every polynomial at the point
+    for a in (_kernel_poly(rng, field) for _ in range(3)):
+        value, partials = a.value_and_gradient(powers, const)
+        assert value == a.evaluate(point, const)
+        assert set(partials) == {name for name in KERNEL_NAMES if a.derivative(name)}
+        for name in KERNEL_NAMES:
+            assert partials.get(name, const(0)) == a.derivative(name).evaluate(point, const)
+
+
+def test_power_table_computes_each_power_once():
+    x = FieldElement.variable(Q, "x")
+    powers = PowerTable({"x": x})
+    assert powers["x", 3] == x * x * x
+    cubed = powers["x", 3]
+    assert powers["x", 3] is cubed and set(powers) == {("x", 1), ("x", 2), ("x", 3)}
+    with pytest.raises(UnknownVariable):
+        powers["y", 1]
 
 
 @pytest.mark.parametrize("field", KERNEL_FIELDS, ids=repr)
@@ -452,10 +508,11 @@ def test_cancelling_products_delete_terms():
 
 
 def test_gradient_drops_partials_that_vanish_in_characteristic_p():
+    """value_and_gradient has no entry for a partial that is zero in characteristic p."""
     f2, f3 = BaseField(2), BaseField(3)
     x3, y3 = var("x", f3), var("y", f3)
-    # d/dx x^3 = 3x^2 = 0 over GF(3): x has no entry.
-    assert (x3 ** 3 + y3).gradient() == {"y": SparsePolynomial.constant(f3, 1)}
+    # d/dx x^3 = 3x^2 = 0 over GF(3): x has no entry, though x^2 = 1 at x = 2.
+    assert (x3 ** 3 + y3).value_and_gradient(PowerTable({"x": 2, "y": 1}), lambda c: c) == (9, {"y": 1})
     x2, y2 = var("x", f2), var("y", f2)
-    # d/dx (x^2 y + x) = 2xy + 1 = 1 over GF(2); d/dy = x^2.
-    assert (x2 * x2 * y2 + x2).gradient() == {"x": SparsePolynomial.constant(f2, 1), "y": x2 * x2}
+    # d/dx (x^2 y + x) = 2xy + 1 = 1 over GF(2); d/dy = x^2.  Over Z: 1 + 1, 1.
+    assert (x2 * x2 * y2 + x2).value_and_gradient(PowerTable({"x": 1, "y": 1}), lambda c: c) == (2, {"x": 1, "y": 1})

@@ -12,7 +12,7 @@ from conftest import Q, affine_space, cusp_variety, fe, fev, to_sympy, var, whit
 from jetspace.analysis import fiber_dim_formula
 from jetspace.arcs import make_arc
 from jetspace.catalog import build_catalog
-from jetspace.errors import PointNotOnJetScheme
+from jetspace.errors import InputError, PointNotOnJetScheme
 from jetspace.exact import BaseField, FieldElement, SparsePolynomial
 from jetspace.geometry import VarietyPresentation
 from jetspace.jets import jet_ideal, jet_jacobian_corank, jet_variable
@@ -265,15 +265,33 @@ def test_rational_jet_point_runs_on_scalars(monkeypatch):
 
 
 def test_each_jet_equation_is_differentiated_once(monkeypatch):
-    """One gradient per equation, no per-variable derivative, on both paths."""
+    """One value_and_gradient per equation, no other evaluation or derivative, on both paths."""
+    assert not hasattr(SparsePolynomial, "gradient")
     whitney = next(document for document in build_catalog() if document.variety.name == "whitney")
     rational = whitney.build_arc(next(iter(whitney.arc_specs)), 8).truncate(6).coordinates
     cusp_arc = _unit_branch().with_precision(8)
     transcendental = cusp_arc.truncate(4).coordinates
     assert all(c.is_constant() for c in rational)
     assert not all(c.is_constant() for c in transcendental)
-    calls = _count_calls(monkeypatch, SparsePolynomial, ("derivative", "gradient"))
+    calls = _count_calls(monkeypatch, SparsePolynomial, ("derivative", "evaluate", "value_and_gradient"))
     for X, levels, top, point in ((whitney.variety, [6, 2], 6, rational), (cusp_arc.variety, 4, 4, transcendental)):
         calls.clear()
         jet_jacobian_corank(X, levels, point)
-        assert calls == ["gradient"] * (len(X.generators) * (top + 1))
+        # jet_ideal evaluates each generator once, on the generic curve.
+        equations = len(X.generators) * (top + 1)
+        assert calls == ["evaluate"] * len(X.generators) + ["value_and_gradient"] * equations
+
+
+@pytest.mark.parametrize(
+    "levels, length",
+    [([3, -1], 8), (-1, 0), ([], 8), ([2.0], 6), (2, 5), ([1, 2], 4)],
+    ids=["negative-in-list", "negative", "empty", "float", "short-point", "point-of-lower-level"],
+)
+def test_bad_levels_and_points_are_input_errors(levels, length):
+    with pytest.raises(InputError):
+        jet_jacobian_corank(cusp_variety(), levels, [fe(0)] * length)
+
+
+def test_jet_ideal_refuses_a_negative_level():
+    with pytest.raises(InputError, match="jet level"):
+        jet_ideal(cusp_variety(), -1)
