@@ -55,6 +55,7 @@ from .errors import (
     NonDivisibleJacobianOrder,
     PrecisionLimited,
 )
+from .exact import as_scalar
 from .geometry import MorphismPresentation, relative_omega_presentation
 from .invariants import (
     InvariantProfile,
@@ -565,7 +566,7 @@ def mather_discrepancy_check(
         raise NonDivisibleJacobianOrder(ord_jac.value, q)
     khat = ord_jac.value // q
     expected = q * (khat + 1)
-    center_closed = all(c.is_constant() for c in target_report.arc.center())
+    center_closed = all(as_scalar(c) is not None for c in target_report.arc.center())
     target_dim = f.target.declared_dim
     if target_dim is None and not target_report.precision_limited:
         target_dim = target_report.arc_profile.betti

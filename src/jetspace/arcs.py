@@ -9,8 +9,18 @@ of three kinds, each re-expandable at any precision:
 * a mapped component of an image arc: a polynomial of a source arc's
   components.
 
-Any other value is an input error, so every arc can be refined.  Arc
-validity (every ideal generator vanishes modulo t^P) is checked at
+Any other value is an input error, so every arc can be refined.
+
+An arc is k-rational when each component is a series expression with
+base-field constant coefficients or a mapped component of a k-rational
+source.  Such an arc expands, validates, refines and pulls back on
+``TruncatedSeries`` of raw base-field scalars (ints and ``Fraction``s
+over Q, ints in ``range(p)`` over GF(p)); its coefficients have no
+variables, so they add no transcendental and no residue row, and its
+center and jets are scalars.  Every other arc stores field-element
+expansions: a mixed arc lifts its scalar components.
+
+Arc validity (every ideal generator vanishes modulo t^P) is checked at
 construction and again after every precision raise.  Refinement only
 raises precision and returns a new arc; values never mutate.  A level-n
 jet needs precision n + 1, so ``with_precision(n + 1)`` is the one way
@@ -87,16 +97,23 @@ ArcComponent = SeriesExpression | GenericComponent | MappedComponent
 
 @dataclass(frozen=True)
 class JetPoint:
-    """Truncation of an arc: coordinates x_{i,p} for p <= level, component-major."""
+    """Truncation of an arc: coordinates x_{i,p} for p <= level, component-major.
+
+    The coordinates are raw scalars for a k-rational arc, field elements
+    otherwise.
+    """
 
     level: int
-    coordinates: tuple[FieldElement, ...]
+    coordinates: tuple
 
 
 class Arc:
-    """A validated formal curve on a variety, known modulo t^precision."""
+    """A validated formal curve on a variety, known modulo t^precision.
 
-    __slots__ = ("variety", "components", "precision", "expansions")
+    ``k_rational`` is true when the expansions are series of raw scalars.
+    """
+
+    __slots__ = ("variety", "components", "precision", "expansions", "k_rational")
 
     def __init__(
         self,
@@ -129,6 +146,10 @@ class Arc:
                     "an arc component is a SeriesExpression, GenericComponent or "
                     f"MappedComponent, not {type(c).__name__}"
                 )
+        scalar = [series.is_scalar for series in expansions]
+        self.k_rational = all(scalar)
+        if not self.k_rational and any(scalar):
+            expansions = [s.lifted() if k else s for s, k in zip(expansions, scalar)]
         self.expansions = tuple(expansions)
         self._validate()
 
@@ -152,6 +173,8 @@ class Arc:
 
     def transcendentals(self) -> list[str]:
         """All transcendental names appearing in the stored coefficients."""
+        if self.k_rational:
+            return []
         names: set[str] = set()
         for series in self.expansions:
             for coeff in series.coeffs:
@@ -189,16 +212,18 @@ class Arc:
         dim(alpha_n) is the transcendence degree of the field generated by
         the coefficients of t^0..t^n; ``transcendence_degree`` gets one
         block of coefficients per level and ranks them all in one
-        elimination.  The flag is its characteristic-p caveat.
+        elimination.  The flag is its characteristic-p caveat.  The scalar
+        coefficients of a k-rational arc add no row.
         """
         if n_max >= self.precision:
             raise PrecisionTooLow(n_max, self.precision)
-        blocks = [[series.coeffs[n] for series in self.expansions] for n in range(n_max + 1)]
+        expansions = () if self.k_rational else self.expansions
+        blocks = [[series.coeffs[n] for series in expansions] for n in range(n_max + 1)]
         names = sorted({name for block in blocks for g in block for name in g.variables()})
         return transcendence_degree(blocks, names, self.variety.base)
 
-    def center(self) -> tuple[FieldElement, ...]:
-        """Coordinates of the arc at t = 0."""
+    def center(self) -> tuple:
+        """Coordinates of the arc at t = 0: scalars when the arc is k-rational."""
         return tuple(series.coeffs[0] for series in self.expansions)
 
     def __repr__(self):

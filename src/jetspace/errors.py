@@ -43,18 +43,6 @@ class DenominatorNotUnit(JetspaceError):
     """Series expression whose denominator vanishes at t = 0."""
 
 
-class ScalarSeriesOverPrimeField(JetspaceError):
-    """A truncated series over GF(p) given raw scalar coefficients.
-
-    Series arithmetic on raw ints would not reduce mod p, so over GF(p)
-    coefficients must be field elements or polynomials.
-    """
-
-    def __init__(self, p):
-        self.p = p
-        super().__init__(f"a truncated series over GF({p}) needs field-element or polynomial coefficients")
-
-
 class NotOnVariety(JetspaceError):
     """Arc components fail an ideal generator modulo the working precision."""
 

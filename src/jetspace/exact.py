@@ -477,10 +477,11 @@ class PowerTable(dict):
 class FieldElement:
     """Unreduced fraction of sparse polynomials.
 
-    Equality is cross-multiplication; no gcd reduction ever happens.  A
-    light normalization (common monomial factor, rational content, sign
-    of the denominator) keeps representatives small and rendering
-    deterministic.
+    Equality is cross-multiplication; no gcd reduction ever happens.  An
+    int or ``Fraction`` compares equal to the field element of the same
+    value (mod p over GF(p)).  A light normalization (common monomial
+    factor, rational content, sign of the denominator) keeps
+    representatives small and rendering deterministic.
     """
 
     __slots__ = ("num", "den")
@@ -570,9 +571,16 @@ class FieldElement:
         return FieldElement(self.den, self.num)
 
     def __eq__(self, other):
-        if not isinstance(other, FieldElement):
-            return NotImplemented
-        return (self.num * other.den - other.num * self.den).is_zero()
+        if isinstance(other, FieldElement):
+            return (self.num * other.den - other.num * self.den).is_zero()
+        if isinstance(other, (int, Fraction)):
+            # A base-field scalar compares by value, mod p over GF(p); a
+            # Fraction whose denominator p divides is no element of GF(p).
+            try:
+                return (self.num - self.den.scale(other)).is_zero()
+            except DivisionByZero:
+                return False
+        return NotImplemented
 
     def __hash__(self):
         raise TypeError("FieldElement is not hashable (equality is cross-multiplicative)")
@@ -596,6 +604,13 @@ class FieldElement:
 
 
 RATIONALS = BaseField()
+
+
+def as_scalar(value):
+    """The base-field scalar of a raw scalar or a visibly constant field element, else None."""
+    if isinstance(value, FieldElement):
+        return value.constant_value() if value.is_constant() else None
+    return value
 
 
 def _common_monomial(polys: Sequence[SparsePolynomial]) -> Monomial:

@@ -22,11 +22,12 @@ and the value there of every nonzero partial
 (``SparsePolynomial.value_and_gradient``), with the powers of the point's
 coordinates computed once in one ``PowerTable`` shared by all equations.
 The value decides ``PointNotOnJetScheme``.  At a k-rational point (every
-coordinate a visible constant) the equations and their partials are
-evaluated on raw base-field scalars, ints or ``Fraction``s, and each
-value is lifted into a ``FieldElement`` only once, for the shared exact
-rank.  Over GF(p) the evaluation runs over Z and the lift reduces mod p,
-which is exact because evaluation commutes with reduction.  Any other
+coordinate a raw base-field scalar, as in a jet of a k-rational arc, or
+a visibly constant field element) the equations and their partials are
+evaluated on raw scalars, ints or ``Fraction``s, and each value is
+lifted into a ``FieldElement`` only once, for the shared exact rank.
+Over GF(p) the evaluation runs over Z and the lift reduces mod p, which
+is exact because evaluation commutes with reduction.  Any other
 point is evaluated on ``FieldElement``s.
 """
 
@@ -37,7 +38,7 @@ from functools import partial
 from typing import Sequence
 
 from .errors import InputError, PointNotOnJetScheme
-from .exact import FieldElement, PowerTable, SparsePolynomial, matrix_rank
+from .exact import FieldElement, PowerTable, SparsePolynomial, as_scalar, matrix_rank
 from .geometry import VarietyPresentation
 from .series import TruncatedSeries
 
@@ -95,7 +96,7 @@ def _unchanged(value):
 
 
 def jet_jacobian_corank(
-    X: VarietyPresentation, levels: Sequence[int] | int, point: Sequence[FieldElement]
+    X: VarietyPresentation, levels: Sequence[int] | int, point: Sequence
 ) -> list[int] | int:
     """Coranks of the jet-scheme Jacobian at the truncations of a jet.
 
@@ -115,9 +116,10 @@ def jet_jacobian_corank(
     ideal = jet_ideal(X, top)
     field = X.base
 
-    if all(c.is_constant() for c in point):
+    scalars = [as_scalar(c) for c in point]
+    if None not in scalars:
         # A k-rational point: evaluate on raw scalars, lift each value once.
-        coordinates = [c.constant_value() for c in point]
+        coordinates = scalars
         const, lift = _unchanged, partial(FieldElement.from_scalar, field)
     else:
         coordinates = point

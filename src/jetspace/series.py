@@ -9,19 +9,22 @@ length.  That rule is what keeps diagonalization over t-truncated rings
 exact at full working precision.
 
 The coefficients of a series are all of one kind: field elements
-(fractions of polynomials in the transcendentals); or, for rational data
-with no transcendentals, plain scalars of Q (ints and ``Fraction``s),
-which skip the ``FieldElement`` layer; or ``SparsePolynomial``s, which
-carry the jet equations as the coefficients of a generator evaluated on
-the generic truncated curve.  Over GF(p) raw scalars are refused, since
-a product of raw ints would not be reduced mod p; field elements and
+(fractions of polynomials in the transcendentals); or, for data with no
+transcendentals, raw base-field scalars (ints and ``Fraction``s over Q,
+ints in ``range(p)`` over GF(p)), which skip the ``FieldElement`` layer;
+or ``SparsePolynomial``s, which carry the jet equations as the
+coefficients of a generator evaluated on the generic truncated curve.
+Over GF(p) a series of raw ints reduces them mod p when it is built, so
+the result of every series operation is reduced; field elements and
 polynomials reduce mod p themselves.  The kernel and ``TruncatedSeries``
 test a coefficient for zero by its truthiness, so one path serves every
 kind.
 
 Series expressions (quotients of t-polynomials with unit denominator)
 carry exact data that can be re-expanded at any precision, which is what
-the stabilization drivers rely on when they need more coefficients.
+the stabilization drivers rely on when they need more coefficients.  An
+expression whose coefficients are all base-field constants expands on
+raw scalars.
 
 All products and quotients of coefficient lists go through one kernel:
 ``truncated_product`` and ``truncated_quotient``.  The zero handed to
@@ -32,7 +35,7 @@ from __future__ import annotations
 
 from typing import Mapping, Sequence
 
-from .errors import DenominatorNotUnit, PrecisionTooLow, ScalarSeriesOverPrimeField
+from .errors import DenominatorNotUnit, PrecisionTooLow
 from .exact import BaseField, FieldElement, SparsePolynomial
 
 DEFAULT_PRECISION = 24
@@ -62,19 +65,20 @@ def truncated_product(a: Sequence, b: Sequence, length: int, zero) -> list:
     return out
 
 
-def truncated_quotient(num: Sequence, den: Sequence, length: int, zero, inv0) -> list:
+def truncated_quotient(num: Sequence, den: Sequence, length: int, zero, inv0, p=None) -> list:
     """First ``length`` coefficients of num/den, by long division.
 
     ``inv0`` is the inverse of the unit ``den[0]``, so coefficients need
     only ``+``, ``-`` and ``*``; missing coefficients of ``num`` are
-    ``zero``.
+    ``zero``.  Raw int scalars over GF(p) pass ``p``: each coefficient is
+    reduced as it is found, so the recursion never grows its ints.
     """
     out = []
     for k in range(length):
         acc = num[k] if k < len(num) else zero
         for i in range(1, min(k, len(den) - 1) + 1):
             acc = acc - den[i] * out[k - i]
-        out.append(inv0 * acc)
+        out.append(inv0 * acc % p if p else inv0 * acc)
     return out
 
 
@@ -154,8 +158,8 @@ class TruncatedSeries:
     """Power series in t known modulo t^P.
 
     Coefficients are field elements of the base field's fraction field,
-    polynomials over the base field, or, over Q only, rational scalars;
-    see the module docstring.
+    polynomials over the base field, or raw base-field scalars, reduced
+    mod p here over GF(p); see the module docstring.
     """
 
     __slots__ = ("field", "coeffs")
@@ -165,14 +169,20 @@ class TruncatedSeries:
             raise ValueError("a truncated series needs precision >= 1")
         self.field = field
         self.coeffs = tuple(coeffs)
-        if field.p is not None and not isinstance(self.coeffs[0], (FieldElement, SparsePolynomial)):
-            raise ScalarSeriesOverPrimeField(field.p)
+        p = field.p
+        if p is not None and self.is_scalar:
+            self.coeffs = tuple(c % p if type(c) is int else field.coerce(c) for c in self.coeffs)
 
-    @classmethod
-    def constant(cls, field: BaseField, value, precision: int) -> "TruncatedSeries":
-        coeffs = [field.fe_zero] * precision
-        coeffs[0] = value if isinstance(value, FieldElement) else FieldElement.from_scalar(field, value)
-        return cls(field, coeffs)
+    @property
+    def is_scalar(self) -> bool:
+        """True when the coefficients are raw base-field scalars."""
+        return not isinstance(self.coeffs[0], (FieldElement, SparsePolynomial))
+
+    def lifted(self) -> "TruncatedSeries":
+        """This series of raw scalars with its coefficients as field elements."""
+        field = self.field
+        zero = field.fe_zero
+        return TruncatedSeries(field, [FieldElement.from_scalar(field, c) if c else zero for c in self.coeffs])
 
     @classmethod
     def from_coefficients(cls, field: BaseField, coeffs: Sequence, precision: int) -> "TruncatedSeries":
@@ -281,7 +291,9 @@ class SeriesExpression:
     """Quotient of two t-polynomials with unit denominator.
 
     Carries exact data: ``expand(P)`` produces the first P coefficients,
-    and expansions at different precisions agree on their overlap.
+    and expansions at different precisions agree on their overlap.  The
+    coefficients are field elements; when all of them are base-field
+    constants the expression is k-rational and expands on raw scalars.
     """
 
     __slots__ = ("field", "num", "den")
@@ -310,6 +322,10 @@ class SeriesExpression:
 
     def is_zero(self) -> bool:
         return len(self.num) == 1 and self.num[0].is_zero()
+
+    def is_k_rational(self) -> bool:
+        """True when every coefficient is a visible base-field constant."""
+        return all(c.is_constant() for c in self.num) and all(c.is_constant() for c in self.den)
 
     def _poly_mul(self, a, b):
         return truncated_product(a, b, len(a) + len(b) - 1, self.field.fe_zero)
@@ -372,13 +388,21 @@ class SeriesExpression:
         return all(c.is_zero() for c in self._poly_add(lhs, [-c for c in rhs]))
 
     def expand(self, precision: int) -> TruncatedSeries:
-        """First ``precision`` coefficients, by long division."""
+        """First ``precision`` coefficients, by long division.
+
+        A k-rational expression expands on raw scalars, any other on field
+        elements.
+        """
         if precision < 1:
             raise ValueError("precision must be >= 1")
-        return TruncatedSeries(
-            self.field,
-            truncated_quotient(self.num, self.den, precision, self.field.fe_zero, self.den[0].inverse()),
-        )
+        field = self.field
+        if self.is_k_rational():
+            num = [c.constant_value() for c in self.num]
+            den = [c.constant_value() for c in self.den]
+            coeffs = truncated_quotient(num, den, precision, 0, field.inv(den[0]), field.p)
+        else:
+            coeffs = truncated_quotient(self.num, self.den, precision, field.fe_zero, self.den[0].inverse())
+        return TruncatedSeries(field, coeffs)
 
     def __str__(self):
         num = _coeffs_text(self.num)
@@ -395,8 +419,19 @@ def evaluate_poly_at_series(
     assignment: Mapping[str, TruncatedSeries],
     precision: int,
 ) -> TruncatedSeries:
-    """Evaluate an ambient polynomial on series components."""
+    """Evaluate an ambient polynomial on series components.
+
+    A coefficient of ``poly`` becomes a constant series of the kind of the
+    series it meets: a raw scalar on series of raw scalars, a field
+    element otherwise (and when there is no series to meet).
+    """
     field = poly.field
-    return poly.evaluate(
-        assignment, lambda c: TruncatedSeries.constant(field, FieldElement.from_scalar(field, c), precision)
-    )
+    series = next(iter(assignment.values()), None)
+    scalar = series is not None and series.is_scalar
+
+    def const(c):
+        return TruncatedSeries.from_coefficients(
+            field, [c if scalar else FieldElement.from_scalar(field, c)], precision
+        )
+
+    return poly.evaluate(assignment, const)

@@ -55,6 +55,20 @@ def blowup_chart_2d():
     return MorphismPresentation(src, tgt, (u, u * v), name="blowup2")
 
 
+def count_calls(monkeypatch, cls, names):
+    """Record, in order, each call of the named methods of ``cls``."""
+    calls = []
+    for name in names:
+        original = getattr(cls, name)
+
+        def counted(self, *args, name=name, original=original):
+            calls.append(name)
+            return original(self, *args)
+
+        monkeypatch.setattr(cls, name, counted)
+    return calls
+
+
 def to_sympy(value):
     """A polynomial or field element as a sympy expression."""
     import sympy

@@ -110,6 +110,26 @@ class TestFieldElement:
         lhs = (u * u - one) / (u - one)
         assert lhs == u + one
 
+    def test_equality_with_base_field_scalars_is_by_value(self):
+        u = fev("u")
+        assert fe(2) == 2 and 2 == fe(2)
+        assert fe(Fraction(-1, 2)) == Fraction(-1, 2) and Fraction(-1, 2) == fe(Fraction(-1, 2))
+        assert fe(0) == 0 and fe(3) == Fraction(6, 2)
+        assert fe(2) != 3 and fe(Fraction(1, 2)) != 2
+        assert (u + fe(1)) / (u + fe(1)) == 1
+        assert u != 0 and u / fev("v") != 1
+        assert fe(2) != "2"
+        assert [fe(1), fe(0)] == [1, 0]
+
+    def test_equality_with_scalars_is_mod_p(self):
+        f5 = BaseField(5)
+        assert fe(2, f5) == 7 and 12 == fe(2, f5) and fe(4, f5) == -1
+        assert fe(3, f5) == Fraction(1, 2)  # 2 * 3 = 6 = 1 mod 5
+        assert fe(2, f5) != 3
+        # No element of GF(5) has denominator 5.
+        assert fe(1, f5) != Fraction(1, 5)
+        assert fe(1, BaseField(2)) == 3 and fe(0, BaseField(2)) == 2
+
     def test_equality_is_transitive_across_representatives(self):
         u = fev("u")
         one, two = fe(1), fe(2)

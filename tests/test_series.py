@@ -8,7 +8,7 @@ import sympy
 from hypothesis import given, settings, strategies as st
 
 from conftest import Q, fe, fev, sexpr, to_sympy, tser
-from jetspace.errors import DenominatorNotUnit, PrecisionTooLow, ScalarSeriesOverPrimeField
+from jetspace.errors import DenominatorNotUnit, PrecisionTooLow
 from jetspace.exact import BaseField, FieldElement, SparsePolynomial
 from jetspace.series import (
     OrderValue,
@@ -234,6 +234,28 @@ def test_product_matches_sympy_with_zero_prefixes(seed, scalar):
         assert sympy.cancel(to_sympy(c) - reference.coeff(T, k)) == 0
 
 
+@pytest.mark.parametrize("p", [None, 2, 3, 5])
+@pytest.mark.parametrize("seed", range(6))
+def test_k_rational_expansion_matches_field_elements(seed, p, monkeypatch):
+    """Constant coefficients expand on raw scalars, with the values of the field-element route."""
+    field = BaseField(p)
+    rng = random.Random(f"k-rational-{seed}-{p}")
+    num = [rng.randint(-6, 6) for _ in range(rng.randint(1, 4))]
+    den = [rng.choice([c for c in range(1, 7) if p is None or c % p])] + [
+        rng.randint(-6, 6) for _ in range(rng.randint(1, 3))
+    ]
+    expression = SeriesExpression(field, [fe(c, field) for c in num], [fe(c, field) for c in den])
+    assert expression.is_k_rational()
+    precision = rng.randint(1, 30)
+    scalar = expression.expand(precision)
+    monkeypatch.setattr(SeriesExpression, "is_k_rational", lambda self: False)
+    lifted = expression.expand(precision)
+    assert scalar.is_scalar and not lifted.is_scalar
+    assert scalar == lifted and str(scalar) == str(lifted)
+    if p is not None:
+        assert all(type(c) is int and 0 <= c < p for c in scalar.coeffs)
+
+
 class TestScalarSeries:
     """Series over Q whose coefficients are plain rational scalars."""
 
@@ -252,13 +274,26 @@ class TestScalarSeries:
         assert str(scalar) == str(lifted)
         assert str(scalar - scalar * scalar) == str(lifted - lifted * lifted)
 
-    def test_prime_field_scalars_refused(self):
+    def test_prime_field_scalars_reduce_when_built(self):
         f5 = BaseField(5)
-        # 3 * 4 = 12 wraps to 2 in GF(5); raw ints would store 12.
-        with pytest.raises(ScalarSeriesOverPrimeField):
-            TruncatedSeries(f5, [3, 1])
-        with pytest.raises(ScalarSeriesOverPrimeField):
-            TruncatedSeries.from_coefficients(f5, [4], 2)
+        series = TruncatedSeries(f5, [7, 5])
+        assert series.coeffs == (2, 0)
+        assert series.order() == OrderValue.finite(0)
+        assert TruncatedSeries.from_coefficients(f5, [10, -1], 3).coeffs == (0, 4, 0)
+        # 3 * 4 = 12 wraps to 2 in GF(5).
+        three = TruncatedSeries.from_coefficients(f5, [3], 2)
+        four = TruncatedSeries.from_coefficients(f5, [4], 2)
+        assert (three * four).coeffs == (2, 0)
+        assert (three + four).coeffs == (2, 0)
+        assert (three - four).coeffs == (4, 0)
+        assert (-three).coeffs == (2, 0)
+        # 4 * 4 = 16 wraps to 1, so 4 + 4t squares to 1 + 2t + t^2.
+        square = TruncatedSeries(f5, [4, 4, 0]) * TruncatedSeries(f5, [4, 4, 0])
+        assert square.coeffs == (1, 2, 1)
+        assert TruncatedSeries(f5, [Fraction(1, 2), 0]).coeffs == (3, 0)
+
+    def test_prime_field_elements_and_polynomials_reduce(self):
+        f5 = BaseField(5)
         three = TruncatedSeries.from_coefficients(f5, [fe(3, f5)], 2)
         four = TruncatedSeries.from_coefficients(f5, [fe(4, f5)], 2)
         product = three * four
