@@ -41,6 +41,7 @@ generic components, and a declared one would alias them.
 
 from __future__ import annotations
 
+import functools
 import json
 import re
 from dataclasses import dataclass
@@ -49,7 +50,7 @@ from typing import Any, Callable, Mapping
 
 from .arcs import Arc, GenericComponent, make_arc
 from .errors import InputError
-from .exact import BaseField
+from .exact import RATIONALS, BaseField
 from .exprs import is_symbol, parse_polynomial, parse_series_expression
 from .geometry import MorphismPresentation, VarietyPresentation
 from .series import DEFAULT_PRECISION, PRECISION_CAP
@@ -178,14 +179,24 @@ def _check_keys(block, known, context):
             raise InputError(f"{context}.{key}: unknown key (known: {', '.join(known)})")
 
 
+# Prime fields kept for reuse; a fixed bound, since a document may name any prime.
+PRIME_FIELDS_KEPT = 8
+
+
+@functools.lru_cache(maxsize=PRIME_FIELDS_KEPT)
+def _prime_field(p: int) -> BaseField:
+    """GF(p), one field per prime: its primality test runs once, and no load builds a new one."""
+    return BaseField(p)
+
+
 def _parse_field(spec, context) -> BaseField:
     if spec == "rationals":
-        return BaseField()
+        return RATIONALS
     if isinstance(spec, dict) and set(spec) == {"prime"}:
         p = spec["prime"]
         if not isinstance(p, int):
             raise InputError(f"{context}.prime: expected an integer")
-        return BaseField(p)
+        return _prime_field(p)
     raise InputError(f'{context}: expected "rationals" or {{"prime": p}}')
 
 

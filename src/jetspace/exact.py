@@ -313,6 +313,36 @@ class SparsePolynomial:
                     del out[mono]
         return SparsePolynomial(self.field, out)
 
+    def add_product_into(self, other: "SparsePolynomial", sums: dict) -> None:
+        """Add the terms of ``self * other`` into ``sums``, a dict of raw sums.
+
+        The sums stay as they come: unreduced mod p, integral ``Fraction``s
+        kept, cancelled terms kept as zeros.  ``from_sums`` makes them a
+        polynomial once every product is in, so a sum of many products
+        copies no dict and canonicalizes each coefficient once.
+        """
+        get = sums.get
+        other_items = other.terms.items()
+        for ma, ca in self.terms.items():
+            for mb, cb in other_items:
+                mono = _mono_mul(ma, mb)
+                old = get(mono)
+                sums[mono] = ca * cb if old is None else old + ca * cb
+
+    @classmethod
+    def from_sums(cls, field: BaseField, sums: dict) -> "SparsePolynomial":
+        """The polynomial of a dict of raw sums: canonical coefficients, zeros dropped."""
+        p = field.p
+        terms = {}
+        for mono, coeff in sums.items():
+            if p:
+                coeff %= p
+            elif type(coeff) is Fraction and coeff.denominator == 1:
+                coeff = coeff.numerator
+            if coeff:
+                terms[mono] = coeff
+        return cls(field, terms)
+
     def scale(self, scalar) -> "SparsePolynomial":
         field = self.field
         scalar = field.coerce(scalar)

@@ -28,11 +28,19 @@ raw scalars.
 
 All products and quotients of coefficient lists go through one kernel:
 ``truncated_product`` and ``truncated_quotient``.  The zero handed to
-the kernel is of the kind of the coefficients it works on.
+the kernel is of the kind of the coefficients it works on.  A product
+of polynomial coefficients, or of field elements with denominator 1,
+builds each output coefficient in one term dict and canonicalizes it
+once: a sum of polynomials is the same whatever its order.  Raw scalars
+and field elements with other denominators are summed term by term in a
+fixed order, because unreduced fractions are not: the order fixes their
+representatives.  A product of series expressions skips a factor 1, so
+unit denominators are never multiplied.
 """
 
 from __future__ import annotations
 
+from itertools import chain
 from typing import Mapping, Sequence
 
 from .errors import DenominatorNotUnit, PrecisionTooLow
@@ -46,22 +54,50 @@ def truncated_product(a: Sequence, b: Sequence, length: int, zero) -> list:
     """First ``length`` coefficients of the product of two coefficient lists.
 
     Ring-generic: coefficients need ``+``, ``*`` and a truthiness that is
-    false exactly for zero.  Terms are accumulated onto ``zero`` in
-    (i ascending, j ascending) order and zero coefficients are skipped;
-    fractions are never reduced, so that order fixes the representatives
-    of the result.
+    false exactly for zero; zero coefficients are skipped.  Polynomial
+    coefficients build each output coefficient in one dict of raw sums
+    (``SparsePolynomial.add_product_into``) and canonicalize it once;
+    field elements whose nonzero coefficients all have denominator 1
+    multiply their numerators that way and wrap each sum once.  A sum of
+    polynomials does not depend on its order.  Raw scalars, and field
+    elements with any other denominator, accumulate term by term onto
+    ``zero`` in (i ascending, j ascending) order; fractions are never
+    reduced, so that order fixes the representatives of the result.
     """
     nonzero_b = [(j, cb) for j, cb in enumerate(b[:length]) if cb]
     out = [zero] * length
     if not nonzero_b:
         return out
-    for i, ca in enumerate(a[: length - nonzero_b[0][0]]):
-        if not ca:
-            continue
+    nonzero_a = [(i, ca) for i, ca in enumerate(a[: length - nonzero_b[0][0]]) if ca]
+    unit = None
+    if isinstance(zero, FieldElement) and all(c._den_is_one() for _, c in chain(nonzero_a, nonzero_b)):
+        unit = zero.den
+        nonzero_a = [(i, c.num) for i, c in nonzero_a]
+        nonzero_b = [(j, c.num) for j, c in nonzero_b]
+    elif not isinstance(zero, SparsePolynomial):
+        # Raw scalars, or some other denominator: term by term, in order.
+        for i, ca in nonzero_a:
+            for j, cb in nonzero_b:
+                if i + j >= length:
+                    break
+                out[i + j] = out[i + j] + ca * cb
+        return out
+    # Polynomials: one dict of raw sums per output coefficient.
+    sums: list = [None] * length
+    for i, ca in nonzero_a:
         for j, cb in nonzero_b:
-            if i + j >= length:
+            k = i + j
+            if k >= length:
                 break
-            out[i + j] = out[i + j] + ca * cb
+            if sums[k] is None:
+                sums[k] = {}
+            ca.add_product_into(cb, sums[k])
+    field = zero.field
+    for k, acc in enumerate(sums):
+        if acc:
+            poly = SparsePolynomial.from_sums(field, acc)
+            if poly:
+                out[k] = poly if unit is None else FieldElement._raw(poly, unit)
     return out
 
 
@@ -280,6 +316,11 @@ def _coeffs_text(coeffs) -> str:
     return out
 
 
+def _is_one(coeffs) -> bool:
+    """True when a coefficient tuple is the polynomial 1."""
+    return len(coeffs) == 1 and coeffs[0]._den_is_one() and coeffs[0].num.terms == {(): 1}
+
+
 def _trim(coeffs: list[FieldElement]) -> tuple[FieldElement, ...]:
     last = len(coeffs)
     while last > 1 and coeffs[last - 1].is_zero():
@@ -328,6 +369,12 @@ class SeriesExpression:
         return all(c.is_constant() for c in self.num) and all(c.is_constant() for c in self.den)
 
     def _poly_mul(self, a, b):
+        # A factor 1 (a unit denominator, mostly) leaves the other as it is:
+        # the kernel would rebuild the same coefficients.
+        if _is_one(b):
+            return a
+        if _is_one(a):
+            return b
         return truncated_product(a, b, len(a) + len(b) - 1, self.field.fe_zero)
 
     def _poly_add(self, a, b):

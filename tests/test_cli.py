@@ -427,21 +427,25 @@ def test_catalog_exits_one_when_a_check_fails(capsys, monkeypatch):
 PROBLEMS = Path(__file__).resolve().parent.parent / "problems"
 GOLDEN_OUTPUTS = [
     ("blowup-plane.json", ("jet-ideal", "--n", "3"), 0, "1f132028ef1b23d31262ea9b8c0c1881acb9153017d217ced07a47c8f55e8445"),
+    ("blowup-plane.json", ("jet-ideal", "--n", "12"), 0, "499cb65df2655cdc49171193ca3692a3c1c7f8a3ca404de57f72eb5632f7c00f"),
     ("blowup-plane.json", ("profile", "--arc", "contact1"), 0, "7e9b50f0ab414322d4e6808ea047242becfcd740d74b30c34de599cbb5450fb7"),
     ("blowup-plane.json", ("embdim-arc", "--arc", "contact1"), 0, "63a7bca10b2d1bebdd125086387e76da95490d1e9bd002e7aa96ab26a8b77c0f"),
     ("blowup-plane.json", ("divisorial",), 0, "460f47225e8c816331b56cd12782e32e1f55a1466f79cb5cb4e2426c1845d685"),
     ("blowup-plane.json", ("divisorial", "--q", "2"), 0, "683801a5f90c7c6fc82d745411f6bada5f89d967048b67e9e4f57c8a204edb85"),
     ("cusp.json", ("jet-ideal", "--n", "3"), 0, "c92931a085cc44305482299f247e5e409be4f269258a0d76ac41543a73b3c5db"),
+    ("cusp.json", ("jet-ideal", "--n", "12"), 0, "95906274a597b24b79ed25d2f7c6a80d66d8f3dd23e06966c376e0f012eebb19"),
     ("cusp.json", ("profile", "--arc", "main"), 0, "ad3e89b1320b91251be7c754e4f61839d13a3a426863dbd2ae4a1b068e9715d5"),
     ("cusp.json", ("embdim-arc", "--arc", "main"), 0, "f1757fe80c7e36e9c7b5acbd9cd1eec6c89ca2d1975ef5c7170ac91775ab9ef6"),
     ("cusp.json", ("profile", "--arc", "unit-branch"), 0, "381aea1144fda6a08b109a1d7da03c5cafa1d0108453efedd950775a77fd56bf"),
     ("cusp.json", ("embdim-arc", "--arc", "unit-branch"), 0, "10b9fb5695e19555e83d5f1eed28f6d4a89732d36c7c72ddfa19e8150487c364"),
     ("umbrella-char2.json", ("jet-ideal", "--n", "3"), 0, "d4abc5de71a7ba77ba3cf413fb0791d7da55e56c2bb8439edeb0c6a8ec939b2f"),
+    ("umbrella-char2.json", ("jet-ideal", "--n", "12"), 0, "23f1ab0761a7b18d8554aa841301e33367c9438198e19d875348095a438a559b"),
     ("umbrella-char2.json", ("profile", "--arc", "off"), 0, "6137f8c430f295a3b37cd4dddfdc9c7f8bbdc8c716d8e5cbb6128a3cca44c75a"),
     ("umbrella-char2.json", ("embdim-arc", "--arc", "off"), 0, "87cf76632626ff320c4956167fe6e2df11aaa666653cf31b40913638651ce064"),
     ("umbrella-char2.json", ("profile", "--arc", "singular-jet"), 0, "ed21d3ed37ed96f122f697bf9d0d683ee20bd39f1ca6bc8d73b2a604a318baee"),
     ("umbrella-char2.json", ("embdim-arc", "--arc", "singular-jet"), 0, "6634cba80c2d7e99cf4bc38ad53eb1e189429390b1f703799e2d913ec94bfd21"),
     ("whitney.json", ("jet-ideal", "--n", "3"), 0, "2a9c832e5a52a36ba937712ba6b2a5a77a509bbfbe0c28c0bdb1b0a9758b0c99"),
+    ("whitney.json", ("jet-ideal", "--n", "12"), 0, "a5d917c83e3790c669deb5d424c6b4540e2fc174d69d44ca7e05cc777be3ee18"),
     ("whitney.json", ("profile", "--arc", "off-axis"), 0, "f02f3acd3ee5d3a228344ae638dd41492d59bd1409eab9a753e1bc67e8c28460"),
     ("whitney.json", ("embdim-arc", "--arc", "off-axis"), 0, "2b6f14f67dc29ab2ca850b7ebd4b7de62f21eef40b8fac107ca44fc9ef2d979d"),
     ("whitney.json", ("profile", "--arc", "through-origin"), 0, "d1d7662644cda46ee18d8d984ee5a09a09161ac6374cdce323d81e2138c73e07"),
@@ -493,6 +497,23 @@ def test_golden_text_output(capsys, document, argv, expected_code, expected_sha2
 def test_golden_outputs_cover_every_problem_document():
     covered = {doc for doc, _, _, _ in GOLDEN_OUTPUTS}
     assert covered == {path.name for path in PROBLEMS.glob("*.json")}
+
+
+# sha256 of the JSON output of jet-ideal at level 12 on each shipped problem
+# document: its equations are truncated-series products of polynomials.
+GOLDEN_JET_IDEAL_JSON = [
+    ("blowup-plane.json", "59e28ddf50e89a24ae10b7aca4f82f5ee521679c6da26d64d07d9aa1712d69d2"),
+    ("cusp.json", "163a896a079184cffea576ac8c81d893cf073c52219df708eaa2802089e359e9"),
+    ("umbrella-char2.json", "76dbfd497e15af0a8e8f25f3e136d2864c4d2be6d172f9c1e4973562069a89bd"),
+    ("whitney.json", "e3704e678fcd80700667b07e830d3ac593f920e9c9be234b69caf634cb7970d1"),
+]
+
+
+@pytest.mark.parametrize("document, expected_sha256", GOLDEN_JET_IDEAL_JSON, ids=[d[:-5] for d, _ in GOLDEN_JET_IDEAL_JSON])
+def test_golden_jet_ideal_json_at_level_12(capsys, document, expected_sha256):
+    code, out, _ = _run(capsys, ["jet-ideal", str(PROBLEMS / document), "--n", "12"])
+    assert code == 0
+    assert hashlib.sha256(out.encode()).hexdigest() == expected_sha256
 
 
 # sha256 of `jetspace catalog --format text`.

@@ -1,13 +1,16 @@
 """Expression grammar and problem-document loading."""
 
+import gc
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
 from conftest import Q, fe, var
-from jetspace.document import parse_document
+from jetspace.cli import main
+from jetspace.document import PRIME_FIELDS_KEPT, _prime_field, load_document, parse_document
 from jetspace.errors import DenominatorNotUnit, InputError, ParseError
-from jetspace.exact import BaseField, SparsePolynomial
+from jetspace.exact import RATIONALS, BaseField, SparsePolynomial
 from jetspace.exprs import MAX_EXPONENT, MAX_POWER_TERMS, parse_polynomial, parse_series_expression
 from jetspace.series import PRECISION_CAP, OrderValue
 
@@ -148,6 +151,9 @@ class TestExponentCeiling:
         assert expr.expand(3).coeffs == (fe(0), fe(0), fe(0))
 
 
+PROBLEMS = Path(__file__).resolve().parent.parent / "problems"
+
+
 def _doc(**overrides):
     raw = {
         "field": "rationals",
@@ -175,6 +181,30 @@ class TestParseDocument:
         raw["variety"]["generators"] = ["y^2 - x^3"]
         doc = parse_document(raw)
         assert doc.field.characteristic == 5
+
+    def test_one_field_per_characteristic(self):
+        assert parse_document(_doc()).field is RATIONALS
+        path = str(PROBLEMS / "umbrella-char2.json")
+        assert load_document(path).field is load_document(path).field
+        primes = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31)
+        assert len(primes) > PRIME_FIELDS_KEPT
+        for p in primes:
+            assert parse_document(_doc(field={"prime": p})).field.p == p
+        assert _prime_field.cache_info().currsize == PRIME_FIELDS_KEPT
+
+    def test_cli_call_leaves_no_field_to_the_cycle_collector(self, capsys):
+        gc.collect()
+        flags = gc.get_debug()
+        gc.set_debug(gc.DEBUG_SAVEALL)
+        try:
+            assert main(["fiber-dim", str(PROBLEMS / "cusp.json")]) == 0
+            gc.collect()
+            leaked = [obj for obj in gc.garbage if isinstance(obj, BaseField)]
+        finally:
+            gc.set_debug(flags)
+            gc.garbage.clear()
+        capsys.readouterr()
+        assert leaked == []
 
     def test_generic_component(self):
         raw = _doc()

@@ -7,13 +7,15 @@ import pytest
 import sympy
 from hypothesis import given, settings, strategies as st
 
-from conftest import Q, fe, fev, sexpr, to_sympy, tser
+from conftest import Q, count_calls, fe, fev, sexpr, to_sympy, tser, var
+from jetspace import series as series_module
 from jetspace.errors import DenominatorNotUnit, PrecisionTooLow
 from jetspace.exact import BaseField, FieldElement, SparsePolynomial
 from jetspace.series import (
     OrderValue,
     SeriesExpression,
     TruncatedSeries,
+    truncated_product,
 )
 
 
@@ -305,3 +307,132 @@ class TestScalarSeries:
         assert product.coeffs[0].terms == {(): 2}
         assert product.coeffs[1] == p4
         assert TruncatedSeries.from_coefficients(f5, [p3], 2).coeffs[1] is f5.fe_zero.num
+
+
+def _reference_product(a, b, length, zero):
+    """The product term by term onto ``zero``, in (i ascending, j ascending) order."""
+    out = [zero] * length
+    for i, ca in enumerate(a):
+        for j, cb in enumerate(b):
+            if i + j < length and ca and cb:
+                out[i + j] = out[i + j] + ca * cb
+    return out
+
+
+def _random_polynomial(rng, field):
+    """Zero, a constant, or a short sum of terms in u and v with small coefficients."""
+    u, v = SparsePolynomial.variable(field, "u"), SparsePolynomial.variable(field, "v")
+    poly = SparsePolynomial.zero(field)
+    for _ in range(rng.choice([0, 1, 1, 2, 3])):
+        coeff = Fraction(rng.randint(-5, 5), rng.choice([1, 1, 2, 3])) if field.p is None else rng.randint(-5, 5)
+        poly = poly + SparsePolynomial.constant(field, coeff) * u ** rng.randint(0, 2) * v ** rng.randint(0, 2)
+    return poly
+
+
+def _kernel_factors(rng, field, kind):
+    """Two coefficient lists of one kind, with zero prefixes and a product that cancels."""
+    u, v = SparsePolynomial.variable(field, "u"), SparsePolynomial.variable(field, "v")
+    zero = SparsePolynomial.zero(field)
+    factors = [
+        [zero] * rng.randint(0, 2) + [_random_polynomial(rng, field) for _ in range(rng.randint(1, 6))]
+        for _ in range(2)
+    ]
+    if rng.random() < 0.3:
+        # (u + v t)(u - v t) = u^2 - v^2 t^2: the t coefficient cancels to zero.
+        factors = [[u, v], [u, -v]]
+    if kind == "polynomial":
+        return factors
+    if kind == "unit-denominator":
+        return [[FieldElement.from_poly(c) for c in coeffs] for coeffs in factors]
+    one = SparsePolynomial.constant(field, 1)
+
+    def denominator():
+        scale = rng.choice([c for c in (1, 2, 3) if field.p is None or c % field.p])
+        return one + (u if rng.random() < 0.5 else v * v).scale(scale)
+
+    return [[FieldElement(c, denominator()) for c in coeffs] for coeffs in factors]
+
+
+def _terms(poly):
+    """A polynomial's terms with the type of each coefficient, so 2 and Fraction(2) differ."""
+    return {mono: (type(c), c) for mono, c in poly.terms.items()}
+
+
+@pytest.mark.parametrize("p", [None, 2, 3, 5])
+@pytest.mark.parametrize("kind", ["polynomial", "unit-denominator", "other-denominator"])
+@pytest.mark.parametrize("seed", range(8))
+def test_product_kernel_matches_term_by_term_reference(seed, kind, p):
+    """One dict per coefficient gives the term-by-term product, canonical and zero-free.
+
+    Field elements with other denominators keep the term-by-term path, so
+    their unreduced representatives are the reference's exactly.
+    """
+    field = BaseField(p)
+    rng = random.Random(f"kernel-{seed}-{kind}-{p}")
+    a, b = _kernel_factors(rng, field, kind)
+    zero = field.fe_zero.num if kind == "polynomial" else field.fe_zero
+    full = len(a) + len(b) - 1
+    for length in {full, max(1, full - 2), 1}:
+        got = truncated_product(a, b, length, zero)
+        expected = _reference_product(a, b, length, zero)
+        assert len(got) == length
+        for g, e in zip(got, expected):
+            if kind == "polynomial":
+                assert _terms(g) == _terms(e)
+            else:
+                assert _terms(g.num) == _terms(e.num) and _terms(g.den) == _terms(e.den)
+            for poly in (g,) if kind == "polynomial" else (g.num, g.den):
+                assert all(_canonical(c, p) for c in poly.terms.values())
+
+
+def _canonical(c, p):
+    """A stored coefficient: nonzero, an int in range(p) over GF(p), an int when integral over Q."""
+    if p:
+        return type(c) is int and 0 < c < p
+    return c != 0 and (type(c) is int or c.denominator > 1)
+
+
+@pytest.mark.parametrize("lift", [False, True], ids=["polynomial", "unit-denominator"])
+def test_polynomial_product_adds_no_polynomials(monkeypatch, lift):
+    u, v = var("u"), var("v")
+    coeffs = [[u, v, u * v, v], [v, u + v, u]]
+    if lift:
+        coeffs = [[FieldElement.from_poly(c) for c in row] for row in coeffs]
+    a, b = (TruncatedSeries(Q, row) for row in coeffs)
+    expected = _reference_product(a.coeffs, b.coeffs, 3, Q.fe_zero if lift else Q.fe_zero.num)
+    adds = count_calls(monkeypatch, SparsePolynomial, ["__add__"])
+    product = a * b
+    assert adds == []
+    assert list(product.coeffs) == expected
+
+
+@pytest.mark.parametrize("seed", range(6))
+def test_unit_factor_keeps_expression_representatives(seed, monkeypatch):
+    """Skipping a factor 1 gives the representatives the kernel would have built."""
+    rng = random.Random(f"unit-factor-{seed}")
+
+    def expression():
+        # A unit constant term, so every quotient below is defined.
+        num = [fe(rng.choice([-1, 2, 3]))] + [_random_coefficient(rng) for _ in range(rng.randint(0, 3))]
+        if rng.random() < 0.5:
+            return SeriesExpression(Q, num)
+        den = [fe(rng.choice([-3, 1, 2]))] + [_random_coefficient(rng) for _ in range(rng.randint(0, 2))]
+        return SeriesExpression(Q, num, den)
+
+    pairs = [(expression(), expression()) for _ in range(4)]
+
+    def results():
+        out = []
+        for x, y in pairs:
+            for value in (x * y, x / y, x + y, x ** 2):
+                out.append([(_terms(c.num), _terms(c.den)) for c in value.num + value.den])
+        return out
+
+    skipped = results()
+    monkeypatch.setattr(series_module, "_is_one", lambda coeffs: False)
+    assert skipped == results()
+
+
+def test_unit_denominators_are_not_multiplied():
+    product = sexpr(1, 2) * sexpr(0, 3)
+    assert product.den == (Q.fe_one,) and product.den[0] is Q.fe_one
