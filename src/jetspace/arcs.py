@@ -20,6 +20,13 @@ variables, so they add no transcendental and no residue row, and its
 center and jets are scalars.  Every other arc stores field-element
 expansions: a mixed arc lifts its scalar components.
 
+Residue dimensions need no elimination when the answer follows from how
+the arc is built.  If every component is generic or k-rational (the
+source arc of a BTR or Mather check on a blow-up chart), or the arc is
+k-rational, the level-n residue dimension is the number of distinct
+fresh names u{i}_{p} with p <= n.  Image arcs and expressions with
+transcendentals rank their coefficients in one exact elimination.
+
 Arc validity (every ideal generator vanishes modulo t^P) is checked at
 construction and again after every precision raise.  Refinement only
 raises precision and returns a new arc; values never mutate.  A level-n
@@ -210,15 +217,29 @@ class Arc:
         """Residue dimensions dim(alpha_n) of the truncations at levels 0..n_max.
 
         dim(alpha_n) is the transcendence degree of the field generated by
-        the coefficients of t^0..t^n; ``transcendence_degree`` gets one
-        block of coefficients per level and ranks them all in one
-        elimination.  The flag is its characteristic-p caveat.  The scalar
-        coefficients of a k-rational arc add no row.
+        the coefficients of t^0..t^n.  When every component is generic or
+        k-rational, or the arc is k-rational, it is the number of distinct
+        fresh names u{i}_{p} with p <= n: distinct indeterminates are
+        algebraically independent in every characteristic, and scalars add
+        nothing.  Every other arc goes to ``transcendence_degree``, which
+        gets one block of coefficients per level and ranks them all in one
+        elimination.  The flag is its characteristic-p caveat, set the same
+        way on counted arcs: over GF(p), when some coefficient at a level
+        <= n_max is nonconstant.
         """
         if n_max >= self.precision:
             raise PrecisionTooLow(n_max, self.precision)
-        expansions = () if self.k_rational else self.expansions
-        blocks = [[series.coeffs[n] for series in expansions] for n in range(n_max + 1)]
+        if self.k_rational or all(
+            isinstance(c, GenericComponent) or isinstance(c, SeriesExpression) and c.is_k_rational()
+            for c in self.components
+        ):
+            starts = {}  # the first fresh name of each component index
+            for c in self.components:
+                if isinstance(c, GenericComponent):
+                    starts[c.index] = min(c.start, starts.get(c.index, c.start))
+            ranks = [sum(max(0, n + 1 - s) for s in starts.values()) for n in range(n_max + 1)]
+            return TranscendenceDegree(ranks, self.variety.base.characteristic > 0 and ranks[-1] > 0)
+        blocks = [[series.coeffs[n] for series in self.expansions] for n in range(n_max + 1)]
         names = sorted({name for block in blocks for g in block for name in g.variables()})
         return transcendence_degree(blocks, names, self.variety.base)
 

@@ -510,7 +510,7 @@ class FieldElement:
     Equality is cross-multiplication; no gcd reduction ever happens.  An
     int or ``Fraction`` compares equal to the field element of the same
     value (mod p over GF(p)).  A light normalization (common monomial
-    factor, rational content, sign of the denominator) keeps
+    factor, rational content, sign of the denominator, p/p as 1) keeps
     representatives small and rendering deterministic.
     """
 
@@ -692,6 +692,8 @@ def _normalize_fraction(num: SparsePolynomial, den: SparsePolynomial):
         if lead_inv != 1:
             num = num.scale(lead_inv)
             den = den.scale(lead_inv)
+    if num.terms == den.terms:  # p/p is 1
+        return field.fe_one.num, field.fe_one.den
     return num, den
 
 

@@ -23,7 +23,7 @@ from conftest import (
 from jetspace.arcs import Arc, GenericComponent, generic_arc, make_arc, push_arc
 from jetspace.catalog import blow_up_chart
 from jetspace.errors import InputError, MorphismInvalidOnArc, NotOnVariety, PrecisionTooLow
-from jetspace.exact import BaseField, SparsePolynomial
+from jetspace.exact import BaseField, SparsePolynomial, transcendence_degree
 from jetspace.geometry import MorphismPresentation, VarietyPresentation, jacobian_ideal_generators
 from jetspace.series import OrderValue, SeriesExpression
 
@@ -212,6 +212,64 @@ class TestPinnedResidueProfiles:
         f = MorphismPresentation(source, target, (u ** 3 + v, u * v))
         alpha = push_arc(f, generic_arc(source, [0, 1], 10))
         assert alpha.residue_dimension_profile(8) == ([2 * n for n in range(9)], True)
+
+
+def _eliminated(arc, n_max):
+    """The residue profile by a forced ``transcendence_degree`` elimination."""
+    expansions = [s.lifted() if s.is_scalar else s for s in arc.expansions]
+    blocks = [[s.coeffs[n] for s in expansions] for n in range(n_max + 1)]
+    return transcendence_degree(blocks, arc.transcendentals(), arc.variety.base)
+
+
+def _constant_expression(rng, field):
+    return sexpr(*(rng.randint(0, 4) for _ in range(rng.randint(1, 4))), field=field)
+
+
+# Arcs whose residue profile is a count of fresh names, by kind.
+_COUNTED_KINDS = {
+    "generic-mixed-starts": lambda rng, field, i: GenericComponent(i + 1, rng.randint(0, 3)),
+    "generic-plus-constant": lambda rng, field, i: (
+        GenericComponent(i + 1, rng.randint(0, 3)) if i != 1 else _constant_expression(rng, field)
+    ),
+    "start-above-n-max": lambda rng, field, i: GenericComponent(i + 1, rng.choice([2, 7, 9])),
+    "repeated-index": lambda rng, field, i: GenericComponent(rng.randint(1, 2), rng.randint(0, 3)),
+    "k-rational": lambda rng, field, i: _constant_expression(rng, field),
+}
+
+
+class TestFreshVariableCount:
+    @pytest.mark.parametrize("kind", sorted(_COUNTED_KINDS))
+    @pytest.mark.parametrize("p", [None, 2, 3], ids=["Q", "GF2", "GF3"])
+    @pytest.mark.parametrize("seed", range(4))
+    def test_count_equals_a_forced_elimination(self, kind, p, seed):
+        rng = random.Random(seed)
+        field = Q if p is None else BaseField(p)
+        components = [_COUNTED_KINDS[kind](rng, field, i) for i in range(3)]
+        arc = make_arc(affine_space(3, field), components, 10)
+        assert arc.residue_dimension_profile(6) == _eliminated(arc, 6)
+
+    def test_only_image_and_transcendental_arcs_eliminate(self, monkeypatch):
+        calls = []
+        monkeypatch.setattr(
+            "jetspace.arcs.transcendence_degree", lambda *args: calls.append(args) or transcendence_degree(*args)
+        )
+        chart = blowup_chart_2d()
+        counted = [
+            generic_arc(chart.source, [1, 0], 10),
+            make_arc(chart.source, [GenericComponent(1, 1), sexpr(2, 1)], 10),
+            make_arc(chart.source, [sexpr(0, 1), sexpr(3)], 10),
+        ]
+        for arc in counted:
+            arc.residue_dimension_profile(8)
+        assert calls == []
+        eliminated = [
+            push_arc(chart, counted[0]),
+            make_arc(chart.source, [GenericComponent(1, 1), sexpr(fev("a"), 1)], 10),
+        ]
+        for arc in eliminated:
+            arc.residue_dimension_profile(8)
+            assert len(calls) == 1
+            calls.clear()
 
 
 class TestPushArc:

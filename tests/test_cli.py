@@ -516,6 +516,41 @@ def test_golden_jet_ideal_json_at_level_12(capsys, document, expected_sha256):
     assert hashlib.sha256(out.encode()).hexdigest() == expected_sha256
 
 
+# sha256 of the JSON and text outputs of commands whose source arc is generic,
+# or generic plus a constant, so its residue dimensions are counted, not
+# eliminated.  Taken before the count replaced the elimination; the text of
+# embdim-arc on whitney's singular-generic arc is pinned in GOLDEN_OUTPUTS.
+GENERIC_PLUS_CONSTANT_DOC = {
+    **{k: v for k, v in BLOWUP_DOC.items() if k != "arcs"},
+    "arcs": {
+        "generic-plus-constant": {"on": "source", "components": [{"generic": {"start": 1}}, "2 + t"]}
+    },
+}
+GOLDEN_COUNTED_RESIDUE_OUTPUTS = [
+    ("whitney", ("embdim-arc", "--arc", "singular-generic"), "json", "c5e543ac41131bb9a81d9354c8264e7a111450966d27e201bd3412e72d3977b3"),
+    ("whitney", ("embdim-jet", "--arc", "singular-generic", "--n", "6"), "json", "e85468affd9a396f967c2ab182c7444b5abb98543f1aec0a13961e9da2b4606e"),
+    ("whitney", ("embdim-jet", "--arc", "singular-generic", "--n", "6"), "text", "857bcd556e339ea7f2b6876d3bee0dd69f80d0d75fdc38d4f0358eeafe0123b2"),
+    ("generic-plus-constant", ("btr", "--arc", "generic-plus-constant"), "json", "ca9dc407ee8b8d0ecba014e9aefb0642670ebe014b4698b94d26027119272ea3"),
+    ("generic-plus-constant", ("btr", "--arc", "generic-plus-constant"), "text", "8236069f7fef40a6cba22901f724e530ae0d36ddc120c2fa888b0d3b8e2cb437"),
+]
+
+
+@pytest.mark.parametrize(
+    "document, argv, fmt, expected_sha256",
+    GOLDEN_COUNTED_RESIDUE_OUTPUTS,
+    ids=[f"{doc}:{' '.join(argv)}:{fmt}" for doc, argv, fmt, _ in GOLDEN_COUNTED_RESIDUE_OUTPUTS],
+)
+def test_golden_counted_residue_output(tmp_path, capsys, document, argv, fmt, expected_sha256):
+    if document == "whitney":
+        path = str(PROBLEMS / "whitney.json")
+    else:
+        path = _write(tmp_path, GENERIC_PLUS_CONSTANT_DOC)
+    command, *flags = argv
+    code, out, _ = _run(capsys, [command, path, *flags, "--format", fmt])
+    assert code == 0
+    assert hashlib.sha256(out.encode()).hexdigest() == expected_sha256
+
+
 # sha256 of `jetspace catalog --format text`.
 CATALOG_TEXT_SHA256 = "bf70edcb13943434b33bc86a845b08d1b19127226ed85338405658508659c014"
 

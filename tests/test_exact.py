@@ -11,6 +11,7 @@ from sympy.polys.matrices import DomainMatrix
 
 from conftest import Q, fe, fev, to_sympy, var
 from jetspace.errors import DivisionByZero, InputError, NotPrime, UnknownVariable
+from jetspace.exprs import parse_series_expression
 from jetspace.exact import (
     BaseField,
     FieldElement,
@@ -129,6 +130,22 @@ class TestFieldElement:
         # No element of GF(5) has denominator 5.
         assert fe(1, f5) != Fraction(1, 5)
         assert fe(1, BaseField(2)) == 3 and fe(0, BaseField(2)) == 2
+
+    @pytest.mark.parametrize("field", [Q, BaseField(2), BaseField(3)], ids=["Q", "GF2", "GF3"])
+    def test_numerator_equal_to_denominator_is_stored_as_one(self, field):
+        a, one = fev("a", field), fe(1, field)
+        for p in (a * a + a + one, (a * a + a + one) * fe(5, field), a * fev("b", field) + a):
+            ratio = FieldElement(p.num, p.num)
+            assert ratio._den_is_one() and str(ratio) == "1"
+            assert ratio.num.terms == one.num.terms
+
+    def test_ci_arc_coefficient_equal_to_one_prints_without_a_fraction(self):
+        # (t + t^2/(1 + a))^2: the t^2 coefficient used to be stored as
+        # (a^2 + 2*a + 1)/(a^2 + 2*a + 1).
+        s = parse_series_expression("(t + t^2/(1 + a))^2", Q, ["a"])
+        coeff = s.expand(6).coeffs[2]
+        assert coeff._den_is_one() and str(coeff) == "1"
+        assert str(s.expand(4)).startswith("t^2 + ((2*a + 2)/(a^2 + 2*a + 1))*t^3")
 
     def test_equality_is_transitive_across_representatives(self):
         u = fev("u")
