@@ -17,9 +17,12 @@ free rank.  Fitting invariants are the tail sums
     c_i = min(cap, e_i + e_{i+1} + ...),
 
 and ``fitting_minor_oracle`` computes all of them independently, as
-minimal orders of minors enumerated once from one table of
-sub-determinants, giving a check that the decomposition and the minors
-agree (base-change compatibility of Fitting ideals).
+minimal orders of minors, giving a check that the decomposition and the
+minors agree (base-change compatibility of Fitting ideals).  A minor is
+a unit exactly when its residue in k is nonzero, so the oracle decides
+order 0 on the matrix of constant terms and expands series minors,
+enumerated once from one table of sub-determinants, only for the sizes
+whose residue minors all vanish.
 """
 
 from __future__ import annotations
@@ -192,30 +195,46 @@ def fitting_minor_oracle(
 ) -> list[OrderValue]:
     """Orders of the Fitting ideals, i = 0..N, straight from minors.
 
-    Entry i is the minimal order of the (N-i) x (N-i) minors.  Every
-    minor is enumerated, from one table shared by all sizes, so each is
-    computed once.  Deliberately brute force and independent of
-    ``smith_orders``; small matrices only, and the size bound is checked
-    before any minor.
+    Entry i is the minimal order of the (N-i) x (N-i) minors.  A minor
+    has order 0 exactly when its image under the residue map k[[t]] -> k
+    is nonzero, so each size is first decided on the matrix of constant
+    terms: one nonzero residue minor makes the order 0.  Only sizes whose
+    residue minors all vanish enumerate their series minors, from one
+    table shared by those sizes, so each is computed once.  Deliberately
+    brute force and independent of ``smith_orders``; small matrices only,
+    and the inputs and the size bound are checked before any minor.
     """
     rows = [list(row) for row in matrix]
     if num_columns is None:
         if not rows:
             raise ValueError("empty matrix needs explicit num_columns")
         num_columns = len(rows[0])
+    if any(len(row) != num_columns for row in rows):
+        raise ValueError("matrix rows disagree with num_columns")
     if precision is None and rows:
         precision = min(entry.precision for row in rows for entry in row)
     if precision is None:
         raise ValueError("empty matrix needs an explicit precision")
+    if precision < 1:
+        raise ValueError("the minor oracle needs precision >= 1")
     if len(rows) > _MINOR_DIMENSION_BOUND or num_columns > _MINOR_DIMENSION_BOUND:
         raise MatrixTooLarge((len(rows), num_columns), _MINOR_DIMENSION_BOUND)
+    residues = [[entry.coeffs[0] for entry in row] for row in rows]
+    corner = rows[0][0] if rows and num_columns else None
+    # Raw scalars over GF(p) are reduced, but their integer minors are not.
+    reduce = corner.field.coerce if corner is not None and corner.field.p and corner.is_scalar else None
+    residue_table: dict = {}
     table: dict = {}
     orders = []
     for size in range(num_columns, -1, -1):
         result = OrderValue.at_least(precision) if size else OrderValue.finite(0)
         if 0 < size <= len(rows):
-            for det in minors(rows, size, table):
-                result = result.min(det.truncate(min(det.precision, precision)).order())
+            residue_minors = minors(residues, size, residue_table)
+            if any(map(reduce, residue_minors) if reduce else residue_minors):
+                result = OrderValue.finite(0)
+            else:
+                for det in minors(rows, size, table):
+                    result = result.min(det.truncate(min(det.precision, precision)).order())
         orders.append(result)
     return orders
 

@@ -6,9 +6,10 @@ from fractions import Fraction
 
 import pytest
 
-from conftest import Q, affine_space, cusp_variety, sexpr, tser, whitney_variety
+from conftest import Q, affine_space, cusp_variety, fe, fev, sexpr, tser, whitney_variety
 from jetspace.arcs import generic_arc, make_arc
 from jetspace.errors import MatrixTooLarge, PrecisionTooLow
+from jetspace.exact import BaseField
 from jetspace.invariants import (
     fitting_minor_oracle,
     profile_of_omega,
@@ -84,27 +85,55 @@ class TestFittingMinorOracle:
         with pytest.raises(MatrixTooLarge):
             fitting_minor_oracle([[zero] * 9] * 9)
 
-    @pytest.mark.parametrize("shape", [(9, 9), (1, 9), (9, 1)])
-    def test_bound_is_checked_before_any_minor(self, shape, monkeypatch):
-        # The bound holds for the whole call, whichever index needs no minor.
+    # ``shape`` lists the row lengths; ragged rows raise as in ``smith_orders``.
+    @pytest.mark.parametrize(
+        "shape, kwargs, error, match",
+        [
+            pytest.param((9,) * 9, {}, MatrixTooLarge, None, id="shape0"),
+            pytest.param((9,), {}, MatrixTooLarge, None, id="shape1"),
+            pytest.param((1,) * 9, {}, MatrixTooLarge, None, id="shape2"),
+            pytest.param((2, 3), {}, ValueError, "rows disagree with num_columns", id="ragged"),
+            pytest.param((2, 2), {"num_columns": 3}, ValueError, "rows disagree with num_columns", id="num-columns"),
+            pytest.param((1,), {"precision": 0}, ValueError, "precision >= 1", id="precision0"),
+            pytest.param((1,), {"precision": -1}, ValueError, "precision >= 1", id="precision-1"),
+        ],
+    )
+    def test_bound_is_checked_before_any_minor(self, shape, kwargs, error, match, monkeypatch):
+        # The inputs and the bound hold for the whole call, whichever index needs no minor.
         from jetspace import invariants
 
         computed = []
         monkeypatch.setattr(invariants, "minors", lambda *a: computed.append(a) or [])
-        rows, cols = shape
-        with pytest.raises(MatrixTooLarge):
-            fitting_minor_oracle([[tser([1], 4)] * cols] * rows)
+        matrix = [[tser([1], 4)] * cols for cols in shape]
+        with pytest.raises(error, match=match):
+            fitting_minor_oracle(matrix, **kwargs)
         assert computed == []
 
     def test_one_table_serves_every_index(self, monkeypatch):
-        # Each minor of a 4x4 matrix once: 36 * 2 + 16 * 3 + 4 products.
+        # Each minor of a 4x4 matrix once: 36 * 2 + 16 * 3 + 4 products.  The
+        # factor t makes every residue minor vanish, so every size needs series.
         rng = random.Random(41)
-        matrix = [[tser([rng.randint(-9, 9) for _ in range(6)], 24) for _ in range(4)] for _ in range(4)]
+        matrix = [
+            [tser([0] + [rng.randint(-9, 9) for _ in range(6)], 24) for _ in range(4)] for _ in range(4)
+        ]
         products = []
         mul = TruncatedSeries.__mul__
         monkeypatch.setattr(TruncatedSeries, "__mul__", lambda a, b: products.append(1) or mul(a, b))
         fitting_minor_oracle(matrix)
-        assert len(products) <= 124
+        assert 0 < len(products) <= 124
+
+    def test_unit_minors_need_no_series_product(self, monkeypatch):
+        # Residues forming the identity give a unit minor of every size.
+        rng = random.Random(43)
+        matrix = [
+            [tser([int(i == j)] + [rng.randint(-9, 9) for _ in range(5)], 24) for j in range(4)]
+            for i in range(4)
+        ]
+        products = []
+        mul = TruncatedSeries.__mul__
+        monkeypatch.setattr(TruncatedSeries, "__mul__", lambda a, b: products.append(1) or mul(a, b))
+        assert fitting_minor_oracle(matrix) == [OrderValue.finite(0)] * 5
+        assert products == []
 
 
 def _cofactor_minor_orders(matrix, num_columns, precision):
@@ -152,6 +181,72 @@ def test_all_index_oracle_matches_a_brute_force_enumeration():
             matrix.append(row)
         precision = min(entry.precision for row in matrix for entry in row)
         assert fitting_minor_oracle(matrix) == _cofactor_minor_orders(matrix, cols, precision)
+
+
+def _twin_matrix(rng, field, kind):
+    """A seeded matrix whose constant terms are often zero or rank deficient.
+
+    ``kind`` is "scalar" (raw base-field scalars) or "transcendental"
+    (field elements, some involving the transcendental a).
+    """
+    rows, cols = rng.randint(1, 4), rng.randint(1, 4)
+    a = fev("a", field)
+    zero = 0 if kind == "scalar" else field.fe_zero
+
+    def coeff():
+        c = rng.randint(-2, 2)
+        if kind == "scalar":
+            return c
+        return fe(c, field) + a if rng.random() < 0.3 else fe(c, field)
+
+    constants = rng.choice(("random", "zero", "deficient"))
+    head = [coeff() for _ in range(cols)]
+    matrix = []
+    for _ in range(rows):
+        if constants == "random":
+            residues = [coeff() for _ in range(cols)]
+        elif constants == "zero":
+            residues = [zero] * cols
+        else:  # every row's constant terms a multiple of the first row's
+            scale = coeff()
+            residues = [scale * c for c in head]
+        row = []
+        for residue in residues:
+            precision = rng.choice((1, 3, 6, 10))
+            if rng.random() < 0.2:
+                coeffs = [zero]  # zero to its precision
+            else:
+                coeffs = [residue] + [coeff() for _ in range(4)]
+            row.append(TruncatedSeries.from_coefficients(field, coeffs, precision))
+        matrix.append(row)
+    return matrix, cols
+
+
+@pytest.mark.parametrize("kind", ["scalar", "transcendental"])
+@pytest.mark.parametrize("p", [None, 2, 3], ids=["Q", "GF2", "GF3"])
+def test_residue_decided_oracle_matches_the_cofactor_twin(p, kind):
+    field = Q if p is None else BaseField(p)
+    rng = random.Random(2207 + (p or 0) + len(kind))
+    seen = set()
+    for _ in range(80):
+        matrix, cols = _twin_matrix(rng, field, kind)
+        precision = min(entry.precision for row in matrix for entry in row)
+        orders = fitting_minor_oracle(matrix)
+        assert orders == _cofactor_minor_orders(matrix, cols, precision)
+        for o in orders[:-1]:
+            seen.add("unit" if o == OrderValue.finite(0) else "finite" if o.is_finite else "bound")
+    # Units decided on residues, positive orders and bare bounds from series minors.
+    assert seen == {"unit", "finite", "bound"}
+
+
+@pytest.mark.parametrize("lift", [False, True], ids=["scalar", "field-element"])
+def test_gf2_residue_minors_are_reduced(lift):
+    # The residue matrix has integer determinant 2, which vanishes in GF(2).
+    f2 = BaseField(2)
+    residues = [[1, 1, 0], [0, 1, 1], [1, 0, 1]]
+    scalar = (lambda c: fe(c, f2)) if lift else int
+    matrix = [[TruncatedSeries.from_coefficients(f2, [scalar(c), scalar(1)], 6) for c in row] for row in residues]
+    assert fitting_minor_oracle(matrix)[0] == OrderValue.finite(1)
 
 
 def _random_matrix(rng, precision=24):
