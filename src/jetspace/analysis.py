@@ -128,6 +128,7 @@ def _fiber_dimension(arc_profile: InvariantProfile, arc: Arc, n: int) -> FiberDi
 
 def fiber_dim_formula(arc: Arc, n: int, cap: int = PRECISION_CAP) -> FiberDimension:
     """Fiber dimension at level n from the refined arc-level profile."""
+    jet_levels([n])
     return _fiber_dimension(*refined_profile_of_omega(arc.with_precision(n + 1), cap), n)
 
 
@@ -298,19 +299,16 @@ def _stabilizations(
     presentation's declared_dim; ``betti`` uses the free rank of the
     differentials along this arc.
     """
-    arc_profile, arc = refined_profile_of_omega(arc, cap)
-    ranks = []
     for _, dim_source in requests:
-        if dim_source == "declared":
-            if arc.variety.declared_dim is None:
-                raise MissingDeclaredDim()
-            ranks.append(arc.variety.declared_dim)
-        elif dim_source == "betti":
-            ranks.append(arc_profile.betti)
-        else:
+        if dim_source not in ("declared", "betti"):
             raise InputError(f"unknown dimension source {dim_source!r}")
+        if dim_source == "declared" and arc.variety.declared_dim is None:
+            raise MissingDeclaredDim()
     if n_max < 0 or window < 1:
         raise InputError("n_max must be >= 0 and window >= 1")
+    arc_profile, arc = refined_profile_of_omega(arc, cap)
+    declared = arc.variety.declared_dim
+    ranks = [declared if dim_source == "declared" else arc_profile.betti for _, dim_source in requests]
     arc = arc.with_precision(n_max + 1)
     # A limited arc-level profile serves only the levels below its precision.
     levels = arc_profile
@@ -465,7 +463,9 @@ def resolve_divisor_var(source, divisor_var) -> int:
             return source.variables.index(divisor_var)
         except ValueError:
             raise InputError(f"divisor variable {divisor_var!r} is not a source variable")
-    idx = int(divisor_var)
+    if isinstance(divisor_var, bool) or not isinstance(divisor_var, int):
+        raise InputError(f"divisor variable must be a name or a 1-based index, got {divisor_var!r}")
+    idx = divisor_var
     if not 1 <= idx <= len(source.variables):
         raise InputError(f"divisor variable index {idx} out of range")
     return idx - 1

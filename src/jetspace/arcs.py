@@ -48,6 +48,7 @@ from .errors import (
 )
 from .exact import FieldElement, TranscendenceDegree, transcendence_degree
 from .geometry import MorphismPresentation, VarietyPresentation
+from .jets import jet_levels
 from .series import (
     DEFAULT_PRECISION,
     SeriesExpression,
@@ -206,6 +207,7 @@ class Arc:
 
     def truncate(self, n: int) -> JetPoint:
         """Jet of this arc at level n."""
+        jet_levels([n])
         if n >= self.precision:
             raise PrecisionTooLow(n, self.precision)
         coords = []
@@ -227,6 +229,7 @@ class Arc:
         way on counted arcs: over GF(p), when some coefficient at a level
         <= n_max is nonconstant.
         """
+        jet_levels([n_max])
         if n_max >= self.precision:
             raise PrecisionTooLow(n_max, self.precision)
         if self.k_rational or all(

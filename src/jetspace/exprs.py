@@ -9,14 +9,15 @@ polynomials.  Unknown symbols are a parse error, never new variables.
 Exponents are integer literals of at most ``MAX_EXPONENT``, and a power
 is refused before it is computed when its degree would exceed
 ``MAX_EXPONENT``: the total degree for polynomials; for series
-expressions the degree in t or in the transcendentals of a coefficient,
-whichever is larger.  So nested powers such as ``((x)^256)^256`` cannot
-run unbounded either.  A power is also refused when its term count could
-exceed ``MAX_POWER_TERMS``: a base of k terms to the n has at most
-C(n+k-1, k-1) terms.  A polynomial counts its terms; a series expression
-counts the distinct monomials in the transcendentals of its coefficients,
-in its numerator or denominator in t, whichever has more (its powers of t
-are already bounded by the degree).
+expressions the degree in t or in the transcendentals of a monomial of
+the numerator or denominator, whichever is larger.  So nested powers such
+as ``((x)^256)^256`` cannot run unbounded either.  A power is also refused
+when its term count could exceed ``MAX_POWER_TERMS``: a base of k terms
+to the n has at most C(n+k-1, k-1) terms.  A polynomial counts its terms;
+a series expression counts the distinct monomials in the transcendentals
+of its numerator or denominator, whichever has more (its powers of t are
+already bounded by the degree).  Series values are built from
+polynomials in t and the transcendentals, never from field elements.
 """
 
 from __future__ import annotations
@@ -26,8 +27,8 @@ from math import comb
 from typing import Sequence
 
 from .errors import ParseError, UnknownVariable
-from .exact import BaseField, FieldElement, SparsePolynomial
-from .series import SeriesExpression
+from .exact import BaseField, SparsePolynomial
+from .series import SeriesExpression, split_t
 
 # Largest exponent accepted after ``^``, and largest degree of a power.  It
 # is above the default precision cap (192), so every power of t that the
@@ -233,20 +234,19 @@ def parse_series_expression(
             return SeriesExpression.t_power(field, 1)
         if name not in allowed:
             raise UnknownVariable(name)
-        return SeriesExpression.constant(field, FieldElement.variable(field, name))
+        return SeriesExpression.constant(field, SparsePolynomial.variable(field, name))
 
     def const(value):
-        return SeriesExpression.constant(field, FieldElement.from_scalar(field, value))
+        return SeriesExpression.constant(field, value)
 
     parser = _Parser(text, context, symbol, const, _series_degree, _series_terms, full_division=True)
     return parser.parse()
 
 
 def _series_degree(value: SeriesExpression) -> int:
-    """Larger of the degree in t and the degree of any coefficient."""
-    coeffs = value.num + value.den
-    coefficient_degree = max(max(c.num.degree(), c.den.degree()) for c in coeffs)
-    return max(len(value.num) - 1, len(value.den) - 1, coefficient_degree)
+    """Larger of the degree in t and the degree in the transcendentals, over every monomial."""
+    splits = [split_t(mono) for poly in (value.num, value.den) for mono in poly.terms]
+    return max((max(e, sum(x for _, x in rest)) for e, rest in splits), default=0)
 
 
 def _polynomial_terms(value: SparsePolynomial) -> int:
@@ -254,5 +254,5 @@ def _polynomial_terms(value: SparsePolynomial) -> int:
 
 
 def _series_terms(value: SeriesExpression) -> int:
-    """Distinct monomials in the transcendentals over the numerator or denominator in t."""
-    return max(len({m for c in coeffs for m in c.num.terms}) for coeffs in (value.num, value.den))
+    """Distinct monomials in the transcendentals, in the numerator or the denominator."""
+    return max(len({split_t(mono)[1] for mono in poly.terms}) for poly in (value.num, value.den))

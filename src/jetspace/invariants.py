@@ -33,6 +33,7 @@ from typing import Sequence
 from .arcs import Arc
 from .errors import MatrixTooLarge, PrecisionTooLow
 from .geometry import DifferentialPresentation, minors, omega_presentation
+from .jets import jet_levels
 from .series import PRECISION_CAP, OrderValue, TruncatedSeries
 
 # Level value meaning "along the whole arc, to working precision".
@@ -92,6 +93,7 @@ class InvariantProfile:
         """
         if self.level is not None:
             raise ValueError("at_level needs an arc-level profile")
+        jet_levels([n])
         if self.precision_limited and n >= self.precision:
             raise PrecisionTooLow(n, self.precision)
         return InvariantProfile(
@@ -132,6 +134,7 @@ def smith_orders(
     if rows and any(len(row) != num_columns for row in rows):
         raise ValueError("matrix rows disagree with num_columns")
     if level is not None:
+        jet_levels([level])
         ring_precision = level + 1
         rows = [[entry.truncate(ring_precision) for entry in row] for row in rows]
     elif rows:

@@ -64,12 +64,12 @@ class JetIdeal:
 
 
 def jet_levels(levels: Sequence[int]) -> list[int]:
-    """The requested jet levels as a list, or InputError: nonempty, each an int >= 0."""
+    """The requested jet levels as a list, or InputError: nonempty, each an int >= 0 (not a bool)."""
     wanted = list(levels)
     if not wanted:
         raise InputError("no jet level requested")
     for n in wanted:
-        if not isinstance(n, int) or n < 0:
+        if isinstance(n, bool) or not isinstance(n, int) or n < 0:
             raise InputError(f"jet level must be an int >= 0, got {n!r}")
     return wanted
 

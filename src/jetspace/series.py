@@ -20,11 +20,11 @@ polynomials reduce mod p themselves.  The kernel and ``TruncatedSeries``
 test a coefficient for zero by its truthiness, so one path serves every
 kind.
 
-Series expressions (quotients of t-polynomials with unit denominator)
-carry exact data that can be re-expanded at any precision, which is what
-the stabilization drivers rely on when they need more coefficients.  An
-expression whose coefficients are all base-field constants expands on
-raw scalars.
+Series expressions are exact components: a numerator and a denominator,
+polynomials in t and the transcendentals, the denominator a unit at
+t = 0.  They expand at any precision by long division, which the
+stabilization drivers rely on when they need more coefficients; with
+no transcendental, on raw scalars.
 
 All products and quotients of coefficient lists go through one kernel:
 ``truncated_product`` and ``truncated_quotient``.  The zero handed to
@@ -34,8 +34,7 @@ builds each output coefficient in one term dict and canonicalizes it
 once: a sum of polynomials is the same whatever its order.  Raw scalars
 and field elements with other denominators are summed term by term in a
 fixed order, because unreduced fractions are not: the order fixes their
-representatives.  A product of series expressions skips a factor 1, so
-unit denominators are never multiplied.
+representatives.
 """
 
 from __future__ import annotations
@@ -44,7 +43,7 @@ from itertools import chain
 from typing import Mapping, Sequence
 
 from .errors import DenominatorNotUnit, PrecisionTooLow
-from .exact import BaseField, FieldElement, SparsePolynomial
+from .exact import BaseField, FieldElement, SparsePolynomial, _mono_mul
 
 DEFAULT_PRECISION = 24
 PRECISION_CAP = 192
@@ -316,149 +315,124 @@ def _coeffs_text(coeffs) -> str:
     return out
 
 
-def _is_one(coeffs) -> bool:
-    """True when a coefficient tuple is the polynomial 1."""
-    return len(coeffs) == 1 and coeffs[0]._den_is_one() and coeffs[0].num.terms == {(): 1}
+def split_t(mono) -> tuple[int, tuple]:
+    """A monomial as its power of t and its monomial in the transcendentals."""
+    for k, (var, exp) in enumerate(mono):
+        if var == "t":
+            return exp, mono[:k] + mono[k + 1 :]
+    return 0, mono
 
 
-def _trim(coeffs: list[FieldElement]) -> tuple[FieldElement, ...]:
-    last = len(coeffs)
-    while last > 1 and coeffs[last - 1].is_zero():
-        last -= 1
-    return tuple(coeffs[:last])
+def _t_polynomial(field: BaseField, coeffs: Sequence) -> SparsePolynomial:
+    """The polynomial sum of c_i t^i over a coefficient list.
+
+    A coefficient is a raw scalar, a polynomial in the transcendentals or
+    a field element with a constant denominator.
+    """
+    terms = {}
+    for i, c in enumerate(coeffs):
+        if isinstance(c, FieldElement):
+            if not c.den.is_constant():
+                raise ValueError(f"series expression coefficient {c} is not a polynomial")
+            c = c.num.scale(field.inv(c.den.constant_value()))
+        elif not isinstance(c, SparsePolynomial):
+            c = SparsePolynomial.constant(field, c)
+        for mono, value in c.terms.items():
+            terms[_mono_mul(mono, (("t", i),)) if i else mono] = value
+    return SparsePolynomial(field, terms)
+
+
+def _t_coefficients(poly: SparsePolynomial) -> list[SparsePolynomial]:
+    """The coefficients of t^0 .. t^d in ``poly``, d its degree in t."""
+    parts: dict = {}
+    for mono, value in poly.terms.items():
+        e, rest = split_t(mono)
+        parts.setdefault(e, {})[rest] = value
+    return [SparsePolynomial(poly.field, parts.get(e, {})) for e in range(max(parts, default=0) + 1)]
 
 
 class SeriesExpression:
-    """Quotient of two t-polynomials with unit denominator.
+    """Quotient of two polynomials in t and the transcendentals, regular at t = 0.
 
-    Carries exact data: ``expand(P)`` produces the first P coefficients,
-    and expansions at different precisions agree on their overlap.  The
-    coefficients are field elements; when all of them are base-field
-    constants the expression is k-rational and expands on raw scalars.
+    ``num`` and ``den`` are ``SparsePolynomial``s in which t is one more
+    variable, never reduced; a denominator that vanishes at t = 0 raises
+    ``DenominatorNotUnit``, so t^2/t is refused.  Each is given as such a
+    polynomial or as the coefficients of t^0, t^1, ...: raw scalars,
+    polynomials in the transcendentals, or field elements with a constant
+    denominator.  ``expand(P)`` gives the first P coefficients, on raw
+    scalars when the expression is k-rational (has no transcendental).
     """
 
     __slots__ = ("field", "num", "den")
 
-    def __init__(
-        self,
-        field: BaseField,
-        num: Sequence[FieldElement],
-        den: Sequence[FieldElement] | None = None,
-    ):
+    def __init__(self, field: BaseField, num, den=None):
         self.field = field
-        self.num = _trim(list(num) or [field.fe_zero])
-        self.den = _trim(list(den) if den is not None else [field.fe_one])
-        if self.den[0].is_zero():
+        self.num = num if isinstance(num, SparsePolynomial) else _t_polynomial(field, num)
+        if den is None:
+            den = field.fe_one.num
+        self.den = den if isinstance(den, SparsePolynomial) else _t_polynomial(field, den)
+        if all(split_t(mono)[0] for mono in self.den.terms):
             raise DenominatorNotUnit("series expression denominator vanishes at t = 0")
 
     @classmethod
     def constant(cls, field: BaseField, value) -> "SeriesExpression":
-        fe = value if isinstance(value, FieldElement) else FieldElement.from_scalar(field, value)
-        return cls(field, [fe])
+        return cls(field, [value])
 
     @classmethod
-    def t_power(cls, field: BaseField, e: int, coefficient=None) -> "SeriesExpression":
-        c = coefficient if coefficient is not None else field.fe_one
-        return cls(field, [field.fe_zero] * e + [c])
+    def t_power(cls, field: BaseField, e: int, coefficient=1) -> "SeriesExpression":
+        return cls(field, [0] * e + [coefficient])
 
     def is_zero(self) -> bool:
-        return len(self.num) == 1 and self.num[0].is_zero()
+        return not self.num.terms
 
     def is_k_rational(self) -> bool:
-        """True when every coefficient is a visible base-field constant."""
-        return all(c.is_constant() for c in self.num) and all(c.is_constant() for c in self.den)
-
-    def _poly_mul(self, a, b):
-        # A factor 1 (a unit denominator, mostly) leaves the other as it is:
-        # the kernel would rebuild the same coefficients.
-        if _is_one(b):
-            return a
-        if _is_one(a):
-            return b
-        return truncated_product(a, b, len(a) + len(b) - 1, self.field.fe_zero)
-
-    def _poly_add(self, a, b):
-        zero = self.field.fe_zero
-        out = []
-        for i in range(max(len(a), len(b))):
-            ca = a[i] if i < len(a) else zero
-            cb = b[i] if i < len(b) else zero
-            out.append(ca + cb)
-        return out
+        """True when no transcendental occurs."""
+        return not any(split_t(mono)[1] for poly in (self.num, self.den) for mono in poly.terms)
 
     def __add__(self, other: "SeriesExpression") -> "SeriesExpression":
         if self.den == other.den:
-            return SeriesExpression(self.field, self._poly_add(self.num, other.num), self.den)
-        num = self._poly_add(
-            self._poly_mul(self.num, other.den), self._poly_mul(other.num, self.den)
-        )
-        return SeriesExpression(self.field, num, self._poly_mul(self.den, other.den))
+            return SeriesExpression(self.field, self.num + other.num, self.den)
+        num = self.num * other.den + other.num * self.den
+        return SeriesExpression(self.field, num, self.den * other.den)
 
     def __neg__(self) -> "SeriesExpression":
-        return SeriesExpression(self.field, [-c for c in self.num], self.den)
+        return SeriesExpression(self.field, -self.num, self.den)
 
     def __sub__(self, other: "SeriesExpression") -> "SeriesExpression":
         return self + (-other)
 
     def __mul__(self, other: "SeriesExpression") -> "SeriesExpression":
-        return SeriesExpression(
-            self.field,
-            self._poly_mul(self.num, other.num),
-            self._poly_mul(self.den, other.den),
-        )
+        return SeriesExpression(self.field, self.num * other.num, self.den * other.den)
 
     def __truediv__(self, other: "SeriesExpression") -> "SeriesExpression":
-        return SeriesExpression(
-            self.field,
-            self._poly_mul(self.num, other.den),
-            self._poly_mul(self.den, other.num),
-        )
+        return SeriesExpression(self.field, self.num * other.den, self.den * other.num)
 
     def __pow__(self, exponent: int) -> "SeriesExpression":
-        if exponent < 0:
-            raise ValueError("negative exponent on a series expression")
-        result = SeriesExpression.constant(self.field, self.field.fe_one)
-        base = self
-        while exponent:
-            if exponent & 1:
-                result = result * base
-            exponent >>= 1
-            if exponent:
-                base = base * base
-        return result
+        return SeriesExpression(self.field, self.num**exponent, self.den**exponent)
 
     def __eq__(self, other):
         if not isinstance(other, SeriesExpression):
             return NotImplemented
-        lhs = self._poly_mul(self.num, other.den)
-        rhs = self._poly_mul(other.num, self.den)
-        return all(c.is_zero() for c in self._poly_add(lhs, [-c for c in rhs]))
+        return self.num * other.den == other.num * self.den
 
     def expand(self, precision: int) -> TruncatedSeries:
-        """First ``precision`` coefficients, by long division.
-
-        A k-rational expression expands on raw scalars, any other on field
-        elements.
-        """
+        """First ``precision`` coefficients, by long division."""
         if precision < 1:
             raise ValueError("precision must be >= 1")
         field = self.field
+        num, den = _t_coefficients(self.num), _t_coefficients(self.den)
         if self.is_k_rational():
-            num = [c.constant_value() for c in self.num]
-            den = [c.constant_value() for c in self.den]
+            num = [c.constant_value() for c in num]
+            den = [c.constant_value() for c in den]
             coeffs = truncated_quotient(num, den, precision, 0, field.inv(den[0]), field.p)
         else:
-            coeffs = truncated_quotient(self.num, self.den, precision, field.fe_zero, self.den[0].inverse())
+            num = [FieldElement.from_poly(c) for c in num]
+            den = [FieldElement.from_poly(c) for c in den]
+            coeffs = truncated_quotient(num, den, precision, field.fe_zero, den[0].inverse())
         return TruncatedSeries(field, coeffs)
 
-    def __str__(self):
-        num = _coeffs_text(self.num)
-        if len(self.den) == 1 and self.den[0] == self.field.fe_one:
-            return num
-        return f"({num})/({_coeffs_text(self.den)})"
-
     def __repr__(self):
-        return f"SeriesExpression({self})"
+        return f"SeriesExpression(({self.num})/({self.den}))"
 
 
 def evaluate_poly_at_series(

@@ -33,10 +33,11 @@ from jetspace.analysis import (
 )
 from jetspace.arcs import Arc, GenericComponent, generic_arc, make_arc
 from jetspace.catalog import _catalog_arcs, blow_up_chart
+from jetspace import invariants
 from jetspace.errors import InputError, MissingDeclaredDim, PrecisionLimited
-from jetspace.exact import SparsePolynomial
+from jetspace.exact import BaseField, SparsePolynomial
 from jetspace.geometry import MorphismPresentation, VarietyPresentation
-from jetspace.invariants import refined_profile_of_omega
+from jetspace.invariants import profile_of_omega, refined_profile_of_omega, smith_orders
 from jetspace.jets import jet_jacobian_corank
 from jetspace.series import OrderValue, SeriesExpression
 
@@ -47,6 +48,27 @@ def _cusp_arc(precision=12):
         [SeriesExpression.t_power(Q, 2), SeriesExpression.t_power(Q, 3)],
         precision,
     )
+
+
+@pytest.mark.parametrize("level", [-1, True])
+@pytest.mark.parametrize(
+    "call",
+    [
+        pytest.param(lambda n: fiber_dim_formula(_cusp_arc(), n), id="fiber_dim_formula"),
+        pytest.param(lambda n: embdim_jet(_cusp_arc(), n), id="embdim_jet"),
+        pytest.param(lambda n: profile_of_omega(_cusp_arc(), n), id="profile_of_omega"),
+        pytest.param(lambda n: smith_orders([], 2, level=n), id="smith_orders"),
+        pytest.param(lambda n: profile_of_omega(_cusp_arc()).at_level(n), id="at_level"),
+        pytest.param(lambda n: _cusp_arc().truncate(n), id="truncate"),
+        pytest.param(
+            lambda n: generic_arc(affine_space(2, BaseField(2)), [0, 0], 8).residue_dimension_profile(n),
+            id="residue_dimension_profile",
+        ),
+    ],
+)
+def test_level_below_zero_or_bool_is_an_input_error(call, level):
+    with pytest.raises(InputError, match="jet level must be an int >= 0"):
+        call(level)
 
 
 class TestFiberDim:
@@ -154,6 +176,29 @@ class TestJetCodim:
         arc = generic_arc(space, [0], 16)
         with pytest.raises(MissingDeclaredDim):
             jet_codim(arc, "declared", n_max=4)
+
+    @pytest.mark.parametrize(
+        "dim_source, n_max, window, error",
+        [
+            ("betti", -1, 3, InputError),
+            ("betti", 8, 0, InputError),
+            ("volume", 8, 3, InputError),
+            ("declared", 8, 3, MissingDeclaredDim),
+        ],
+    )
+    def test_inputs_are_checked_before_any_refinement(self, monkeypatch, dim_source, n_max, window, error):
+        calls = []
+        diagonalize = invariants.smith_orders
+
+        def spy(*args, **kwargs):
+            calls.append(args)
+            return diagonalize(*args, **kwargs)
+
+        monkeypatch.setattr(invariants, "smith_orders", spy)
+        arc = generic_arc(VarietyPresentation(Q, ("x",), ()), [0], 16)
+        with pytest.raises(error):
+            _stabilizations(arc, [("jet-codim", dim_source)], n_max, window, 64)
+        assert calls == []
 
     def test_several_sources_from_one_refinement_match_the_single_calls(self):
         requests = [("embdim-arc", "betti"), ("jet-codim", "betti"), ("jet-codim", "declared")]
@@ -318,6 +363,11 @@ class TestDivisorial:
             beta, _ = divisorial_arc(chart, "u", q, 16)
             report = embdim_arc(beta, n_max=10)
             assert report.stabilized and report.value == q
+
+    @pytest.mark.parametrize("divisor_var", [1.7, True, None])
+    def test_divisor_var_is_a_name_or_an_int(self, divisor_var):
+        with pytest.raises(InputError, match="name or a 1-based index"):
+            divisorial_arc(blow_up_chart(2), divisor_var, 1, 8)
 
     def test_divisor_var_by_index(self):
         chart = blowup_chart_2d()

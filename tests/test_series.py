@@ -8,9 +8,9 @@ import sympy
 from hypothesis import given, settings, strategies as st
 
 from conftest import Q, count_calls, fe, fev, sexpr, to_sympy, tser, var
-from jetspace import series as series_module
 from jetspace.errors import DenominatorNotUnit, PrecisionTooLow
 from jetspace.exact import BaseField, FieldElement, SparsePolynomial
+from jetspace.exprs import parse_series_expression
 from jetspace.series import (
     OrderValue,
     SeriesExpression,
@@ -93,6 +93,15 @@ class TestExpand:
     def test_denominator_not_unit(self):
         with pytest.raises(DenominatorNotUnit):
             SeriesExpression(Q, [fe(1)], [fe(0), fe(1)])
+        # Never reduced: t^2/t is refused although the quotient is t.
+        with pytest.raises(DenominatorNotUnit):
+            SeriesExpression.t_power(Q, 2) / SeriesExpression.t_power(Q, 1)
+
+    def test_coefficients_are_polynomials(self):
+        u = fev("u")
+        assert SeriesExpression(Q, [u / fe(2)]).num == SeriesExpression(Q, [fe(Fraction(1, 2)) * u]).num
+        with pytest.raises(ValueError):
+            SeriesExpression(Q, [u / (fe(1) + u)])
 
 
 class TestOrder:
@@ -143,20 +152,17 @@ def test_expand_prefix_consistency(seed):
 
 @pytest.mark.parametrize("exponent, products", [(0, 0), (1, 1), (3, 3), (8, 4)])
 def test_expression_power_squares_only_while_bits_remain(monkeypatch, exponent, products):
-    s = sexpr(0, 1, 1)
+    """A power is the polynomial powers of numerator and denominator, no expression products."""
+    s = sexpr(0, 1, 1) / sexpr(1, 1)
     expected = sexpr(1)
     for _ in range(exponent):
         expected = expected * s
-    calls = []
-    multiply = SeriesExpression.__mul__
-
-    def counting(self, other):
-        calls.append(other)
-        return multiply(self, other)
-
-    monkeypatch.setattr(SeriesExpression, "__mul__", counting)
-    assert s**exponent == expected
-    assert len(calls) == products
+    expression_products = count_calls(monkeypatch, SeriesExpression, ["__mul__"])
+    polynomial_products = count_calls(monkeypatch, SparsePolynomial, ["__mul__"])
+    power = s**exponent
+    assert expression_products == []
+    assert len(polynomial_products) == 2 * products
+    assert power == expected
 
 
 def test_truncate_beyond_precision_raises():
@@ -406,33 +412,47 @@ def test_polynomial_product_adds_no_polynomials(monkeypatch, lift):
     assert list(product.coeffs) == expected
 
 
+def _unit_expression(rng):
+    """An expression in t and u, unit at t = 0, with its numerator and denominator in sympy."""
+    num = [fe(rng.choice([-1, 2, 3]))] + [_random_coefficient(rng) for _ in range(rng.randint(0, 3))]
+    num.append(fe(rng.randint(1, 3)) * fev("u"))
+    den = [fe(rng.choice([-3, 1, 2]))] + [_random_coefficient(rng) for _ in range(rng.randint(0, 2))]
+    if rng.random() < 0.5:
+        den = [fe(1)]
+    return SeriesExpression(Q, num, den), _sympy_series(num), _sympy_series(den)
+
+
 @pytest.mark.parametrize("seed", range(6))
-def test_unit_factor_keeps_expression_representatives(seed, monkeypatch):
-    """Skipping a factor 1 gives the representatives the kernel would have built."""
-    rng = random.Random(f"unit-factor-{seed}")
+def test_expression_arithmetic_matches_sympy(seed):
+    """+ - * / ** give the unreduced numerator and denominator, and their expansion."""
+    rng = random.Random(f"expression-arithmetic-{seed}")
+    (x, xn, xd), (y, yn, yd) = _unit_expression(rng), _unit_expression(rng)
+    k = rng.randint(0, 3)
+    same = sympy.expand(xd - yd) == 0
 
-    def expression():
-        # A unit constant term, so every quotient below is defined.
-        num = [fe(rng.choice([-1, 2, 3]))] + [_random_coefficient(rng) for _ in range(rng.randint(0, 3))]
-        if rng.random() < 0.5:
-            return SeriesExpression(Q, num)
-        den = [fe(rng.choice([-3, 1, 2]))] + [_random_coefficient(rng) for _ in range(rng.randint(0, 2))]
-        return SeriesExpression(Q, num, den)
+    def plus(sign):
+        return (xn + sign * yn, xd) if same else (xn * yd + sign * yn * xd, xd * yd)
 
-    pairs = [(expression(), expression()) for _ in range(4)]
-
-    def results():
-        out = []
-        for x, y in pairs:
-            for value in (x * y, x / y, x + y, x ** 2):
-                out.append([(_terms(c.num), _terms(c.den)) for c in value.num + value.den])
-        return out
-
-    skipped = results()
-    monkeypatch.setattr(series_module, "_is_one", lambda coeffs: False)
-    assert skipped == results()
+    cases = [
+        (x + y, plus(1)),
+        (x - y, plus(-1)),
+        (x * y, (xn * yn, xd * yd)),
+        (x / y, (xn * yd, xd * yn)),
+        (x**k, (xn**k, xd**k)),
+    ]
+    precision = rng.randint(1, 8)
+    for value, (num, den) in cases:
+        assert sympy.expand(to_sympy(value.num) - num) == 0
+        assert sympy.expand(to_sympy(value.den) - den) == 0
+        series = sympy.expand(sympy.series(num / den, T, 0, precision).removeO())
+        expanded = value.expand(precision)
+        assert all(sympy.cancel(to_sympy(c) - series.coeff(T, i)) == 0 for i, c in enumerate(expanded.coeffs))
 
 
-def test_unit_denominators_are_not_multiplied():
-    product = sexpr(1, 2) * sexpr(0, 3)
-    assert product.den == (Q.fe_one,) and product.den[0] is Q.fe_one
+def test_parsed_polynomial_expression_has_unit_denominator():
+    value = parse_series_expression("t^2*(1 + a*t)^2", Q, ("a",))
+    assert value.den == SparsePolynomial.constant(Q, 1)
+    assert value.num == var("t") ** 2 * (SparsePolynomial.constant(Q, 1) + var("a") * var("t")) ** 2
+    expanded = value.expand(6)
+    assert all(c.den == SparsePolynomial.constant(Q, 1) for c in expanded.coeffs)
+    assert [str(c) for c in expanded.coeffs] == ["0", "0", "1", "2*a", "a^2", "0"]
