@@ -21,8 +21,10 @@ command refines an arc once, and every level is read off that one
 profile: the oracle's fiber dimensions at all its levels, and level 0,
 which is Omega_X at the arc's center, so its free rank N - rank J(center)
 is the BTR smoothness test.  One residue profile gives dim(alpha_n) at
-every level (``Arc.residue_dimension_profile``: a count of fresh names on
-generic arcs, one elimination otherwise).  Stabilization of s_n is detected
+every level (``Arc.residue_dimension_profile``, decided by
+``transcendence_degree`` from the coefficients: a count of distinct
+variables where each nonconstant coefficient is a scaled variable, one
+elimination otherwise).  Stabilization of s_n is detected
 heuristically over a window; a sequence that keeps growing is reported
 as "suspected infinite", never as a proof.  ``embdim_arc`` and
 ``jet_codim`` are one stabilization driver and differ only in D; the

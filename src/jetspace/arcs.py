@@ -20,12 +20,12 @@ variables, so they add no transcendental and no residue row, and its
 center and jets are scalars.  Every other arc stores field-element
 expansions: a mixed arc lifts its scalar components.
 
-Residue dimensions need no elimination when the answer follows from how
-the arc is built.  If every component is generic or k-rational (the
-source arc of a BTR or Mather check on a blow-up chart), or the arc is
-k-rational, the level-n residue dimension is the number of distinct
-fresh names u{i}_{p} with p <= n.  Image arcs and expressions with
-transcendentals rank their coefficients in one exact elimination.
+Residue dimensions are read from the coefficients alone:
+``residue_dimension_profile`` hands ``transcendence_degree`` one block of
+coefficients per level, and that routine counts distinct variables when
+every nonconstant coefficient is a scaled variable (generic components,
+so every BTR or Mather source arc on a blow-up chart, and expressions
+such as a + b*t) and runs one exact elimination otherwise.
 
 Arc validity (every ideal generator vanishes modulo t^P) is checked at
 construction and again after every precision raise.  Refinement only
@@ -69,6 +69,11 @@ class GenericComponent:
 
     index: int
     start: int = 0
+
+    def __post_init__(self):
+        for name, value, floor in (("index", self.index, 1), ("start", self.start, 0)):
+            if isinstance(value, bool) or not isinstance(value, int) or value < floor:
+                raise InputError(f"generic component {name} must be an int >= {floor}, got {value!r}")
 
     def coefficient_name(self, p: int) -> str:
         return f"u{self.index}_{p}"
@@ -219,32 +224,14 @@ class Arc:
         """Residue dimensions dim(alpha_n) of the truncations at levels 0..n_max.
 
         dim(alpha_n) is the transcendence degree of the field generated by
-        the coefficients of t^0..t^n.  When every component is generic or
-        k-rational, or the arc is k-rational, it is the number of distinct
-        fresh names u{i}_{p} with p <= n: distinct indeterminates are
-        algebraically independent in every characteristic, and scalars add
-        nothing.  Every other arc goes to ``transcendence_degree``, which
-        gets one block of coefficients per level and ranks them all in one
-        elimination.  The flag is its characteristic-p caveat, set the same
-        way on counted arcs: over GF(p), when some coefficient at a level
-        <= n_max is nonconstant.
+        the coefficients of t^0..t^n, decided by ``transcendence_degree``
+        from one block of coefficients per level, flag included.
         """
         jet_levels([n_max])
         if n_max >= self.precision:
             raise PrecisionTooLow(n_max, self.precision)
-        if self.k_rational or all(
-            isinstance(c, GenericComponent) or isinstance(c, SeriesExpression) and c.is_k_rational()
-            for c in self.components
-        ):
-            starts = {}  # the first fresh name of each component index
-            for c in self.components:
-                if isinstance(c, GenericComponent):
-                    starts[c.index] = min(c.start, starts.get(c.index, c.start))
-            ranks = [sum(max(0, n + 1 - s) for s in starts.values()) for n in range(n_max + 1)]
-            return TranscendenceDegree(ranks, self.variety.base.characteristic > 0 and ranks[-1] > 0)
         blocks = [[series.coeffs[n] for series in self.expansions] for n in range(n_max + 1)]
-        names = sorted({name for block in blocks for g in block for name in g.variables()})
-        return transcendence_degree(blocks, names, self.variety.base)
+        return transcendence_degree(blocks, self.variety.base)
 
     def center(self) -> tuple:
         """Coordinates of the arc at t = 0: scalars when the arc is k-rational."""

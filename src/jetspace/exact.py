@@ -23,14 +23,16 @@ mutated after construction.
 The module also provides exact linear algebra over the fraction field.
 One elimination routine, ``echelon_rank_profile``, computes every rank:
 matrix rank, and transcendence degree of a family of rational functions
-via the Jacobian criterion.  It reduces rows sparsely: a row keeps only
-its nonzero entries, so a row update multiplies no zeros, which is most
-of a residue Jacobian.
+via the Jacobian criterion (a family of scaled variables is counted
+instead).  It reduces rows sparsely: a row keeps only its nonzero
+entries, so a row update multiplies no zeros, which is most of a residue
+Jacobian.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
+from itertools import accumulate
 from math import gcd, lcm
 from typing import Callable, Iterable, Mapping, NamedTuple, Sequence
 
@@ -802,28 +804,40 @@ class TranscendenceDegree(NamedTuple):
     char_p_jacobian: bool
 
 
-def transcendence_degree(
-    blocks: Sequence[Sequence[FieldElement]],
-    transcendentals: Sequence[str],
-    field: BaseField,
-) -> TranscendenceDegree:
+def _scaled_variable(g: FieldElement) -> str | None:
+    """v when g is c*v/d for one variable v and nonzero scalars c and d, else None."""
+    if len(g.num.terms) != 1 or not g.den.is_constant():
+        return None
+    (mono,) = g.num.terms
+    return mono[0][0] if len(mono) == 1 and mono[0][1] == 1 else None
+
+
+def transcendence_degree(blocks: Sequence[Sequence], field: BaseField) -> TranscendenceDegree:
     """Transcendence degrees of the fields generated by growing sets of rational functions.
 
-    ``ranks[k]`` is the rank, in one elimination for all blocks, of the
-    Jacobian of the elements of ``blocks[0..k]`` with respect to the
-    ``transcendentals`` (every variable they use).  The row of g = num/den
-    is num_u*den - num*den_u, its gradient scaled by den^2, so entries stay
-    polynomials.  In characteristic zero this is exact; in characteristic
-    p it is the Jacobian-criterion value, and the flag is set when any
-    element is nonconstant so callers can surface the caveat.
+    ``ranks[k]`` is the transcendence degree over the base field of the
+    elements of ``blocks[0..k]``: raw base-field scalars and field
+    elements, decided from the elements alone.  Scalars and visibly
+    constant field elements add nothing.  When every other element is
+    c*v/d (one variable v to the first power, nonzero scalars c and d),
+    ``ranks[k]`` counts the distinct such v, and no elimination runs.
+    Otherwise it is the rank, in one elimination for all blocks, of the
+    Jacobian of the nonconstant elements with respect to every variable
+    they use.  The row of g = num/den is num_u*den - num*den_u, its
+    gradient scaled by den^2, so entries stay polynomials; for c*v/d that
+    row is c*d in column v alone, so the count is the same rank in every
+    characteristic.  In characteristic zero the rank is exact; in
+    characteristic p it is the Jacobian-criterion value, and the flag is
+    set when any element is nonconstant so callers can surface the caveat.
     """
+    nonconstant = [[g for g in block if isinstance(g, FieldElement) and not g.is_constant()] for block in blocks]
+    char_p = field.characteristic > 0 and any(nonconstant)
+    fresh = [[_scaled_variable(g) for g in block] for block in nonconstant]
+    if not any(None in names for names in fresh):
+        return TranscendenceDegree([len(seen) for seen in accumulate(map(set, fresh), set.union)], char_p)
+    variables = sorted({u for block in nonconstant for g in block for u in g.variables()})
     rows = [
-        [
-            [g.num.derivative(u) * g.den - g.num * g.den.derivative(u) for u in transcendentals]
-            for g in block
-            if not g.is_constant()
-        ]
-        for block in blocks
+        [[g.num.derivative(u) * g.den - g.num * g.den.derivative(u) for u in variables] for g in block]
+        for block in nonconstant
     ]
-    char_p = field.characteristic > 0 and any(rows)
     return TranscendenceDegree(echelon_rank_profile(rows, field), char_p)

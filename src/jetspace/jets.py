@@ -15,12 +15,13 @@ dimension of the differentials of the jet scheme, kept fully independent
 of the diagonalization machinery so the two can be played against each
 other.  Several levels share one set of equations, built, checked and
 differentiated at the top level: the level-k equations are the t^p ones
-with p <= k, in the jet variables of t-power <= k, so each level ranks
-its own rows of that one Jacobian.  Each equation is differentiated
-term by term, once: one pass over its terms gives its value at the point
-and the value there of every nonzero partial
-(``SparsePolynomial.value_and_gradient``), with the powers of the point's
-coordinates computed once in one ``PowerTable`` shared by all equations.
+with p <= k, and the t^p equation uses no jet variable of t-power above
+p, so each level ranks its own rows of that one Jacobian whole.  Each
+equation is differentiated term by term, once: one pass over its terms
+gives its value at the point and the value there of every nonzero
+partial (``SparsePolynomial.value_and_gradient``), with the powers of
+the point's coordinates computed once in one ``PowerTable`` shared by
+all equations.
 The value decides ``PointNotOnJetScheme``.  At a k-rational point (every
 coordinate a raw base-field scalar, as in a jet of a k-rational arc, or
 a visibly constant field element) the equations and their partials are
@@ -58,7 +59,6 @@ class JetIdeal:
     """
 
     level: int
-    base_variables: tuple[str, ...]
     jet_variables: tuple[str, ...]  # component-major: x[0..n], y[0..n], ...
     generators: tuple[tuple[SparsePolynomial, ...], ...]
 
@@ -88,7 +88,7 @@ def jet_ideal(X: VarietyPresentation, n: int) -> JetIdeal:
 
     gens = tuple(g.evaluate(curve, constant).coeffs for g in X.generators)
     jet_vars = tuple(jet_variable(v, p) for v in X.variables for p in range(n + 1))
-    return JetIdeal(n, X.variables, jet_vars, gens)
+    return JetIdeal(n, jet_vars, gens)
 
 
 def _unchanged(value):
@@ -142,14 +142,9 @@ def jet_jacobian_corank(
             gradients.append(entries)
         jacobian.append(gradients)
 
-    coranks = []
-    for k in wanted:
-        # Jet variables are component-major: x[0..top], y[0..top], ...
-        columns = [i * (top + 1) + q for i in range(width) for q in range(k + 1)]
-        rows = [
-            [gradient[c] for c in columns]
-            for gradients in jacobian
-            for gradient in gradients[: k + 1]
-        ]
-        coranks.append(len(columns) - (matrix_rank(rows) if rows else 0))
+    # The level-k rows are zero past the columns of t-power <= k.
+    coranks = [
+        (k + 1) * width - matrix_rank([gradient for gradients in jacobian for gradient in gradients[: k + 1]])
+        for k in wanted
+    ]
     return coranks[0] if isinstance(levels, int) else coranks

@@ -221,6 +221,8 @@ class TruncatedSeries:
 
     @classmethod
     def from_coefficients(cls, field: BaseField, coeffs: Sequence, precision: int) -> "TruncatedSeries":
+        if precision < 1:
+            raise ValueError("a truncated series needs precision >= 1")
         zero = _zero_like(field, coeffs[0]) if coeffs else field.fe_zero
         padded = list(coeffs[:precision]) + [zero] * max(0, precision - len(coeffs))
         return cls(field, padded)
@@ -243,6 +245,8 @@ class TruncatedSeries:
         return OrderValue.at_least(len(self.coeffs))
 
     def truncate(self, precision: int) -> "TruncatedSeries":
+        if precision < 1:
+            raise ValueError("a truncated series needs precision >= 1")
         if precision > len(self.coeffs):
             raise PrecisionTooLow(precision - 1, len(self.coeffs))
         return TruncatedSeries(self.field, self.coeffs[:precision])
@@ -268,7 +272,9 @@ class TruncatedSeries:
         return TruncatedSeries(self.field, truncated_product(self.coeffs, other.coeffs, precision, zero))
 
     def shift_down(self, e: int) -> "TruncatedSeries":
-        """Divide by t^e; the first e coefficients must be exact zeros."""
+        """Divide by t^e, e >= 0; the first e coefficients must be exact zeros."""
+        if e < 0:
+            raise ValueError(f"cannot divide series by t^{e}: negative exponent")
         if e == 0:
             return self
         if self.zero_prefix() < e or len(self.coeffs) <= e:
@@ -380,6 +386,8 @@ class SeriesExpression:
 
     @classmethod
     def t_power(cls, field: BaseField, e: int, coefficient=1) -> "SeriesExpression":
+        if e < 0:
+            raise ValueError(f"t_power needs an exponent >= 0, got {e}")
         return cls(field, [0] * e + [coefficient])
 
     def is_zero(self) -> bool:

@@ -2,7 +2,7 @@
 
 from fractions import Fraction
 
-from jetspace.exact import FieldElement, RATIONALS, SparsePolynomial
+from jetspace.exact import FieldElement, RATIONALS, SparsePolynomial, TranscendenceDegree, echelon_rank_profile
 from jetspace.geometry import MorphismPresentation, VarietyPresentation
 from jetspace.series import SeriesExpression, TruncatedSeries
 
@@ -84,3 +84,19 @@ def to_sympy(value):
             term *= sympy.Symbol(name) ** exp
         expr += term
     return expr
+
+
+def eliminated_transcendence_degree(blocks, field):
+    """Transcendence degrees by a forced elimination, never the fresh-name count.
+
+    The Jacobian-criterion rows of every nonconstant element, over every
+    variable they use, are built here and ranked by ``echelon_rank_profile``;
+    the flag is set over GF(p) when some element is nonconstant.
+    """
+    elements = [[g for g in block if isinstance(g, FieldElement) and not g.is_constant()] for block in blocks]
+    names = sorted({u for block in elements for g in block for u in g.variables()})
+    rows = [
+        [[g.num.derivative(u) * g.den - g.num * g.den.derivative(u) for u in names] for g in block]
+        for block in elements
+    ]
+    return TranscendenceDegree(echelon_rank_profile(rows, field), field.characteristic > 0 and any(elements))

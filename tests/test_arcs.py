@@ -12,6 +12,7 @@ from conftest import (
     affine_space,
     blowup_chart_2d,
     cusp_variety,
+    eliminated_transcendence_degree,
     fe,
     fev,
     sexpr,
@@ -20,10 +21,12 @@ from conftest import (
     var,
     whitney_variety,
 )
+from jetspace import exact
+from jetspace.analysis import divisorial_arc
 from jetspace.arcs import Arc, GenericComponent, generic_arc, make_arc, push_arc
 from jetspace.catalog import blow_up_chart
 from jetspace.errors import InputError, MorphismInvalidOnArc, NotOnVariety, PrecisionTooLow
-from jetspace.exact import BaseField, SparsePolynomial, transcendence_degree
+from jetspace.exact import BaseField, SparsePolynomial
 from jetspace.geometry import MorphismPresentation, VarietyPresentation, jacobian_ideal_generators
 from jetspace.series import OrderValue, SeriesExpression
 
@@ -215,18 +218,28 @@ class TestPinnedResidueProfiles:
 
 
 def _eliminated(arc, n_max):
-    """The residue profile by a forced ``transcendence_degree`` elimination."""
+    """The residue profile by a forced elimination of the arc's coefficients."""
     expansions = [s.lifted() if s.is_scalar else s for s in arc.expansions]
     blocks = [[s.coeffs[n] for s in expansions] for n in range(n_max + 1)]
-    return transcendence_degree(blocks, arc.transcendentals(), arc.variety.base)
+    return eliminated_transcendence_degree(blocks, arc.variety.base)
 
 
 def _constant_expression(rng, field):
     return sexpr(*(rng.randint(0, 4) for _ in range(rng.randint(1, 4))), field=field)
 
 
+def _scaled_name(rng, field):
+    """c*v/d for a transcendental v and nonzero scalars c and d of the field."""
+    c = fe(rng.randint(1, field.p - 1 if field.p else 4), field)
+    d = fe(3 if field.p != 3 else 2, field)
+    return c * fev(rng.choice("ab"), field) / d
+
+
 # Arcs whose residue profile is a count of fresh names, by kind.
 _COUNTED_KINDS = {
+    "a-plus-b-t": lambda rng, field, i: sexpr(fev(rng.choice("ab"), field), fev(rng.choice("ab"), field), field=field),
+    "scaled-names": lambda rng, field, i: sexpr(0, _scaled_name(rng, field), 1, _scaled_name(rng, field), field=field),
+    "twice-a": lambda rng, field, i: sexpr(fe(2, field) * fev("a", field), fev("b", field), field=field),
     "generic-mixed-starts": lambda rng, field, i: GenericComponent(i + 1, rng.randint(0, 3)),
     "generic-plus-constant": lambda rng, field, i: (
         GenericComponent(i + 1, rng.randint(0, 3)) if i != 1 else _constant_expression(rng, field)
@@ -249,22 +262,24 @@ class TestFreshVariableCount:
         assert arc.residue_dimension_profile(6) == _eliminated(arc, 6)
 
     def test_only_image_and_transcendental_arcs_eliminate(self, monkeypatch):
+        # Only coefficients that are not scaled variables reach the elimination.
         calls = []
-        monkeypatch.setattr(
-            "jetspace.arcs.transcendence_degree", lambda *args: calls.append(args) or transcendence_degree(*args)
-        )
+        rank = exact.echelon_rank_profile
+        monkeypatch.setattr(exact, "echelon_rank_profile", lambda *args: calls.append(args) or rank(*args))
         chart = blowup_chart_2d()
         counted = [
             generic_arc(chart.source, [1, 0], 10),
             make_arc(chart.source, [GenericComponent(1, 1), sexpr(2, 1)], 10),
             make_arc(chart.source, [sexpr(0, 1), sexpr(3)], 10),
+            make_arc(chart.source, [GenericComponent(1, 1), sexpr(fev("a"), 1)], 10),
+            make_arc(chart.source, [sexpr(fev("a"), fev("b")), sexpr(fe(2) * fev("a"), fev("b") / fe(3))], 10),
         ]
         for arc in counted:
             arc.residue_dimension_profile(8)
         assert calls == []
         eliminated = [
             push_arc(chart, counted[0]),
-            make_arc(chart.source, [GenericComponent(1, 1), sexpr(fev("a"), 1)], 10),
+            make_arc(chart.source, [GenericComponent(1, 1), sexpr(fev("a") * fev("b"), 1)], 10),
         ]
         for arc in eliminated:
             arc.residue_dimension_profile(8)
@@ -320,3 +335,36 @@ def test_generic_component_names_are_stable():
     expansion = comp.expand(Q, 4)
     assert expansion.coeffs[0].is_zero()
     assert str(expansion.coeffs[1]) == "u2_1"
+
+
+@pytest.mark.parametrize(
+    "build",
+    [
+        lambda: GenericComponent(0),
+        lambda: GenericComponent(1, -1),
+        lambda: GenericComponent(1, 1.5),
+        lambda: GenericComponent(1.0),
+        lambda: GenericComponent(True),
+        lambda: GenericComponent(1, True),
+        lambda: GenericComponent("1"),
+        # A start of -1 would count names below t^0, and 1.5 half a name.
+        lambda: generic_arc(affine_space(1), [-1], 6),
+        lambda: generic_arc(affine_space(1), [1.5], 6),
+        lambda: divisorial_arc(blow_up_chart(2), "y1", 1.5, 8),
+    ],
+    ids=[
+        "index-0",
+        "start-negative",
+        "start-float",
+        "index-float",
+        "index-bool",
+        "start-bool",
+        "index-str",
+        "generic-arc-negative-start",
+        "generic-arc-float-start",
+        "divisorial-float-q",
+    ],
+)
+def test_generic_component_fields_are_checked(build):
+    with pytest.raises(InputError, match="generic component"):
+        build()

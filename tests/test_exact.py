@@ -9,7 +9,8 @@ from sympy import Poly, symbols
 from sympy.polys.domains import GF, QQ
 from sympy.polys.matrices import DomainMatrix
 
-from conftest import Q, fe, fev, to_sympy, var
+from conftest import Q, eliminated_transcendence_degree, fe, fev, to_sympy, var
+from jetspace import exact
 from jetspace.errors import DivisionByZero, InputError, NotPrime, UnknownVariable
 from jetspace.exprs import parse_series_expression
 from jetspace.exact import (
@@ -346,9 +347,8 @@ def _sympy_rank(rows, cols, domain):
 
 
 def _trdeg(elements, field=Q):
-    """Transcendence degree of one block of elements, over all their variables."""
-    names = sorted({name for g in elements for name in g.variables()})
-    return transcendence_degree([elements], names, field)
+    """Transcendence degree of one block of elements."""
+    return transcendence_degree([elements], field)
 
 
 class TestTranscendenceDegree:
@@ -385,8 +385,73 @@ class TestTranscendenceDegree:
     def test_rank_after_each_block(self):
         u1, u2 = fev("u1"), fev("u2")
         blocks = [[fe(2)], [u1 * u1], [u1 + fe(1)], [u1 * u2, u2]]
-        result = transcendence_degree(blocks, ["u1", "u2"], Q)
+        result = transcendence_degree(blocks, Q)
         assert result == ([0, 1, 1, 2], False)
+
+    def test_names_are_read_from_the_elements(self):
+        # Every variable of the elements counts; no caller lists them.
+        assert _trdeg([fev("u1"), fev("u2")]).ranks == [2]
+        assert _trdeg([fev("u1") * fev("u2"), fev("u2")]).ranks == [2]
+
+    def test_raw_scalars_are_constants(self):
+        assert transcendence_degree([[3, Fraction(1, 2)], [fe(2), fev("a")]], Q) == ([0, 1], False)
+        assert transcendence_degree([[1, 0]], BaseField(3)) == ([0], False)
+
+
+def _counted_cases(field):
+    """Blocks of scaled variables c*v/d and constants, one case per shape."""
+    a, b, c = (fev(name, field) for name in "abc")
+    third = fe(3 if field.p != 3 else 2, field)
+    return {
+        "generic": [[a, b], [c]],
+        "mixed": [[a, fe(1, field)], [fe(2, field), b], [fe(0, field)]],
+        "repeated-index": [[a], [a, b], [b, a]],
+        "a-plus-b-t": [[a], [b]],
+        "twice-a": [[fe(2, field) * a], [b]],
+        "a-over-three": [[a / third], [b, c / third]],
+    }
+
+
+_COUNTED_CASES = sorted(_counted_cases(Q))
+
+
+@pytest.mark.parametrize("case", _COUNTED_CASES)
+@pytest.mark.parametrize("p", [None, 2, 3], ids=["Q", "GF2", "GF3"])
+def test_count_equals_an_elimination(case, p, monkeypatch):
+    field = Q if p is None else BaseField(p)
+    blocks = _counted_cases(field)[case]
+    expected = eliminated_transcendence_degree(blocks, field)
+    calls = []
+    monkeypatch.setattr(exact, "echelon_rank_profile", lambda *args: calls.append(args))
+    assert transcendence_degree(blocks, field) == expected
+    assert calls == []
+
+
+def _power(name, e, field):
+    return FieldElement.from_poly(SparsePolynomial.variable(field, name) ** e)
+
+
+@pytest.mark.parametrize(
+    "p, elements, rank",
+    [
+        (None, lambda f: [_power("a", 2, f)], 1),
+        (None, lambda f: [fev("a", f) * fev("b", f)], 1),
+        (None, lambda f: [fev("a", f) + fe(1, f)], 1),
+        (3, lambda f: [fev("a", f) + fe(1, f)], 1),
+        (2, lambda f: [_power("a", 2, f)], 0),
+        (3, lambda f: [_power("a", 3, f)], 0),
+        (None, lambda f: [fe(1, f) / fev("a", f)], 1),
+        (None, lambda f: [fev("a", f) / fev("b", f), fev("a", f)], 2),
+    ],
+    ids=["a^2", "a*b", "a+1", "a+1-GF3", "a^2-GF2", "a^3-GF3", "1/a", "a/b-and-a"],
+)
+def test_other_elements_eliminate_once(p, elements, rank, monkeypatch):
+    field = Q if p is None else BaseField(p)
+    calls = []
+    elimination = exact.echelon_rank_profile
+    monkeypatch.setattr(exact, "echelon_rank_profile", lambda *args: calls.append(args) or elimination(*args))
+    assert transcendence_degree([elements(field)], field) == ([rank], p is not None)
+    assert len(calls) == 1
 
 
 def test_polynomial_rendering_is_deterministic():

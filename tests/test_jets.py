@@ -178,6 +178,17 @@ def test_catalog_parametrizations_cover_the_catalog():
 
 
 @pytest.mark.parametrize("document", build_catalog(), ids=lambda document: document.variety.name)
+def test_jet_equation_uses_no_higher_jet_variable(document):
+    # Each level's corank ranks its rows on every column, so its rows must be
+    # zero past the columns of t-power <= the level.
+    ideal = jet_ideal(document.variety, 8)
+    powers = {jet_variable(v, p): p for v in document.variety.variables for p in range(9)}
+    for row in ideal.generators:
+        for p, equation in enumerate(row):
+            assert all(powers[u] <= p for u in equation.variables()), (p, str(equation))
+
+
+@pytest.mark.parametrize("document", build_catalog(), ids=lambda document: document.variety.name)
 def test_corank_at_rational_jets_matches_sympy_rank(document):
     """(n+1)N minus sympy's rank of the differentiated jet equations, n <= 5."""
     X = document.variety

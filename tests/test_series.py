@@ -170,6 +170,33 @@ def test_truncate_beyond_precision_raises():
         tser([1], 3).truncate(4)
 
 
+def test_truncate_below_precision_one_raises():
+    # A precision below 1 must not slice coefficients off the end.
+    for precision in (0, -1):
+        with pytest.raises(ValueError):
+            tser([1, 2, 3], 3).truncate(precision)
+
+
+def test_from_coefficients_below_precision_one_raises():
+    # A precision below 1 must not slice coefficients off the end.
+    for precision in (0, -1):
+        with pytest.raises(ValueError):
+            TruncatedSeries.from_coefficients(Q, [1, 2, 3], precision)
+
+
+def test_shift_down_by_a_negative_power_raises():
+    # A negative power must not slice coefficients off the end.
+    with pytest.raises(ValueError):
+        tser([1, 2, 3], 3).shift_down(-1)
+
+
+def test_t_power_with_a_negative_exponent_raises():
+    # A negative exponent must not build the constant 1.
+    with pytest.raises(ValueError):
+        SeriesExpression.t_power(Q, -1)
+    assert SeriesExpression.t_power(Q, 0).expand(2) == TruncatedSeries(Q, [1, 0])
+
+
 def test_shift_down_requires_zero_prefix():
     with pytest.raises(ValueError):
         tser([1, 0, 0], 3).shift_down(1)
