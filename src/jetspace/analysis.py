@@ -482,8 +482,8 @@ def _divisor_arc(f: MorphismPresentation, divisor_var, q: int, precision: int) -
     """
     if f.source.generators:
         raise InputError("divisorial arcs are built on a smooth affine-space chart")
-    if q < 1:
-        raise InputError("contact order q must be >= 1")
+    if isinstance(q, bool) or not isinstance(q, int) or q < 1:
+        raise InputError(f"contact order q must be an int >= 1, got {q!r}")
     j = resolve_divisor_var(f.source, divisor_var)
     starts = [q if i == j else 0 for i in range(len(f.source.variables))]
     return generic_arc(f.source, starts, precision), f.source.variables[j]

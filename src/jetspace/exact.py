@@ -26,7 +26,8 @@ matrix rank, and transcendence degree of a family of rational functions
 via the Jacobian criterion (a family of scaled variables is counted
 instead).  It reduces rows sparsely: a row keeps only its nonzero
 entries, so a row update multiplies no zeros, which is most of a residue
-Jacobian.
+Jacobian.  ``matrix_rank`` hands it rows of polynomials as they are, and
+rows of field elements once their denominators are cleared.
 """
 
 from __future__ import annotations
@@ -700,7 +701,12 @@ def _normalize_fraction(num: SparsePolynomial, den: SparsePolynomial):
 
 
 def _clear_row_denominators(row: Sequence[FieldElement]) -> list[SparsePolynomial]:
-    """Scale a row by a common denominator multiple; rank is unchanged."""
+    """A row of field elements as polynomials, scaled by a common denominator multiple.
+
+    Each numerator is multiplied by the other entries' non-constant
+    denominators and by the inverse of its own constant one, so the rank
+    is unchanged; an entry with denominator 1 keeps its numerator as is.
+    """
     field = row[0].field if row else RATIONALS
     dens = [None if entry.den.is_constant() else entry.den for entry in row]
     out = []
@@ -710,20 +716,26 @@ def _clear_row_denominators(row: Sequence[FieldElement]) -> list[SparsePolynomia
             for k, den in enumerate(dens):
                 if k != j and den is not None:
                     poly = poly * den
-            if dens[j] is None:
+            if dens[j] is None and not entry._den_is_one():
                 poly = poly.scale(field.inv(entry.den.constant_value()))
         out.append(poly)
     return out
 
 
-def matrix_rank(matrix: Sequence[Sequence[FieldElement]]) -> int:
-    """Exact rank of a matrix of field elements over the fraction field."""
+def matrix_rank(matrix: Sequence[Sequence[SparsePolynomial]] | Sequence[Sequence[FieldElement]]) -> int:
+    """Exact rank over the fraction field of a matrix of polynomials or of field elements.
+
+    Every entry is a ``SparsePolynomial``, and the rows go to
+    ``echelon_rank_profile`` as they are, or every entry is a
+    ``FieldElement``, and each row is first cleared of its denominators.
+    """
     rows = [row for row in matrix if row]
     if not rows:
         return 0
     field = rows[0][0].field
-    poly_rows = [_clear_row_denominators(row) for row in rows]
-    return echelon_rank_profile([poly_rows], field)[-1]
+    if isinstance(rows[0][0], FieldElement):
+        rows = [_clear_row_denominators(row) for row in rows]
+    return echelon_rank_profile([rows], field)[-1]
 
 
 def _strip_row(row: dict[int, SparsePolynomial], field: BaseField) -> dict[int, SparsePolynomial]:

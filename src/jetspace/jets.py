@@ -22,24 +22,29 @@ gives its value at the point and the value there of every nonzero
 partial (``SparsePolynomial.value_and_gradient``), with the powers of
 the point's coordinates computed once in one ``PowerTable`` shared by
 all equations.
-The value decides ``PointNotOnJetScheme``.  At a k-rational point (every
-coordinate a raw base-field scalar, as in a jet of a k-rational arc, or
-a visibly constant field element) the equations and their partials are
-evaluated on raw scalars, ints or ``Fraction``s, and each value is
-lifted into a ``FieldElement`` only once, for the shared exact rank.
-Over GF(p) the evaluation runs over Z and the lift reduces mod p, which
-is exact because evaluation commutes with reduction.  Any other
-point is evaluated on ``FieldElement``s.
+The value decides ``PointNotOnJetScheme``.  Each point is evaluated,
+differentiated and ranked on the lowest ring that holds it: raw scalars
+(ints or ``Fraction``s) at a k-rational point, as in a jet of a
+k-rational arc; ``SparsePolynomial``s when every field element among the
+coordinates has a constant denominator, as in a jet of a generic or
+transcendental-coefficient arc; ``FieldElement``s only when some
+coordinate has a non-constant denominator.  Raw scalars beside
+polynomials or field elements are lifted to their ring.  On raw scalars
+each value becomes a constant polynomial, so over GF(p) the evaluation
+runs over Z and that step reduces mod p, which is exact because
+evaluation commutes with reduction.  ``matrix_rank`` ranks the rows of
+polynomials as they are, and clears the denominators of rows of field
+elements.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import partial
-from typing import Sequence
+from typing import Callable, Sequence
 
 from .errors import InputError, PointNotOnJetScheme
-from .exact import FieldElement, PowerTable, SparsePolynomial, as_scalar, matrix_rank
+from .exact import BaseField, FieldElement, PowerTable, SparsePolynomial, as_scalar, matrix_rank
 from .geometry import VarietyPresentation
 from .series import TruncatedSeries
 
@@ -91,8 +96,26 @@ def jet_ideal(X: VarietyPresentation, n: int) -> JetIdeal:
     return JetIdeal(n, jet_vars, gens)
 
 
-def _unchanged(value):
-    return value
+def _evaluation_ring(point: Sequence, field: BaseField) -> tuple[list, Callable, Callable | None]:
+    """The point on the lowest ring that holds it: ``(coordinates, const, to_entry)``.
+
+    ``const`` lifts a scalar coefficient into the ring.  ``to_entry`` turns
+    a value on raw scalars into a constant polynomial, the matrix entry; it
+    is None on the other two rings, whose values are entries.
+    """
+    scalars = [as_scalar(c) for c in point]
+    constant = partial(SparsePolynomial.constant, field)
+    if None not in scalars:
+        # The coefficients are canonical scalars, which coerce keeps as they are.
+        return scalars, field.coerce, constant
+    if all(c.den.is_constant() for c in point if isinstance(c, FieldElement)):
+        polys = [
+            c.num.scale(field.inv(c.den.constant_value())) if isinstance(c, FieldElement) else constant(c)
+            for c in point
+        ]
+        return polys, constant, None
+    lift = partial(FieldElement.from_scalar, field)
+    return [c if isinstance(c, FieldElement) else lift(c) for c in point], lift, None
 
 
 def jet_jacobian_corank(
@@ -116,14 +139,8 @@ def jet_jacobian_corank(
     ideal = jet_ideal(X, top)
     field = X.base
 
-    scalars = [as_scalar(c) for c in point]
-    if None not in scalars:
-        # A k-rational point: evaluate on raw scalars, lift each value once.
-        coordinates = scalars
-        const, lift = _unchanged, partial(FieldElement.from_scalar, field)
-    else:
-        coordinates = point
-        const, lift = partial(FieldElement.from_scalar, field), _unchanged
+    coordinates, const, to_entry = _evaluation_ring(point, field)
+    zero = const(0) if to_entry is None else to_entry(0)
     # One table of coordinate powers, shared by every equation.
     powers = PowerTable(dict(zip(ideal.jet_variables, coordinates)))
 
@@ -134,11 +151,13 @@ def jet_jacobian_corank(
         gradients = []
         for p, equation in enumerate(row):
             value, partials = equation.value_and_gradient(powers, const)
-            if lift(value):
+            if to_entry is not None:
+                value, partials = to_entry(value), {v: to_entry(slope) for v, slope in partials.items()}
+            if value:
                 raise PointNotOnJetScheme(j, p)
-            entries = [field.fe_zero] * len(column)
+            entries = [zero] * len(column)
             for v, slope in partials.items():
-                entries[column[v]] = lift(slope)
+                entries[column[v]] = slope
             gradients.append(entries)
         jacobian.append(gradients)
 

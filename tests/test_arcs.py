@@ -21,8 +21,8 @@ from conftest import (
     var,
     whitney_variety,
 )
-from jetspace import exact
-from jetspace.analysis import divisorial_arc
+from jetspace import analysis, exact
+from jetspace.analysis import divisorial_arc, mather_discrepancy_check
 from jetspace.arcs import Arc, GenericComponent, generic_arc, make_arc, push_arc
 from jetspace.catalog import blow_up_chart
 from jetspace.errors import InputError, MorphismInvalidOnArc, NotOnVariety, PrecisionTooLow
@@ -350,7 +350,6 @@ def test_generic_component_names_are_stable():
         # A start of -1 would count names below t^0, and 1.5 half a name.
         lambda: generic_arc(affine_space(1), [-1], 6),
         lambda: generic_arc(affine_space(1), [1.5], 6),
-        lambda: divisorial_arc(blow_up_chart(2), "y1", 1.5, 8),
     ],
     ids=[
         "index-0",
@@ -362,9 +361,27 @@ def test_generic_component_names_are_stable():
         "index-str",
         "generic-arc-negative-start",
         "generic-arc-float-start",
-        "divisorial-float-q",
     ],
 )
 def test_generic_component_fields_are_checked(build):
     with pytest.raises(InputError, match="generic component"):
         build()
+
+
+@pytest.mark.parametrize(
+    "build, q",
+    [
+        (divisorial_arc, 1.5),
+        (divisorial_arc, True),
+        (divisorial_arc, 0),
+        (divisorial_arc, "2"),
+        (mather_discrepancy_check, 1.5),
+        (mather_discrepancy_check, True),
+    ],
+    ids=["divisorial-float-q", "divisorial-bool-q", "divisorial-zero-q", "divisorial-str-q", "mather-float-q", "mather-bool-q"],
+)
+def test_contact_order_is_checked(monkeypatch, build, q):
+    # The contact order is refused before any arc is built.
+    monkeypatch.setattr(analysis, "generic_arc", None)
+    with pytest.raises(InputError, match=rf"contact order q must be an int >= 1, got {q!r}$"):
+        build(blow_up_chart(2), "y1", q, 8)

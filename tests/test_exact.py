@@ -9,7 +9,7 @@ from sympy import Poly, symbols
 from sympy.polys.domains import GF, QQ
 from sympy.polys.matrices import DomainMatrix
 
-from conftest import Q, eliminated_transcendence_degree, fe, fev, to_sympy, var
+from conftest import Q, count_calls, eliminated_transcendence_degree, fe, fev, to_sympy, var
 from jetspace import exact
 from jetspace.errors import DivisionByZero, InputError, NotPrime, UnknownVariable
 from jetspace.exprs import parse_series_expression
@@ -260,6 +260,7 @@ class TestMatrixRank:
                 m = [[_random_sparse_poly(rng, field) for _ in range(cols)] for _ in range(rows)]
                 expected = [_sympy_rank(m[:k], cols, reference) for k in range(1, rows + 1)]
                 assert echelon_rank_profile([[row] for row in m], field) == expected
+                assert matrix_rank(m) == expected[-1]
                 as_elements = [[FieldElement.from_poly(p) for p in row] for row in m]
                 assert matrix_rank(as_elements) == expected[-1]
         # Residue-shaped blocks: several rows each, 6-10 columns, at least 70%
@@ -277,8 +278,61 @@ class TestMatrixRank:
                     seen += block
                     expected.append(_sympy_rank(seen, cols, reference) if seen else 0)
                 assert echelon_rank_profile(blocks, field) == expected
+                assert matrix_rank(rows) == expected[-1]
                 as_elements = [[FieldElement.from_poly(p) for p in row] for row in rows]
                 assert matrix_rank(as_elements) == expected[-1]
+
+    def test_denominator_one_rows_are_not_rescaled(self, monkeypatch):
+        # Integer content 1 and no common monomial, so no stripping rescales either.
+        u1, u2 = var("u1"), var("u2")
+        rows = [[u1, u2 + u1 * u1, SparsePolynomial.zero(Q)], [u2, u1 + u2, u1 * u2]]
+        as_elements = [[FieldElement.from_poly(p) for p in row] for row in rows]
+        calls = count_calls(monkeypatch, SparsePolynomial, ("scale",))
+        cleared = exact._clear_row_denominators(as_elements[0])
+        assert all(poly is entry.num for poly, entry in zip(cleared, as_elements[0]))
+        assert matrix_rank(as_elements) == 2
+        assert calls == []
+
+    @pytest.mark.parametrize("denominators", ["constant", "nonconstant"])
+    def test_rows_with_denominators_rank_as_sympy(self, denominators):
+        # Each second row is a multiple of the first, and its entries' denominators
+        # differ from the first row's.
+        a, b, u1, u2, two = fev("a"), fev("b"), fev("u1"), fev("u2"), fe(2)
+        if denominators == "constant":
+            pinned = [[a / two, b], [a, two * b]]
+        else:
+            pinned = [[fe(1) / u1, fe(1) / u2], [fe(1), u1 / u2]]
+        assert matrix_rank(pinned) == _sympy_rank(pinned, 2, QQ.frac_field(*symbols("a b u1 u2"))) == 1
+        rng = random.Random(f"denominators-{denominators}")
+        for field, domain in ((Q, QQ), (BaseField(3), GF(3)), (BaseField(5), GF(5))):
+            reference = domain.frac_field(*symbols("u1 u2 u3"))
+            for _ in range(12):
+                rows, cols = rng.randint(1, 4), rng.randint(1, 4)
+                m = []
+                for _ in range(rows):
+                    if m and rng.random() < 0.4:
+                        # A combination of earlier rows: a rank drop that needs each
+                        # entry's own denominator.
+                        c1, c2 = (
+                            rng.choice((field.fe_one, fev("u1", field), fev("u2", field)))
+                            * fe(Fraction(rng.randint(-3, 3), rng.choice((1, 2, 4))), field)
+                            for _ in range(2)
+                        )
+                        r1, r2 = rng.choice(m), rng.choice(m)
+                        m.append([c1 * x + c2 * y for x, y in zip(r1, r2)])
+                        continue
+                    row = []
+                    for _ in range(cols):
+                        num = _random_sparse_poly(rng, field)
+                        if denominators == "constant":
+                            den = SparsePolynomial.constant(field, rng.choice((1, 2, 4, -2)))
+                        else:
+                            den = _random_sparse_poly(rng, field) or SparsePolynomial.constant(field, 1)
+                        row.append(FieldElement(num, den))
+                    m.append(row)
+                if denominators == "constant" and field.p is None:
+                    assert all(entry.den.is_constant() for row in m for entry in row)
+                assert matrix_rank(m) == _sympy_rank(m, cols, reference)
 
     def test_reduces_only_nonzero_columns(self, monkeypatch):
         # Lower-bidiagonal: u_i on the diagonal, u_(100+i) below it.  Each

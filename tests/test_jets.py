@@ -2,6 +2,7 @@
 
 import random
 from fractions import Fraction
+from functools import partial
 
 import pytest
 import sympy
@@ -13,9 +14,10 @@ from jetspace.analysis import fiber_dim_formula
 from jetspace.arcs import make_arc
 from jetspace.catalog import build_catalog
 from jetspace.errors import InputError, PointNotOnJetScheme
-from jetspace.exact import BaseField, FieldElement, SparsePolynomial, as_scalar
+from jetspace import jets
+from jetspace.exact import BaseField, FieldElement, PowerTable, SparsePolynomial, as_scalar, matrix_rank
 from jetspace.geometry import VarietyPresentation
-from jetspace.jets import jet_ideal, jet_jacobian_corank, jet_variable
+from jetspace.jets import _evaluation_ring, jet_ideal, jet_jacobian_corank, jet_variable
 from jetspace.series import SeriesExpression
 
 
@@ -226,7 +228,7 @@ def _unit_branch():
 
 
 def test_corank_at_transcendental_jets_matches_the_formula():
-    """Cusp unit-branch jets are not k-rational: the FieldElement path."""
+    """Cusp unit-branch jets are not k-rational: the polynomial ring."""
     arc = _unit_branch()
     for n in range(3, 7):
         fiber = fiber_dim_formula(arc, n)
@@ -237,7 +239,7 @@ def test_corank_at_transcendental_jets_matches_the_formula():
 
 def test_point_off_the_jet_scheme_raises_the_same_error_on_both_paths():
     # x = 0, y = c t: y^2 - x^3 vanishes at t^0 and t^1, not at t^2.
-    for c in (fe(1), fev("a")):
+    for c in (fe(1), fev("a"), fev("a") / (fev("a") + fe(1))):
         point = [fe(0)] * 3 + [fe(0), c, fe(0)]
         for levels in (2, [2], range(3)):
             with pytest.raises(PointNotOnJetScheme) as raised:
@@ -252,18 +254,19 @@ def test_rational_jet_point_runs_on_scalars(monkeypatch):
         if document.variety.name in ("whitney", "umbrella2")
         for name in document.arc_specs
     ]
+    a = fev("a")
+    off_polynomials = [fe(0), a / (a + fe(1)), fe(0), fe(0)]
     calls = count_calls(monkeypatch, FieldElement, ("__add__", "__mul__"))
     for X, n, point in points:
         if all(as_scalar(c) is not None for c in point):
             jet_jacobian_corank(X, n, point)
     assert calls == []
-    arc = _unit_branch().with_precision(8)
-    jet_jacobian_corank(arc.variety, 4, arc.truncate(4).coordinates)
-    assert calls  # the wrapper sees the FieldElement path
+    jet_jacobian_corank(cusp_variety(), 1, off_polynomials)
+    assert calls  # the wrapper sees the FieldElement ring
 
 
 def test_each_jet_equation_is_differentiated_once(monkeypatch):
-    """One value_and_gradient per equation, no other evaluation or derivative, on both paths."""
+    """One value_and_gradient per equation, no other evaluation or derivative, on scalars and on polynomials."""
     assert not hasattr(SparsePolynomial, "gradient")
     whitney = next(document for document in build_catalog() if document.variety.name == "whitney")
     rational = whitney.build_arc(next(iter(whitney.arc_specs)), 8).truncate(6).coordinates
@@ -293,3 +296,164 @@ def test_bad_levels_and_points_are_input_errors(levels, length):
 def test_jet_ideal_refuses_a_negative_level():
     with pytest.raises(InputError, match="jet level"):
         jet_ideal(cusp_variety(), -1)
+
+
+# The three rings of jet_jacobian_corank against the same point with every
+# coordinate lifted to a FieldElement and ranked as FieldElement rows.
+F2, F3 = BaseField(2), BaseField(3)
+RING_FIELDS = [Q, F2, F3]
+RING_VARIETIES = {
+    # name: (generators of x, y, z; a parametrization by series u, v)
+    "cusp": (lambda x, y, z: y * y - x ** 3, lambda u, v, mul: (mul(u, u), mul(u, mul(u, u)))),
+    "whitney": (lambda x, y, z: x * y * y - z * z, lambda u, v, mul: (mul(u, u), v, mul(u, v))),
+    "umbrella": (lambda x, y, z: x * y ** 3 - z ** 3, lambda u, v, mul: (mul(u, mul(u, u)), v, mul(u, v))),
+}
+
+
+def _ring_variety(name, field):
+    generator, _ = RING_VARIETIES[name]
+    names = ("x", "y") if name == "cusp" else ("x", "y", "z")
+    x, y, z = (var(v, field) for v in "xyz")
+    return VarietyPresentation(field, names, (generator(x, y, z),), name=name)
+
+
+def _ring_jet(name, field, n, u, v):
+    """Coordinates of the level-n jet of the parametrization at series u, v of field elements."""
+    zero = field.fe_zero
+
+    def mul(f, g):
+        return [sum((f[i] * g[k - i] for i in range(k + 1)), zero) for k in range(n + 1)]
+
+    return [c for component in RING_VARIETIES[name][1](u, v, mul) for c in component]
+
+
+def _mixed(point, rng):
+    """The point with each visibly constant coordinate, at random, as its raw scalar."""
+    return [as_scalar(c) if as_scalar(c) is not None and rng.random() < 0.5 else c for c in point]
+
+
+def _corank_on_field_elements(X, levels, point):
+    """Coranks with every coordinate lifted to a FieldElement and FieldElement rows ranked."""
+    field, width = X.base, len(X.variables)
+    lift = partial(FieldElement.from_scalar, field)
+    ideal = jet_ideal(X, max(levels))
+    powers = PowerTable(dict(zip(ideal.jet_variables, [c if isinstance(c, FieldElement) else lift(c) for c in point])))
+    column = {v: k for k, v in enumerate(ideal.jet_variables)}
+    rows_by_power = [[] for _ in range(max(levels) + 1)]
+    for generator_rows in ideal.generators:
+        for p, equation in enumerate(generator_rows):
+            value, partials = equation.value_and_gradient(powers, lift)
+            assert value.is_zero()
+            entries = [field.fe_zero] * len(column)
+            for v, slope in partials.items():
+                entries[column[v]] = slope
+            rows_by_power[p].append(entries)
+    return [(k + 1) * width - matrix_rank([row for rows in rows_by_power[: k + 1] for row in rows]) for k in levels]
+
+
+def _ring_of(point, field):
+    coordinates = _evaluation_ring(point, field)[0]
+    kinds = {type(c) for c in coordinates}
+    return "scalars" if kinds <= {int, Fraction} else kinds.pop().__name__
+
+
+def _check_twin(X, point, ring):
+    assert _ring_of(point, X.base) == ring
+    levels = list(range(9))
+    assert jet_jacobian_corank(X, levels, point) == _corank_on_field_elements(X, levels, point)
+    # A lower level's own jet, on its own.
+    low = [c for i in range(len(X.variables)) for c in point[i * 9 : i * 9 + 4]]
+    assert jet_jacobian_corank(X, 3, low) == _corank_on_field_elements(X, [3], low)[0]
+
+
+def _scalar_series(rng, field):
+    coeffs = [rng.randint(-3, 3) for _ in range(9)]
+    if field.p is None:
+        coeffs = [Fraction(c, rng.randint(1, 3)) for c in coeffs]
+    if rng.random() < 0.5:
+        coeffs[0] = 0
+    return [fe(c, field) for c in coeffs]
+
+
+@pytest.mark.parametrize("field", RING_FIELDS, ids=repr)
+@pytest.mark.parametrize("name", RING_VARIETIES)
+def test_k_rational_points_rank_on_scalars(name, field):
+    X = _ring_variety(name, field)
+    rng = random.Random(f"scalar-ring-{name}-{field}")
+    for _ in range(2):
+        point = _ring_jet(name, field, 8, _scalar_series(rng, field), _scalar_series(rng, field))
+        _check_twin(X, _mixed(point, rng), "scalars")
+        raw = [as_scalar(c) for c in point]
+        if field.p:
+            # Unreduced ints: the same point mod p, such as 2 and 4 over GF(2).
+            raw = [c + field.p * rng.randint(0, 2) for c in raw]
+        _check_twin(X, raw, "scalars")
+
+
+def _polynomial_series(rng, field, kind, index):
+    a, b = fev("a", field), fev("b", field)
+    half = a / fe(3 if field.p == 2 else 2, field)
+    choices = {
+        "generic": lambda k: fev(f"u{index}_{k}", field),
+        "transcendental": lambda k: rng.choice([fe(rng.randint(-2, 2), field), a, b, a + b, a * fe(2, field)]),
+        "constant-denominator": lambda k: rng.choice([fe(rng.randint(-2, 2), field), half, half * b]),
+    }
+    coeffs = [choices[kind](k) for k in range(9)]
+    if rng.random() < 0.5:
+        coeffs[0] = field.fe_zero
+    return coeffs
+
+
+@pytest.mark.parametrize("kind", ["generic", "transcendental", "constant-denominator"])
+@pytest.mark.parametrize("field", RING_FIELDS, ids=repr)
+@pytest.mark.parametrize("name", RING_VARIETIES)
+def test_polynomial_points_rank_on_polynomials(name, field, kind):
+    X = _ring_variety(name, field)
+    rng = random.Random(f"polynomial-ring-{name}-{field}-{kind}")
+    u, v = (_polynomial_series(rng, field, kind, i) for i in (1, 2))
+    point = _ring_jet(name, field, 8, u, v)
+    if kind == "constant-denominator" and field.p is None:
+        assert any(c.den.constant_value() != 1 for c in point)
+    _check_twin(X, _mixed(point, rng), "SparsePolynomial")
+
+
+@pytest.mark.parametrize("field", RING_FIELDS, ids=repr)
+def test_rational_points_rank_on_field_elements(field):
+    # The cusp at (t + t^2/(1 + a))^2, (t + t^2/(1 + a))^3.
+    X = _ring_variety("cusp", field)
+    s = [field.fe_zero, field.fe_one, field.fe_one / (field.fe_one + fev("a", field))] + [field.fe_zero] * 6
+    point = _ring_jet("cusp", field, 8, s, None)
+    assert not all(c.den.is_constant() for c in point)
+    _check_twin(X, _mixed(point, random.Random(f"rational-ring-{field}")), "FieldElement")
+
+
+@pytest.mark.parametrize("field", [Q, F3], ids=repr)
+def test_mixed_points_give_the_corank_of_field_element_points(field):
+    # x = a t, y = 0 lies on the level-1 jet scheme of the cusp; so does x = a/(a + 1) t.
+    X = _ring_variety("cusp", field)
+    zero, a = field.fe_zero, fev("a", field)
+    for c in (a, a / (a + fe(1, field))):
+        lifted = [zero, c, zero, zero]
+        expected = _corank_on_field_elements(X, [1], lifted)
+        assert jet_jacobian_corank(X, 1, lifted) == expected[0] == 4
+        for point in ([0, c, 0, 0], [zero, c, 0, 0], [0, c, zero, 0]):
+            assert jet_jacobian_corank(X, [1], point) == expected
+
+
+def test_scalar_and_polynomial_points_build_no_field_element(monkeypatch):
+    whitney = next(document for document in build_catalog() if document.variety.name == "whitney")
+    rational = whitney.build_arc(next(iter(whitney.arc_specs)), 8).truncate(6).coordinates
+    polynomial = _unit_branch().with_precision(8).truncate(6).coordinates
+    assert _ring_of(rational, Q) == "scalars" and _ring_of(polynomial, Q) == "SparsePolynomial"
+    built = count_calls(monkeypatch, FieldElement, ("__init__",))
+    raw = FieldElement._raw
+    monkeypatch.setattr(FieldElement, "_raw", classmethod(lambda cls, num, den: built.append("_raw") or raw(num, den)))
+    ranked = []
+    rank = jets.matrix_rank
+    monkeypatch.setattr(jets, "matrix_rank", lambda matrix: ranked.append(matrix) or rank(matrix))
+    for X, point in ((whitney.variety, rational), (cusp_variety(), polynomial)):
+        ranked.clear()
+        coranks = jet_jacobian_corank(X, [6, 2, 4], point)
+        assert len(ranked) == len(coranks) == 3
+        assert all(isinstance(entry, SparsePolynomial) for matrix in ranked for row in matrix for entry in row)
+    assert built == []
