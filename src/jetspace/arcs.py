@@ -18,7 +18,9 @@ source.  Such an arc expands, validates, refines and pulls back on
 over Q, ints in ``range(p)`` over GF(p)); its coefficients have no
 variables, so they add no transcendental and no residue row, and its
 center and jets are scalars.  Every other arc stores field-element
-expansions: a mixed arc lifts its scalar components.
+expansions: a mixed arc lifts its scalar components.  ``Arc.evaluate``,
+the one evaluation of a polynomial along an arc, owns the ring of its
+constants: raw scalars on a k-rational arc, field elements otherwise.
 
 Residue dimensions are read from the coefficients alone:
 ``residue_dimension_profile`` hands ``transcendence_degree`` one block of
@@ -37,6 +39,7 @@ precision is already above n.
 
 from __future__ import annotations
 
+import re
 from dataclasses import dataclass
 from typing import Sequence
 
@@ -49,13 +52,7 @@ from .errors import (
 from .exact import FieldElement, TranscendenceDegree, transcendence_degree
 from .geometry import MorphismPresentation, VarietyPresentation
 from .jets import jet_levels
-from .series import (
-    DEFAULT_PRECISION,
-    SeriesExpression,
-    TruncatedSeries,
-    OrderValue,
-    evaluate_poly_at_series,
-)
+from .series import DEFAULT_PRECISION, OrderValue, SeriesExpression, TruncatedSeries
 
 
 @dataclass(frozen=True)
@@ -74,6 +71,9 @@ class GenericComponent:
         for name, value, floor in (("index", self.index, 1), ("start", self.start, 0)):
             if isinstance(value, bool) or not isinstance(value, int) or value < floor:
                 raise InputError(f"generic component {name} must be an int >= {floor}, got {value!r}")
+
+    # Every name ``coefficient_name`` gives, and no other.
+    COEFFICIENT_NAME = re.compile(r"u[0-9]+_[0-9]+")
 
     def coefficient_name(self, p: int) -> str:
         return f"u{self.index}_{p}"
@@ -101,8 +101,7 @@ class MappedComponent:
 
     def expand(self, refined: "Arc", precision: int) -> TruncatedSeries:
         """The polynomial on ``refined``, the source arc known to at least ``precision``."""
-        env = dict(zip(refined.variety.variables, refined.expansions))
-        return evaluate_poly_at_series(self.polynomial, env, precision).truncate(precision)
+        return refined.evaluate(self.polynomial).truncate(precision)
 
 
 ArcComponent = SeriesExpression | GenericComponent | MappedComponent
@@ -167,10 +166,8 @@ class Arc:
         self._validate()
 
     def _validate(self):
-        env = dict(zip(self.variety.variables, self.expansions))
         for j, g in enumerate(self.variety.generators):
-            value = evaluate_poly_at_series(g, env, self.precision)
-            ord_g = value.order()
+            ord_g = self.evaluate(g).order()
             if ord_g.is_finite:
                 raise NotOnVariety(j, ord_g.value)
 
@@ -195,9 +192,16 @@ class Arc:
         return sorted(names)
 
     def evaluate(self, poly) -> TruncatedSeries:
-        """Evaluate an ambient polynomial along the arc."""
-        env = dict(zip(self.variety.variables, self.expansions))
-        return evaluate_poly_at_series(poly, env, self.precision)
+        """An ambient polynomial along the arc, its coefficients lifted to the
+        ring of the expansions: raw scalars when k-rational, else field elements."""
+        field, precision, scalar = poly.field, self.precision, self.k_rational
+
+        def const(c):
+            return TruncatedSeries.from_coefficients(
+                field, [c if scalar else FieldElement.from_scalar(field, c)], precision
+            )
+
+        return poly.evaluate(dict(zip(self.variety.variables, self.expansions)), const)
 
     def ord_ideal(self, generators) -> OrderValue:
         """Order of an ideal along the arc: min over the given generators.

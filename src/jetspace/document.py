@@ -43,7 +43,6 @@ from __future__ import annotations
 
 import functools
 import json
-import re
 from dataclasses import dataclass
 from types import MappingProxyType
 from typing import Any, Callable, Mapping
@@ -159,10 +158,6 @@ def _expect(mapping, key, kind, context, default=None, required=False):
     return value
 
 
-# The coefficient names of generic components (``GenericComponent.coefficient_name``).
-_GENERIC_COEFFICIENT = re.compile(r"u[0-9]+_[0-9]+")
-
-
 def _check_symbols(names, context):
     """Each name is a symbol of the ``exprs`` grammar, so an expression can name it."""
     for name in names:
@@ -194,7 +189,7 @@ def _parse_field(spec, context) -> BaseField:
         return RATIONALS
     if isinstance(spec, dict) and set(spec) == {"prime"}:
         p = spec["prime"]
-        if not isinstance(p, int):
+        if isinstance(p, bool) or not isinstance(p, int):
             raise InputError(f"{context}.prime: expected an integer")
         return _prime_field(p)
     raise InputError(f'{context}: expected "rationals" or {{"prime": p}}')
@@ -275,7 +270,7 @@ def parse_document(raw: Any) -> ProblemDocument:
     for name in transcendentals:
         if name == "t":
             raise InputError("transcendentals: 't' is reserved for the series variable")
-        if _GENERIC_COEFFICIENT.fullmatch(name):
+        if GenericComponent.COEFFICIENT_NAME.fullmatch(name):
             raise InputError(
                 f"transcendentals: {name!r} is reserved for the coefficients of generic components"
             )

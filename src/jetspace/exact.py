@@ -5,8 +5,10 @@ sparse multivariate polynomials (dict from monomial to coefficient) and
 unreduced fractions of polynomials, which model rational functions in a
 finite set of transcendentals.  Fractions are never reduced to lowest
 terms; equality is decided by cross-multiplication, so no multivariate
-gcd is ever needed.  A content-stripping pass (integer content plus the
-largest common monomial) keeps intermediate growth bounded.
+gcd is ever needed.  One content strip, ``_strip_row`` (rational content
+and largest common monomial), bounds the growth of field elements and of
+the elimination's rows; ``FieldElement.as_polynomial`` reads an element
+with a constant denominator as a polynomial.
 
 Scalars are canonical.  Over Q a scalar is an ``int`` exactly when it
 is integral and a ``Fraction`` with denominator > 1 otherwise, so the
@@ -568,6 +570,14 @@ class FieldElement:
         """
         return self.num.is_constant() and self.den.is_constant()
 
+    def as_polynomial(self) -> SparsePolynomial | None:
+        """The polynomial num/den when den is constant (num itself when den is 1), else None."""
+        if self._den_is_one():
+            return self.num
+        if not self.den.is_constant():
+            return None
+        return self.num.scale(self.field.inv(self.den.constant_value()))
+
     def constant_value(self):
         if not self.is_constant():
             raise ValueError("field element is not a visible constant")
@@ -597,11 +607,6 @@ class FieldElement:
         if other.is_zero():
             raise DivisionByZero("division by a zero field element")
         return FieldElement(self.num * other.den, self.den * other.num)
-
-    def inverse(self) -> "FieldElement":
-        if self.is_zero():
-            raise DivisionByZero("inverse of zero")
-        return FieldElement(self.den, self.num)
 
     def __eq__(self, other):
         if isinstance(other, FieldElement):
@@ -674,27 +679,18 @@ def _rational_content(polys: Iterable[SparsePolynomial]) -> Fraction:
 
 
 def _normalize_fraction(num: SparsePolynomial, den: SparsePolynomial):
+    """``_strip_row``, then the leading denominator coefficient positive over Q or 1 over GF(p)."""
     field = num.field
     if not num.terms:
         return num, field.fe_one.den
-    common = _common_monomial((num, den))
-    if common:
-        num = SparsePolynomial(field, {_mono_div(m, common): c for m, c in num.terms.items()})
-        den = SparsePolynomial(field, {_mono_div(m, common): c for m, c in den.terms.items()})
+    num, den = _strip_row({0: num, 1: den}, field).values()
+    lead = den.terms[max(den.terms, key=_mono_key)]
     if field.p is None:
-        g = _rational_content((num, den))
-        lead = den.terms[max(den.terms, key=_mono_key)]
         if lead < 0:
-            g = -g
-        if g != 1:
-            inv = 1 / g
-            num = num.scale(inv)
-            den = den.scale(inv)
-    else:
-        lead_inv = field.inv(den.terms[max(den.terms, key=_mono_key)])
-        if lead_inv != 1:
-            num = num.scale(lead_inv)
-            den = den.scale(lead_inv)
+            num, den = -num, -den
+    elif lead != 1:
+        lead_inv = field.inv(lead)
+        num, den = num.scale(lead_inv), den.scale(lead_inv)
     if num.terms == den.terms:  # p/p is 1
         return field.fe_one.num, field.fe_one.den
     return num, den
@@ -703,21 +699,18 @@ def _normalize_fraction(num: SparsePolynomial, den: SparsePolynomial):
 def _clear_row_denominators(row: Sequence[FieldElement]) -> list[SparsePolynomial]:
     """A row of field elements as polynomials, scaled by a common denominator multiple.
 
-    Each numerator is multiplied by the other entries' non-constant
-    denominators and by the inverse of its own constant one, so the rank
-    is unchanged; an entry with denominator 1 keeps its numerator as is.
+    An entry with a constant denominator is its polynomial (``as_polynomial``);
+    every numerator is multiplied by the other entries' non-constant
+    denominators, so the rank is unchanged.
     """
-    field = row[0].field if row else RATIONALS
-    dens = [None if entry.den.is_constant() else entry.den for entry in row]
+    polys = [entry.as_polynomial() for entry in row]
     out = []
     for j, entry in enumerate(row):
-        poly = entry.num
-        if not poly.is_zero():
-            for k, den in enumerate(dens):
-                if k != j and den is not None:
-                    poly = poly * den
-            if dens[j] is None and not entry._den_is_one():
-                poly = poly.scale(field.inv(entry.den.constant_value()))
+        poly = entry.num if polys[j] is None else polys[j]
+        if poly:
+            for k, other in enumerate(polys):
+                if k != j and other is None:
+                    poly = poly * row[k].den
         out.append(poly)
     return out
 

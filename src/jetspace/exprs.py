@@ -5,7 +5,8 @@ literals combine into rationals with ``/``.  In series context the
 variable ``t`` is reserved and ``/`` is a full division (the resulting
 denominator must be a unit at t = 0); in polynomial context ``/`` is
 only allowed with an integer literal divisor, so values stay
-polynomials.  Unknown symbols are a parse error, never new variables.
+polynomials.  A zero divisor and an unknown symbol are parse errors;
+symbols never become new variables.
 Exponents are integer literals of at most ``MAX_EXPONENT``, and a power
 is refused before it is computed when its degree would exceed
 ``MAX_EXPONENT``: the total degree for polynomials; for series
@@ -136,7 +137,11 @@ class _Parser:
             elif kind == "/":
                 self.take()
                 if self.full_division:
-                    value = value / self.unary()
+                    _, _, dcol = self.peek()
+                    divisor = self.unary()
+                    if divisor.is_zero():
+                        self.fail("division by zero", dcol)
+                    value = value / divisor
                 else:
                     nkind, nval, ncol = self.take()
                     if nkind != "num":

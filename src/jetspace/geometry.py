@@ -114,17 +114,6 @@ def relative_omega_presentation(f: MorphismPresentation) -> DifferentialPresenta
     return DifferentialPresentation(symbols, tuple(rows))
 
 
-def polynomial_minors(
-    rows: Sequence[Sequence[SparsePolynomial]], size: int, base: BaseField
-) -> list[SparsePolynomial]:
-    """All size x size minors of a polynomial matrix (small inputs only)."""
-    if size <= 0:
-        return [SparsePolynomial.constant(base, 1)]
-    if not rows or size > len(rows) or size > len(rows[0]):
-        return []
-    return minors(rows, size)
-
-
 def minors(matrix: Sequence[Sequence], size: int, table: dict | None = None) -> list:
     """All size x size minors of a matrix over any commutative ring.
 
@@ -166,6 +155,11 @@ def minors(matrix: Sequence[Sequence], size: int, table: dict | None = None) -> 
 
 
 def jacobian_ideal_generators(X: VarietyPresentation, dim: int) -> list[SparsePolynomial]:
-    """Generators of the Jacobian ideal: the (N - dim)-minors of the Jacobian."""
-    pres = omega_presentation(X)
-    return polynomial_minors(pres.matrix, pres.num_columns - dim, X.base)
+    """Generators of the Jacobian ideal: the (N - dim)-minors of the Jacobian.
+
+    A size <= 0 gives [1]; a size above the Jacobian's rows or columns gives [].
+    """
+    rows, size = omega_presentation(X).matrix, len(X.variables) - dim
+    if size <= 0:
+        return [SparsePolynomial.constant(X.base, 1)]
+    return minors(rows, size) if rows else []

@@ -108,11 +108,8 @@ def _evaluation_ring(point: Sequence, field: BaseField) -> tuple[list, Callable,
     if None not in scalars:
         # The coefficients are canonical scalars, which coerce keeps as they are.
         return scalars, field.coerce, constant
-    if all(c.den.is_constant() for c in point if isinstance(c, FieldElement)):
-        polys = [
-            c.num.scale(field.inv(c.den.constant_value())) if isinstance(c, FieldElement) else constant(c)
-            for c in point
-        ]
+    polys = [c.as_polynomial() if isinstance(c, FieldElement) else constant(c) for c in point]
+    if None not in polys:
         return polys, constant, None
     lift = partial(FieldElement.from_scalar, field)
     return [c if isinstance(c, FieldElement) else lift(c) for c in point], lift, None

@@ -24,7 +24,9 @@ Series expressions are exact components: a numerator and a denominator,
 polynomials in t and the transcendentals, the denominator a unit at
 t = 0.  They expand at any precision by long division, which the
 stabilization drivers rely on when they need more coefficients; with
-no transcendental, on raw scalars.
+no transcendental, on raw scalars.  Series do not evaluate ambient
+polynomials: evaluation along an arc, and the ring of its constants,
+belong to ``Arc.evaluate``.
 
 All products and quotients of coefficient lists go through one kernel:
 ``truncated_product`` and ``truncated_quotient``.  The zero handed to
@@ -40,7 +42,7 @@ representatives.
 from __future__ import annotations
 
 from itertools import chain
-from typing import Mapping, Sequence
+from typing import Sequence
 
 from .errors import DenominatorNotUnit, PrecisionTooLow
 from .exact import BaseField, FieldElement, SparsePolynomial, _mono_mul
@@ -158,10 +160,6 @@ class OrderValue:
         if other._finite:
             return other.min(self)
         return OrderValue.at_least(min(self._value, other._value))
-
-    def plus(self, other: "OrderValue") -> "OrderValue":
-        """Saturating sum: any AtLeast operand keeps the sum an AtLeast."""
-        return OrderValue(self._value + other._value, self._finite and other._finite)
 
     def __eq__(self, other):
         return (
@@ -338,9 +336,10 @@ def _t_polynomial(field: BaseField, coeffs: Sequence) -> SparsePolynomial:
     terms = {}
     for i, c in enumerate(coeffs):
         if isinstance(c, FieldElement):
-            if not c.den.is_constant():
+            poly = c.as_polynomial()
+            if poly is None:
                 raise ValueError(f"series expression coefficient {c} is not a polynomial")
-            c = c.num.scale(field.inv(c.den.constant_value()))
+            c = poly
         elif not isinstance(c, SparsePolynomial):
             c = SparsePolynomial.constant(field, c)
         for mono, value in c.terms.items():
@@ -436,31 +435,8 @@ class SeriesExpression:
         else:
             num = [FieldElement.from_poly(c) for c in num]
             den = [FieldElement.from_poly(c) for c in den]
-            coeffs = truncated_quotient(num, den, precision, field.fe_zero, den[0].inverse())
+            coeffs = truncated_quotient(num, den, precision, field.fe_zero, field.fe_one / den[0])
         return TruncatedSeries(field, coeffs)
 
     def __repr__(self):
         return f"SeriesExpression(({self.num})/({self.den}))"
-
-
-def evaluate_poly_at_series(
-    poly: SparsePolynomial,
-    assignment: Mapping[str, TruncatedSeries],
-    precision: int,
-) -> TruncatedSeries:
-    """Evaluate an ambient polynomial on series components.
-
-    A coefficient of ``poly`` becomes a constant series of the kind of the
-    series it meets: a raw scalar on series of raw scalars, a field
-    element otherwise (and when there is no series to meet).
-    """
-    field = poly.field
-    series = next(iter(assignment.values()), None)
-    scalar = series is not None and series.is_scalar
-
-    def const(c):
-        return TruncatedSeries.from_coefficients(
-            field, [c if scalar else FieldElement.from_scalar(field, c)], precision
-        )
-
-    return poly.evaluate(assignment, const)

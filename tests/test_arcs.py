@@ -1,6 +1,7 @@
 """Arc validation, truncation, ideal orders, precision semantics."""
 
 import random
+from fractions import Fraction
 
 import pytest
 import sympy
@@ -28,7 +29,7 @@ from jetspace.catalog import blow_up_chart
 from jetspace.errors import InputError, MorphismInvalidOnArc, NotOnVariety, PrecisionTooLow
 from jetspace.exact import BaseField, SparsePolynomial
 from jetspace.geometry import MorphismPresentation, VarietyPresentation, jacobian_ideal_generators
-from jetspace.series import OrderValue, SeriesExpression
+from jetspace.series import OrderValue, SeriesExpression, TruncatedSeries
 
 
 def _cusp_arc(precision=12):
@@ -329,9 +330,73 @@ class TestPushArc:
             push_arc(bad, beta)
 
 
+def _field_poly(rng, field, names):
+    """A seeded polynomial of degree <= 3 in ``names``, with rational or mod-p coefficients."""
+    poly = SparsePolynomial.zero(field)
+    for _ in range(rng.randint(1, 4)):
+        term = SparsePolynomial.constant(field, Fraction(rng.choice((1, -2, 3)), rng.choice((1, 1, 5))))
+        for _ in range(rng.randint(0, 3)):
+            term = term * SparsePolynomial.variable(field, rng.choice(names))
+        poly = poly + term
+    return poly
+
+
+def _seeded_arcs(rng, field):
+    """A k-rational, a generic, a mixed and three image arcs, by kind."""
+    x, y, u, v = (SparsePolynomial.variable(field, name) for name in "xyuv")
+    cusp = VarietyPresentation(field, ("x", "y"), (y * y - x ** 3,))
+    plane = affine_space(2, field, names=("x", "y"))
+    line = affine_space(1, field, names=("u",))
+    chart = MorphismPresentation(affine_space(2, field, names=("u", "v")), plane, (u, u * v))
+    normalization = MorphismPresentation(line, cusp, (u * u, u ** 3))
+    s = SeriesExpression(field, [0, 1] + [rng.randint(-3, 3) for _ in range(3)])
+    mixed = make_arc(chart.source, [GenericComponent(1, 1), SeriesExpression(field, [2, 1])], 8)
+    return {
+        "k-rational": make_arc(cusp, [s ** 2, s ** 3], 8),
+        "generic": generic_arc(plane, [rng.randint(0, 2), rng.randint(0, 2)], 8),
+        "mixed": mixed,
+        "image-of-mixed": push_arc(chart, mixed),
+        "image-of-generic": push_arc(normalization, generic_arc(line, [rng.randint(1, 2)], 8)),
+        "image-of-k-rational": push_arc(normalization, make_arc(line, [s], 8)),
+    }
+
+
+class TestEvaluate:
+    """``Arc.evaluate`` equals the evaluation on the expansions lifted to field elements."""
+
+    @pytest.mark.parametrize("p", [None, 2, 3], ids=["Q", "GF2", "GF3"])
+    @pytest.mark.parametrize("seed", range(3))
+    def test_matches_the_lifted_evaluation(self, p, seed):
+        rng = random.Random(seed)
+        field = Q if p is None else BaseField(p)
+        arcs = _seeded_arcs(rng, field)
+        for kind, arc in arcs.items():
+            names = arc.variety.variables
+            # On affine space a seeded polynomial stands in for the generators.
+            generators = list(arc.variety.generators) or [_field_poly(rng, field, names)]
+            jacobian = [g.derivative(v) for g in generators for v in names]
+            polys = generators + jacobian + [_field_poly(rng, field, names)]
+            lifted = {v: s.lifted() if s.is_scalar else s for v, s in zip(names, arc.expansions)}
+
+            def const(c):
+                return TruncatedSeries.from_coefficients(field, [fe(c, field)], arc.precision)
+
+            for poly in polys:
+                value = arc.evaluate(poly)
+                assert value.is_scalar == arc.k_rational, kind
+                assert value == poly.evaluate(lifted, const), (kind, str(poly))
+        assert [kind for kind, arc in arcs.items() if arc.k_rational] == ["k-rational", "image-of-k-rational"]
+
+    def test_an_arc_without_components_evaluates_on_scalars(self):
+        point = make_arc(VarietyPresentation(Q, ()), [], 4)
+        assert point.k_rational
+        assert point.evaluate(SparsePolynomial.constant(Q, 3)).coeffs == (3, 0, 0, 0)
+
+
 def test_generic_component_names_are_stable():
     comp = GenericComponent(2, 1)
     assert comp.coefficient_name(3) == "u2_3"
+    assert GenericComponent.COEFFICIENT_NAME.fullmatch(comp.coefficient_name(3))
     expansion = comp.expand(Q, 4)
     assert expansion.coeffs[0].is_zero()
     assert str(expansion.coeffs[1]) == "u2_1"

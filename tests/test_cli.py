@@ -292,6 +292,23 @@ def test_parse_error_exit_code(tmp_path, capsys):
 
 
 @pytest.mark.parametrize(
+    "doc, error",
+    [
+        (dict(CUSP_DOC, field={"prime": True}), "error[InputError]: field.prime: expected an integer"),
+        (
+            dict(CUSP_DOC, arcs={"main": {"components": ["1/0", "t^3"]}}),
+            "error[ParseError]: division by zero at column 3 in arcs.main.components[0]",
+        ),
+    ],
+    ids=["bool-prime", "series-division-by-zero"],
+)
+def test_bool_prime_and_zero_divisor_exit_with_typed_errors(tmp_path, capsys, doc, error):
+    code, out, err = _run(capsys, ["profile", _write(tmp_path, doc)])
+    assert (code, out) == (1, "")
+    assert err.startswith(error)
+
+
+@pytest.mark.parametrize(
     "doc, message",
     [
         (dict(CUSP_DOC, arcs={"main": 5}), "arcs.main: expected an object"),

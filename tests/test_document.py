@@ -295,6 +295,59 @@ class TestParseDocument:
         with pytest.raises(InputError):
             parse_document(_doc(field="reals"))
 
+    @pytest.mark.parametrize(
+        "field, components, precision, expected",
+        [
+            (
+                "rationals",
+                ["(t + t^2/(1 + a))^2", "(t + t^2/(1 + a))^3"],
+                8,
+                "Arc(cusp; t^2 + ((2*a + 2)/(a^2 + 2*a + 1))*t^3 + (1/(a^2 + 2*a + 1))*t^4 + O(t^8), "
+                "t^3 + ((3*a^2 + 6*a + 3)/(a^3 + 3*a^2 + 3*a + 1))*t^4 + ((3*a + 3)/(a^3 + 3*a^2 + 3*a + 1))*t^5 "
+                "+ (1/(a^3 + 3*a^2 + 3*a + 1))*t^6 + O(t^8))",
+            ),
+            (
+                {"prime": 3},
+                ["(2*t + t^2/(2*a + 1))^2", "(2*t + t^2/(2*a + 1))^3"],
+                6,
+                "Arc(cusp; t^2 + ((2*a + 1)/(a^2 + a + 1))*t^3 + (1/(a^2 + a + 1))*t^4 + O(t^6), "
+                "((2*a^3 + 1)/(a^3 + 2))*t^3 + O(t^6))",
+            ),
+            (
+                "rationals",
+                ["(t + t^2/(1 - a))^2", "(t + t^2/(1 - a))^3"],
+                5,
+                "Arc(cusp; t^2 + ((-2*a + 2)/(a^2 - 2*a + 1))*t^3 + (1/(a^2 - 2*a + 1))*t^4 + O(t^5), "
+                "t^3 + ((-3*a^2 + 6*a - 3)/(a^3 - 3*a^2 + 3*a - 1))*t^4 + O(t^5))",
+            ),
+        ],
+        ids=["Q-ci-arc", "GF3", "Q-negative-leading-denominator"],
+    )
+    def test_quotient_arcs_keep_their_representatives(self, field, components, precision, expected):
+        # The light normalization fixes every stored numerator and denominator.
+        raw = _doc(field=field, transcendentals=["a"], arcs={"main": {"components": components}})
+        assert repr(parse_document(raw).build_arc("main", precision)) == expected
+
+    @pytest.mark.parametrize("prime", [True, False, 3.0, "3"])
+    def test_prime_that_is_not_an_integer_rejected(self, prime):
+        # A JSON true or false is never an integer, although Python's bool is an int.
+        with pytest.raises(InputError, match=r"^field\.prime: expected an integer$"):
+            parse_document(_doc(field={"prime": prime}))
+
+    @pytest.mark.parametrize(
+        "text, column", [("1/0", 3), ("t/(a - a)", 3), ("t + t^2/(2*t - t - t)", 9), ("1/3", 3)]
+    )
+    def test_series_division_by_zero_is_a_parse_error(self, text, column):
+        field = {"prime": 3} if text == "1/3" else "rationals"
+        raw = _doc(field=field, transcendentals=["a"], arcs={"main": {"components": [text, "t^3"]}})
+        with pytest.raises(ParseError, match="division by zero") as info:
+            parse_document(raw)
+        assert info.value.column == column
+        # t^2/t divides by a nonzero series that is no unit.
+        raw["arcs"]["main"]["components"][0] = "t^2/t"
+        with pytest.raises(DenominatorNotUnit):
+            parse_document(raw)
+
     def test_unknown_arc_name(self):
         doc = parse_document(_doc())
         with pytest.raises(InputError):

@@ -93,7 +93,7 @@ class TestFieldElement:
 
     def test_inverse_pair(self):
         u1 = fev("u1")
-        assert u1 * u1.inverse() == fe(1)
+        assert u1 * (fe(1) / u1) == fe(1)
 
     def test_prime_field_product(self):
         f5 = BaseField(5)
@@ -147,6 +147,18 @@ class TestFieldElement:
         coeff = s.expand(6).coeffs[2]
         assert coeff._den_is_one() and str(coeff) == "1"
         assert str(s.expand(4)).startswith("t^2 + ((2*a + 2)/(a^2 + 2*a + 1))*t^3")
+
+    def test_as_polynomial_reads_a_constant_denominator(self):
+        a = fev("a") + fe(1)
+        assert a.as_polynomial() is a.num  # denominator 1: no copy
+        two_thirds_a = FieldElement(var("a").scale(2), SparsePolynomial.constant(Q, 3))
+        assert two_thirds_a.as_polynomial() == var("a").scale(Fraction(2, 3))
+        f5 = BaseField(5)
+        a5 = SparsePolynomial.variable(f5, "a")
+        # Over GF(p) the light normalization makes a constant denominator 1; a raw pair keeps it.
+        assert FieldElement._raw(a5, SparsePolynomial.constant(f5, 2)).as_polynomial() == a5.scale(3)
+        assert (fe(1) / fev("a")).as_polynomial() is None
+        assert (fev("a") / (fev("a") + fe(1))).as_polynomial() is None
 
     def test_equality_is_transitive_across_representatives(self):
         u = fev("u")

@@ -11,7 +11,7 @@ from sympy.polys.matrices import DomainMatrix
 
 from conftest import Q, affine_space, count_calls, cusp_variety, fe, fev, to_sympy, var, whitney_variety
 from jetspace.analysis import fiber_dim_formula
-from jetspace.arcs import make_arc
+from jetspace.arcs import generic_arc, make_arc
 from jetspace.catalog import build_catalog
 from jetspace.errors import InputError, PointNotOnJetScheme
 from jetspace import jets
@@ -438,6 +438,16 @@ def test_mixed_points_give_the_corank_of_field_element_points(field):
         assert jet_jacobian_corank(X, 1, lifted) == expected[0] == 4
         for point in ([0, c, 0, 0], [zero, c, 0, 0], [0, c, zero, 0]):
             assert jet_jacobian_corank(X, [1], point) == expected
+
+
+def test_generic_jet_takes_its_numerators_as_they_are(monkeypatch):
+    """A generic jet's coordinates have denominator 1: their numerators are the entries, unscaled."""
+    X = affine_space(2, names=("x", "y"))
+    point = generic_arc(X, [0, 1], 6).truncate(4).coordinates
+    calls = count_calls(monkeypatch, SparsePolynomial, ("scale",))
+    coordinates, _, to_entry = _evaluation_ring(point, Q)
+    assert calls == [] and to_entry is None
+    assert all(poly is c.num for poly, c in zip(coordinates, point))
 
 
 def test_scalar_and_polynomial_points_build_no_field_element(monkeypatch):
