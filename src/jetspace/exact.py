@@ -430,13 +430,31 @@ class SparsePolynomial:
         partials follow ``derivative``'s coefficient rule: a coefficient
         c*e that is zero in the field (p | e) is skipped, so a variable
         whose partial is the zero polynomial has no entry.
+
+        A term whose zero order at the point is at least 2 (the exponents
+        of its variables whose coordinate ``powers[var, 1]`` is exactly
+        zero add up to 2 or more) forms no product.  Its value and every
+        first partial keep a zero factor, so it adds nothing to either;
+        this is exact on every ring, since the zero test is the
+        coordinate's truthiness: a raw scalar, a polynomial with no terms,
+        a field element with a zero numerator.  A variable with a nonzero
+        formal partial still has an entry: ``const(0)`` when every term
+        holding it was skipped.
         """
         p = self.field.p
         value = None
         partials: dict = {}
+        skipped = set()  # the (var, exp) pairs of the skipped terms
         get = partials.get
         power = powers.__getitem__
         for mono, coeff in self.terms.items():
+            zero_order = 0
+            for var, exp in mono:
+                if not power((var, 1)):
+                    zero_order += exp
+            if zero_order > 1:
+                skipped.update(mono)
+                continue
             factors = list(map(power, mono))
             term = const(coeff)
             for factor in factors:
@@ -456,7 +474,12 @@ class SparsePolynomial:
                         part = part * factor
                 old = get(var)
                 partials[var] = part if old is None else old + part
-        return (const(0) if value is None else value), partials
+        zero = const(0) if value is None or skipped else None
+        # A skipped term still gives its variables of nonzero formal partial an entry.
+        for var, exp in skipped:
+            if var not in partials and (not p or exp % p):
+                partials[var] = zero
+        return (zero if value is None else value), partials
 
     def __str__(self):
         if not self.terms:

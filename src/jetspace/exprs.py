@@ -146,7 +146,8 @@ class _Parser:
                     nkind, nval, ncol = self.take()
                     if nkind != "num":
                         self.fail("division is only allowed by an integer literal here", ncol)
-                    if nval == 0:
+                    # Zero in the field: 0, or over GF(p) any multiple of p.
+                    if not self.const(nval):
                         self.fail("division by zero", ncol)
                     value = value * self.const(Fraction(1, nval))
             else:

@@ -21,7 +21,10 @@ equation is differentiated term by term, once: one pass over its terms
 gives its value at the point and the value there of every nonzero
 partial (``SparsePolynomial.value_and_gradient``), with the powers of
 the point's coordinates computed once in one ``PowerTable`` shared by
-all equations.
+all equations.  A term that vanishes to order 2 at the point forms no
+product there: the jets of arcs through the singular locus have mostly
+zero coordinates, so most terms of the t^p equations are skipped, and
+the equations, the Jacobian and its exact rank stay the same.
 The value decides ``PointNotOnJetScheme``.  Each point is evaluated,
 differentiated and ranked on the lowest ring that holds it: raw scalars
 (ints or ``Fraction``s) at a k-rational point, as in a jet of a

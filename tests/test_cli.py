@@ -2,6 +2,9 @@
 
 import hashlib
 import json
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -299,8 +302,12 @@ def test_parse_error_exit_code(tmp_path, capsys):
             dict(CUSP_DOC, arcs={"main": {"components": ["1/0", "t^3"]}}),
             "error[ParseError]: division by zero at column 3 in arcs.main.components[0]",
         ),
+        (
+            {"field": {"prime": 5}, "variety": {"variables": ["x"], "generators": ["x/5"]}},
+            "error[ParseError]: division by zero at column 3 in variety.generators[0]",
+        ),
     ],
-    ids=["bool-prime", "series-division-by-zero"],
+    ids=["bool-prime", "series-division-by-zero", "literal-divisor-zero-mod-p"],
 )
 def test_bool_prime_and_zero_divisor_exit_with_typed_errors(tmp_path, capsys, doc, error):
     code, out, err = _run(capsys, ["profile", _write(tmp_path, doc)])
@@ -648,6 +655,15 @@ def test_flag_the_command_does_not_read_is_rejected(capsys, argv):
     assert code == 1
     assert out == ""
     assert f"unrecognized arguments: {argv[-2]} 1" in err
+
+
+def test_cli_imports_the_catalog_only_in_its_command():
+    # A fresh interpreter: the tests in this process have imported the catalog already.
+    src = Path(__file__).resolve().parent.parent / "src"
+    code = "import sys, jetspace.cli; print('jetspace.catalog' in sys.modules, 'jetspace.analysis' in sys.modules)"
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [str(src), os.environ.get("PYTHONPATH")]))}
+    result = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True)
+    assert result.stdout.split() == ["False", "True"]
 
 
 def test_parser_is_built_once(tmp_path, capsys):

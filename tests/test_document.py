@@ -38,6 +38,13 @@ class TestParsePolynomial:
         with pytest.raises(ParseError):
             parse_polynomial("x/y", Q, ("x", "y"))
 
+    @pytest.mark.parametrize("text", ["x/5", "x/10", "1 + x/0"])
+    def test_literal_divisor_that_vanishes_in_the_field_is_a_parse_error(self, text):
+        # Over GF(5) every multiple of 5 is zero, not only the literal 0.
+        with pytest.raises(ParseError, match="division by zero") as info:
+            parse_polynomial(text, BaseField(5), ("x",), context="variety.generators[0]")
+        assert info.value.column == text.index("/") + 2
+
     def test_parentheses_and_unary_minus(self):
         p = parse_polynomial("-(x - 2)*(x + 2)", Q, ("x",))
         x = var("x")
@@ -48,6 +55,7 @@ class TestParsePolynomial:
         p = parse_polynomial("7*x + 1/2", f5, ("x",))
         x5 = SparsePolynomial.variable(f5, "x")
         assert p == x5.scale(2) + SparsePolynomial.constant(f5, 3)
+        assert parse_polynomial("x/2", f5, ("x",)) == x5.scale(3)
 
     def test_rendered_polynomials_reparse(self):
         x, y = var("x"), var("y")

@@ -2,6 +2,7 @@
 
 import random
 from fractions import Fraction
+from functools import partial
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -612,32 +613,70 @@ def _kernel_field_element(rng, field):
     return FieldElement(_random_sparse_poly(rng, field), den)
 
 
+# ring: (a random coordinate, the coordinate that is exactly zero, const)
+KERNEL_RINGS = {
+    "scalar": (_kernel_scalar, lambda rng, field: 0, lambda field: lambda c: c),
+    "polynomial": (
+        _random_sparse_poly,
+        lambda rng, field: SparsePolynomial.zero(field),
+        lambda field: partial(SparsePolynomial.constant, field),
+    ),
+    "field-element": (
+        _kernel_field_element,
+        lambda rng, field: FieldElement(SparsePolynomial.zero(field), _kernel_field_element(rng, field).den),
+        lambda field: partial(FieldElement.from_scalar, field),
+    ),
+}
+
+
+def _zero_order_terms(rng, field, zeros, other):
+    """Two sums of terms at a point where the two ``zeros`` vanish and ``other`` need not.
+
+    The first has only terms of zero order >= 2; the second adds terms of
+    zero order 1 and a p-th power.
+    """
+    z1, z2 = (SparsePolynomial.variable(field, name) for name in zeros)
+    w = SparsePolynomial.variable(field, other)
+    p = field.p or 3
+    # Zero order p + 1, 2 and 2; over GF(p) the first has no partial in z1.
+    skipped = [z1 ** p * z2, z2 * z2 * w, z1 * z2 * w]
+    kept = [z1 * w, z2, w ** p]  # zero order 1, 1 and 0
+    scalars = [rng.choice([c for c in range(1, 7) if not field.p or c % field.p]) for _ in range(6)]
+    polys = [m.scale(c) for m, c in zip(skipped + kept, scalars)]
+    return sum(polys[:2], SparsePolynomial.zero(field)), sum(polys, SparsePolynomial.zero(field))
+
+
 @pytest.mark.parametrize("field", KERNEL_FIELDS, ids=repr)
-@pytest.mark.parametrize("ring", ["scalar", "field-element"])
+@pytest.mark.parametrize("ring", list(KERNEL_RINGS))
 @settings(deadline=None, max_examples=30)
 @given(seed=st.integers(min_value=0, max_value=10**6))
 def test_value_and_gradient_matches_evaluate_and_derivative(field, ring, seed):
-    """One pass gives evaluate's value and derivative(v).evaluate for every v."""
+    """One pass gives evaluate's value and derivative(v).evaluate for every v.
+
+    At a dense point and at a sparse one (two of the three coordinates
+    exactly zero), where the kernel skips the terms of zero order >= 2.
+    """
     rng = random.Random(seed)
-    if ring == "scalar":
-        point = {name: _kernel_scalar(rng, field) for name in KERNEL_NAMES}
-
-        def const(c):
-            return c
-
-    else:
-        point = {name: _kernel_field_element(rng, field) for name in KERNEL_NAMES}
-
-        def const(c):
-            return FieldElement.from_scalar(field, c)
-
-    powers = PowerTable(point)  # one table, shared by every polynomial at the point
-    for a in (_kernel_poly(rng, field) for _ in range(3)):
-        value, partials = a.value_and_gradient(powers, const)
-        assert value == a.evaluate(point, const)
-        assert set(partials) == {name for name in KERNEL_NAMES if a.derivative(name)}
-        for name in KERNEL_NAMES:
-            assert partials.get(name, const(0)) == a.derivative(name).evaluate(point, const)
+    coordinate, zero, lift = KERNEL_RINGS[ring]
+    const = lift(field)
+    zeros = rng.sample(KERNEL_NAMES, 2)
+    other = next(name for name in KERNEL_NAMES if name not in zeros)
+    dense = {name: coordinate(rng, field) for name in KERNEL_NAMES}
+    sparse = {name: zero(rng, field) if name in zeros else coordinate(rng, field) for name in KERNEL_NAMES}
+    only_skipped, mixed = _zero_order_terms(rng, field, zeros, other)
+    for point, polys in (
+        (dense, [_kernel_poly(rng, field) for _ in range(3)]),
+        (sparse, [_kernel_poly(rng, field) for _ in range(3)] + [only_skipped, mixed, mixed + _kernel_poly(rng, field)]),
+    ):
+        powers = PowerTable(point)  # one table, shared by every polynomial at the point
+        for a in polys:
+            value, partials = a.value_and_gradient(powers, const)
+            assert value == a.evaluate(point, const)
+            assert set(partials) == {name for name in KERNEL_NAMES if a.derivative(name)}
+            for name in KERNEL_NAMES:
+                assert partials.get(name, const(0)) == a.derivative(name).evaluate(point, const)
+            if ring != "scalar":  # every entry is an element of the ring
+                assert all(type(entry) is type(const(0)) for entry in (value, *partials.values()))
 
 
 def test_power_table_computes_each_power_once():

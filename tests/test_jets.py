@@ -255,13 +255,19 @@ def test_rational_jet_point_runs_on_scalars(monkeypatch):
         for name in document.arc_specs
     ]
     a = fev("a")
-    off_polynomials = [fe(0), a / (a + fe(1)), fe(0), fe(0)]
+    c = a / (a + fe(1))
+    # The level-1 jet of x = (c + t)^2, y = (c + t)^3, a smooth point.
+    dense = [c * c, fe(2) * c, c * c * c, fe(3) * c * c]
     calls = count_calls(monkeypatch, FieldElement, ("__add__", "__mul__"))
     for X, n, point in points:
-        if all(as_scalar(c) is not None for c in point):
+        if all(as_scalar(x) is not None for x in point):
             jet_jacobian_corank(X, n, point)
     assert calls == []
-    jet_jacobian_corank(cusp_variety(), 1, off_polynomials)
+    # Every term of the cusp's level-1 equations vanishes to order 2 at
+    # x = c t, y = 0, so no product is formed there; the Jacobian is zero.
+    assert jet_jacobian_corank(cusp_variety(), 1, [fe(0), c, fe(0), fe(0)]) == 4
+    assert calls == []
+    assert jet_jacobian_corank(cusp_variety(), 1, dense) == 2
     assert calls  # the wrapper sees the FieldElement ring
 
 
@@ -281,6 +287,54 @@ def test_each_jet_equation_is_differentiated_once(monkeypatch):
         # jet_ideal evaluates each generator once, on the generic curve.
         equations = len(X.generators) * (top + 1)
         assert calls == ["evaluate"] * len(X.generators) + ["value_and_gradient"] * equations
+
+
+class _ZeroOrderSpy:
+    """A raw scalar with a lower bound on its zero order at the jet point.
+
+    A coordinate that is zero has order 1; a product adds the orders and
+    logs the sum, a sum keeps the smaller.
+    """
+
+    __slots__ = ("value", "order", "log")
+
+    def __init__(self, value, order, log):
+        self.value, self.order, self.log = value, order, log
+
+    def __mul__(self, other):
+        self.log.append(self.order + other.order)
+        return _ZeroOrderSpy(self.value * other.value, self.order + other.order, self.log)
+
+    def __add__(self, other):
+        return _ZeroOrderSpy(self.value + other.value, min(self.order, other.order), self.log)
+
+    def __bool__(self):
+        return bool(self.value)
+
+
+def test_no_product_is_formed_for_a_term_of_zero_order_two(monkeypatch):
+    """At the cusp's (t^2, t^3) jet, every ring product vanishes to order <= 1 at the point."""
+    cusp = next(document for document in build_catalog() if document.variety.name == "cusp")
+    point = cusp.build_arc("main", 16).truncate(12).coordinates
+    expected = jet_jacobian_corank(cusp.variety, 12, point)
+    log = []
+    original = jets._evaluation_ring
+
+    def spied(point, field):
+        coordinates, const, to_entry = original(point, field)
+        assert to_entry is not None  # raw scalars
+
+        def spy(c):
+            return _ZeroOrderSpy(c, 0 if c else 1, log)
+
+        def entry(s):  # the oracle's zero entry is a raw 0
+            return to_entry(s.value if isinstance(s, _ZeroOrderSpy) else s)
+
+        return [spy(c) for c in coordinates], lambda c: spy(const(c)), entry
+
+    monkeypatch.setattr(jets, "_evaluation_ring", spied)
+    assert jet_jacobian_corank(cusp.variety, 12, point) == expected
+    assert log and max(log) <= 1
 
 
 @pytest.mark.parametrize(
