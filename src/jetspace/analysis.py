@@ -14,9 +14,11 @@ non-decreasing sequence
 
 where D is the free rank of the pulled-back differentials along the arc
 and dim(alpha_n) the transcendence degree of the residue field of the
-level-n truncation.  No jet level is diagonalized on its own: the level-n
-module is the arc-level one base-changed to k[t]/t^(n+1), so its profile
-comes from the arc-level pivots (``InvariantProfile.at_level``).  Each
+level-n truncation.  No command diagonalizes a jet level on its own
+(``smith_orders`` has one mode, along the arc): the level-n module is the
+arc-level one base-changed to k[t]/t^(n+1), so its profile comes from the
+arc-level pivots (``InvariantProfile.at_level``), and a report states the
+arc-level profile's precision (``InvariantProfile.precision_json``).  Each
 command refines an arc once, and every level is read off that one
 profile: the oracle's fiber dimensions at all its levels, and level 0,
 which is Omega_X at the arc's center, so its free rank N - rank J(center)
@@ -95,10 +97,7 @@ class FiberDimension:
             "value": self.value,
             "jet_free_rank": self.jet_betti,
             "fitting_order": self.fitting_order.to_json(),
-            "precision": {
-                "kind": "at_least" if self.precision_limited else "finite",
-                "bound": self.arc_profile.precision,
-            },
+            "precision": self.arc_profile.precision_json(),
         }
 
 
@@ -281,10 +280,7 @@ class StabilizationReport:
             "verdict": self.verdict(),
             "stabilized": self.stabilized,
             "value": self.value,
-            "precision": {
-                "kind": "at_least" if self.precision_limited else "finite",
-                "bound": self.arc_profile.precision,
-            },
+            "precision": self.arc_profile.precision_json(),
         }
         if self.char_p_jacobian:
             out["char_p_jacobian"] = True

@@ -30,7 +30,9 @@ so every BTR or Mather source arc on a blow-up chart, and expressions
 such as a + b*t) and runs one exact elimination otherwise.
 
 Arc validity (every ideal generator vanishes modulo t^P) is checked at
-construction and again after every precision raise.  Refinement only
+construction and again after every precision raise.  An arc that fails
+raises ``NotOnVariety``, or ``MorphismInvalidOnArc`` when it is an image
+arc, at whichever precision the failure shows.  Refinement only
 raises precision and returns a new arc; values never mutate.  A level-n
 jet needs precision n + 1, so ``with_precision(n + 1)`` is the one way
 to know an arc through level n: it returns the arc itself when its
@@ -109,13 +111,12 @@ ArcComponent = SeriesExpression | GenericComponent | MappedComponent
 
 @dataclass(frozen=True)
 class JetPoint:
-    """Truncation of an arc: coordinates x_{i,p} for p <= level, component-major.
+    """Truncation of an arc at level n: coordinates x_{i,p} for p <= n, component-major.
 
     The coordinates are raw scalars for a k-rational arc, field elements
     otherwise.
     """
 
-    level: int
     coordinates: tuple
 
 
@@ -169,7 +170,9 @@ class Arc:
         for j, g in enumerate(self.variety.generators):
             ord_g = self.evaluate(g).order()
             if ord_g.is_finite:
-                raise NotOnVariety(j, ord_g.value)
+                # An image arc that leaves its target is a fault of the morphism.
+                image = any(isinstance(c, MappedComponent) for c in self.components)
+                raise (MorphismInvalidOnArc if image else NotOnVariety)(j, ord_g.value)
 
     def with_precision(self, precision: int) -> "Arc":
         """This arc known to at least the given precision.
@@ -222,7 +225,7 @@ class Arc:
         coords = []
         for series in self.expansions:
             coords.extend(series.coeffs[: n + 1])
-        return JetPoint(n, tuple(coords))
+        return JetPoint(tuple(coords))
 
     def residue_dimension_profile(self, n_max: int) -> TranscendenceDegree:
         """Residue dimensions dim(alpha_n) of the truncations at levels 0..n_max.
@@ -274,14 +277,11 @@ def push_arc(f: MorphismPresentation, beta: Arc) -> Arc:
     """Image arc f(beta) on the target variety.
 
     The image components are mapped components bound to beta, so the
-    image re-expands through beta.  Target generators are
-    checked modulo t^P; a failure is reported as an invalid morphism.
+    image re-expands through beta.  Target generators are checked modulo
+    t^P here and after every refinement; a failure is reported as an
+    invalid morphism.
     """
     if beta.variety is not f.source and beta.variety != f.source:
         raise InputError("arc does not live on the source of the morphism")
-    images = [MappedComponent(c, beta) for c in f.components]
-    try:
-        return Arc(f.target, images, beta.precision)
-    except NotOnVariety as err:
-        raise MorphismInvalidOnArc(err.generator_index, err.order) from err
+    return Arc(f.target, [MappedComponent(c, beta) for c in f.components], beta.precision)
 

@@ -317,11 +317,14 @@ def check_fitting_oracle() -> CheckResult:
 
 
 def _level_profiles(arc: Arc) -> list[InvariantProfile]:
-    """Profiles at levels 0.._TRUNCATION_MAX_LEVEL from one pullback of the arc."""
+    """Profiles at levels 0.._TRUNCATION_MAX_LEVEL from one pullback of the arc,
+    each diagonalized on its own mod t^(n+1), not read off the arc-level pivots."""
     presentation = omega_presentation(arc.variety)
     matrix = pullback_matrix(presentation, arc)
     return [
-        smith_orders(matrix, presentation.num_columns, level=n)
+        smith_orders(
+            [[e.truncate(n + 1) for e in row] for row in matrix], presentation.num_columns, precision=n + 1
+        ).at_level(n)
         for n in range(_TRUNCATION_MAX_LEVEL + 1)
     ]
 

@@ -79,7 +79,7 @@ def _catalog(doc, v, cap):
 def _profile(doc, v, cap):
     if v.n is None:
         return refined_profile_of_omega(v.arc, cap)[0]
-    return profile_of_omega(v.arc.with_precision(v.n + 1), v.n)
+    return profile_of_omega(v.arc.with_precision(v.n + 1)).at_level(v.n)
 
 
 _ARC = {"arc": None, "precision": DEFAULT_PRECISION}

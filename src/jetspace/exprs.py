@@ -17,13 +17,19 @@ when its term count could exceed ``MAX_POWER_TERMS``: a base of k terms
 to the n has at most C(n+k-1, k-1) terms.  A polynomial counts its terms;
 a series expression counts the distinct monomials in the transcendentals
 of its numerator or denominator, whichever has more (its powers of t are
-already bounded by the degree).  Series values are built from
+already bounded by the degree).  Over Q a power is also refused when n
+times the bits of its base's largest coefficient (numerator plus
+denominator) exceeds ``MAX_COEFFICIENT_BITS``, so constant towers such as
+``((2^256)^256)^256`` cannot run unbounded; GF(p) reduces every product
+and needs no such bound.  An integer literal has at most
+``MAX_LITERAL_DIGITS`` digits.  Series values are built from
 polynomials in t and the transcendentals, never from field elements.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
+from itertools import chain
 from math import comb
 from typing import Sequence
 
@@ -41,6 +47,15 @@ MAX_EXPONENT = 256
 # bound (a/2+b/3+c/5)^43, 990 terms, parses in 0.6 s on a 2-vCPU VM;
 # (a+b+c+d+e+f)^256 would have about 10^10 terms.
 MAX_POWER_TERMS = 1000
+
+# Largest n * (bits of the numerator plus the denominator of the base's
+# largest coefficient) of a power over Q.  It stays below the 14,284 bits of
+# Python's 4300-digit int-to-str limit, with room for a multinomial factor,
+# so every coefficient of an accepted power can be printed.
+MAX_COEFFICIENT_BITS = 8192
+
+# Most digits of one integer literal; Python refuses to read more than 4300.
+MAX_LITERAL_DIGITS = 1000
 
 _SYMBOL_START = set("abcdefghijklmnopqrstuvwxyzABCDEFGHIJKLMNOPQRSTUVWXYZ_")
 _SYMBOL_BODY = _SYMBOL_START | set("0123456789")
@@ -64,6 +79,9 @@ def _tokenize(text: str, context: str):
             j = i
             while j < n and text[j].isdigit():
                 j += 1
+            if j - i > MAX_LITERAL_DIGITS:
+                message = f"integer literal of {j - i} digits exceeds the maximum {MAX_LITERAL_DIGITS}"
+                raise ParseError(message, i + 1, context)
             tokens.append(("num", int(text[i:j]), i + 1))
             i = j
             continue
@@ -86,7 +104,7 @@ def _tokenize(text: str, context: str):
 class _Parser:
     """Recursive-descent evaluator over a caller-supplied value ring."""
 
-    def __init__(self, text, context, symbol, const, degree, terms, full_division):
+    def __init__(self, text, context, symbol, const, degree, terms, coefficients, full_division):
         self.tokens = _tokenize(text, context)
         self.pos = 0
         self.context = context
@@ -94,6 +112,7 @@ class _Parser:
         self.const = const
         self.degree = degree
         self.terms = terms
+        self.coefficients = coefficients  # None over GF(p): no coefficient bound
         self.full_division = full_division
 
     def peek(self):
@@ -178,6 +197,12 @@ class _Parser:
                 self.fail(
                     f"power {nval} of a {k}-term base may exceed {MAX_POWER_TERMS} terms", ncol
                 )
+            if self.coefficients is not None:
+                bits = nval * max(map(_bits, self.coefficients(value)), default=0)
+                if bits > MAX_COEFFICIENT_BITS:
+                    self.fail(
+                        f"power of coefficient size {bits} bits exceeds the maximum {MAX_COEFFICIENT_BITS}", ncol
+                    )
             value = value ** nval
         return value
 
@@ -216,8 +241,10 @@ def parse_polynomial(
     def const(value):
         return SparsePolynomial.constant(field, value)
 
+    coefficients = None if field.p else _polynomial_coefficients
     parser = _Parser(
-        text, context, symbol, const, SparsePolynomial.degree, _polynomial_terms, full_division=False
+        text, context, symbol, const, SparsePolynomial.degree, _polynomial_terms, coefficients,
+        full_division=False,
     )
     value = parser.parse()
     # SparsePolynomial ** guards negative exponents; nothing else to check.
@@ -245,7 +272,10 @@ def parse_series_expression(
     def const(value):
         return SeriesExpression.constant(field, value)
 
-    parser = _Parser(text, context, symbol, const, _series_degree, _series_terms, full_division=True)
+    coefficients = None if field.p else _series_coefficients
+    parser = _Parser(
+        text, context, symbol, const, _series_degree, _series_terms, coefficients, full_division=True
+    )
     return parser.parse()
 
 
@@ -257,6 +287,19 @@ def _series_degree(value: SeriesExpression) -> int:
 
 def _polynomial_terms(value: SparsePolynomial) -> int:
     return len(value.terms)
+
+
+def _polynomial_coefficients(value: SparsePolynomial):
+    return value.terms.values()
+
+
+def _series_coefficients(value: SeriesExpression):
+    return chain(value.num.terms.values(), value.den.terms.values())
+
+
+def _bits(c) -> int:
+    """Bits of a rational coefficient's numerator plus its denominator."""
+    return abs(c.numerator).bit_length() + c.denominator.bit_length()
 
 
 def _series_terms(value: SeriesExpression) -> int:

@@ -78,26 +78,21 @@ class MorphismPresentation:
 class DifferentialPresentation:
     """Cokernel presentation of a module of differentials.
 
-    ``matrix`` has one row per relation and one column per symbol in
-    ``column_symbols``; the presented module is the cokernel of the row
-    span inside the free module on those symbols.
+    ``matrix`` has one row per relation and ``num_columns`` columns, one
+    per basis form dx of the ambient variables; the presented module is
+    the cokernel of the row span inside the free module on those forms.
     """
 
-    column_symbols: tuple[str, ...]
+    num_columns: int
     matrix: tuple[tuple[SparsePolynomial, ...], ...]
-
-    @property
-    def num_columns(self) -> int:
-        return len(self.column_symbols)
 
 
 def omega_presentation(X: VarietyPresentation) -> DifferentialPresentation:
     """Differentials of X, presented by the Jacobian of its generators."""
-    symbols = tuple(f"d{v}" for v in X.variables)
     rows = tuple(
         tuple(g.derivative(v) for v in X.variables) for g in X.generators
     )
-    return DifferentialPresentation(symbols, rows)
+    return DifferentialPresentation(len(X.variables), rows)
 
 
 def relative_omega_presentation(f: MorphismPresentation) -> DifferentialPresentation:
@@ -108,10 +103,9 @@ def relative_omega_presentation(f: MorphismPresentation) -> DifferentialPresenta
     the Jacobian ideal of f.
     """
     src_vars = f.source.variables
-    symbols = tuple(f"d{v}" for v in src_vars)
     rows = [tuple(g.derivative(v) for v in src_vars) for g in f.source.generators]
     rows.extend(tuple(comp.derivative(v) for v in src_vars) for comp in f.components)
-    return DifferentialPresentation(symbols, tuple(rows))
+    return DifferentialPresentation(len(src_vars), tuple(rows))
 
 
 def minors(matrix: Sequence[Sequence], size: int, table: dict | None = None) -> list:

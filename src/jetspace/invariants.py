@@ -9,6 +9,10 @@ elementary operations (everything left has order >= e, so the steps
 stay exact at full working precision).  Columns never touched by a
 finite pivot contribute free summands.
 
+There is one diagonalization mode, along the arc.  The level-n module is
+the arc-level one base-changed to k[t]/t^(n+1), so its profile is
+``InvariantProfile.at_level(n)``: pivots above n become free.
+
 The Betti number is the free rank; the sequence of invariant factors is
 the descending list of pivot orders, padded with the cap (level + 1 at a
 finite level, "at least the working precision" along the arc) below the
@@ -35,9 +39,6 @@ from .errors import MatrixTooLarge, PrecisionTooLow
 from .geometry import DifferentialPresentation, minors, omega_presentation
 from .jets import jet_levels
 from .series import PRECISION_CAP, OrderValue, TruncatedSeries
-
-# Level value meaning "along the whole arc, to working precision".
-ARC_LEVEL = None
 
 _MINOR_DIMENSION_BOUND = 8
 
@@ -76,9 +77,7 @@ class InvariantProfile:
         if i < 0:
             raise IndexError("fitting invariant index must be >= 0")
         if i < self.betti:
-            if self.level is None:
-                return OrderValue.at_least(self.precision)
-            return OrderValue.finite(self.level + 1)
+            return self.invariant_factor(i)
         tail = sum(self.factors[i - self.betti :], 0)
         if self.level is not None:
             tail = min(self.level + 1, tail)
@@ -105,6 +104,9 @@ class InvariantProfile:
             precision_limited=False,
         )
 
+    def precision_json(self):
+        return {"kind": "at_least" if self.precision_limited else "finite", "bound": self.precision}
+
     def to_json(self):
         return {
             "level": "infinity" if self.level is None else self.level,
@@ -119,25 +121,21 @@ class InvariantProfile:
 def smith_orders(
     matrix: Sequence[Sequence[TruncatedSeries]],
     num_columns: int,
-    level: int | None = None,
+    *,
     precision: int | None = None,
 ) -> InvariantProfile:
-    """Diagonalize a relation matrix over a t-truncated ring.
+    """Diagonalize a relation matrix along an arc.
 
     Rows are relations, columns are module generators (``num_columns``
-    of them).  At a finite ``level`` the ring is truncated at t^(level+1)
-    and vanishing below that cap is genuine; at arc level, vanishing only
-    means "no coefficient seen below the working precision" and flags the
-    profile as precision limited when it blocks the decomposition.
+    of them).  The ring is truncated at the smallest entry precision (or
+    ``precision`` for an empty matrix).  Vanishing only means "no
+    coefficient seen below the working precision", and flags the profile
+    as precision limited when it blocks the decomposition.
     """
     rows = [list(row) for row in matrix]
     if rows and any(len(row) != num_columns for row in rows):
         raise ValueError("matrix rows disagree with num_columns")
-    if level is not None:
-        jet_levels([level])
-        ring_precision = level + 1
-        rows = [[entry.truncate(ring_precision) for entry in row] for row in rows]
-    elif rows:
+    if rows:
         ring_precision = min(entry.precision for row in rows for entry in row)
         rows = [[entry.truncate(ring_precision) for entry in row] for row in rows]
     else:
@@ -178,11 +176,11 @@ def smith_orders(
         active_cols.remove(pj)
         pivots.append(e)
 
-    limited = bool(level is None and active_rows and active_cols)
+    limited = bool(active_rows and active_cols)
     betti = num_columns - len(pivots)
     factors = tuple(sorted((e for e in pivots if e > 0), reverse=True))
     return InvariantProfile(
-        level=level,
+        level=None,
         num_columns=num_columns,
         betti=betti,
         factors=factors,
@@ -249,19 +247,15 @@ def pullback_matrix(
     return [[arc.evaluate(entry) for entry in row] for row in presentation.matrix]
 
 
-def profile_of_omega(arc: Arc, level: int | None = ARC_LEVEL) -> InvariantProfile:
-    """Invariant profile of the differentials of the variety along an arc.
+def profile_of_omega(arc: Arc) -> InvariantProfile:
+    """Arc-level invariant profile of the differentials of the variety along an arc.
 
-    At a finite level the arc must know at least level+1 coefficients.
     No precision refinement happens here; see ``refined_profile_of_omega``.
+    A level-n profile is ``profile_of_omega(arc.with_precision(n + 1)).at_level(n)``.
     """
-    if level is not None and level >= arc.precision:
-        raise PrecisionTooLow(level, arc.precision)
     presentation = omega_presentation(arc.variety)
     matrix = pullback_matrix(presentation, arc)
-    return smith_orders(
-        matrix, presentation.num_columns, level=level, precision=arc.precision
-    )
+    return smith_orders(matrix, presentation.num_columns, precision=arc.precision)
 
 
 def refined_profile_of_omega(
@@ -286,9 +280,7 @@ def refined_pullback_profile(
     current = arc
     while True:
         matrix = pullback_matrix(presentation, current)
-        profile = smith_orders(
-            matrix, presentation.num_columns, level=ARC_LEVEL, precision=current.precision
-        )
+        profile = smith_orders(matrix, presentation.num_columns, precision=current.precision)
         if not profile.precision_limited:
             return profile, current
         if current.precision >= cap:

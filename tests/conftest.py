@@ -3,7 +3,8 @@
 from fractions import Fraction
 
 from jetspace.exact import FieldElement, RATIONALS, SparsePolynomial, TranscendenceDegree, echelon_rank_profile
-from jetspace.geometry import MorphismPresentation, VarietyPresentation
+from jetspace.geometry import MorphismPresentation, VarietyPresentation, omega_presentation
+from jetspace.invariants import pullback_matrix, smith_orders
 from jetspace.series import SeriesExpression, TruncatedSeries
 
 Q = RATIONALS
@@ -53,6 +54,20 @@ def blowup_chart_2d():
     tgt = VarietyPresentation(Q, ("x", "y"), (), declared_dim=2, name="plane")
     u, v = var("u"), var("v")
     return MorphismPresentation(src, tgt, (u, u * v), name="blowup2")
+
+
+def truncated_smith(matrix, num_columns, n):
+    """The level-n profile of a relation matrix, diagonalized on its own from
+    the entries truncated at t^(n+1) (not read off the arc-level pivots)."""
+    truncated = [[entry.truncate(n + 1) for entry in row] for row in matrix]
+    return smith_orders(truncated, num_columns, precision=n + 1).at_level(n)
+
+
+def level_profile(arc, n):
+    """The level-n profile of Omega along an arc that knows more than n coefficients."""
+    assert n < arc.precision
+    presentation = omega_presentation(arc.variety)
+    return truncated_smith(pullback_matrix(presentation, arc), presentation.num_columns, n)
 
 
 def count_calls(monkeypatch, cls, names):

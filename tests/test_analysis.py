@@ -15,6 +15,7 @@ from conftest import (
     cusp_variety,
     fe,
     fev,
+    level_profile,
     sexpr,
     to_sympy,
     var,
@@ -37,7 +38,7 @@ from jetspace import invariants
 from jetspace.errors import InputError, MissingDeclaredDim, PrecisionLimited
 from jetspace.exact import BaseField, SparsePolynomial
 from jetspace.geometry import MorphismPresentation, VarietyPresentation
-from jetspace.invariants import profile_of_omega, refined_profile_of_omega, smith_orders
+from jetspace.invariants import profile_of_omega, refined_profile_of_omega
 from jetspace.jets import jet_jacobian_corank
 from jetspace.series import OrderValue, SeriesExpression
 
@@ -56,8 +57,6 @@ def _cusp_arc(precision=12):
     [
         pytest.param(lambda n: fiber_dim_formula(_cusp_arc(), n), id="fiber_dim_formula"),
         pytest.param(lambda n: embdim_jet(_cusp_arc(), n), id="embdim_jet"),
-        pytest.param(lambda n: profile_of_omega(_cusp_arc(), n), id="profile_of_omega"),
-        pytest.param(lambda n: smith_orders([], 2, level=n), id="smith_orders"),
         pytest.param(lambda n: profile_of_omega(_cusp_arc()).at_level(n), id="at_level"),
         pytest.param(lambda n: _cusp_arc().truncate(n), id="truncate"),
         pytest.param(
@@ -539,7 +538,6 @@ def test_formula_vs_oracle_random_monomial_curves():
     import random
 
     from jetspace.exact import BaseField, FieldElement, SparsePolynomial
-    from jetspace.invariants import profile_of_omega
 
     def scalar_power(field, c, e):
         out = 1
@@ -570,7 +568,7 @@ def test_formula_vs_oracle_random_monomial_curves():
             )
             for check in oracle_check(arc, range(4), cap=48):
                 assert check.match, (field, a, b, check.fiber.level)
-            profiles = [profile_of_omega(arc, n) for n in range(5)]
+            profiles = [level_profile(arc, n) for n in range(5)]
             for m in range(1, 5):
                 for n in range(m):
                     for i in range(3):

@@ -329,6 +329,18 @@ class TestPushArc:
         with pytest.raises(MorphismInvalidOnArc):
             push_arc(bad, beta)
 
+    def test_refined_image_that_leaves_the_target_reports_an_invalid_morphism(self):
+        # z^2 - x*y^2 = u^60 along u = t: zero mod t^24, first seen mod t^61.
+        u = SparsePolynomial.variable(Q, "u")
+        line = affine_space(1, names=("u",))
+        f = MorphismPresentation(line, whitney_variety(), (u, SparsePolynomial.zero(Q), u**30))
+        alpha = push_arc(f, make_arc(line, [SeriesExpression.t_power(Q, 1)], 24))
+        with pytest.raises(MorphismInvalidOnArc) as info:
+            alpha.with_precision(96)
+        assert (info.value.generator_index, info.value.order) == (0, 60)
+        with pytest.raises(MorphismInvalidOnArc):
+            push_arc(f, make_arc(line, [SeriesExpression.t_power(Q, 1)], 64))
+
 
 def _field_poly(rng, field, names):
     """A seeded polynomial of degree <= 3 in ``names``, with rational or mod-p coefficients."""

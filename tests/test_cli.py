@@ -609,6 +609,58 @@ def test_golden_whitney_output_at_precision_cap_4(capsys, monkeypatch, argv, exp
     assert hashlib.sha256(out.encode()).hexdigest() == expected_sha256
 
 
+# sha256 over every `profile --n` run on the shipped problem arcs, at n = 0-25,
+# 40 and 63, at the default precision and at --precision 4: each run's exit
+# code on one line, then its JSON output.  Pinned when each level was still
+# diagonalized on its own; a level profile is now read off the arc-level one.
+PROFILE_LEVELS = [*range(26), 40, 63]
+PROFILE_LEVELS_SHA256 = "0e2e1a3eb63098e11dc0d834b99bddb8970049c763e523da8a761c0f75c42c8f"
+
+
+def test_golden_profile_at_every_level(capsys):
+    digest, runs = hashlib.sha256(), 0
+    for path in sorted(PROBLEMS.glob("*.json")):
+        for arc in json.loads(path.read_text())["arcs"]:
+            for precision in ((), ("--precision", "4")):
+                for n in PROFILE_LEVELS:
+                    code, out, _ = _run(capsys, ["profile", str(path), "--arc", arc, "--n", str(n), *precision])
+                    digest.update(f"{code}\n".encode())
+                    digest.update(out.encode())
+                    runs += 1
+    assert runs == 504
+    assert digest.hexdigest() == PROFILE_LEVELS_SHA256
+
+
+# An image arc that leaves its target reports the morphism, whether the
+# failure shows at the first precision or only after a refinement (24 -> 96).
+@pytest.mark.parametrize("precision", [(), ("--precision", "64")], ids=["refined", "at-first-precision"])
+def test_image_arc_off_the_target_is_an_invalid_morphism(tmp_path, capsys, precision):
+    doc = {
+        "variety": {"variables": ["x", "y", "z"], "generators": ["x*y^2 - z^2"]},
+        "morphism": {"source": {"variables": ["u"]}, "components": ["u", "0", "u^30"]},
+        "arcs": {"main": {"on": "source", "components": ["t"]}},
+    }
+    code, out, err = _run(capsys, ["btr", _write(tmp_path, doc), *precision])
+    assert (code, out) == (1, "")
+    assert err.startswith("error[MorphismInvalidOnArc]: target generator #1 does not vanish on the pushed arc")
+    assert "t^60" in err
+
+
+@pytest.mark.parametrize(
+    "generator, error",
+    [
+        ("x - ((2^256)^256)^256", "power of coefficient size 66048 bits exceeds the maximum 8192 at column 14"),
+        ("x - " + "9" * 5000, "integer literal of 5000 digits exceeds the maximum 1000 at column 5"),
+    ],
+    ids=["constant-tower", "long-literal"],
+)
+def test_coefficient_bounds_exit_with_parse_errors(tmp_path, capsys, generator, error):
+    doc = {"variety": {"variables": ["x"], "generators": [generator]}}
+    code, out, err = _run(capsys, ["jet-ideal", _write(tmp_path, doc), "--n", "1"])
+    assert (code, out) == (1, "")
+    assert err.startswith(f"error[ParseError]: {error} in variety.generators[0]")
+
+
 # Usage errors and unaccepted flags: exit 1 with a typed error, never SystemExit.
 @pytest.mark.parametrize(
     "argv",

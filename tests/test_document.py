@@ -11,7 +11,14 @@ from jetspace.cli import main
 from jetspace.document import PRIME_FIELDS_KEPT, _prime_field, load_document, parse_document
 from jetspace.errors import DenominatorNotUnit, InputError, ParseError
 from jetspace.exact import RATIONALS, BaseField, SparsePolynomial
-from jetspace.exprs import MAX_EXPONENT, MAX_POWER_TERMS, parse_polynomial, parse_series_expression
+from jetspace.exprs import (
+    MAX_COEFFICIENT_BITS,
+    MAX_EXPONENT,
+    MAX_LITERAL_DIGITS,
+    MAX_POWER_TERMS,
+    parse_polynomial,
+    parse_series_expression,
+)
 from jetspace.series import PRECISION_CAP, OrderValue
 
 
@@ -157,6 +164,43 @@ class TestExponentCeiling:
     def test_series_power_at_ceiling_accepted(self):
         expr = parse_series_expression("((t/(1 - t))^2)^128", Q, ())
         assert expr.expand(3).coeffs == (fe(0), fe(0), fe(0))
+
+    # n * (numerator bits + denominator bits) of the base's largest coefficient:
+    # 2 * (2048 + 2048) at the ceiling, 3 * (2730 + 1) one bit above it.
+    AT_BITS = f"x + ({2**2047}/{2**2047 + 1})^2"
+    ABOVE_BITS = f"x + ({2**2729})^3"
+
+    @pytest.mark.parametrize("field", [Q, BaseField(5)], ids=["Q", "GF5"])
+    @pytest.mark.parametrize("parse", [parse_polynomial, parse_series_expression], ids=["polynomial", "series"])
+    def test_coefficient_bits_at_and_above_ceiling(self, parse, field):
+        assert 2 * (2048 + 2048) == MAX_COEFFICIENT_BITS == 3 * (2730 + 1) - 1
+        at = parse(self.AT_BITS, field, ("x",))
+        if parse is parse_polynomial:
+            assert at.constant_value() == field.coerce(Fraction(2**2047, 2**2047 + 1) ** 2)
+        if field.p:
+            parse(self.ABOVE_BITS, field, ("x",))  # GF(p) reduces every product
+            return
+        with pytest.raises(ParseError) as info:
+            parse(self.ABOVE_BITS, field, ("x",), context="variety.generators[0]")
+        assert info.value.column == len(self.ABOVE_BITS)
+        assert f"coefficient size {MAX_COEFFICIENT_BITS + 1} bits exceeds the maximum" in str(info.value)
+
+    def test_degree_and_term_bounds_are_checked_first(self):
+        with pytest.raises(ParseError, match="power of degree 400"):
+            parse_polynomial(f"({2**2729}*x^2)^200", Q, ("x",))
+        with pytest.raises(ParseError, match="power 44 of a 3-term base"):
+            parse_polynomial(f"({2**2729}*x + y + 1)^44", Q, ("x", "y"))
+
+    @pytest.mark.parametrize("field", [Q, BaseField(5)], ids=["Q", "GF5"])
+    @pytest.mark.parametrize("parse", [parse_polynomial, parse_series_expression], ids=["polynomial", "series"])
+    def test_literal_digits_at_and_above_ceiling(self, parse, field):
+        at = parse("x + " + "9" * MAX_LITERAL_DIGITS, field, ("x",))
+        if parse is parse_polynomial:
+            assert at.constant_value() == field.coerce(10**MAX_LITERAL_DIGITS - 1)
+        with pytest.raises(ParseError) as info:
+            parse("x + " + "9" * (MAX_LITERAL_DIGITS + 1), field, ("x",))
+        assert info.value.column == 5
+        assert f"integer literal of {MAX_LITERAL_DIGITS + 1} digits exceeds the maximum" in str(info.value)
 
 
 PROBLEMS = Path(__file__).resolve().parent.parent / "problems"

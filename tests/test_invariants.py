@@ -6,7 +6,18 @@ from fractions import Fraction
 
 import pytest
 
-from conftest import Q, affine_space, cusp_variety, fe, fev, sexpr, tser, whitney_variety
+from conftest import (
+    Q,
+    affine_space,
+    cusp_variety,
+    fe,
+    fev,
+    level_profile,
+    sexpr,
+    truncated_smith,
+    tser,
+    whitney_variety,
+)
 from jetspace.arcs import generic_arc, make_arc
 from jetspace.errors import MatrixTooLarge, PrecisionTooLow
 from jetspace.exact import BaseField
@@ -40,6 +51,11 @@ class TestSmithOrders:
         assert profile.betti == 2
         assert profile.factors == ()
 
+    def test_precision_is_keyword_only(self):
+        # A stale call that passes a level third must not read it as a precision.
+        with pytest.raises(TypeError):
+            smith_orders([], 2, 10)
+
     def test_diagonal(self):
         zero = tser([], 10)
         matrix = [[_t_power(1, 10), zero], [zero, _t_power(2, 10)]]
@@ -52,7 +68,7 @@ class TestSmithOrders:
 
     def test_finite_level_caps(self):
         row = [tser([0, 0, 0, 0, -3], 12), tser([0, 0, 0, 2], 12)]
-        profile = smith_orders([row], 2, level=1)
+        profile = truncated_smith([row], 2, 1)
         assert profile.betti == 2
         assert profile.factors == ()
         assert not profile.precision_limited  # vanishing mod t^2 is genuine
@@ -282,7 +298,7 @@ def test_scalar_and_field_element_coefficients_agree(precision):
         assert all(type(c) is int for row in scalar for entry in row for c in entry.coeffs)
         assert smith_orders(scalar, cols) == smith_orders(matrix, cols)
         for level in (1, precision - 1):
-            assert smith_orders(scalar, cols, level) == smith_orders(matrix, cols, level)
+            assert truncated_smith(scalar, cols, level) == truncated_smith(matrix, cols, level)
         assert fitting_minor_oracle(scalar) == fitting_minor_oracle(matrix)
 
 
@@ -367,7 +383,7 @@ def test_truncation_compatibility_cusp():
         [SeriesExpression.t_power(Q, 2), SeriesExpression.t_power(Q, 3)],
         12,
     )
-    profiles = {n: profile_of_omega(arc, n) for n in range(9)}
+    profiles = {n: level_profile(arc, n) for n in range(9)}
     for m in range(1, 9):
         for n in range(m):
             for i in range(3):
@@ -382,14 +398,15 @@ def test_betti_monotone_cusp():
         [SeriesExpression.t_power(Q, 2), SeriesExpression.t_power(Q, 3)],
         12,
     )
-    bettis = [profile_of_omega(arc, n).betti for n in range(9)]
+    bettis = [level_profile(arc, n).betti for n in range(9)]
     assert all(a >= b for a, b in zip(bettis, bettis[1:]))
     assert bettis[0] == 2 and bettis[-1] == 1
 
 
 # The level-n profile derived from the arc-level pivots equals a fresh
-# diagonalization at level n: every catalog arc, every level below the
-# refined precision, including precision-limited arcs at a low cap.
+# diagonalization of the matrix truncated at t^(n+1): every catalog arc,
+# every level below the refined precision, including precision-limited
+# arcs at a low cap.
 @pytest.mark.parametrize("start, cap", [(4, 4), (8, 16), (16, 64)])
 def test_at_level_matches_profile_of_omega_on_catalog(start, cap):
     from jetspace.catalog import _catalog_arcs
@@ -399,7 +416,7 @@ def test_at_level_matches_profile_of_omega_on_catalog(start, cap):
         profile, arc = refined_profile_of_omega(arc, cap)
         limited += profile.precision_limited
         for n in range(profile.precision):
-            assert profile.at_level(n) == profile_of_omega(arc, n), (key, name, n)
+            assert profile.at_level(n) == level_profile(arc, n), (key, name, n)
     assert limited
 
 
@@ -409,7 +426,7 @@ def test_at_level_on_limited_whitney_arc_at_cap_4(e):
     profile, arc = refined_profile_of_omega(arc, 4)
     assert profile.precision_limited and profile.precision == 4
     for n in range(4):
-        assert profile.at_level(n) == profile_of_omega(arc, n)
+        assert profile.at_level(n) == level_profile(arc, n)
     with pytest.raises(PrecisionTooLow):
         profile.at_level(4)
 
@@ -421,10 +438,10 @@ def test_at_level_beyond_precision_of_a_resolved_profile():
     assert not profile.precision_limited
     finer = arc.with_precision(13)
     for n in range(13):
-        assert profile.at_level(n) == profile_of_omega(finer, n)
+        assert profile.at_level(n) == level_profile(finer, n)
 
 
 def test_at_level_needs_an_arc_level_profile():
     arc = make_arc(cusp_variety(), [SeriesExpression.t_power(Q, 2), SeriesExpression.t_power(Q, 3)], 6)
     with pytest.raises(ValueError):
-        profile_of_omega(arc, 3).at_level(2)
+        profile_of_omega(arc).at_level(3).at_level(2)

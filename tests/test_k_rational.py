@@ -13,7 +13,7 @@ from pathlib import Path
 
 import pytest
 
-from conftest import count_calls, sexpr
+from conftest import count_calls, level_profile, sexpr
 from jetspace.arcs import GenericComponent, make_arc, push_arc
 from jetspace.catalog import blow_up_chart, build_catalog
 from jetspace.document import load_document
@@ -137,7 +137,7 @@ def test_invariants_agree(build, monkeypatch):
     X = scalar.variety
     assert profile_of_omega(scalar) == profile_of_omega(lifted)
     for n in range(9):
-        assert profile_of_omega(scalar, n) == profile_of_omega(lifted, n)
+        assert level_profile(scalar, n) == level_profile(lifted, n)
     coranks = jet_jacobian_corank(X, range(5), scalar.truncate(4).coordinates)
     assert coranks == jet_jacobian_corank(X, range(5), lifted.truncate(4).coordinates)
     for arc in (scalar, lifted):
