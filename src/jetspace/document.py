@@ -4,7 +4,8 @@ A document declares the base field, the transcendentals available to
 arc coefficients, one variety, named arcs on it, an optional morphism,
 and default task parameters.  Polynomial and series values are strings
 in the small infix grammar of ``exprs``; rationals are always ``a/b``
-strings or integer literals, never floats.
+strings or integer literals, never floats.  A JSON integer, like an
+integer literal of the grammar, has at most ``MAX_LITERAL_DIGITS`` digits.
 
 Example::
 
@@ -50,7 +51,7 @@ from typing import Any, Callable, Mapping
 from .arcs import Arc, GenericComponent, make_arc
 from .errors import InputError
 from .exact import RATIONALS, BaseField
-from .exprs import is_symbol, parse_polynomial, parse_series_expression
+from .exprs import MAX_LITERAL_DIGITS, is_symbol, parse_polynomial, parse_series_expression
 from .geometry import MorphismPresentation, VarietyPresentation
 from .series import DEFAULT_PRECISION, PRECISION_CAP
 
@@ -246,9 +247,16 @@ def _parse_component(value, index, field, transcendentals, context):
 
 
 def load_document(path: str) -> ProblemDocument:
+    def parse_int(text):
+        # The literal bound of the grammar; Python refuses to read more than 4300 digits.
+        digits = len(text.lstrip("-"))
+        if digits > MAX_LITERAL_DIGITS:
+            raise InputError(f"{path}: integer of {digits} digits exceeds the maximum {MAX_LITERAL_DIGITS}")
+        return int(text)
+
     try:
         with open(path, "r", encoding="utf-8") as handle:
-            raw = json.load(handle)
+            raw = json.load(handle, parse_int=parse_int)
     except OSError as err:
         raise InputError(f"cannot read {path}: {err}") from err
     except json.JSONDecodeError as err:

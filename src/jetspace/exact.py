@@ -242,10 +242,6 @@ class SparsePolynomial:
         """Coefficient of the constant monomial (the value at the origin)."""
         return self.terms.get(_ONE_MONO, 0)
 
-    def degree(self) -> int:
-        """Total degree; 0 for the zero polynomial."""
-        return max(map(_mono_degree, self.terms), default=0)
-
     def variables(self) -> list[str]:
         seen = set()
         for mono in self.terms:

@@ -1,39 +1,41 @@
 """Small infix grammar for polynomial and series values in documents.
 
-Operators: ``+ - * ^`` with parentheses and unary minus; integer
-literals combine into rationals with ``/``.  In series context the
-variable ``t`` is reserved and ``/`` is a full division (the resulting
-denominator must be a unit at t = 0); in polynomial context ``/`` is
-only allowed with an integer literal divisor, so values stay
-polynomials.  A zero divisor and an unknown symbol are parse errors;
-symbols never become new variables.
-Exponents are integer literals of at most ``MAX_EXPONENT``, and a power
-is refused before it is computed when its degree would exceed
-``MAX_EXPONENT``: the total degree for polynomials; for series
-expressions the degree in t or in the transcendentals of a monomial of
-the numerator or denominator, whichever is larger.  So nested powers such
-as ``((x)^256)^256`` cannot run unbounded either.  A power is also refused
-when its term count could exceed ``MAX_POWER_TERMS``: a base of k terms
-to the n has at most C(n+k-1, k-1) terms.  A polynomial counts its terms;
-a series expression counts the distinct monomials in the transcendentals
-of its numerator or denominator, whichever has more (its powers of t are
-already bounded by the degree).  Over Q a power is also refused when n
-times the bits of its base's largest coefficient (numerator plus
-denominator) exceeds ``MAX_COEFFICIENT_BITS``, so constant towers such as
+Operators: ``+ - * / ^`` with parentheses and unary minus, over integer
+literals and named symbols.  Every value parses as one type, a
+``SeriesExpression``: a numerator and a denominator polynomial in t and
+the symbols.  ``t`` is never a name.  In series context it is the series
+variable and ``/`` is a full division (the denominator must be a unit at
+t = 0).  In polynomial context t is no symbol and a divisor must be a
+nonzero constant, such as ``(2*3)``, folded into the numerator, so a
+polynomial is the numerator of a value whose denominator is 1.  A zero
+divisor and an unknown symbol are parse errors; symbols never become new
+variables.
+
+A value past a bound is a ``ParseError`` at the column of the token that
+crosses it.  An exponent is an integer literal of at most
+``MAX_EXPONENT``, and so is the degree of a power, checked before it is
+computed: the degree in t or in the other symbols of a monomial of the
+numerator or denominator, whichever is larger, so ``((x)^256)^256``
+cannot run unbounded.  A power of a k-term base to the n, which has at
+most C(n+k-1, k-1) terms, is refused when that exceeds
+``MAX_POWER_TERMS``; a value counts the distinct monomials in the symbols
+other than t of its numerator or denominator, whichever has more.  Over
+Q no coefficient (bits of numerator plus denominator) of a sum, product
+or quotient may exceed ``MAX_COEFFICIENT_BITS``, nor n times the largest
+of a power's base, checked before the power is computed, so
 ``((2^256)^256)^256`` cannot run unbounded; GF(p) reduces every product
 and needs no such bound.  An integer literal has at most
-``MAX_LITERAL_DIGITS`` digits.  Series values are built from
-polynomials in t and the transcendentals, never from field elements.
+``MAX_LITERAL_DIGITS`` digits, and at most ``MAX_NESTING`` open
+parentheses and unary minus signs enclose any point of a value.
 """
 
 from __future__ import annotations
 
-from fractions import Fraction
 from itertools import chain
 from math import comb
 from typing import Sequence
 
-from .errors import ParseError, UnknownVariable
+from .errors import ParseError
 from .exact import BaseField, SparsePolynomial
 from .series import SeriesExpression, split_t
 
@@ -48,14 +50,20 @@ MAX_EXPONENT = 256
 # (a+b+c+d+e+f)^256 would have about 10^10 terms.
 MAX_POWER_TERMS = 1000
 
-# Largest n * (bits of the numerator plus the denominator of the base's
-# largest coefficient) of a power over Q.  It stays below the 14,284 bits of
-# Python's 4300-digit int-to-str limit, with room for a multinomial factor,
-# so every coefficient of an accepted power can be printed.
+# Largest coefficient over Q, in bits of its numerator plus its denominator,
+# of a sum, product or quotient, and largest n times the base's largest of a
+# power.  It stays below the 14,284 bits of Python's 4300-digit int-to-str
+# limit, with room for a power's multinomial factor, so every coefficient of
+# an accepted value can be printed.
 MAX_COEFFICIENT_BITS = 8192
 
 # Most digits of one integer literal; Python refuses to read more than 4300.
 MAX_LITERAL_DIGITS = 1000
+
+# Most open parentheses and unary minus signs around any point of a value.
+# Each level costs the parser a few Python frames, so this keeps a deep
+# value far from the interpreter's recursion limit (1000 frames).
+MAX_NESTING = 100
 
 _SYMBOL_START = set("abcdefghijklmnopqrstuvwxyzABCDEFGHIJKLMNOPQRSTUVWXYZ_")
 _SYMBOL_BODY = _SYMBOL_START | set("0123456789")
@@ -102,18 +110,24 @@ def _tokenize(text: str, context: str):
 
 
 class _Parser:
-    """Recursive-descent evaluator over a caller-supplied value ring."""
+    """Recursive-descent evaluator of one value as a ``SeriesExpression``.
 
-    def __init__(self, text, context, symbol, const, degree, terms, coefficients, full_division):
+    ``names`` are the symbols it may use.  With ``series``, t is the series
+    variable and ``/`` divides; otherwise t is no symbol and a divisor must
+    be a nonzero constant, folded into the numerator, so the denominator
+    stays 1.
+    """
+
+    def __init__(self, text, context, field, names, series):
+        if "t" in names:
+            raise ParseError("'t' is reserved for the series variable", 1, context)
         self.tokens = _tokenize(text, context)
         self.pos = 0
         self.context = context
-        self.symbol = symbol
-        self.const = const
-        self.degree = degree
-        self.terms = terms
-        self.coefficients = coefficients  # None over GF(p): no coefficient bound
-        self.full_division = full_division
+        self.field = field
+        self.names = set(names)
+        self.series = series
+        self.depth = 0
 
     def peek(self):
         return self.tokens[self.pos]
@@ -126,6 +140,23 @@ class _Parser:
     def fail(self, message, column):
         raise ParseError(message, column, self.context)
 
+    def constant(self, value):
+        return SeriesExpression.constant(self.field, value)
+
+    def descend(self, column):
+        """One more open parenthesis or unary minus, refused past ``MAX_NESTING``."""
+        self.depth += 1
+        if self.depth > MAX_NESTING:
+            self.fail(f"nesting deeper than the maximum {MAX_NESTING}", column)
+
+    def bound_bits(self, what, value, column, exponent=1):
+        """Over Q, refuse a largest coefficient of ``value``, times ``exponent``, past the bound."""
+        if self.field.p:
+            return  # GF(p) reduces every product
+        bits = exponent * max(map(_bits, chain(value.num.terms.values(), value.den.terms.values())))
+        if bits > MAX_COEFFICIENT_BITS:
+            self.fail(f"{what} of coefficient size {bits} bits exceeds the maximum {MAX_COEFFICIENT_BITS}", column)
+
     def parse(self):
         value = self.expr()
         kind, _, col = self.peek()
@@ -136,7 +167,7 @@ class _Parser:
     def expr(self):
         value = self.term()
         while True:
-            kind, _, _ = self.peek()
+            kind, _, col = self.peek()
             if kind == "+":
                 self.take()
                 value = value + self.term()
@@ -145,6 +176,7 @@ class _Parser:
                 value = value - self.term()
             else:
                 return value
+            self.bound_bits("sum", value, col)
 
     def term(self):
         value = self.unary()
@@ -153,30 +185,31 @@ class _Parser:
             if kind == "*":
                 self.take()
                 value = value * self.unary()
+                self.bound_bits("product", value, col)
             elif kind == "/":
                 self.take()
-                if self.full_division:
-                    _, _, dcol = self.peek()
-                    divisor = self.unary()
-                    if divisor.is_zero():
-                        self.fail("division by zero", dcol)
+                _, _, dcol = self.peek()
+                divisor = self.unary()
+                if divisor.is_zero():
+                    self.fail("division by zero", dcol)
+                if self.series:
                     value = value / divisor
+                elif divisor.num.is_constant():
+                    value = value * self.constant(self.field.inv(divisor.num.constant_value()))
                 else:
-                    nkind, nval, ncol = self.take()
-                    if nkind != "num":
-                        self.fail("division is only allowed by an integer literal here", ncol)
-                    # Zero in the field: 0, or over GF(p) any multiple of p.
-                    if not self.const(nval):
-                        self.fail("division by zero", ncol)
-                    value = value * self.const(Fraction(1, nval))
+                    self.fail("division is only allowed by a constant here", dcol)
+                self.bound_bits("quotient", value, col)
             else:
                 return value
 
     def unary(self):
-        kind, _, _ = self.peek()
+        kind, _, col = self.peek()
         if kind == "-":
             self.take()
-            return self.const(Fraction(-1)) * self.unary()
+            self.descend(col)
+            value = self.constant(-1) * self.unary()
+            self.depth -= 1
+            return value
         return self.power()
 
     def power(self):
@@ -189,37 +222,36 @@ class _Parser:
                 self.fail("exponent must be a nonnegative integer", ncol)
             if nval > MAX_EXPONENT:
                 self.fail(f"exponent {nval} exceeds the maximum {MAX_EXPONENT}", ncol)
-            degree = self.degree(value) * nval
+            degree = _degree(value) * nval
             if degree > MAX_EXPONENT:
                 self.fail(f"power of degree {degree} exceeds the maximum {MAX_EXPONENT}", ncol)
-            k = self.terms(value)
+            k = _terms(value)
             if k > 1 and comb(nval + k - 1, k - 1) > MAX_POWER_TERMS:
                 self.fail(
                     f"power {nval} of a {k}-term base may exceed {MAX_POWER_TERMS} terms", ncol
                 )
-            if self.coefficients is not None:
-                bits = nval * max(map(_bits, self.coefficients(value)), default=0)
-                if bits > MAX_COEFFICIENT_BITS:
-                    self.fail(
-                        f"power of coefficient size {bits} bits exceeds the maximum {MAX_COEFFICIENT_BITS}", ncol
-                    )
+            self.bound_bits("power", value, ncol, nval)
             value = value ** nval
         return value
 
     def atom(self):
         kind, val, col = self.take()
         if kind == "num":
-            return self.const(Fraction(val))
+            return self.constant(val)
         if kind == "sym":
-            try:
-                return self.symbol(val)
-            except UnknownVariable:
+            field = self.field
+            if self.series and val == "t":
+                return SeriesExpression.t_power(field, 1)
+            if val not in self.names:
                 self.fail(f"unknown symbol {val!r}", col)
+            return SeriesExpression(field, SparsePolynomial.variable(field, val))
         if kind == "(":
+            self.descend(col)
             value = self.expr()
             ckind, _, ccol = self.take()
             if ckind != ")":
                 self.fail("expected ')'", ccol)
+            self.depth -= 1
             return value
         self.fail(f"unexpected {kind!r}", col)
 
@@ -231,24 +263,7 @@ def parse_polynomial(
     context: str = "",
 ) -> SparsePolynomial:
     """Parse a polynomial in the given variables over the base field."""
-    allowed = set(variables)
-
-    def symbol(name):
-        if name not in allowed:
-            raise UnknownVariable(name)
-        return SparsePolynomial.variable(field, name)
-
-    def const(value):
-        return SparsePolynomial.constant(field, value)
-
-    coefficients = None if field.p else _polynomial_coefficients
-    parser = _Parser(
-        text, context, symbol, const, SparsePolynomial.degree, _polynomial_terms, coefficients,
-        full_division=False,
-    )
-    value = parser.parse()
-    # SparsePolynomial ** guards negative exponents; nothing else to check.
-    return value
+    return _Parser(text, context, field, variables, series=False).parse().num
 
 
 def parse_series_expression(
@@ -258,50 +273,20 @@ def parse_series_expression(
     context: str = "",
 ) -> SeriesExpression:
     """Parse a rational-in-t expression with transcendental coefficients."""
-    allowed = set(transcendentals)
-    if "t" in allowed:
-        raise ParseError("'t' is reserved for the series variable", 1, context)
-
-    def symbol(name):
-        if name == "t":
-            return SeriesExpression.t_power(field, 1)
-        if name not in allowed:
-            raise UnknownVariable(name)
-        return SeriesExpression.constant(field, SparsePolynomial.variable(field, name))
-
-    def const(value):
-        return SeriesExpression.constant(field, value)
-
-    coefficients = None if field.p else _series_coefficients
-    parser = _Parser(
-        text, context, symbol, const, _series_degree, _series_terms, coefficients, full_division=True
-    )
-    return parser.parse()
+    return _Parser(text, context, field, transcendentals, series=True).parse()
 
 
-def _series_degree(value: SeriesExpression) -> int:
-    """Larger of the degree in t and the degree in the transcendentals, over every monomial."""
+def _degree(value: SeriesExpression) -> int:
+    """Larger of the degree in t and the degree in the other symbols, over every monomial."""
     splits = [split_t(mono) for poly in (value.num, value.den) for mono in poly.terms]
     return max((max(e, sum(x for _, x in rest)) for e, rest in splits), default=0)
 
 
-def _polynomial_terms(value: SparsePolynomial) -> int:
-    return len(value.terms)
-
-
-def _polynomial_coefficients(value: SparsePolynomial):
-    return value.terms.values()
-
-
-def _series_coefficients(value: SeriesExpression):
-    return chain(value.num.terms.values(), value.den.terms.values())
+def _terms(value: SeriesExpression) -> int:
+    """Distinct monomials in the symbols other than t, in the numerator or the denominator."""
+    return max(len({split_t(mono)[1] for mono in poly.terms}) for poly in (value.num, value.den))
 
 
 def _bits(c) -> int:
     """Bits of a rational coefficient's numerator plus its denominator."""
     return abs(c.numerator).bit_length() + c.denominator.bit_length()
-
-
-def _series_terms(value: SeriesExpression) -> int:
-    """Distinct monomials in the transcendentals, in the numerator or the denominator."""
-    return max(len({split_t(mono)[1] for mono in poly.terms}) for poly in (value.num, value.den))

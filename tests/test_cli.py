@@ -12,6 +12,7 @@ import pytest
 from jetspace.analysis import DEFAULT_N_MAX
 from jetspace.cli import main
 from jetspace.document import PARAMETERS
+from jetspace.exprs import MAX_LITERAL_DIGITS
 from jetspace.series import DEFAULT_PRECISION, PRECISION_CAP
 
 CUSP_DOC = {
@@ -342,6 +343,8 @@ def test_malformed_document_exits_with_an_input_error(tmp_path, capsys, doc, mes
         (dict(CUSP_DOC, tasks=[{"command": "profile", "precision": 10**6}]), ["profile"], "precision"),
         (CUSP_DOC, ["embdim-arc", "--window", "99999999999999999999"], "window"),
         (dict(CUSP_DOC, params={"window": 192}), ["jet-codim"], "window"),
+        # The longest JSON integer a document may hold.
+        (dict(CUSP_DOC, tasks=[{"command": "fiber-dim", "n": 10**MAX_LITERAL_DIGITS - 1}]), ["fiber-dim"], "n"),
     ],
 )
 def test_numeric_parameter_above_ceiling_rejected(tmp_path, capsys, doc, argv, key):
@@ -352,6 +355,14 @@ def test_numeric_parameter_above_ceiling_rejected(tmp_path, capsys, doc, argv, k
     assert out == ""
     assert "error[InputError]" in err
     assert f"parameter {key!r}" in err and f"ceiling {PARAMETERS[key].ceiling}" in err
+
+
+def test_json_integer_above_literal_ceiling_rejected(tmp_path, capsys):
+    digits = MAX_LITERAL_DIGITS + 1
+    path = _write(tmp_path, dict(CUSP_DOC, tasks=[{"command": "fiber-dim", "n": 10**digits - 1}]))
+    code, out, err = _run(capsys, ["fiber-dim", path])
+    assert (code, out) == (1, "")
+    assert err == f"error[InputError]: {path}: integer of {digits} digits exceeds the maximum {MAX_LITERAL_DIGITS}\n"
 
 
 def test_parameter_ceilings_cover_shipped_values():
@@ -651,8 +662,11 @@ def test_image_arc_off_the_target_is_an_invalid_morphism(tmp_path, capsys, preci
     [
         ("x - ((2^256)^256)^256", "power of coefficient size 66048 bits exceeds the maximum 8192 at column 14"),
         ("x - " + "9" * 5000, "integer literal of 5000 digits exceeds the maximum 1000 at column 5"),
+        ("x - (2^256)^31*(2^256)^31", "product of coefficient size 15874 bits exceeds the maximum 8192 at column 15"),
+        ("(" * 200 + "x" + ")" * 200, "nesting deeper than the maximum 100 at column 101"),
+        ("-" * 3000 + "x", "nesting deeper than the maximum 100 at column 101"),
     ],
-    ids=["constant-tower", "long-literal"],
+    ids=["constant-tower", "long-literal", "constant-product", "nested-parentheses", "nested-minus"],
 )
 def test_coefficient_bounds_exit_with_parse_errors(tmp_path, capsys, generator, error):
     doc = {"variety": {"variables": ["x"], "generators": [generator]}}

@@ -1,12 +1,16 @@
 """Expression grammar and problem-document loading."""
 
 import gc
+import hashlib
+import json
+import re
 from fractions import Fraction
 from pathlib import Path
 
 import pytest
 
 from conftest import Q, fe, var
+from jetspace.catalog import _CATALOG_DOCUMENTS
 from jetspace.cli import main
 from jetspace.document import PRIME_FIELDS_KEPT, _prime_field, load_document, parse_document
 from jetspace.errors import DenominatorNotUnit, InputError, ParseError
@@ -15,11 +19,12 @@ from jetspace.exprs import (
     MAX_COEFFICIENT_BITS,
     MAX_EXPONENT,
     MAX_LITERAL_DIGITS,
+    MAX_NESTING,
     MAX_POWER_TERMS,
     parse_polynomial,
     parse_series_expression,
 )
-from jetspace.series import PRECISION_CAP, OrderValue
+from jetspace.series import PRECISION_CAP, OrderValue, SeriesExpression
 
 
 class TestParsePolynomial:
@@ -42,8 +47,18 @@ class TestParsePolynomial:
 
     def test_scalar_division_only(self):
         assert parse_polynomial("x/2", Q, ("x",)) == var("x").scale(Fraction(1, 2))
-        with pytest.raises(ParseError):
-            parse_polynomial("x/y", Q, ("x", "y"))
+        # Any nonzero constant divides, not only an integer literal.
+        assert parse_polynomial("x/(2*3)", Q, ("x",)) == var("x").scale(Fraction(1, 6))
+        f5 = BaseField(5)
+        assert parse_polynomial("x/(2*3)", f5, ("x",)) == SparsePolynomial.variable(f5, "x")
+        assert parse_polynomial("x/(1/2)", Q, ("x",)) == var("x").scale(2)
+        for text in ("x/y", "x/(x + 1)"):
+            with pytest.raises(ParseError, match="division is only allowed by a constant here") as info:
+                parse_polynomial(text, Q, ("x", "y"))
+            assert info.value.column == 3
+        with pytest.raises(ParseError, match="division by zero") as info:
+            parse_polynomial("x/(3 - 3)", Q, ("x",))
+        assert info.value.column == 3
 
     @pytest.mark.parametrize("text", ["x/5", "x/10", "1 + x/0"])
     def test_literal_divisor_that_vanishes_in_the_field_is_a_parse_error(self, text):
@@ -90,6 +105,11 @@ class TestParseSeriesExpression:
     def test_t_reserved(self):
         with pytest.raises(ParseError):
             parse_series_expression("t + u", Q, ("t", "u"))
+        # t is never a name: a polynomial may not declare it, and does not know it.
+        with pytest.raises(ParseError, match="'t' is reserved"):
+            parse_polynomial("t + u", Q, ("t", "u"))
+        with pytest.raises(ParseError, match="unknown symbol 't'"):
+            parse_polynomial("t + u", Q, ("u",))
 
     def test_unknown_symbol(self):
         with pytest.raises(ParseError):
@@ -185,6 +205,31 @@ class TestExponentCeiling:
         assert info.value.column == len(self.ABOVE_BITS)
         assert f"coefficient size {MAX_COEFFICIENT_BITS + 1} bits exceeds the maximum" in str(info.value)
 
+    # A sum, product or quotient is bounded by its value, at its operator:
+    # 2^8190 is 8191 + 1 bits and 1/2^8190 is 1 + 8191, at the ceiling.
+    # (2^256)^31 = 2^7936 passes the power bound, 31 * (257 + 1) bits.
+    OPERATOR_BITS = [
+        ("product", "*", "x - (2^256)^31*2^254", -(2**8190), "x - (2^256)^31*2^255"),
+        ("quotient", "/", "x + 1/(2^256)^31/2^254", Fraction(1, 2**8190), "x + 1/(2^256)^31/2^255"),
+        ("sum", "+", "x + (2^256)^31*2^253 + (2^256)^31*2^253", 2**8190, "x + (2^256)^31*2^254 + (2^256)^31*2^254"),
+    ]
+
+    @pytest.mark.parametrize("what, operator, at, value, above", OPERATOR_BITS, ids=[case[0] for case in OPERATOR_BITS])
+    @pytest.mark.parametrize("field", [Q, BaseField(5)], ids=["Q", "GF5"])
+    @pytest.mark.parametrize("parse", [parse_polynomial, parse_series_expression], ids=["polynomial", "series"])
+    def test_operator_coefficient_bits_at_and_above_ceiling(self, parse, field, what, operator, at, value, above):
+        assert 8190 + 2 == MAX_COEFFICIENT_BITS
+        parsed = parse(at, field, ("x",))
+        if parse is parse_polynomial:
+            assert parsed.constant_value() == field.coerce(value)
+        if field.p:
+            parse(above, field, ("x",))  # GF(p) reduces every product
+            return
+        with pytest.raises(ParseError) as info:
+            parse(above, field, ("x",), context="variety.generators[0]")
+        assert info.value.column == above.rindex(operator) + 1
+        assert f"{what} of coefficient size {MAX_COEFFICIENT_BITS + 1} bits exceeds the maximum" in str(info.value)
+
     def test_degree_and_term_bounds_are_checked_first(self):
         with pytest.raises(ParseError, match="power of degree 400"):
             parse_polynomial(f"({2**2729}*x^2)^200", Q, ("x",))
@@ -201,6 +246,19 @@ class TestExponentCeiling:
             parse("x + " + "9" * (MAX_LITERAL_DIGITS + 1), field, ("x",))
         assert info.value.column == 5
         assert f"integer literal of {MAX_LITERAL_DIGITS + 1} digits exceeds the maximum" in str(info.value)
+
+    @pytest.mark.parametrize("opener, closer", [("(", ")"), ("-", ""), ("-(", ")")], ids=["parentheses", "minus", "both"])
+    @pytest.mark.parametrize("field", [Q, BaseField(5)], ids=["Q", "GF5"])
+    @pytest.mark.parametrize("parse", [parse_polynomial, parse_series_expression], ids=["polynomial", "series"])
+    def test_nesting_at_and_above_ceiling(self, parse, field, opener, closer):
+        # An even depth of minus signs leaves x itself.
+        k = MAX_NESTING // len(opener)
+        at = parse(opener * k + "x" + closer * k, field, ("x",))
+        assert at == parse("x", field, ("x",))
+        with pytest.raises(ParseError) as info:
+            parse("(" + opener * k + "x" + closer * k + ")", field, ("x",))
+        assert info.value.column == MAX_NESTING + 1
+        assert f"nesting deeper than the maximum {MAX_NESTING}" in str(info.value)
 
 
 PROBLEMS = Path(__file__).resolve().parent.parent / "problems"
@@ -400,6 +458,17 @@ class TestParseDocument:
         with pytest.raises(DenominatorNotUnit):
             parse_document(raw)
 
+    @pytest.mark.parametrize("sign", ["", "-"])
+    def test_json_integer_digits_at_and_above_ceiling(self, tmp_path, sign):
+        path = tmp_path / "doc.json"
+        at = int(sign + "9" * MAX_LITERAL_DIGITS)
+        path.write_text(json.dumps(_doc(params={"n": at})))
+        assert load_document(str(path)).params == {"n": at}
+        path.write_text(json.dumps(_doc(params={"n": at * 10})))
+        message = f"{path}: integer of {MAX_LITERAL_DIGITS + 1} digits exceeds the maximum {MAX_LITERAL_DIGITS}"
+        with pytest.raises(InputError, match=f"^{re.escape(message)}$"):
+            load_document(str(path))
+
     def test_unknown_arc_name(self):
         doc = parse_document(_doc())
         with pytest.raises(InputError):
@@ -437,3 +506,60 @@ class TestUnknownKeys:
         arcs = {"g": {"components": [{"generic": {"strat": 2}}, "t^3"]}}
         with pytest.raises(InputError, match=r"^arcs\.g\.components\[0\]\.generic\.strat: unknown"):
             parse_document(_doc(arcs=arcs))
+
+
+# The documents of the CI console-script checks that parse.
+CI_DOCUMENTS = (
+    {"transcendentals": ["a", "b"], "variety": {"variables": ["x"]}, "arcs": {"main": {"components": ["a + b*t"]}}},
+    {
+        "variety": {"variables": ["x", "y", "z"], "generators": ["x*y^2 - z^2"]},
+        "morphism": {"source": {"variables": ["u"]}, "components": ["u", "0", "u^30"]},
+        "arcs": {"main": {"on": "source", "components": ["t"]}},
+    },
+    {
+        "variety": {"variables": ["x", "y"]},
+        "morphism": {"source": {"variables": ["u", "v"]}, "components": ["u", "u*v"]},
+        "arcs": {"main": {"on": "source", "components": ["t", "0"]}},
+    },
+    {
+        "field": {"prime": 3},
+        "variety": {"variables": ["x", "y"]},
+        "morphism": {"source": {"variables": ["u", "v"]}, "components": ["u", "u*v"]},
+        "arcs": {"main": {"on": "source", "components": [{"generic": {"start": 1}}, "2 + t"]}},
+    },
+    *(
+        {
+            "transcendentals": ["a"],
+            "variety": {"variables": ["x", "y"], "generators": ["y^2 - x^3"]},
+            "arcs": {"main": {"components": components}},
+        }
+        for components in (
+            ["(t + t^2/(1 + a))^2", "(t + t^2/(1 + a))^3"],
+            ["(t/(1 - t))^2", "(t/(1 - t))^3"],
+            ["(1 + a*t)^2*t^2/(2 + t)^2", "(1 + a*t)^3*t^3/(2 + t)^3"],
+        )
+    ),
+)
+
+# sha256 of every parsed generator and morphism component, and of the
+# numerator and denominator of every series-expression arc component.
+PARSED_VALUES_SHA256 = "5450bc608470cd0bc9a83c82c7c1c68ab8fd75cd7583dd1c4cc7a1fb99dacea4"
+
+
+def test_parsed_values_are_pinned():
+    raws = [json.loads(path.read_text()) for path in sorted(PROBLEMS.glob("*.json"))]
+    raws += [*_CATALOG_DOCUMENTS, *CI_DOCUMENTS]
+    digest = hashlib.sha256()
+    for raw in raws:
+        doc = parse_document(raw)
+        values = list(doc.variety.generators)
+        if doc.morphism is not None:
+            m = doc.morphism
+            values += [*m.source.generators, *m.target.generators, *m.components]
+        for _, components in doc.arc_specs.values():
+            for c in components:
+                if isinstance(c, SeriesExpression):
+                    values += [c.num, c.den]
+        for value in values:
+            digest.update(f"{value}\n".encode())
+    assert digest.hexdigest() == PARSED_VALUES_SHA256
