@@ -34,6 +34,7 @@ rows of field elements once their denominators are cleared.
 
 from __future__ import annotations
 
+import operator
 from fractions import Fraction
 from itertools import accumulate
 from math import gcd, lcm
@@ -427,30 +428,16 @@ class SparsePolynomial:
         c*e that is zero in the field (p | e) is skipped, so a variable
         whose partial is the zero polynomial has no entry.
 
-        A term whose zero order at the point is at least 2 (the exponents
-        of its variables whose coordinate ``powers[var, 1]`` is exactly
-        zero add up to 2 or more) forms no product.  Its value and every
-        first partial keep a zero factor, so it adds nothing to either;
-        this is exact on every ring, since the zero test is the
-        coordinate's truthiness: a raw scalar, a polynomial with no terms,
-        a field element with a zero numerator.  A variable with a nonzero
-        formal partial still has an entry: ``const(0)`` when every term
-        holding it was skipped.
+        Every term forms its products.  The jet oracle keeps the terms
+        that vanish to order 2 at its point out of the equations it hands
+        here (``jets.jet_jacobian_corank``).
         """
         p = self.field.p
         value = None
         partials: dict = {}
-        skipped = set()  # the (var, exp) pairs of the skipped terms
         get = partials.get
         power = powers.__getitem__
         for mono, coeff in self.terms.items():
-            zero_order = 0
-            for var, exp in mono:
-                if not power((var, 1)):
-                    zero_order += exp
-            if zero_order > 1:
-                skipped.update(mono)
-                continue
             factors = list(map(power, mono))
             term = const(coeff)
             for factor in factors:
@@ -470,12 +457,7 @@ class SparsePolynomial:
                         part = part * factor
                 old = get(var)
                 partials[var] = part if old is None else old + part
-        zero = const(0) if value is None or skipped else None
-        # A skipped term still gives its variables of nonzero formal partial an entry.
-        for var, exp in skipped:
-            if var not in partials and (not p or exp % p):
-                partials[var] = zero
-        return (zero if value is None else value), partials
+        return (const(0) if value is None else value), partials
 
     def __str__(self):
         if not self.terms:
@@ -507,15 +489,17 @@ class PowerTable(dict):
 
     ``table[var, e]`` is the e-th power (e >= 1) of ``assignment[var]``, an
     element of any commutative ring; each power is computed once, as
-    x^(e-1) * x, so every polynomial evaluated at the point shares them.
-    A variable missing from ``assignment`` raises UnknownVariable.
+    ``mul(x^(e-1), x)``, so every polynomial evaluated at the point shares
+    them.  ``mul`` defaults to the ring's ``*``.  A variable missing from
+    ``assignment`` raises UnknownVariable.
     """
 
-    __slots__ = ("assignment",)
+    __slots__ = ("assignment", "mul")
 
-    def __init__(self, assignment: Mapping[str, object]):
+    def __init__(self, assignment: Mapping[str, object], mul: Callable = operator.mul):
         super().__init__()
         self.assignment = assignment
+        self.mul = mul
 
     def __missing__(self, pair):
         var, exp = pair
@@ -524,7 +508,7 @@ class PowerTable(dict):
         x = power = self[var, 1] = self.assignment[var]
         for e in range(2, exp + 1):
             known = self.get((var, e))
-            power = self[var, e] = power * x if known is None else known
+            power = self[var, e] = self.mul(power, x) if known is None else known
         return power
 
 

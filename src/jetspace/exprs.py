@@ -19,7 +19,10 @@ numerator or denominator, whichever is larger, so ``((x)^256)^256``
 cannot run unbounded.  A power of a k-term base to the n, which has at
 most C(n+k-1, k-1) terms, is refused when that exceeds
 ``MAX_POWER_TERMS``; a value counts the distinct monomials in the symbols
-other than t of its numerator or denominator, whichever has more.  Over
+other than t of its numerator or denominator, whichever has more.  A
+product, and a series quotient, whose degree or whose term count can
+exceed those bounds is refused at its operator before it is formed, so
+a product written out factor by factor is bounded like a power.  Over
 Q no coefficient (bits of numerator plus denominator) of a sum, product
 or quotient may exceed ``MAX_COEFFICIENT_BITS``, nor n times the largest
 of a power's base, checked before the power is computed, so
@@ -157,6 +160,27 @@ class _Parser:
         if bits > MAX_COEFFICIENT_BITS:
             self.fail(f"{what} of coefficient size {bits} bits exceeds the maximum {MAX_COEFFICIENT_BITS}", column)
 
+    def bound_product(self, what, *pairs, column):
+        """Refuse, before it is formed, a product of polynomial pairs past the degree or term bound.
+
+        The degree of each product is exact: the larger of the sums of its
+        factors' degrees in t and in the other symbols.  Its term count
+        (see ``_shape``) is at most the product of its factors' counts, and
+        at most the number of monomials in the symbols of both whose degree
+        lies between the sums of their factors' least and largest degrees.
+        """
+        degree = terms = 0
+        for a, b in pairs:
+            (ta, low_a, high_a, names_a, ka), (tb, low_b, high_b, names_b, kb) = _shape(a), _shape(b)
+            degree = max(degree, ta + tb, high_a + high_b)
+            v = len(names_a | names_b)
+            window = comb(high_a + high_b + v, v) - comb(low_a + low_b + v - 1, v) if v else 1
+            terms = max(terms, min(ka * kb, window))
+        if degree > MAX_EXPONENT:
+            self.fail(f"{what} of degree {degree} exceeds the maximum {MAX_EXPONENT}", column)
+        if terms > MAX_POWER_TERMS:
+            self.fail(f"{what} may have {terms} terms, over the maximum {MAX_POWER_TERMS}", column)
+
     def parse(self):
         value = self.expr()
         kind, _, col = self.peek()
@@ -184,7 +208,9 @@ class _Parser:
             kind, _, col = self.peek()
             if kind == "*":
                 self.take()
-                value = value * self.unary()
+                factor = self.unary()
+                self.bound_product("product", (value.num, factor.num), (value.den, factor.den), column=col)
+                value = value * factor
                 self.bound_bits("product", value, col)
             elif kind == "/":
                 self.take()
@@ -193,6 +219,7 @@ class _Parser:
                 if divisor.is_zero():
                     self.fail("division by zero", dcol)
                 if self.series:
+                    self.bound_product("quotient", (value.num, divisor.den), (value.den, divisor.num), column=col)
                     value = value / divisor
                 elif divisor.num.is_constant():
                     value = value * self.constant(self.field.inv(divisor.num.constant_value()))
@@ -222,10 +249,11 @@ class _Parser:
                 self.fail("exponent must be a nonnegative integer", ncol)
             if nval > MAX_EXPONENT:
                 self.fail(f"exponent {nval} exceeds the maximum {MAX_EXPONENT}", ncol)
-            degree = _degree(value) * nval
+            shapes = _shape(value.num), _shape(value.den)
+            degree = max(max(t, high) for t, _, high, _, _ in shapes) * nval
             if degree > MAX_EXPONENT:
                 self.fail(f"power of degree {degree} exceeds the maximum {MAX_EXPONENT}", ncol)
-            k = _terms(value)
+            k = max(shape[4] for shape in shapes)
             if k > 1 and comb(nval + k - 1, k - 1) > MAX_POWER_TERMS:
                 self.fail(
                     f"power {nval} of a {k}-term base may exceed {MAX_POWER_TERMS} terms", ncol
@@ -276,15 +304,18 @@ def parse_series_expression(
     return _Parser(text, context, field, transcendentals, series=True).parse()
 
 
-def _degree(value: SeriesExpression) -> int:
-    """Larger of the degree in t and the degree in the other symbols, over every monomial."""
-    splits = [split_t(mono) for poly in (value.num, value.den) for mono in poly.terms]
-    return max((max(e, sum(x for _, x in rest)) for e, rest in splits), default=0)
+def _shape(poly: SparsePolynomial) -> tuple[int, int, int, set, int]:
+    """What the bounds read of a polynomial in t and the symbols.
 
-
-def _terms(value: SeriesExpression) -> int:
-    """Distinct monomials in the symbols other than t, in the numerator or the denominator."""
-    return max(len({split_t(mono)[1] for mono in poly.terms}) for poly in (value.num, value.den))
+    Its degree in t; the least and the largest degree in the other symbols
+    over its monomials; those symbols; and its term count, the number of
+    distinct monomials in those symbols.
+    """
+    splits = [split_t(mono) for mono in poly.terms]
+    rests = {rest for _, rest in splits}
+    degrees = [sum(e for _, e in rest) for rest in rests]
+    names = {name for rest in rests for name, _ in rest}
+    return max((e for e, _ in splits), default=0), min(degrees, default=0), max(degrees, default=0), names, len(rests)
 
 
 def _bits(c) -> int:

@@ -3,11 +3,12 @@
 The level-n jet scheme of a presented variety is cut out, inside the
 affine space with one coordinate per (ambient variable, t-power <= n),
 by the t-coefficients of each ideal generator evaluated on the generic
-truncated curve x_i(t) = sum_p x_i[p] t^p.  That curve is one
-``TruncatedSeries`` per ambient variable, known modulo t^(n+1), whose
-coefficients are the polynomial jet variables; arcs expand on the same
-series type.  Polynomials reduce their own coefficients mod p, so the
-substitution works uniformly in every characteristic.
+truncated curve x_i(t) = sum_p x_i[p] t^p.  That curve is one list of
+coefficients per ambient variable, known modulo t^(n+1): the polynomial
+jet variables.  The generator's terms are expanded on it with the
+series product kernel, ``truncated_product``, each power of a curve
+component computed once.  Polynomials reduce their own coefficients mod
+p, so the substitution works uniformly in every characteristic.
 
 ``jet_jacobian_corank`` differentiates those equations directly and
 evaluates at a supplied point; it is the brute-force route to the fiber
@@ -16,15 +17,25 @@ of the diagonalization machinery so the two can be played against each
 other.  Several levels share one set of equations, built, checked and
 differentiated at the top level: the level-k equations are the t^p ones
 with p <= k, and the t^p equation uses no jet variable of t-power above
-p, so each level ranks its own rows of that one Jacobian whole.  Each
+p, so each level ranks its own rows of that one Jacobian whole.
+
+The oracle builds those equations modulo (Z)^2, where Z is the set of
+jet variables whose coordinate at the point is zero (the coordinate's
+truthiness: a raw scalar, a polynomial with no terms, a field element
+with a zero numerator).  They are expanded on the generic curve as
+``jet_ideal`` expands them, by the same routine, except that every
+series product drops its monomials of total degree >= 2 in Z, powers
+included.  That is exact: at the point, a monomial in (Z)^2 and each of
+its first partials keep a zero factor, so the values, the Jacobian and
+its rank are those of the full equations, in every characteristic.  The
+jets of arcs through the singular locus have mostly zero coordinates, so
+most terms of the full equations are never formed.  ``jet_ideal``, and
+the ``jet-ideal`` command, give the full equations (Z empty).  Each
 equation is differentiated term by term, once: one pass over its terms
 gives its value at the point and the value there of every nonzero
 partial (``SparsePolynomial.value_and_gradient``), with the powers of
 the point's coordinates computed once in one ``PowerTable`` shared by
-all equations.  A term that vanishes to order 2 at the point forms no
-product there: the jets of arcs through the singular locus have mostly
-zero coordinates, so most terms of the t^p equations are skipped, and
-the equations, the Jacobian and its exact rank stay the same.
+all equations.
 The value decides ``PointNotOnJetScheme``.  Each point is evaluated,
 differentiated and ranked on the lowest ring that holds it: raw scalars
 (ints or ``Fraction``s) at a k-rational point, as in a jet of a
@@ -44,12 +55,12 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import partial
-from typing import Callable, Sequence
+from typing import AbstractSet, Callable, Sequence
 
 from .errors import InputError, PointNotOnJetScheme
 from .exact import BaseField, FieldElement, PowerTable, SparsePolynomial, as_scalar, matrix_rank
 from .geometry import VarietyPresentation
-from .series import TruncatedSeries
+from .series import truncated_product
 
 
 def jet_variable(var: str, p: int) -> str:
@@ -85,18 +96,38 @@ def jet_levels(levels: Sequence[int]) -> list[int]:
 def jet_ideal(X: VarietyPresentation, n: int) -> JetIdeal:
     """Hasse-Schmidt equations of the level-n jet scheme of X."""
     jet_levels([n])
+    return JetIdeal(n, _jet_variables(X, n), _curve_equations(X, n, frozenset()))
+
+
+def _jet_variables(X: VarietyPresentation, n: int) -> tuple[str, ...]:
+    return tuple(jet_variable(v, p) for v in X.variables for p in range(n + 1))
+
+
+def _curve_equations(X: VarietyPresentation, n: int, square_zero: AbstractSet[str]) -> tuple:
+    """The t^0..t^n coefficients of each generator of X on the generic truncated curve, modulo (Z)^2.
+
+    Z is the ideal of the jet variables in ``square_zero``: every series
+    product drops its monomials of total degree >= 2 in them, powers
+    included.  With no such variable these are the jet equations.
+    """
     field = X.base
-    curve = {
-        v: TruncatedSeries(field, [SparsePolynomial.variable(field, jet_variable(v, p)) for p in range(n + 1)])
-        for v in X.variables
-    }
+    zero = SparsePolynomial.zero(field)
 
-    def constant(c) -> TruncatedSeries:
-        return TruncatedSeries.from_coefficients(field, [SparsePolynomial.constant(field, c)], n + 1)
+    def product(a, b):
+        return truncated_product(a, b, n + 1, zero, square_zero)
 
-    gens = tuple(g.evaluate(curve, constant).coeffs for g in X.generators)
-    jet_vars = tuple(jet_variable(v, p) for v in X.variables for p in range(n + 1))
-    return JetIdeal(n, jet_vars, gens)
+    curve = {v: [SparsePolynomial.variable(field, jet_variable(v, p)) for p in range(n + 1)] for v in X.variables}
+    powers = PowerTable(curve, product)
+    equations = []
+    for g in X.generators:
+        total = [zero] * (n + 1)
+        for mono, coeff in g.terms.items():
+            term = [SparsePolynomial.constant(field, coeff)] + [zero] * n
+            for pair in mono:
+                term = product(term, powers[pair])
+            total = [a + b for a, b in zip(total, term)]
+        equations.append(tuple(total))
+    return tuple(equations)
 
 
 def _evaluation_ring(point: Sequence, field: BaseField) -> tuple[list, Callable, Callable | None]:
@@ -136,18 +167,21 @@ def jet_jacobian_corank(
     width = len(X.variables)
     if len(point) != (top + 1) * width:
         raise InputError(f"a level-{top} jet point needs {(top + 1) * width} coordinates, got {len(point)}")
-    ideal = jet_ideal(X, top)
     field = X.base
+    jet_variables = _jet_variables(X, top)
 
     coordinates, const, to_entry = _evaluation_ring(point, field)
     zero = const(0) if to_entry is None else to_entry(0)
+    # The jet equations modulo the square of the point's zero coordinates.
+    square_zero = frozenset(v for v, c in zip(jet_variables, coordinates) if not c)
+    equations = _curve_equations(X, top, square_zero)
     # One table of coordinate powers, shared by every equation.
-    powers = PowerTable(dict(zip(ideal.jet_variables, coordinates)))
+    powers = PowerTable(dict(zip(jet_variables, coordinates)))
 
-    column = {v: k for k, v in enumerate(ideal.jet_variables)}
+    column = {v: k for k, v in enumerate(jet_variables)}
     # jacobian[j][p]: the gradient at the point of the t^p equation of generator j.
     jacobian = []
-    for j, row in enumerate(ideal.generators):
+    for j, row in enumerate(equations):
         gradients = []
         for p, equation in enumerate(row):
             value, partials = equation.value_and_gradient(powers, const)

@@ -12,8 +12,10 @@ The coefficients of a series are all of one kind: field elements
 (fractions of polynomials in the transcendentals); or, for data with no
 transcendentals, raw base-field scalars (ints and ``Fraction``s over Q,
 ints in ``range(p)`` over GF(p)), which skip the ``FieldElement`` layer;
-or ``SparsePolynomial``s, which carry the jet equations as the
-coefficients of a generator evaluated on the generic truncated curve.
+or ``SparsePolynomial``s, such as the jet equations, the coefficients
+of a generator expanded on the generic truncated curve with the product
+kernel (``jets``), which it can reduce modulo the square of an ideal of
+variables.
 Over GF(p) a series of raw ints reduces them mod p when it is built, so
 the result of every series operation is reduced; field elements and
 polynomials reduce mod p themselves.  The kernel and ``TruncatedSeries``
@@ -42,7 +44,7 @@ representatives.
 from __future__ import annotations
 
 from itertools import chain
-from typing import Sequence
+from typing import AbstractSet, Sequence
 
 from .errors import DenominatorNotUnit, PrecisionTooLow
 from .exact import BaseField, FieldElement, SparsePolynomial, _mono_mul
@@ -51,7 +53,7 @@ DEFAULT_PRECISION = 24
 PRECISION_CAP = 192
 
 
-def truncated_product(a: Sequence, b: Sequence, length: int, zero) -> list:
+def truncated_product(a: Sequence, b: Sequence, length: int, zero, square_zero: AbstractSet[str] = frozenset()) -> list:
     """First ``length`` coefficients of the product of two coefficient lists.
 
     Ring-generic: coefficients need ``+``, ``*`` and a truthiness that is
@@ -64,6 +66,10 @@ def truncated_product(a: Sequence, b: Sequence, length: int, zero) -> list:
     elements with any other denominator, accumulate term by term onto
     ``zero`` in (i ascending, j ascending) order; fractions are never
     reduced, so that order fixes the representatives of the result.
+
+    Polynomial coefficients are reduced modulo (Z)^2, Z the ideal of the
+    variables in ``square_zero``: each output coefficient drops every
+    monomial of total degree >= 2 in them.  Empty by default.
     """
     nonzero_b = [(j, cb) for j, cb in enumerate(b[:length]) if cb]
     out = [zero] * length
@@ -95,6 +101,8 @@ def truncated_product(a: Sequence, b: Sequence, length: int, zero) -> list:
             ca.add_product_into(cb, sums[k])
     field = zero.field
     for k, acc in enumerate(sums):
+        if acc and square_zero:
+            acc = {mono: c for mono, c in acc.items() if sum(e for v, e in mono if v in square_zero) < 2}
         if acc:
             poly = SparsePolynomial.from_sums(field, acc)
             if poly:

@@ -261,6 +261,79 @@ class TestExponentCeiling:
         assert f"nesting deeper than the maximum {MAX_NESTING}" in str(info.value)
 
 
+def _sum_of_symbols(names):
+    return "(" + " + ".join(names) + ")"
+
+
+class TestProductCeiling:
+    """A product is refused at its operator, before it is formed, when its degree or terms can pass the bounds."""
+
+    # 8 * 125 = 1000 terms at the ceiling, 7 * 143 = 1001 one above it: sums of
+    # distinct symbols, whose products have exactly that many terms.
+    NAMES = tuple(f"s{i}" for i in range(151))
+    AT_TERMS = _sum_of_symbols(NAMES[:8]) + "*" + _sum_of_symbols(NAMES[8:133])
+    ABOVE_TERMS = _sum_of_symbols(NAMES[:7]) + "*" + _sum_of_symbols(NAMES[7:150])
+
+    @pytest.mark.parametrize("field", [Q, BaseField(5)], ids=["Q", "GF5"])
+    @pytest.mark.parametrize("parse", [parse_polynomial, parse_series_expression], ids=["polynomial", "series"])
+    def test_product_terms_at_and_above_ceiling(self, parse, field):
+        assert 8 * 125 == MAX_POWER_TERMS == 7 * 143 - 1
+        at = parse(self.AT_TERMS, field, self.NAMES)
+        assert len((at if parse is parse_polynomial else at.num).terms) == MAX_POWER_TERMS
+        with pytest.raises(ParseError) as info:
+            parse(self.ABOVE_TERMS, field, self.NAMES, context="variety.generators[0]")
+        assert info.value.column == self.ABOVE_TERMS.index("*") + 1
+        assert f"product may have {MAX_POWER_TERMS + 1} terms, over the maximum {MAX_POWER_TERMS}" in str(info.value)
+
+    @pytest.mark.parametrize("field", [Q, BaseField(5)], ids=["Q", "GF5"])
+    @pytest.mark.parametrize("parse", [parse_polynomial, parse_series_expression], ids=["polynomial", "series"])
+    def test_product_degree_at_and_above_ceiling(self, parse, field):
+        half = MAX_EXPONENT // 2
+        at = parse(f"x^{half}*(x + 1)^{half}", field, ("x",))
+        assert (at if parse is parse_polynomial else at.num) == parse_polynomial(f"x^{half}*(x + 1)^{half}", field, ("x",))
+        above = f"x^{half}*(x + 1)^{half + 1}"
+        with pytest.raises(ParseError) as info:
+            parse(above, field, ("x",))
+        assert info.value.column == above.index("*") + 1
+        assert f"product of degree {MAX_EXPONENT + 1} exceeds the maximum {MAX_EXPONENT}" in str(info.value)
+
+    @pytest.mark.parametrize("field", [Q, BaseField(5)], ids=["Q", "GF5"])
+    def test_series_quotient_degree_and_t_degree(self, field):
+        half = MAX_EXPONENT // 2
+        parse_series_expression(f"t^{half}*t^{half}", field, ())
+        parse_series_expression(f"1/(1 - a^{half})/(1 - a^{half})", field, ("a",))
+        above = f"1/(1 - a^{half})/(1 - a^{half + 1})"
+        with pytest.raises(ParseError) as info:
+            parse_series_expression(above, field, ("a",))
+        assert info.value.column == above.rindex("/") + 1
+        assert f"quotient of degree {MAX_EXPONENT + 1}" in str(info.value)
+        with pytest.raises(ParseError, match=f"product of degree {MAX_EXPONENT + 1}"):
+            parse_series_expression(f"t^{half}*t^{half + 1}", field, ())
+        # Degrees in t and in the other symbols are bounded apart, as in a power.
+        parse_series_expression(f"t^{MAX_EXPONENT}*a^{MAX_EXPONENT}", field, ("a",))
+
+    def test_factor_by_factor_product_is_bounded_like_a_power(self):
+        base, names = "(a+b+c+d+e+f)", tuple("abcdef")
+        assert parse_polynomial("*".join([base] * 7), Q, names) == parse_polynomial(f"{base}^7", Q, names)
+        with pytest.raises(ParseError, match="power 8 of a 6-term base"):
+            parse_polynomial(f"{base}^8", Q, names)
+        text = "*".join([base] * 16)
+        with pytest.raises(ParseError) as info:
+            parse_polynomial(text, Q, names)
+        # The eighth factor would give C(8 + 5, 5) = 1287 terms.
+        assert info.value.column == 7 * len(base) + 7
+        assert "product may have 1287 terms" in str(info.value)
+
+    def test_product_bound_through_the_cli(self, tmp_path, capsys):
+        path = tmp_path / "product.json"
+        generator = "x - " + "*".join(["(a+b+c+d+e+f)"] * 16)
+        path.write_text(json.dumps({"variety": {"variables": list("abcdefx"), "generators": [generator]}}))
+        assert main(["jet-ideal", str(path), "--n", "1"]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error[ParseError]")
+        assert f"column {4 + 7 * 14}" in err and "product may have 1287 terms" in err
+
+
 PROBLEMS = Path(__file__).resolve().parent.parent / "problems"
 
 

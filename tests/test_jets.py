@@ -3,6 +3,7 @@
 import random
 from fractions import Fraction
 from functools import partial
+from pathlib import Path
 
 import pytest
 import sympy
@@ -13,6 +14,7 @@ from conftest import Q, affine_space, count_calls, cusp_variety, fe, fev, to_sym
 from jetspace.analysis import fiber_dim_formula
 from jetspace.arcs import generic_arc, make_arc
 from jetspace.catalog import build_catalog
+from jetspace.document import load_document
 from jetspace.errors import InputError, PointNotOnJetScheme
 from jetspace import jets
 from jetspace.exact import BaseField, FieldElement, PowerTable, SparsePolynomial, as_scalar, matrix_rank
@@ -281,12 +283,17 @@ def test_each_jet_equation_is_differentiated_once(monkeypatch):
     assert all(as_scalar(c) is not None for c in rational)
     assert not all(as_scalar(c) is not None for c in transcendental)
     calls = count_calls(monkeypatch, SparsePolynomial, ("derivative", "evaluate", "value_and_gradient"))
+    expansions = []
+    expand = jets._curve_equations
+    monkeypatch.setattr(jets, "_curve_equations", lambda X, n, square_zero: expansions.append(n) or expand(X, n, square_zero))
     for X, levels, top, point in ((whitney.variety, [6, 2], 6, rational), (cusp_arc.variety, 4, 4, transcendental)):
         calls.clear()
+        expansions.clear()
         jet_jacobian_corank(X, levels, point)
-        # jet_ideal evaluates each generator once, on the generic curve.
+        # One expansion of every generator on the generic curve, at the top level.
+        assert expansions == [top]
         equations = len(X.generators) * (top + 1)
-        assert calls == ["evaluate"] * len(X.generators) + ["value_and_gradient"] * equations
+        assert calls == ["value_and_gradient"] * equations
 
 
 class _ZeroOrderSpy:
@@ -521,3 +528,96 @@ def test_scalar_and_polynomial_points_build_no_field_element(monkeypatch):
         assert len(ranked) == len(coranks) == 3
         assert all(isinstance(entry, SparsePolynomial) for matrix in ranked for row in matrix for entry in row)
     assert built == []
+
+
+# The oracle builds the jet equations modulo (Z)^2, Z the jet variables whose
+# coordinate at the point is zero; a full-equation reference builds them whole.
+PROBLEMS = sorted((Path(__file__).resolve().parent.parent / "problems").glob("*.json"))
+
+
+def _built_equations(X, levels, point):
+    """The Z and the equations that jet_jacobian_corank builds at the point."""
+    built = []
+    expand = jets._curve_equations
+    with pytest.MonkeyPatch.context() as m:
+        m.setattr(jets, "_curve_equations", lambda X, n, square_zero: built.append((square_zero, expand(X, n, square_zero))) or built[-1][1])
+        jet_jacobian_corank(X, levels, point)
+    [(square_zero, equations)] = built
+    return square_zero, equations
+
+
+def _full_equation_coranks(X, levels, point):
+    """The oracle's coranks from the unreduced jet equations."""
+    expand = jets._curve_equations
+    with pytest.MonkeyPatch.context() as m:
+        m.setattr(jets, "_curve_equations", lambda X, n, square_zero: expand(X, n, frozenset()))
+        return jet_jacobian_corank(X, levels, point)
+
+
+def _check_cut(X, point, ring):
+    """The oracle's equations are jet_ideal's with every term of Z-degree >= 2 removed; returns Z."""
+    assert _ring_of(point, X.base) == ring
+    top = len(point) // len(X.variables) - 1
+    square_zero, equations = _built_equations(X, top, point)
+    ideal = jet_ideal(X, top)
+    coordinates = _evaluation_ring(point, X.base)[0]
+    assert square_zero == {v for v, c in zip(ideal.jet_variables, coordinates) if not c}
+    expected = tuple(
+        tuple(
+            SparsePolynomial(X.base, {mono: c for mono, c in equation.terms.items() if sum(e for v, e in mono if v in square_zero) < 2})
+            for equation in row
+        )
+        for row in ideal.generators
+    )
+    assert equations == expected
+    assert all(equation.field == X.base for row in equations for equation in row)
+    return square_zero
+
+
+def _seeded_point(name, field, ring, rng):
+    if ring == "scalars":
+        u, v = _scalar_series(rng, field), _scalar_series(rng, field)
+    elif ring == "SparsePolynomial":
+        u, v = (_polynomial_series(rng, field, "generic", i) for i in (1, 2))
+    else:
+        u = [field.fe_zero, field.fe_one, field.fe_one / (field.fe_one + fev("a", field))] + [field.fe_zero] * 6
+        v = _scalar_series(rng, field)
+    return _ring_jet(name, field, 8, u, v)
+
+
+@pytest.mark.parametrize("ring", ["scalars", "SparsePolynomial", "FieldElement"])
+@pytest.mark.parametrize("field", RING_FIELDS, ids=repr)
+@pytest.mark.parametrize("name", RING_VARIETIES)
+def test_oracle_equations_are_the_jet_equations_modulo_the_square_of_the_zero_coordinates(name, field, ring):
+    X = _ring_variety(name, field)
+    rng = random.Random(f"square-zero-{name}-{field}-{ring}")
+    point = _seeded_point(name, field, ring, rng)
+    assert _check_cut(X, point, ring)  # some coordinate is zero, so Z is not empty
+    # The same point with its scalars raw where they can be: the same Z, the same cut.
+    _check_cut(X, _mixed(point, rng), ring)
+
+
+def test_a_point_with_no_zero_coordinate_keeps_the_full_equations():
+    # The cusp at u = 1 + t + t^2 + ...: every coefficient of u^2 and u^3 is positive.
+    X = _ring_variety("cusp", Q)
+    point = _ring_jet("cusp", Q, 8, [fe(1)] * 9, None)
+    assert _check_cut(X, point, "scalars") == frozenset()
+    assert _built_equations(X, 8, point)[1] == jet_ideal(X, 8).generators
+
+
+@pytest.mark.parametrize("path", PROBLEMS, ids=lambda path: path.stem)
+def test_cut_equations_give_the_full_equation_coranks_on_problem_arcs(path):
+    document = load_document(str(path))
+    for name in document.arc_specs:
+        arc = document.build_arc(name, 32)
+        point = arc.truncate(24).coordinates
+        coranks = jet_jacobian_corank(arc.variety, range(25), point)
+        assert coranks == _full_equation_coranks(arc.variety, range(25), point), (path.stem, name)
+
+
+@pytest.mark.parametrize("document", build_catalog(), ids=lambda document: document.variety.name)
+def test_cut_equations_give_the_full_equation_coranks_on_catalog_arcs(document):
+    X = document.variety
+    for name in document.arc_specs:
+        point = document.build_arc(name, 16).truncate(6).coordinates
+        assert jet_jacobian_corank(X, range(7), point) == _full_equation_coranks(X, range(7), point), (X.name, name)
