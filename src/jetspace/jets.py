@@ -22,15 +22,16 @@ p, so each level ranks its own rows of that one Jacobian whole.
 The oracle builds those equations modulo (Z)^2, where Z is the set of
 jet variables whose coordinate at the point is zero (the coordinate's
 truthiness: a raw scalar, a polynomial with no terms, a field element
-with a zero numerator).  They are expanded on the generic curve as
-``jet_ideal`` expands them, by the same routine, except that every
-series product drops its monomials of total degree >= 2 in Z, powers
+with a zero numerator).  They are expanded on the generic curve by
+``jet_ideal``, as every jet equation is, except that every series
+product drops its monomials of total degree >= 2 in Z, powers
 included.  That is exact: at the point, a monomial in (Z)^2 and each of
 its first partials keep a zero factor, so the values, the Jacobian and
 its rank are those of the full equations, in every characteristic.  The
 jets of arcs through the singular locus have mostly zero coordinates, so
-most terms of the full equations are never formed.  ``jet_ideal``, and
-the ``jet-ideal`` command, give the full equations (Z empty).  Each
+most terms of the full equations are never formed.  ``jet_ideal`` takes
+Z; the ``jet-ideal`` command gives it none and prints the full
+equations.  Each
 equation is differentiated term by term, once: one pass over its terms
 gives its value at the point and the value there of every nonzero
 partial (``SparsePolynomial.value_and_gradient``), with the powers of
@@ -74,7 +75,8 @@ class JetIdeal:
 
     ``generators[j][p]`` is the coefficient of t^p in the j-th ideal
     generator evaluated on the generic truncated curve; substituting the
-    coefficients of any valid arc kills all of them.
+    coefficients of any valid arc kills all of them.  The jet oracle's
+    are reduced modulo the square of its point's zero coordinates.
     """
 
     level: int
@@ -93,23 +95,15 @@ def jet_levels(levels: Sequence[int]) -> list[int]:
     return wanted
 
 
-def jet_ideal(X: VarietyPresentation, n: int) -> JetIdeal:
-    """Hasse-Schmidt equations of the level-n jet scheme of X."""
-    jet_levels([n])
-    return JetIdeal(n, _jet_variables(X, n), _curve_equations(X, n, frozenset()))
-
-
-def _jet_variables(X: VarietyPresentation, n: int) -> tuple[str, ...]:
-    return tuple(jet_variable(v, p) for v in X.variables for p in range(n + 1))
-
-
-def _curve_equations(X: VarietyPresentation, n: int, square_zero: AbstractSet[str]) -> tuple:
-    """The t^0..t^n coefficients of each generator of X on the generic truncated curve, modulo (Z)^2.
+def jet_ideal(X: VarietyPresentation, n: int, square_zero: AbstractSet[str] = frozenset()) -> JetIdeal:
+    """Hasse-Schmidt equations of the level-n jet scheme of X, modulo (Z)^2.
 
     Z is the ideal of the jet variables in ``square_zero``: every series
-    product drops its monomials of total degree >= 2 in them, powers
-    included.  With no such variable these are the jet equations.
+    product of the expansion drops its monomials of total degree >= 2 in
+    them, powers included.  With none, the default, these are the jet
+    equations themselves.
     """
+    jet_levels([n])
     field = X.base
     zero = SparsePolynomial.zero(field)
 
@@ -118,7 +112,7 @@ def _curve_equations(X: VarietyPresentation, n: int, square_zero: AbstractSet[st
 
     curve = {v: [SparsePolynomial.variable(field, jet_variable(v, p)) for p in range(n + 1)] for v in X.variables}
     powers = PowerTable(curve, product)
-    equations = []
+    gens = []
     for g in X.generators:
         total = [zero] * (n + 1)
         for mono, coeff in g.terms.items():
@@ -126,8 +120,12 @@ def _curve_equations(X: VarietyPresentation, n: int, square_zero: AbstractSet[st
             for pair in mono:
                 term = product(term, powers[pair])
             total = [a + b for a, b in zip(total, term)]
-        equations.append(tuple(total))
-    return tuple(equations)
+        gens.append(tuple(total))
+    return JetIdeal(n, _jet_variables(X, n), tuple(gens))
+
+
+def _jet_variables(X: VarietyPresentation, n: int) -> tuple[str, ...]:
+    return tuple(jet_variable(v, p) for v in X.variables for p in range(n + 1))
 
 
 def _evaluation_ring(point: Sequence, field: BaseField) -> tuple[list, Callable, Callable | None]:
@@ -173,15 +171,14 @@ def jet_jacobian_corank(
     coordinates, const, to_entry = _evaluation_ring(point, field)
     zero = const(0) if to_entry is None else to_entry(0)
     # The jet equations modulo the square of the point's zero coordinates.
-    square_zero = frozenset(v for v, c in zip(jet_variables, coordinates) if not c)
-    equations = _curve_equations(X, top, square_zero)
+    ideal = jet_ideal(X, top, frozenset(v for v, c in zip(jet_variables, coordinates) if not c))
     # One table of coordinate powers, shared by every equation.
     powers = PowerTable(dict(zip(jet_variables, coordinates)))
 
     column = {v: k for k, v in enumerate(jet_variables)}
     # jacobian[j][p]: the gradient at the point of the t^p equation of generator j.
     jacobian = []
-    for j, row in enumerate(equations):
+    for j, row in enumerate(ideal.generators):
         gradients = []
         for p, equation in enumerate(row):
             value, partials = equation.value_and_gradient(powers, const)

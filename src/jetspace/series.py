@@ -12,10 +12,9 @@ The coefficients of a series are all of one kind: field elements
 (fractions of polynomials in the transcendentals); or, for data with no
 transcendentals, raw base-field scalars (ints and ``Fraction``s over Q,
 ints in ``range(p)`` over GF(p)), which skip the ``FieldElement`` layer;
-or ``SparsePolynomial``s, such as the jet equations, the coefficients
-of a generator expanded on the generic truncated curve with the product
-kernel (``jets``), which it can reduce modulo the square of an ideal of
-variables.
+or ``SparsePolynomial``s.  The jet equations are lists of polynomial
+coefficients too, expanded by ``jets`` with the product kernel below,
+which can work modulo the square of an ideal of variables.
 Over GF(p) a series of raw ints reduces them mod p when it is built, so
 the result of every series operation is reduced; field elements and
 polynomials reduce mod p themselves.  The kernel and ``TruncatedSeries``
@@ -67,9 +66,10 @@ def truncated_product(a: Sequence, b: Sequence, length: int, zero, square_zero: 
     ``zero`` in (i ascending, j ascending) order; fractions are never
     reduced, so that order fixes the representatives of the result.
 
-    Polynomial coefficients are reduced modulo (Z)^2, Z the ideal of the
-    variables in ``square_zero``: each output coefficient drops every
-    monomial of total degree >= 2 in them.  Empty by default.
+    Polynomial coefficients, and the numerators of field elements with
+    denominator 1, are reduced modulo (Z)^2, Z the ideal of the variables
+    in ``square_zero``: each output coefficient drops every monomial of
+    total degree >= 2 in them.  Empty by default.
     """
     nonzero_b = [(j, cb) for j, cb in enumerate(b[:length]) if cb]
     out = [zero] * length

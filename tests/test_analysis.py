@@ -297,8 +297,8 @@ class TestOneRefinement:
         from jetspace import catalog, jets
 
         ideals = []
-        build = jets._curve_equations
-        monkeypatch.setattr(jets, "_curve_equations", lambda X, n, square_zero: ideals.append(n) or build(X, n, square_zero))
+        build = jets.jet_ideal
+        monkeypatch.setattr(jets, "jet_ideal", lambda X, n, square_zero: ideals.append(n) or build(X, n, square_zero))
         result = catalog.check_oracle_equivalence()
         assert result.passed and result.cases == 154
         assert ideals == [6] * 22  # one per arc, at the top level

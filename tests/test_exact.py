@@ -639,10 +639,10 @@ def _zero_order_terms(rng, field, zeros, other):
     w = SparsePolynomial.variable(field, other)
     p = field.p or 3
     # Zero order p + 1, 2 and 2; over GF(p) the first has no partial in z1.
-    skipped = [z1 ** p * z2, z2 * z2 * w, z1 * z2 * w]
-    kept = [z1 * w, z2, w ** p]  # zero order 1, 1 and 0
+    order_two = [z1 ** p * z2, z2 * z2 * w, z1 * z2 * w]
+    lower = [z1 * w, z2, w ** p]  # zero order 1, 1 and 0
     scalars = [rng.choice([c for c in range(1, 7) if not field.p or c % field.p]) for _ in range(6)]
-    polys = [m.scale(c) for m, c in zip(skipped + kept, scalars)]
+    polys = [m.scale(c) for m, c in zip(order_two + lower, scalars)]
     return sum(polys[:2], SparsePolynomial.zero(field)), sum(polys, SparsePolynomial.zero(field))
 
 
@@ -654,7 +654,8 @@ def test_value_and_gradient_matches_evaluate_and_derivative(field, ring, seed):
     """One pass gives evaluate's value and derivative(v).evaluate for every v.
 
     At a dense point and at a sparse one (two of the three coordinates
-    exactly zero), where the kernel skips the terms of zero order >= 2.
+    exactly zero), with terms of zero order >= 2 there: the kernel forms
+    every term, whatever its zero order.
     """
     rng = random.Random(seed)
     coordinate, zero, lift = KERNEL_RINGS[ring]
@@ -663,10 +664,10 @@ def test_value_and_gradient_matches_evaluate_and_derivative(field, ring, seed):
     other = next(name for name in KERNEL_NAMES if name not in zeros)
     dense = {name: coordinate(rng, field) for name in KERNEL_NAMES}
     sparse = {name: zero(rng, field) if name in zeros else coordinate(rng, field) for name in KERNEL_NAMES}
-    only_skipped, mixed = _zero_order_terms(rng, field, zeros, other)
+    only_order_two, mixed = _zero_order_terms(rng, field, zeros, other)
     for point, polys in (
         (dense, [_kernel_poly(rng, field) for _ in range(3)]),
-        (sparse, [_kernel_poly(rng, field) for _ in range(3)] + [only_skipped, mixed, mixed + _kernel_poly(rng, field)]),
+        (sparse, [_kernel_poly(rng, field) for _ in range(3)] + [only_order_two, mixed, mixed + _kernel_poly(rng, field)]),
     ):
         powers = PowerTable(point)  # one table, shared by every polynomial at the point
         for a in polys:

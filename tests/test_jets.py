@@ -266,7 +266,7 @@ def test_rational_jet_point_runs_on_scalars(monkeypatch):
             jet_jacobian_corank(X, n, point)
     assert calls == []
     # Every term of the cusp's level-1 equations vanishes to order 2 at
-    # x = c t, y = 0, so no product is formed there; the Jacobian is zero.
+    # x = c t, y = 0, so the oracle's equations are zero; so is the Jacobian.
     assert jet_jacobian_corank(cusp_variety(), 1, [fe(0), c, fe(0), fe(0)]) == 4
     assert calls == []
     assert jet_jacobian_corank(cusp_variety(), 1, dense) == 2
@@ -283,15 +283,16 @@ def test_each_jet_equation_is_differentiated_once(monkeypatch):
     assert all(as_scalar(c) is not None for c in rational)
     assert not all(as_scalar(c) is not None for c in transcendental)
     calls = count_calls(monkeypatch, SparsePolynomial, ("derivative", "evaluate", "value_and_gradient"))
-    expansions = []
-    expand = jets._curve_equations
-    monkeypatch.setattr(jets, "_curve_equations", lambda X, n, square_zero: expansions.append(n) or expand(X, n, square_zero))
+    ideals = []
+    build = jets.jet_ideal
+    monkeypatch.setattr(jets, "jet_ideal", lambda X, n, square_zero: ideals.append(n) or build(X, n, square_zero))
     for X, levels, top, point in ((whitney.variety, [6, 2], 6, rational), (cusp_arc.variety, 4, 4, transcendental)):
         calls.clear()
-        expansions.clear()
+        ideals.clear()
         jet_jacobian_corank(X, levels, point)
-        # One expansion of every generator on the generic curve, at the top level.
-        assert expansions == [top]
+        # jet_ideal expands each generator once, on the generic curve, with
+        # the product kernel: no polynomial evaluation.
+        assert ideals == [top]
         equations = len(X.generators) * (top + 1)
         assert calls == ["value_and_gradient"] * equations
 
@@ -538,19 +539,19 @@ PROBLEMS = sorted((Path(__file__).resolve().parent.parent / "problems").glob("*.
 def _built_equations(X, levels, point):
     """The Z and the equations that jet_jacobian_corank builds at the point."""
     built = []
-    expand = jets._curve_equations
     with pytest.MonkeyPatch.context() as m:
-        m.setattr(jets, "_curve_equations", lambda X, n, square_zero: built.append((square_zero, expand(X, n, square_zero))) or built[-1][1])
+        m.setattr(
+            jets, "jet_ideal", lambda X, n, square_zero: built.append((square_zero, jet_ideal(X, n, square_zero))) or built[-1][1]
+        )
         jet_jacobian_corank(X, levels, point)
-    [(square_zero, equations)] = built
-    return square_zero, equations
+    [(square_zero, ideal)] = built
+    return square_zero, ideal.generators
 
 
 def _full_equation_coranks(X, levels, point):
     """The oracle's coranks from the unreduced jet equations."""
-    expand = jets._curve_equations
     with pytest.MonkeyPatch.context() as m:
-        m.setattr(jets, "_curve_equations", lambda X, n, square_zero: expand(X, n, frozenset()))
+        m.setattr(jets, "jet_ideal", lambda X, n, square_zero: jet_ideal(X, n))
         return jet_jacobian_corank(X, levels, point)
 
 
@@ -562,13 +563,12 @@ def _check_cut(X, point, ring):
     ideal = jet_ideal(X, top)
     coordinates = _evaluation_ring(point, X.base)[0]
     assert square_zero == {v for v, c in zip(ideal.jet_variables, coordinates) if not c}
-    expected = tuple(
-        tuple(
-            SparsePolynomial(X.base, {mono: c for mono, c in equation.terms.items() if sum(e for v, e in mono if v in square_zero) < 2})
-            for equation in row
-        )
-        for row in ideal.generators
-    )
+
+    def cut(equation):
+        terms = equation.terms.items()
+        return SparsePolynomial(X.base, {mono: c for mono, c in terms if sum(e for v, e in mono if v in square_zero) < 2})
+
+    expected = tuple(tuple(cut(equation) for equation in row) for row in ideal.generators)
     assert equations == expected
     assert all(equation.field == X.base for row in equations for equation in row)
     return square_zero
