@@ -254,13 +254,24 @@ def load_document(path: str) -> ProblemDocument:
             raise InputError(f"{path}: integer of {digits} digits exceeds the maximum {MAX_LITERAL_DIGITS}")
         return int(text)
 
+    def unique_keys(pairs):
+        # A repeated key would otherwise keep its last value in silence.
+        obj = {}
+        for key, value in pairs:
+            if key in obj:
+                raise InputError(f"{path}: key {json.dumps(key)} appears twice in one object")
+            obj[key] = value
+        return obj
+
     try:
         with open(path, "r", encoding="utf-8") as handle:
-            raw = json.load(handle, parse_int=parse_int)
+            raw = json.load(handle, parse_int=parse_int, object_pairs_hook=unique_keys)
     except OSError as err:
         raise InputError(f"cannot read {path}: {err}") from err
     except json.JSONDecodeError as err:
         raise InputError(f"{path} is not valid JSON: {err}") from err
+    except RecursionError as err:
+        raise InputError(f"{path}: JSON nested too deeply to read") from err
     return parse_document(raw)
 
 

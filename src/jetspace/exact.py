@@ -105,10 +105,6 @@ class BaseField:
         self.fe_zero = FieldElement._raw(SparsePolynomial(self, {}), one_poly)
         self.fe_one = FieldElement._raw(one_poly, one_poly)
 
-    @property
-    def characteristic(self) -> int:
-        return self.p or 0
-
     def coerce(self, value):
         """Bring an int or Fraction into this field, in canonical form."""
         p = self.p
@@ -124,16 +120,10 @@ class BaseField:
             raise DivisionByZero(f"denominator of {value} vanishes mod {p}")
         return value.numerator * pow(den, p - 2, p) % p
 
-    def mul(self, a, b):
-        return a * b % self.p if self.p else _canonical(a * b)
-
     def inv(self, a):
         if a == 0:
             raise DivisionByZero("scalar division by zero")
         return pow(a, self.p - 2, self.p) if self.p else _canonical(1 / Fraction(a))
-
-    def div(self, a, b):
-        return self.mul(a, self.inv(b))
 
     def __eq__(self, other):
         return isinstance(other, BaseField) and self.p == other.p
@@ -230,9 +220,6 @@ class SparsePolynomial:
     def variable(cls, field: BaseField, name: str) -> "SparsePolynomial":
         return cls(field, {((name, 1),): 1})
 
-    def is_zero(self) -> bool:
-        return not self.terms
-
     def __bool__(self) -> bool:
         return bool(self.terms)
 
@@ -273,22 +260,7 @@ class SparsePolynomial:
         return SparsePolynomial(self.field, {m: p - c if p else -c for m, c in self.terms.items()})
 
     def __sub__(self, other: "SparsePolynomial") -> "SparsePolynomial":
-        p = self.field.p
-        out = dict(self.terms)
-        get = out.get
-        for mono, coeff in other.terms.items():
-            old = get(mono)
-            if old is None:
-                out[mono] = p - coeff if p else -coeff
-                continue
-            acc = (old - coeff) % p if p else old - coeff
-            if type(acc) is Fraction and acc.denominator == 1:
-                acc = acc.numerator
-            if acc:
-                out[mono] = acc
-            else:
-                del out[mono]
-        return SparsePolynomial(self.field, out)
+        return self + (-other)
 
     def __mul__(self, other: "SparsePolynomial") -> "SparsePolynomial":
         p = self.field.p
@@ -460,8 +432,6 @@ class SparsePolynomial:
         return (const(0) if value is None else value), partials
 
     def __str__(self):
-        if not self.terms:
-            return "0"
         parts = []
         for mono in sorted(self.terms, key=_mono_key, reverse=True):
             coeff = self.terms[mono]
@@ -475,13 +445,20 @@ class SparsePolynomial:
                 else:
                     text = f"{text}*{mono_text}"
             parts.append(text)
-        out = parts[0]
-        for part in parts[1:]:
-            out += " - " + part[1:] if part.startswith("-") else " + " + part
-        return out
+        return _signed_join(parts)
 
     def __repr__(self):
         return f"SparsePolynomial({self})"
+
+
+def _signed_join(parts: Sequence[str]) -> str:
+    """Terms joined by " + ", a term's leading minus read as " - "; "0" for no terms."""
+    if not parts:
+        return "0"
+    out = parts[0]
+    for part in parts[1:]:
+        out += " - " + part[1:] if part.startswith("-") else " + " + part
+    return out
 
 
 class PowerTable(dict):
@@ -525,7 +502,7 @@ class FieldElement:
     __slots__ = ("num", "den")
 
     def __init__(self, num: SparsePolynomial, den: SparsePolynomial):
-        if den.is_zero():
+        if not den:
             raise DivisionByZero("field element with zero denominator")
         self.num, self.den = _normalize_fraction(num, den)
 
@@ -558,9 +535,6 @@ class FieldElement:
     def field(self) -> BaseField:
         return self.num.field
 
-    def is_zero(self) -> bool:
-        return not self.num.terms
-
     def __bool__(self) -> bool:
         return bool(self.num.terms)
 
@@ -580,11 +554,6 @@ class FieldElement:
         if not self.den.is_constant():
             return None
         return self.num.scale(self.field.inv(self.den.constant_value()))
-
-    def constant_value(self):
-        if not self.is_constant():
-            raise ValueError("field element is not a visible constant")
-        return self.field.div(self.num.constant_value(), self.den.constant_value())
 
     def __add__(self, other: "FieldElement") -> "FieldElement":
         # Polynomials (denominator one) stay polynomials with no
@@ -607,18 +576,18 @@ class FieldElement:
         return FieldElement(self.num * other.num, self.den * other.den)
 
     def __truediv__(self, other: "FieldElement") -> "FieldElement":
-        if other.is_zero():
+        if not other:
             raise DivisionByZero("division by a zero field element")
         return FieldElement(self.num * other.den, self.den * other.num)
 
     def __eq__(self, other):
         if isinstance(other, FieldElement):
-            return (self.num * other.den - other.num * self.den).is_zero()
+            return not self.num * other.den - other.num * self.den
         if isinstance(other, (int, Fraction)):
             # A base-field scalar compares by value, mod p over GF(p); a
             # Fraction whose denominator p divides is no element of GF(p).
             try:
-                return (self.num - self.den.scale(other)).is_zero()
+                return not self.num - self.den.scale(other)
             except DivisionByZero:
                 return False
         return NotImplemented
@@ -650,7 +619,8 @@ RATIONALS = BaseField()
 def as_scalar(value):
     """The base-field scalar of a raw scalar or a visibly constant field element, else None."""
     if isinstance(value, FieldElement):
-        return value.constant_value() if value.is_constant() else None
+        poly = value.as_polynomial()
+        return poly.constant_value() if poly is not None and poly.is_constant() else None
     return value
 
 
@@ -781,20 +751,17 @@ def echelon_rank_profile(
                 coeff = row.pop(lead, None)
                 if coeff is None:
                     continue
-                # blead * row - coeff * brow; its lead column cancels exactly.
-                blead = brow[lead]
+                # blead * row - coeff * brow, as a sum with -coeff; its lead column cancels exactly.
+                blead, coeff = brow[lead], -coeff
                 out = {j: blead * c for j, c in row.items()}
                 for j, bc in brow.items():
                     if j == lead:
                         continue
                     prod = coeff * bc
                     old = out.get(j)
-                    if old is None:
-                        out[j] = -prod
-                        continue
-                    diff = old - prod
-                    if diff.terms:
-                        out[j] = diff
+                    summed = prod if old is None else old + prod
+                    if summed:
+                        out[j] = summed
                     else:
                         del out[j]
                 row = _strip_row(out, field)
@@ -832,20 +799,24 @@ def transcendence_degree(blocks: Sequence[Sequence], field: BaseField) -> Transc
     Otherwise it is the rank, in one elimination for all blocks, of the
     Jacobian of the nonconstant elements with respect to every variable
     they use.  The row of g = num/den is num_u*den - num*den_u, its
-    gradient scaled by den^2, so entries stay polynomials; for c*v/d that
-    row is c*d in column v alone, so the count is the same rank in every
+    gradient scaled by den^2, so entries stay polynomials; each is formed
+    as a sum, with num negated once per element.  For c*v/d that row is
+    c*d in column v alone, so the count is the same rank in every
     characteristic.  In characteristic zero the rank is exact; in
     characteristic p it is the Jacobian-criterion value, and the flag is
     set when any element is nonconstant so callers can surface the caveat.
     """
     nonconstant = [[g for g in block if isinstance(g, FieldElement) and not g.is_constant()] for block in blocks]
-    char_p = field.characteristic > 0 and any(nonconstant)
+    char_p = field.p is not None and any(nonconstant)
     fresh = [[_scaled_variable(g) for g in block] for block in nonconstant]
     if not any(None in names for names in fresh):
         return TranscendenceDegree([len(seen) for seen in accumulate(map(set, fresh), set.union)], char_p)
     variables = sorted({u for block in nonconstant for g in block for u in g.variables()})
     rows = [
-        [[g.num.derivative(u) * g.den - g.num * g.den.derivative(u) for u in variables] for g in block]
+        [
+            [g.num.derivative(u) * g.den + minus_num * g.den.derivative(u) for u in variables]
+            for g, minus_num in zip(block, [-g.num for g in block])
+        ]
         for block in nonconstant
     ]
     return TranscendenceDegree(echelon_rank_profile(rows, field), char_p)

@@ -216,7 +216,7 @@ class _Parser:
                 self.take()
                 _, _, dcol = self.peek()
                 divisor = self.unary()
-                if divisor.is_zero():
+                if not divisor.num:
                     self.fail("division by zero", dcol)
                 if self.series:
                     self.bound_product("quotient", (value.num, divisor.den), (value.den, divisor.num), column=col)

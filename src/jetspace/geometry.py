@@ -103,9 +103,8 @@ def relative_omega_presentation(f: MorphismPresentation) -> DifferentialPresenta
     the Jacobian ideal of f.
     """
     src_vars = f.source.variables
-    rows = [tuple(g.derivative(v) for v in src_vars) for g in f.source.generators]
-    rows.extend(tuple(comp.derivative(v) for v in src_vars) for comp in f.components)
-    return DifferentialPresentation(len(src_vars), tuple(rows))
+    rows = tuple(tuple(comp.derivative(v) for v in src_vars) for comp in f.components)
+    return DifferentialPresentation(len(src_vars), omega_presentation(f.source).matrix + rows)
 
 
 def minors(matrix: Sequence[Sequence], size: int, table: dict | None = None) -> list:

@@ -11,15 +11,14 @@ exact at full working precision.
 The coefficients of a series are all of one kind: field elements
 (fractions of polynomials in the transcendentals); or, for data with no
 transcendentals, raw base-field scalars (ints and ``Fraction``s over Q,
-ints in ``range(p)`` over GF(p)), which skip the ``FieldElement`` layer;
-or ``SparsePolynomial``s.  The jet equations are lists of polynomial
-coefficients too, expanded by ``jets`` with the product kernel below,
-which can work modulo the square of an ideal of variables.
-Over GF(p) a series of raw ints reduces them mod p when it is built, so
-the result of every series operation is reduced; field elements and
-polynomials reduce mod p themselves.  The kernel and ``TruncatedSeries``
-test a coefficient for zero by its truthiness, so one path serves every
-kind.
+ints in ``range(p)`` over GF(p)), which skip the ``FieldElement`` layer.
+The jet equations are no series: they are plain lists of polynomial
+coefficients, expanded by ``jets`` with the product kernel below, which
+can work modulo the square of an ideal of variables.  Over GF(p) a
+series of raw ints reduces them mod p when it is built, so the result of
+every series operation is reduced; field elements and polynomials reduce
+mod p themselves.  The kernel and ``TruncatedSeries`` test a coefficient
+for zero by its truthiness, so one path serves every kind.
 
 Series expressions are exact components: a numerator and a denominator,
 polynomials in t and the transcendentals, the denominator a unit at
@@ -46,7 +45,7 @@ from itertools import chain
 from typing import AbstractSet, Sequence
 
 from .errors import DenominatorNotUnit, PrecisionTooLow
-from .exact import BaseField, FieldElement, SparsePolynomial, _mono_mul
+from .exact import BaseField, FieldElement, SparsePolynomial, _mono_mul, _signed_join
 
 DEFAULT_PRECISION = 24
 PRECISION_CAP = 192
@@ -189,18 +188,16 @@ class OrderValue:
 
 
 def _zero_like(field: BaseField, coeff):
-    """The zero of the kind of ``coeff``: a field element, a polynomial or a scalar."""
-    if isinstance(coeff, FieldElement):
-        return field.fe_zero
-    return field.fe_zero.num if isinstance(coeff, SparsePolynomial) else 0
+    """The zero of the kind of ``coeff``: a field element or a scalar."""
+    return field.fe_zero if isinstance(coeff, FieldElement) else 0
 
 
 class TruncatedSeries:
     """Power series in t known modulo t^P.
 
-    Coefficients are field elements of the base field's fraction field,
-    polynomials over the base field, or raw base-field scalars, reduced
-    mod p here over GF(p); see the module docstring.
+    Coefficients are field elements of the base field's fraction field
+    or raw base-field scalars, reduced mod p here over GF(p); see the
+    module docstring.
     """
 
     __slots__ = ("field", "coeffs")
@@ -217,7 +214,7 @@ class TruncatedSeries:
     @property
     def is_scalar(self) -> bool:
         """True when the coefficients are raw base-field scalars."""
-        return not isinstance(self.coeffs[0], (FieldElement, SparsePolynomial))
+        return not isinstance(self.coeffs[0], FieldElement)
 
     def lifted(self) -> "TruncatedSeries":
         """This series of raw scalars with its coefficients as field elements."""
@@ -319,12 +316,7 @@ def _coeffs_text(coeffs) -> str:
             parts.append("-t" if i == 1 else f"-t^{i}")
         else:
             parts.append(f"{text}*t" if i == 1 else f"{text}*t^{i}")
-    if not parts:
-        return "0"
-    out = parts[0]
-    for part in parts[1:]:
-        out += " - " + part[1:] if part.startswith("-") else " + " + part
-    return out
+    return _signed_join(parts)
 
 
 def split_t(mono) -> tuple[int, tuple]:
@@ -396,9 +388,6 @@ class SeriesExpression:
         if e < 0:
             raise ValueError(f"t_power needs an exponent >= 0, got {e}")
         return cls(field, [0] * e + [coefficient])
-
-    def is_zero(self) -> bool:
-        return not self.num.terms
 
     def is_k_rational(self) -> bool:
         """True when no transcendental occurs."""

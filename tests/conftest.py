@@ -114,4 +114,4 @@ def eliminated_transcendence_degree(blocks, field):
         [[g.num.derivative(u) * g.den - g.num * g.den.derivative(u) for u in names] for g in block]
         for block in elements
     ]
-    return TranscendenceDegree(echelon_rank_profile(rows, field), field.characteristic > 0 and any(elements))
+    return TranscendenceDegree(echelon_rank_profile(rows, field), field.p is not None and any(elements))

@@ -410,7 +410,7 @@ def test_generic_component_names_are_stable():
     assert comp.coefficient_name(3) == "u2_3"
     assert GenericComponent.COEFFICIENT_NAME.fullmatch(comp.coefficient_name(3))
     expansion = comp.expand(Q, 4)
-    assert expansion.coeffs[0].is_zero()
+    assert not expansion.coeffs[0]
     assert str(expansion.coeffs[1]) == "u2_1"
 
 

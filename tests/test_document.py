@@ -364,7 +364,7 @@ class TestParseDocument:
         raw = _doc(field={"prime": 5})
         raw["variety"]["generators"] = ["y^2 - x^3"]
         doc = parse_document(raw)
-        assert doc.field.characteristic == 5
+        assert doc.field.p == 5
 
     def test_one_field_per_characteristic(self):
         assert parse_document(_doc()).field is RATIONALS
@@ -396,8 +396,8 @@ class TestParseDocument:
         raw["arcs"] = {"g": {"components": [{"generic": {"start": 2}}]}}
         doc = parse_document(raw)
         arc = doc.build_arc("g", 8)
-        assert arc.expansions[0].coeffs[1].is_zero()
-        assert not arc.expansions[0].coeffs[2].is_zero()
+        assert not arc.expansions[0].coeffs[1]
+        assert arc.expansions[0].coeffs[2]
 
     @pytest.mark.parametrize("declared", [-2, 3, True, 1.0])
     def test_declared_dim_outside_zero_to_variable_count_rejected(self, declared):
@@ -542,6 +542,36 @@ class TestParseDocument:
         message = f"{path}: integer of {MAX_LITERAL_DIGITS + 1} digits exceeds the maximum {MAX_LITERAL_DIGITS}"
         with pytest.raises(InputError, match=f"^{re.escape(message)}$"):
             load_document(str(path))
+
+    def test_deep_nesting_is_an_input_error(self, tmp_path, capsys):
+        # json.load recurses once per level and raised RecursionError past the interpreter's limit.
+        path = tmp_path / "doc.json"
+        text = json.dumps(_doc(params={"n": "NESTED"}))
+        path.write_text(text.replace('"NESTED"', "[" * 900 + "3" + "]" * 900))
+        value = load_document(str(path)).params["n"]
+        for _ in range(900):
+            (value,) = value
+        assert value == 3
+        path.write_text(text.replace('"NESTED"', "[" * 1000 + "3" + "]" * 1000))
+        message = f"{path}: JSON nested too deeply to read"
+        with pytest.raises(InputError, match=f"^{re.escape(message)}$"):
+            load_document(str(path))
+        assert main(["profile", str(path)]) == 1
+        err = capsys.readouterr().err
+        assert err == f"error[InputError]: {message}\n"
+
+    def test_repeated_key_is_an_input_error(self, tmp_path, capsys):
+        # json.load kept the last of two entries, so profile read an arc the user never meant.
+        path = tmp_path / "doc.json"
+        text = json.dumps(_doc(arcs={"main": {"components": ["t^2", "t^3"]}}))
+        second = '"main": {"components": ["t", "t"]}'
+        path.write_text(text.replace('"main": {', second + ', "main": {', 1))
+        message = f'{path}: key "main" appears twice in one object'
+        with pytest.raises(InputError, match=f"^{re.escape(message)}$"):
+            load_document(str(path))
+        assert main(["profile", str(path)]) == 1
+        err = capsys.readouterr().err
+        assert err == f"error[InputError]: {message}\n"
 
     def test_unknown_arc_name(self):
         doc = parse_document(_doc())

@@ -20,7 +20,7 @@ from conftest import (
 )
 from jetspace.arcs import generic_arc, make_arc
 from jetspace.errors import MatrixTooLarge, PrecisionTooLow
-from jetspace.exact import BaseField
+from jetspace.exact import BaseField, as_scalar
 from jetspace.invariants import (
     fitting_minor_oracle,
     profile_of_omega,
@@ -286,7 +286,7 @@ def _orders_match(a, b):
 
 
 def _as_scalar_series(matrix):
-    return [[TruncatedSeries(Q, [c.constant_value() for c in entry.coeffs]) for entry in row] for row in matrix]
+    return [[TruncatedSeries(Q, [as_scalar(c) for c in entry.coeffs]) for entry in row] for row in matrix]
 
 
 @pytest.mark.parametrize("precision", [24, 4])

@@ -405,7 +405,7 @@ def _corank_on_field_elements(X, levels, point):
     for generator_rows in ideal.generators:
         for p, equation in enumerate(generator_rows):
             value, partials = equation.value_and_gradient(powers, lift)
-            assert value.is_zero()
+            assert not value
             entries = [field.fe_zero] * len(column)
             for v, slope in partials.items():
                 entries[column[v]] = slope

@@ -81,8 +81,8 @@ def _both_routes(monkeypatch, build):
 
 
 def test_the_cases_cover_q_gf2_and_gf3():
-    fields = {space.base.characteristic for _, space, _ in DOCUMENT_ARCS}
-    assert fields == {0, 2, 3}
+    fields = {space.base.p for _, space, _ in DOCUMENT_ARCS}
+    assert fields == {None, 2, 3}
     labels = {label for label, _, _ in DOCUMENT_ARCS}
     assert {"cusp:main", "whitney:singular-jet", "umbrella-char2:singular-jet", "catalog-umbrella3:off"} <= labels
     assert len(DOCUMENT_ARCS) == 23

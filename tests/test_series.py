@@ -329,12 +329,13 @@ class TestScalarSeries:
         product = three * four
         assert product.coeffs[0] == fe(2, f5)
         assert product.coeffs[0].num.terms == {(): 2}
-        # Polynomials reduce mod p themselves, so they are accepted as coefficients.
+        # Polynomials reduce mod p themselves, so the kernel takes the jet
+        # equations' plain coefficient lists as they are.
         p3, p4, p1 = (SparsePolynomial.constant(f5, c) for c in (3, 4, 1))
-        product = TruncatedSeries(f5, [p3, p1]) * TruncatedSeries.from_coefficients(f5, [p4], 2)
-        assert product.coeffs[0].terms == {(): 2}
-        assert product.coeffs[1] == p4
-        assert TruncatedSeries.from_coefficients(f5, [p3], 2).coeffs[1] is f5.fe_zero.num
+        zero = f5.fe_zero.num
+        product = truncated_product([p3, p1], [p4, zero], 2, zero)
+        assert product[0].terms == {(): 2}
+        assert product[1] == p4
 
 
 def _reference_product(a, b, length, zero):
@@ -422,16 +423,17 @@ def _canonical(c, p):
 
 @pytest.mark.parametrize("lift", [False, True], ids=["polynomial", "unit-denominator"])
 def test_polynomial_product_adds_no_polynomials(monkeypatch, lift):
+    """Plain lists of polynomials (the jet equations' path), and series of field elements with denominator 1."""
     u, v = var("u"), var("v")
-    coeffs = [[u, v, u * v, v], [v, u + v, u]]
+    a, b = [u, v, u * v, v], [v, u + v, u]
     if lift:
-        coeffs = [[FieldElement.from_poly(c) for c in row] for row in coeffs]
-    a, b = (TruncatedSeries(Q, row) for row in coeffs)
-    expected = _reference_product(a.coeffs, b.coeffs, 3, Q.fe_zero if lift else Q.fe_zero.num)
+        a, b = [FieldElement.from_poly(c) for c in a], [FieldElement.from_poly(c) for c in b]
+    zero = Q.fe_zero if lift else Q.fe_zero.num
+    expected = _reference_product(a, b, 3, zero)
     adds = count_calls(monkeypatch, SparsePolynomial, ["__add__"])
-    product = a * b
+    product = (TruncatedSeries(Q, a) * TruncatedSeries(Q, b)).coeffs if lift else truncated_product(a, b, 3, zero)
     assert adds == []
-    assert list(product.coeffs) == expected
+    assert list(product) == expected
 
 
 def _unit_expression(rng):
