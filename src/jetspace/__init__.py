@@ -37,7 +37,6 @@ from .geometry import (
 from .invariants import (
     InvariantProfile,
     fitting_minor_oracle,
-    profile_of_omega,
     refined_profile_of_omega,
     smith_orders,
 )
@@ -93,7 +92,6 @@ __all__ = [
     "matrix_rank",
     "omega_presentation",
     "oracle_check",
-    "profile_of_omega",
     "push_arc",
     "refined_profile_of_omega",
     "relative_omega_presentation",

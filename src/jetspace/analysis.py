@@ -62,12 +62,7 @@ from .errors import (
 )
 from .exact import as_scalar
 from .geometry import MorphismPresentation, relative_omega_presentation
-from .invariants import (
-    InvariantProfile,
-    profile_of_omega,
-    refined_profile_of_omega,
-    refined_pullback_profile,
-)
+from .invariants import InvariantProfile, refined_profile_of_omega, refined_pullback_profile
 from .jets import jet_jacobian_corank, jet_levels
 from .series import PRECISION_CAP, OrderValue
 
@@ -105,18 +100,14 @@ def _fiber_dimension(arc_profile: InvariantProfile, arc: Arc, n: int) -> FiberDi
     """(n+1) d_n plus the order of the matching Fitting ideal on the arc.
 
     d_n is the level-n free rank and the Fitting order a tail sum, both
-    read off the arc-level decomposition.  The tail sums are exact even
-    when the arc-level free rank is provisional, because a hidden factor
-    lies above the working precision and therefore below index d_n in
-    the descending order.
+    read off the arc-level decomposition.  d_n is at least the arc-level
+    free rank, so the tail sum is finite.  It is exact even when that
+    free rank is provisional, because a hidden factor lies above the
+    working precision and therefore below index d_n in the descending
+    order.
     """
     d_n = arc_profile.at_level(n).betti
     c = arc_profile.fitting_invariant(d_n)
-    if not c.is_finite:
-        raise PrecisionLimited(
-            f"Fitting order at index {d_n} is undetermined below precision {arc_profile.precision}",
-            bound=arc_profile.precision,
-        )
     return FiberDimension(
         level=n,
         value=(n + 1) * d_n + c.value,
@@ -141,21 +132,17 @@ class OracleCheck:
     corank: int
 
     @property
-    def formula_value(self) -> int:
-        return self.fiber.value
-
-    @property
     def precision_limited(self) -> bool:
         return self.fiber.precision_limited
 
     @property
     def match(self) -> bool:
-        return self.formula_value == self.corank
+        return self.fiber.value == self.corank
 
     def to_json(self):
         return {
             "level": self.fiber.level,
-            "formula": self.formula_value,
+            "formula": self.fiber.value,
             "jet_jacobian_corank": self.corank,
             "match": self.match,
         }
@@ -182,7 +169,6 @@ def oracle_check(
 
 @dataclass(frozen=True)
 class JetEmbeddingDimension:
-    level: int
     value: int
     fiber: FiberDimension
     residue_dim: int
@@ -194,7 +180,7 @@ class JetEmbeddingDimension:
 
     def to_json(self):
         out = {
-            "level": self.level,
+            "level": self.fiber.level,
             "value": self.value,
             "fiber_dim": self.fiber.to_json(),
             "residue_dim": self.residue_dim,
@@ -209,7 +195,6 @@ def embdim_jet(arc: Arc, n: int, cap: int = PRECISION_CAP) -> JetEmbeddingDimens
     fiber = fiber_dim_formula(arc, n, cap)
     residue_dims, char_p = fiber.arc.residue_dimension_profile(n)
     return JetEmbeddingDimension(
-        level=n,
         value=fiber.value - residue_dims[n],
         fiber=fiber,
         residue_dim=residue_dims[n],
@@ -229,10 +214,11 @@ class StabRow:
 class StabilizationReport:
     """Sequence s_n = (n+1) D - dim(alpha_n) with a stabilization verdict.
 
-    ``stabilized`` requires the last ``window`` values to agree and the
-    level-n free rank to have reached the arc-level one.  A report that
-    does not stabilize means suspected infinite embedding dimension: the
-    point is either inside the singular arcs or not a stable point.
+    ``value`` is set when the last ``window`` values agree and the
+    level-n free rank has reached the arc-level one, and is None
+    otherwise.  A report that does not stabilize means suspected infinite
+    embedding dimension: the point is either inside the singular arcs or
+    not a stable point.
     """
 
     kind: str  # "embdim-arc" or "jet-codim"
@@ -240,11 +226,14 @@ class StabilizationReport:
     ambient_rank: int  # D
     rows: tuple[StabRow, ...]
     window: int
-    stabilized: bool
     value: int | None
     arc_profile: InvariantProfile
     char_p_jacobian: bool
     arc: Arc  # evaluated on: the input arc, refined and known up to level n_max
+
+    @property
+    def stabilized(self) -> bool:
+        return self.value is not None
 
     @property
     def n_max(self) -> int:
@@ -311,7 +300,7 @@ def _stabilizations(
     # A limited arc-level profile serves only the levels below its precision.
     levels = arc_profile
     if arc_profile.precision_limited and arc_profile.precision <= n_max:
-        levels = profile_of_omega(arc)
+        levels = refined_profile_of_omega(arc, arc.precision)[0]
     jet_bettis = [levels.at_level(n).betti for n in range(n_max + 1)]
     residue_dims, char_p = arc.residue_dimension_profile(n_max)
     reports = []
@@ -344,7 +333,6 @@ def _stabilizations(
                 ambient_rank=rank,
                 rows=tuple(rows),
                 window=window,
-                stabilized=stabilized,
                 value=tail[-1].codim if stabilized else None,
                 arc_profile=arc_profile,
                 char_p_jacobian=char_p,
@@ -391,9 +379,12 @@ class BtrReport:
     ord_jacobian: OrderValue
     source: StabilizationReport
     target: StabilizationReport
-    smooth_at_center: bool
     inequalities_hold: bool
     equality_holds: bool | None  # asserted only when the source is smooth at the center
+
+    @property
+    def smooth_at_center(self) -> bool:
+        return self.equality_holds is not None
 
     @property
     def precision_limited(self) -> bool:
@@ -448,7 +439,6 @@ def btr_check(
         ord_jacobian=ord_jac,
         source=source_report,
         target=target_report,
-        smooth_at_center=smooth,
         inequalities_hold=src <= tgt <= src + jac,
         equality_holds=(tgt == src + jac) if smooth else None,
     )
@@ -474,7 +464,9 @@ def _divisor_arc(f: MorphismPresentation, divisor_var, q: int, precision: int) -
 
     The source chart must be affine space; the divisor is the vanishing
     locus of one source coordinate.  The arc carries one fresh
-    transcendental per coefficient, the divisor coordinate starting at t^q.
+    transcendental per coefficient, the divisor coordinate starting at t^q,
+    and is built at precision at least 2q + 2, so that it shows its
+    contact order.
     """
     if f.source.generators:
         raise InputError("divisorial arcs are built on a smooth affine-space chart")
@@ -482,7 +474,7 @@ def _divisor_arc(f: MorphismPresentation, divisor_var, q: int, precision: int) -
         raise InputError(f"contact order q must be an int >= 1, got {q!r}")
     j = resolve_divisor_var(f.source, divisor_var)
     starts = [q if i == j else 0 for i in range(len(f.source.variables))]
-    return generic_arc(f.source, starts, precision), f.source.variables[j]
+    return generic_arc(f.source, starts, max(precision, 2 * q + 2)), f.source.variables[j]
 
 
 def divisorial_arc(f: MorphismPresentation, divisor_var, q: int, precision: int) -> tuple[Arc, Arc]:
@@ -553,7 +545,7 @@ def mather_discrepancy_check(
     discrepancy.  When the image arc is centered at a closed point, the
     discrepancy plus one must also bound the target dimension from below.
     """
-    beta, name = _divisor_arc(f, divisor_var, q, max(precision, n_max + 2, 2 * q + 2))
+    beta, name = _divisor_arc(f, divisor_var, q, max(precision, n_max + 2))
     btr = btr_check(f, beta, n_max, window, cap)
     ord_jac, source_report, target_report = btr.ord_jacobian, btr.source, btr.target
     if not ord_jac.is_finite:

@@ -209,12 +209,6 @@ class CheckResult:
         }
 
 
-def _order_values_match(a: OrderValue, b: OrderValue) -> bool:
-    if a.is_finite != b.is_finite:
-        return False
-    return (not a.is_finite) or a.value == b.value
-
-
 def check_oracle_equivalence() -> CheckResult:
     """Fiber-dimension formula vs. jet Jacobian corank, levels 0..6."""
     failures = []
@@ -224,14 +218,14 @@ def check_oracle_equivalence() -> CheckResult:
         row = []
         for result in oracle_check(arc, ORACLE_LEVELS, cap=64):
             cases += 1
-            row.append(result.formula_value)
+            row.append(result.fiber.value)
             if not result.match:
                 failures.append(
                     {
                         "variety": key,
                         "arc": name,
                         "level": result.fiber.level,
-                        "formula": result.formula_value,
+                        "formula": result.fiber.value,
                         "corank": result.corank,
                     }
                 )
@@ -256,7 +250,7 @@ def check_cusp_numbers() -> CheckResult:
         "factors": list(profile.factors),
         "ord_jacobian_ideal": ord_jac.to_json(),
         "ord_jacobian_via_fitting": profile.fitting_invariant(1).to_json(),
-        "fiber_dim_n3": oracle3.formula_value,
+        "fiber_dim_n3": oracle3.fiber.value,
         "jet_jacobian_corank_n3": oracle3.corank,
         "embdim_jet_n3": emb.value,
     }
@@ -265,7 +259,7 @@ def check_cusp_numbers() -> CheckResult:
         and list(profile.factors) == [3]
         and ord_jac == OrderValue.finite(3)
         and profile.fitting_invariant(1) == OrderValue.finite(3)
-        and oracle3.formula_value == 7
+        and oracle3.fiber.value == 7
         and oracle3.corank == 7
         and emb.value == 7
     )
@@ -302,7 +296,7 @@ def check_fitting_oracle() -> CheckResult:
         for i, minor_c in enumerate(fitting_minor_oracle(matrix, num_columns=cols)):
             cases += 1
             smith_c = profile.fitting_invariant(i)
-            if not _order_values_match(smith_c, minor_c):
+            if smith_c != minor_c:
                 failures.append(
                     {
                         "trial": trial,

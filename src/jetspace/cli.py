@@ -39,7 +39,7 @@ from .analysis import (
 )
 from .document import PARAMETERS, load_document
 from .errors import InputError, JetspaceError
-from .invariants import profile_of_omega, refined_profile_of_omega
+from .invariants import refined_profile_of_omega
 from .jets import jet_ideal
 from .series import DEFAULT_PRECISION, PRECISION_CAP
 
@@ -79,7 +79,8 @@ def _catalog(doc, v, cap):
 def _profile(doc, v, cap):
     if v.n is None:
         return refined_profile_of_omega(v.arc, cap)[0]
-    return profile_of_omega(v.arc.with_precision(v.n + 1)).at_level(v.n)
+    # A cap of n + 1 diagonalizes once, at the arc's precision.
+    return refined_profile_of_omega(v.arc.with_precision(v.n + 1), v.n + 1)[0].at_level(v.n)
 
 
 _ARC = {"arc": None, "precision": DEFAULT_PRECISION}
@@ -143,7 +144,7 @@ COMMANDS = {
             "divisor_var": v.divisor_var,
             "source_arc": [str(series) for series in arcs[0].expansions],
             "image_arc": [str(series) for series in arcs[1].expansions],
-            "precision": v.precision,
+            "precision": arcs[0].precision,
         },
         subject="morphism",
     ),

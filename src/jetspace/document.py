@@ -99,7 +99,7 @@ def _name_or_index(text: str):
 
 # The ceilings tie the numeric parameters to the default precision cap: no
 # parameter may ask for more t-coefficients than refinement can reach.  A
-# level n needs precision n + 1; mather-check needs n_max + 2 and 2q + 2.
+# level n needs precision n + 1; mather-check needs n_max + 2, a divisorial arc 2q + 2.
 PARAMETERS = {
     spec.name: spec
     for spec in (
@@ -124,7 +124,6 @@ PARAMETERS = {
 @dataclass(frozen=True)
 class ProblemDocument:
     field: BaseField
-    transcendentals: tuple[str, ...]
     variety: VarietyPresentation
     # name -> (space, components); read-only, since the catalog shares its
     # parsed documents with every caller in the process
@@ -357,7 +356,6 @@ def parse_document(raw: Any) -> ProblemDocument:
 
     return ProblemDocument(
         field=field,
-        transcendentals=tuple(transcendentals),
         variety=variety,
         arc_specs=MappingProxyType(arc_specs),
         morphism=morphism,

@@ -234,7 +234,7 @@ class _Parser:
         if kind == "-":
             self.take()
             self.descend(col)
-            value = self.constant(-1) * self.unary()
+            value = -self.unary()
             self.depth -= 1
             return value
         return self.power()

@@ -247,17 +247,6 @@ def pullback_matrix(
     return [[arc.evaluate(entry) for entry in row] for row in presentation.matrix]
 
 
-def profile_of_omega(arc: Arc) -> InvariantProfile:
-    """Arc-level invariant profile of the differentials of the variety along an arc.
-
-    No precision refinement happens here; see ``refined_profile_of_omega``.
-    A level-n profile is ``profile_of_omega(arc.with_precision(n + 1)).at_level(n)``.
-    """
-    presentation = omega_presentation(arc.variety)
-    matrix = pullback_matrix(presentation, arc)
-    return smith_orders(matrix, presentation.num_columns, precision=arc.precision)
-
-
 def refined_profile_of_omega(
     arc: Arc, cap: int = PRECISION_CAP
 ) -> tuple[InvariantProfile, Arc]:
@@ -266,7 +255,8 @@ def refined_profile_of_omega(
     Returns the profile together with the (possibly re-expanded) arc so
     callers keep the extra coefficients.  If the cap is reached, the
     profile comes back precision limited: the undecided blocks are
-    reported, never guessed.
+    reported, never guessed.  A cap at or below the arc's precision
+    diagonalizes once, at the arc's precision.
     """
     return refined_pullback_profile(omega_presentation(arc.variety), arc, cap)
 

@@ -252,6 +252,8 @@ class TruncatedSeries:
             raise ValueError("a truncated series needs precision >= 1")
         if precision > len(self.coeffs):
             raise PrecisionTooLow(precision - 1, len(self.coeffs))
+        if precision == len(self.coeffs):
+            return self
         return TruncatedSeries(self.field, self.coeffs[:precision])
 
     def __add__(self, other: "TruncatedSeries") -> "TruncatedSeries":

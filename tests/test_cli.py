@@ -240,6 +240,17 @@ def test_divisorial_command(tmp_path, capsys):
     assert len(report["image_arc"]) == 2
 
 
+def test_divisorial_arc_is_built_to_show_its_contact_order(capsys):
+    # Precision 2q + 2 over the default 24, as mather-check builds it.
+    path = str(PROBLEMS / "blowup-plane.json")
+    code, out, _ = _run(capsys, ["divisorial", path, "--q", "30", "--divisor-var", "u"])
+    assert code == 0
+    report = json.loads(out)
+    assert report["precision"] == 62
+    assert report["source_arc"][0].startswith("u1_30*t^30 + ")
+    assert report["image_arc"][0].startswith("u1_30*t^30 + ")
+
+
 def test_oracle_check_all_levels(tmp_path, capsys):
     doc = {k: v for k, v in CUSP_DOC.items() if k != "params"}
     path = _write(tmp_path, doc)
@@ -834,3 +845,165 @@ def test_mather_check_with_zero_jacobian_is_precision_limited(tmp_path, capsys):
     assert err == (
         "error[PrecisionLimited]: order of the morphism Jacobian is undetermined below the precision cap\n"
     )
+
+
+def _without(doc, key):
+    return {k: v for k, v in doc.items() if k != key}
+
+
+_MISSING = object()  # a document path that does not exist
+
+# Typed errors, and features, on paths that no other test reaches.  Each row
+# is the command with its flags (the document path follows the command), the
+# document (a dict written as JSON, raw text written as is, or _MISSING),
+# the exit code, and the start of stderr, one line with no traceback, where
+# {path} stands for the document's path (exit 1), or a piece of stdout (exit 0).
+UNREACHED_PATHS = [
+    pytest.param(
+        ["fiber-dim"], _without(CUSP_DOC, "params"), 1,
+        "error[InputError]: missing parameter 'n' (flag --n or document params)",
+        id="required-parameter-set-nowhere",
+    ),
+    pytest.param(["btr"], CUSP_DOC, 1, "error[InputError]: document declares no morphism", id="btr-without-morphism"),
+    pytest.param(
+        ["profile"], _without(CUSP_DOC, "arcs"), 1, "error[InputError]: document defines no arcs", id="profile-without-arcs"
+    ),
+    pytest.param(
+        ["btr"], dict(BLOWUP_DOC, arcs={"main": {"components": ["t", "t^2"]}}), 1,
+        "error[InputError]: arc does not live on the source of the morphism",
+        id="btr-on-a-variety-arc",
+    ),
+    pytest.param(
+        ["profile"], dict(CUSP_DOC, arcs={"main": {"on": "source", "components": ["t^2", "t^3"]}}), 1,
+        "error[InputError]: arcs.main.on: 'source' needs a morphism block",
+        id="on-source-without-morphism",
+    ),
+    pytest.param(
+        ["profile"], dict(CUSP_DOC, arcs={"main": {"on": "target", "components": ["t^2", "t^3"]}}), 1,
+        "error[InputError]: arcs.main.on: expected 'variety' or 'source'",
+        id="unknown-on",
+    ),
+    pytest.param(
+        ["jet-ideal", "--n", "1"], {"variety": {"variables": ["x"], "generators": ["x $ 1"]}}, 1,
+        "error[ParseError]: unexpected character '$' at column 3 in variety.generators[0]",
+        id="unexpected-character",
+    ),
+    pytest.param(["profile"], '{"variety": ', 1, "error[InputError]: {path} is not valid JSON", id="invalid-json"),
+    pytest.param(["profile"], _MISSING, 1, "error[InputError]: cannot read {path}", id="unreadable-path"),
+    pytest.param(["profile"], [CUSP_DOC], 1, "error[InputError]: document root must be a JSON object", id="non-object-root"),
+    pytest.param(
+        ["fiber-dim"], dict(CUSP_DOC, tasks=["fiber-dim"]), 1,
+        "error[InputError]: tasks[0]: expected an object with a 'command' key",
+        id="task-not-an-object",
+    ),
+    pytest.param(
+        ["profile"], dict(CUSP_DOC, arcs={"main": {"components": [{"generic": 5}, "t^3"]}}), 1,
+        "error[InputError]: arcs.main.components[0].generic: expected an object",
+        id="generic-spec-not-an-object",
+    ),
+    pytest.param(
+        ["profile"], dict(CUSP_DOC, arcs={"main": {"components": [5, "t^3"]}}), 1,
+        "error[InputError]: arcs.main.components[0]: expected an expression string or a generic spec",
+        id="component-neither-string-nor-generic",
+    ),
+    pytest.param(
+        ["jet-ideal", "--n", "1"], {"variety": {"variables": ["x"], "generators": [5]}}, 1,
+        "error[InputError]: variety.generators[0]: expected a string",
+        id="non-string-generator",
+    ),
+    pytest.param(
+        ["jet-ideal", "--n", "1"], {"variety": {"variables": []}}, 1,
+        "error[InputError]: variety.variables: expected a nonempty list of names",
+        id="empty-variables",
+    ),
+    pytest.param(
+        ["divisorial", "--q", "1", "--divisor-var", "w"], BLOWUP_DOC, 1,
+        "error[InputError]: divisor variable 'w' is not a source variable",
+        id="divisor-var-not-a-source-variable",
+    ),
+    pytest.param(
+        ["divisorial", "--q", "1", "--divisor-var", "5"], BLOWUP_DOC, 1,
+        "error[InputError]: divisor variable index 5 out of range",
+        id="divisor-var-index-out-of-range",
+    ),
+    # The morphism maps into its own target block, not into the document's line.
+    pytest.param(
+        ["btr"],
+        {
+            "variety": {"name": "line", "variables": ["z"]},
+            "morphism": {**BLOWUP_DOC["morphism"], "target": BLOWUP_DOC["variety"]},
+            "arcs": BLOWUP_DOC["arcs"],
+        },
+        0, '"equality_holds": true',
+        id="btr-on-a-morphism-target-block",
+    ),
+    # With no declared_dim, smoothness at the center compares with the free rank.
+    pytest.param(
+        ["btr"],
+        {
+            "transcendentals": ["a"],
+            "variety": {"variables": ["x"]},
+            "morphism": {"source": {"variables": ["u", "v"], "generators": ["v - u^2"]}, "components": ["u"]},
+            "arcs": {"main": {"on": "source", "components": ["a + t", "(a + t)^2"]}},
+        },
+        0, '"smooth_at_center": true',
+        id="btr-source-without-declared-dim",
+    ),
+    # With no declared_dim, the target dimension is the free rank.
+    pytest.param(
+        ["mather-check", "--q", "1", "--divisor-var", "u"],
+        {
+            "variety": {"variables": ["x", "y"]},
+            "morphism": {"source": {"variables": ["u", "v"]}, "components": ["u", "u*v"]},
+        },
+        0, '"target_dim": 2',
+        id="mather-target-without-declared-dim",
+    ),
+]
+
+
+@pytest.mark.parametrize("argv, doc, expected_code, expected", UNREACHED_PATHS)
+def test_unreached_paths(tmp_path, capsys, argv, doc, expected_code, expected):
+    path = tmp_path / "doc.json"
+    if isinstance(doc, str):
+        path.write_text(doc)
+    elif doc is not _MISSING:
+        path.write_text(json.dumps(doc))
+    code, out, err = _run(capsys, [argv[0], str(path), *argv[1:]])
+    assert code == expected_code
+    if expected_code:
+        assert out == ""
+        assert err.startswith(expected.format(path=path)) and err.count("\n") == 1
+    else:
+        assert err == ""
+        assert expected in out
+
+
+def _char_p_doc(p):
+    return {
+        "field": {"prime": p},
+        "transcendentals": ["a"],
+        "variety": {"variables": ["x"]},
+        "arcs": {"main": {"components": ["a^2 + t"]}},
+    }
+
+
+def test_char_p_jacobian_is_reported(tmp_path, capsys):
+    # Over GF(3) the Jacobian rank of a^2 is its transcendence degree, 1, and
+    # both reports say that the residue dimension is a Jacobian rank.
+    path = _write(tmp_path, _char_p_doc(3))
+    code, out, _ = _run(capsys, ["embdim-jet", path, "--n", "1"])
+    assert code == 0
+    jet = json.loads(out)["embdim_jet"]
+    assert (jet["residue_dim"], jet["char_p_jacobian"]) == (1, True)
+    code, out, _ = _run(capsys, ["embdim-arc", path])
+    assert code == 0
+    assert json.loads(out)["report"]["char_p_jacobian"] is True
+
+
+@pytest.mark.xfail(strict=True, reason="known wrong answer: over GF(2) the Jacobian rank of a^2 is 0, its transcendence degree 1")
+def test_char_2_residue_dimension_is_a_transcendence_degree(tmp_path, capsys):
+    path = _write(tmp_path, _char_p_doc(2))
+    code, out, _ = _run(capsys, ["embdim-jet", path, "--n", "1"])
+    assert code == 0
+    assert json.loads(out)["embdim_jet"]["residue_dim"] == 1

@@ -23,7 +23,6 @@ from jetspace.errors import MatrixTooLarge, PrecisionTooLow
 from jetspace.exact import BaseField, as_scalar
 from jetspace.invariants import (
     fitting_minor_oracle,
-    profile_of_omega,
     refined_profile_of_omega,
     smith_orders,
 )
@@ -352,7 +351,7 @@ def test_unimodular_invariance():
 class TestProfileOfOmega:
     def test_affine_space(self):
         arc = generic_arc(affine_space(3), [0, 0, 0], 8)
-        profile = profile_of_omega(arc)
+        profile = refined_profile_of_omega(arc, arc.precision)[0]
         assert profile.betti == 3
         assert profile.factors == ()
 
@@ -434,7 +433,7 @@ def test_at_level_on_limited_whitney_arc_at_cap_4(e):
 def test_at_level_beyond_precision_of_a_resolved_profile():
     # A profile with no undecided block serves every level.
     arc = make_arc(cusp_variety(), [SeriesExpression.t_power(Q, 2), SeriesExpression.t_power(Q, 3)], 6)
-    profile = profile_of_omega(arc)
+    profile = refined_profile_of_omega(arc, arc.precision)[0]
     assert not profile.precision_limited
     finer = arc.with_precision(13)
     for n in range(13):
@@ -444,4 +443,4 @@ def test_at_level_beyond_precision_of_a_resolved_profile():
 def test_at_level_needs_an_arc_level_profile():
     arc = make_arc(cusp_variety(), [SeriesExpression.t_power(Q, 2), SeriesExpression.t_power(Q, 3)], 6)
     with pytest.raises(ValueError):
-        profile_of_omega(arc).at_level(3).at_level(2)
+        refined_profile_of_omega(arc, arc.precision)[0].at_level(3).at_level(2)

@@ -20,7 +20,7 @@ from jetspace.document import load_document
 from jetspace.errors import NotOnVariety
 from jetspace.exact import RATIONALS, BaseField, FieldElement, SparsePolynomial
 from jetspace.geometry import MorphismPresentation, VarietyPresentation
-from jetspace.invariants import profile_of_omega
+from jetspace.invariants import refined_profile_of_omega
 from jetspace.jets import jet_jacobian_corank
 from jetspace.series import PRECISION_CAP, SeriesExpression
 
@@ -135,7 +135,7 @@ def test_invariants_agree(build, monkeypatch):
     """Omega profiles at arc level and levels 0-8, jet coranks, residue profiles."""
     scalar, lifted = _both_routes(monkeypatch, lambda: build(25))
     X = scalar.variety
-    assert profile_of_omega(scalar) == profile_of_omega(lifted)
+    assert refined_profile_of_omega(scalar, scalar.precision)[0] == refined_profile_of_omega(lifted, lifted.precision)[0]
     for n in range(9):
         assert level_profile(scalar, n) == level_profile(lifted, n)
     coranks = jet_jacobian_corank(X, range(5), scalar.truncate(4).coordinates)
@@ -155,7 +155,7 @@ def test_building_validating_and_refining_makes_no_field_element_arithmetic(monk
         for precision in (48, 96, PRECISION_CAP):
             arc = arc.with_precision(precision)
         assert arc.k_rational and arc.precision == PRECISION_CAP
-        profile_of_omega(arc)
+        refined_profile_of_omega(arc, arc.precision)[0]
     assert calls == []
 
 
