@@ -73,14 +73,32 @@ ORACLE_LEVELS = range(7)  # the levels an oracle check covers when none is named
 
 @dataclass(frozen=True)
 class FiberDimension:
-    """Fiber dimension of the jet-scheme differentials at a liftable jet."""
+    """Fiber dimension of the jet-scheme differentials at a liftable jet.
+
+    (n+1) d_n plus the order of the matching Fitting ideal on the arc.
+    d_n is the level-n free rank and the Fitting order a tail sum, both
+    read off the arc-level decomposition.  d_n is at least the arc-level
+    free rank, so the tail sum is finite.  It is exact even when that
+    free rank is provisional, because a hidden factor lies above the
+    working precision and therefore below index d_n in the descending
+    order.
+    """
 
     level: int
-    value: int
-    jet_betti: int
-    fitting_order: OrderValue
     arc_profile: InvariantProfile
     arc: Arc  # evaluated on: the input arc with > level coefficients, refined
+
+    @property
+    def jet_betti(self) -> int:
+        return self.arc_profile.at_level(self.level).betti
+
+    @property
+    def fitting_order(self) -> OrderValue:
+        return self.arc_profile.fitting_invariant(self.jet_betti)
+
+    @property
+    def value(self) -> int:
+        return (self.level + 1) * self.jet_betti + self.fitting_order.value
 
     @property
     def precision_limited(self) -> bool:
@@ -96,32 +114,10 @@ class FiberDimension:
         }
 
 
-def _fiber_dimension(arc_profile: InvariantProfile, arc: Arc, n: int) -> FiberDimension:
-    """(n+1) d_n plus the order of the matching Fitting ideal on the arc.
-
-    d_n is the level-n free rank and the Fitting order a tail sum, both
-    read off the arc-level decomposition.  d_n is at least the arc-level
-    free rank, so the tail sum is finite.  It is exact even when that
-    free rank is provisional, because a hidden factor lies above the
-    working precision and therefore below index d_n in the descending
-    order.
-    """
-    d_n = arc_profile.at_level(n).betti
-    c = arc_profile.fitting_invariant(d_n)
-    return FiberDimension(
-        level=n,
-        value=(n + 1) * d_n + c.value,
-        jet_betti=d_n,
-        fitting_order=c,
-        arc_profile=arc_profile,
-        arc=arc,
-    )
-
-
 def fiber_dim_formula(arc: Arc, n: int, cap: int = PRECISION_CAP) -> FiberDimension:
     """Fiber dimension at level n from the refined arc-level profile."""
     jet_levels([n])
-    return _fiber_dimension(*refined_profile_of_omega(arc.with_precision(n + 1), cap), n)
+    return FiberDimension(n, *refined_profile_of_omega(arc.with_precision(n + 1), cap))
 
 
 @dataclass(frozen=True)
@@ -162,17 +158,20 @@ def oracle_check(
     levels = jet_levels(levels)
     top = max(levels)
     profile, arc = refined_profile_of_omega(arc.with_precision(top + 1), cap)
-    fibers = [_fiber_dimension(profile, arc, n) for n in levels]
+    fibers = [FiberDimension(n, profile, arc) for n in levels]
     coranks = jet_jacobian_corank(arc.variety, levels, arc.truncate(top).coordinates)
     return [OracleCheck(fiber, corank) for fiber, corank in zip(fibers, coranks)]
 
 
 @dataclass(frozen=True)
 class JetEmbeddingDimension:
-    value: int
     fiber: FiberDimension
     residue_dim: int
     char_p_jacobian: bool
+
+    @property
+    def value(self) -> int:
+        return self.fiber.value - self.residue_dim
 
     @property
     def precision_limited(self) -> bool:
@@ -194,12 +193,7 @@ def embdim_jet(arc: Arc, n: int, cap: int = PRECISION_CAP) -> JetEmbeddingDimens
     """Embedding dimension of the jet scheme at the level-n truncation."""
     fiber = fiber_dim_formula(arc, n, cap)
     residue_dims, char_p = fiber.arc.residue_dimension_profile(n)
-    return JetEmbeddingDimension(
-        value=fiber.value - residue_dims[n],
-        fiber=fiber,
-        residue_dim=residue_dims[n],
-        char_p_jacobian=char_p,
-    )
+    return JetEmbeddingDimension(fiber, residue_dims[n], char_p)
 
 
 @dataclass(frozen=True)
@@ -207,29 +201,41 @@ class StabRow:
     level: int
     jet_betti: int
     residue_dim: int
-    codim: int  # s_n
 
 
 @dataclass(frozen=True)
 class StabilizationReport:
     """Sequence s_n = (n+1) D - dim(alpha_n) with a stabilization verdict.
 
-    ``value`` is set when the last ``window`` values agree and the
-    level-n free rank has reached the arc-level one, and is None
-    otherwise.  A report that does not stabilize means suspected infinite
-    embedding dimension: the point is either inside the singular arcs or
-    not a stable point.
+    D (``ambient_rank``) is the declared dimension or the arc-level free
+    rank, as ``dim_source`` says.  ``value`` is set when the last
+    ``window`` values agree and the level-n free rank has reached the
+    arc-level one, and is None otherwise.  A report that does not
+    stabilize means suspected infinite embedding dimension: the point is
+    either inside the singular arcs or not a stable point.
     """
 
     kind: str  # "embdim-arc" or "jet-codim"
     dim_source: str  # "betti" or "declared"
-    ambient_rank: int  # D
     rows: tuple[StabRow, ...]
     window: int
-    value: int | None
     arc_profile: InvariantProfile
     char_p_jacobian: bool
     arc: Arc  # evaluated on: the input arc, refined and known up to level n_max
+
+    @property
+    def ambient_rank(self) -> int:
+        if self.dim_source == "declared":
+            return self.arc.variety.declared_dim
+        return self.arc_profile.betti
+
+    @property
+    def value(self) -> int | None:
+        tail = self.codim_sequence()[-self.window :]
+        reached = all(r.jet_betti == self.arc_profile.betti for r in self.rows[-self.window :])
+        if len(tail) == self.window and len(set(tail)) == 1 and reached:
+            return tail[-1]
+        return None
 
     @property
     def stabilized(self) -> bool:
@@ -249,7 +255,8 @@ class StabilizationReport:
         return f"NotStabilizedUpTo({self.n_max})"
 
     def codim_sequence(self) -> list[int]:
-        return [row.codim for row in self.rows]
+        rank = self.ambient_rank
+        return [(row.level + 1) * rank - row.residue_dim for row in self.rows]
 
     def to_json(self):
         out = {
@@ -261,9 +268,9 @@ class StabilizationReport:
                     "level": r.level,
                     "jet_free_rank": r.jet_betti,
                     "residue_dim": r.residue_dim,
-                    "codim": r.codim,
+                    "codim": s_n,
                 }
-                for r in self.rows
+                for r, s_n in zip(self.rows, self.codim_sequence())
             ],
             "window": self.window,
             "verdict": self.verdict(),
@@ -281,10 +288,10 @@ def _stabilizations(
 ) -> list[StabilizationReport]:
     """s_n for n <= n_max on the refined arc, one report per (kind, dim_source).
 
-    The arc is refined and its residue dimensions eliminated once for all
-    requests, which differ only in D: ``declared`` trusts the
-    presentation's declared_dim; ``betti`` uses the free rank of the
-    differentials along this arc.
+    The arc is refined, its residue dimensions eliminated and its rows
+    built once for all requests, which differ only in D: ``declared``
+    trusts the presentation's declared_dim; ``betti`` uses the free rank
+    of the differentials along this arc.
     """
     for _, dim_source in requests:
         if dim_source not in ("declared", "betti"):
@@ -294,51 +301,24 @@ def _stabilizations(
     if n_max < 0 or window < 1:
         raise InputError("n_max must be >= 0 and window >= 1")
     arc_profile, arc = refined_profile_of_omega(arc, cap)
-    declared = arc.variety.declared_dim
-    ranks = [declared if dim_source == "declared" else arc_profile.betti for _, dim_source in requests]
     arc = arc.with_precision(n_max + 1)
     # A limited arc-level profile serves only the levels below its precision.
     levels = arc_profile
     if arc_profile.precision_limited and arc_profile.precision <= n_max:
         levels = refined_profile_of_omega(arc, arc.precision)[0]
-    jet_bettis = [levels.at_level(n).betti for n in range(n_max + 1)]
     residue_dims, char_p = arc.residue_dimension_profile(n_max)
-    reports = []
-    for (kind, dim_source), rank in zip(requests, ranks):
-        rows = []
-        prev = None
-        lower_bound = rank - residue_dims[0]
-        for n, d_n in enumerate(jet_bettis):
-            s_n = (n + 1) * rank - residue_dims[n]
-            if prev is not None and s_n < prev:
+    rows = tuple(StabRow(n, levels.at_level(n).betti, residue_dims[n]) for n in range(n_max + 1))
+    reports = [
+        StabilizationReport(kind, dim_source, rows, window, arc_profile, char_p, arc)
+        for kind, dim_source in requests
+    ]
+    for report in reports:
+        seq = report.codim_sequence()
+        for n, (prev, s_n) in enumerate(zip(seq, seq[1:]), 1):
+            if s_n < prev:
                 raise InternalInvariantViolation(
                     f"codimension sequence decreased at level {n}: {s_n} < {prev}"
                 )
-            if s_n < lower_bound:
-                raise InternalInvariantViolation(
-                    f"codimension {s_n} fell below the center bound {lower_bound} at level {n}"
-                )
-            rows.append(StabRow(n, d_n, residue_dims[n], s_n))
-            prev = s_n
-        tail = rows[-window:]
-        stabilized = (
-            len(tail) == window
-            and len({r.codim for r in tail}) == 1
-            and all(r.jet_betti == arc_profile.betti for r in tail)
-        )
-        reports.append(
-            StabilizationReport(
-                kind=kind,
-                dim_source=dim_source,
-                ambient_rank=rank,
-                rows=tuple(rows),
-                window=window,
-                value=tail[-1].codim if stabilized else None,
-                arc_profile=arc_profile,
-                char_p_jacobian=char_p,
-                arc=arc,
-            )
-        )
     return reports
 
 
@@ -374,17 +354,33 @@ def _extended(report: StabilizationReport) -> float:
 
 @dataclass(frozen=True)
 class BtrReport:
-    """Embedding-dimension bookkeeping across a birational morphism."""
+    """Embedding-dimension bookkeeping across a birational morphism.
+
+    A side that did not stabilize, or an undetermined Jacobian order, is
+    infinity: all quantities infinite is consistent, a finite side against
+    an infinite one is not.  The equality is asserted only when the source
+    is smooth at the arc's center.
+    """
 
     ord_jacobian: OrderValue
     source: StabilizationReport
     target: StabilizationReport
-    inequalities_hold: bool
-    equality_holds: bool | None  # asserted only when the source is smooth at the center
+    smooth_at_center: bool
+
+    def _extended_values(self) -> tuple[float, float, float]:
+        """Source and target embedding dimensions and the Jacobian order, extended."""
+        jac = self.ord_jacobian.value if self.ord_jacobian.is_finite else math.inf
+        return _extended(self.source), _extended(self.target), jac
 
     @property
-    def smooth_at_center(self) -> bool:
-        return self.equality_holds is not None
+    def inequalities_hold(self) -> bool:
+        src, tgt, jac = self._extended_values()
+        return src <= tgt <= src + jac
+
+    @property
+    def equality_holds(self) -> bool | None:
+        src, tgt, jac = self._extended_values()
+        return tgt == src + jac if self.smooth_at_center else None
 
     @property
     def precision_limited(self) -> bool:
@@ -431,17 +427,7 @@ def btr_check(
         source_dim = source_report.arc_profile.betti
     # Level 0 is Omega_X at the center: free rank N - rank J(center).
     smooth = not f.source.generators or source_report.arc_profile.at_level(0).betti == source_dim
-    # A side that did not stabilize, or an undetermined order, is infinity: all
-    # quantities infinite is consistent, a finite side against an infinite one is not.
-    src, tgt = _extended(source_report), _extended(target_report)
-    jac = ord_jac.value if ord_jac.is_finite else math.inf
-    return BtrReport(
-        ord_jacobian=ord_jac,
-        source=source_report,
-        target=target_report,
-        inequalities_hold=src <= tgt <= src + jac,
-        equality_holds=(tgt == src + jac) if smooth else None,
-    )
+    return BtrReport(ord_jac, source_report, target_report, smooth)
 
 
 def resolve_divisor_var(source, divisor_var) -> int:
@@ -489,26 +475,42 @@ class MatherReport:
 
     q: int
     divisor_var: str
-    ord_jacobian: int
-    mather_discrepancy: int  # ord_jacobian / q
-    source: StabilizationReport
-    target: StabilizationReport
-    expected_embdim: int  # q * (mather_discrepancy + 1)
-    source_equals_q: bool
-    target_matches: bool
+    btr: BtrReport  # at the divisorial arc; its Jacobian order is finite and divisible by q
     center_is_closed_point: bool
     target_dim: int | None
-    dim_bound_holds: bool | None  # mather_discrepancy + 1 >= dim X, when applicable
+
+    @property
+    def mather_discrepancy(self) -> int:
+        return self.btr.ord_jacobian.value // self.q
+
+    @property
+    def expected_embdim(self) -> int:
+        return self.q * (self.mather_discrepancy + 1)
+
+    @property
+    def source_equals_q(self) -> bool:
+        return _extended(self.btr.source) == self.q
+
+    @property
+    def target_matches(self) -> bool:
+        return _extended(self.btr.target) == self.expected_embdim
+
+    @property
+    def dim_bound_holds(self) -> bool | None:
+        """mather_discrepancy + 1 >= dim X, when the image's center is closed and dim X known."""
+        if self.center_is_closed_point and self.target_dim is not None:
+            return self.mather_discrepancy + 1 >= self.target_dim
+        return None
 
     def to_json(self):
         return {
             "q": self.q,
             "divisor_var": self.divisor_var,
-            "ord_jacobian": self.ord_jacobian,
+            "ord_jacobian": self.btr.ord_jacobian.value,
             "mather_discrepancy": self.mather_discrepancy,
             "expected_embdim": self.expected_embdim,
-            "embdim_source": self.source.to_json(),
-            "embdim_target": self.target.to_json(),
+            "embdim_source": self.btr.source.to_json(),
+            "embdim_target": self.btr.target.to_json(),
             "source_equals_q": self.source_equals_q,
             "target_matches": self.target_matches,
             "center_is_closed_point": self.center_is_closed_point,
@@ -518,14 +520,11 @@ class MatherReport:
 
     @property
     def precision_limited(self) -> bool:
-        return self.source.precision_limited or self.target.precision_limited
+        return self.btr.precision_limited
 
     @property
     def passed(self) -> bool:
-        ok = self.source_equals_q and self.target_matches
-        if self.dim_bound_holds is not None:
-            ok = ok and self.dim_bound_holds
-        return ok
+        return self.source_equals_q and self.target_matches and self.dim_bound_holds is not False
 
 
 def mather_discrepancy_check(
@@ -547,7 +546,7 @@ def mather_discrepancy_check(
     """
     beta, name = _divisor_arc(f, divisor_var, q, max(precision, n_max + 2))
     btr = btr_check(f, beta, n_max, window, cap)
-    ord_jac, source_report, target_report = btr.ord_jacobian, btr.source, btr.target
+    ord_jac, target = btr.ord_jacobian, btr.target
     if not ord_jac.is_finite:
         raise PrecisionLimited(
             "order of the morphism Jacobian is undetermined below the precision cap",
@@ -555,26 +554,13 @@ def mather_discrepancy_check(
         )
     if ord_jac.value % q != 0:
         raise NonDivisibleJacobianOrder(ord_jac.value, q)
-    khat = ord_jac.value // q
-    expected = q * (khat + 1)
-    center_closed = all(as_scalar(c) is not None for c in target_report.arc.center())
     target_dim = f.target.declared_dim
-    if target_dim is None and not target_report.precision_limited:
-        target_dim = target_report.arc_profile.betti
-    bound = None
-    if center_closed and target_dim is not None:
-        bound = khat + 1 >= target_dim
+    if target_dim is None and not target.precision_limited:
+        target_dim = target.arc_profile.betti
     return MatherReport(
         q=q,
         divisor_var=name,
-        ord_jacobian=ord_jac.value,
-        mather_discrepancy=khat,
-        source=source_report,
-        target=target_report,
-        expected_embdim=expected,
-        source_equals_q=_extended(source_report) == q,
-        target_matches=_extended(target_report) == expected,
-        center_is_closed_point=center_closed,
+        btr=btr,
+        center_is_closed_point=all(as_scalar(c) is not None for c in target.arc.center()),
         target_dim=target_dim,
-        dim_bound_holds=bound,
     )

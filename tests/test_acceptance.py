@@ -116,14 +116,14 @@ def test_criterion_7_mather_discrepancy():
             report = mather_discrepancy_check(chart, chart.source.variables[0], q, precision=20)
             expected = dim * q
             good = (
-                report.target.stabilized
-                and report.target.value == expected
+                report.btr.target.stabilized
+                and report.btr.target.value == expected
                 and report.expected_embdim == expected
                 and report.source_equals_q
                 and report.dim_bound_holds is True
             )
             ok = ok and good
-            details.append(f"A{dim} q={q}: {report.target.value}")
+            details.append(f"A{dim} q={q}: {report.btr.target.value}")
     assert _report("criterion 7: divisorial embedding dimensions q(discrepancy+1)", ok, "; ".join(details))
 
 

@@ -35,8 +35,8 @@ from jetspace.analysis import (
 from jetspace.arcs import Arc, GenericComponent, generic_arc, make_arc
 from jetspace.catalog import _catalog_arcs, blow_up_chart
 from jetspace import invariants
-from jetspace.errors import InputError, MissingDeclaredDim, PrecisionLimited
-from jetspace.exact import BaseField, SparsePolynomial
+from jetspace.errors import InputError, InternalInvariantViolation, MissingDeclaredDim, PrecisionLimited
+from jetspace.exact import BaseField, SparsePolynomial, TranscendenceDegree
 from jetspace.geometry import MorphismPresentation, VarietyPresentation
 from jetspace.invariants import refined_profile_of_omega
 from jetspace.jets import jet_jacobian_corank
@@ -198,6 +198,15 @@ class TestJetCodim:
         with pytest.raises(error):
             _stabilizations(arc, [("jet-codim", dim_source)], n_max, window, 64)
         assert calls == []
+
+    def test_a_decreasing_sequence_is_an_internal_violation(self, monkeypatch):
+        # D = 1 on the arc t of the line, so residue dimensions 0, 3 give s_0 = 1, s_1 = -1.
+        monkeypatch.setattr(
+            Arc, "residue_dimension_profile", lambda self, n: TranscendenceDegree([0] + [3] * n, False)
+        )
+        arc = make_arc(affine_space(1, names=("x",)), [sexpr(0, 1)], 12)
+        with pytest.raises(InternalInvariantViolation, match="decreased at level 1"):
+            embdim_arc(arc, n_max=4)
 
     def test_several_sources_from_one_refinement_match_the_single_calls(self):
         requests = [("embdim-arc", "betti"), ("jet-codim", "betti"), ("jet-codim", "declared")]
@@ -406,6 +415,14 @@ class TestMather:
             # the lower bound on the discrepancy is tight here
             assert report.mather_discrepancy + 1 == report.target_dim
 
+    def test_off_a_closed_point_the_dim_bound_does_not_apply(self):
+        # Along v = 0 the image arc (u, u v) is centered at (u(0), 0), a generic point.
+        report = mather_discrepancy_check(blowup_chart_2d(), "v", 1, precision=20)
+        assert report.center_is_closed_point is False
+        assert report.dim_bound_holds is None
+        assert report.mather_discrepancy == 0
+        assert report.passed
+
     @pytest.mark.parametrize("dim", [2, 3])
     @pytest.mark.parametrize("q", [1, 2, 3])
     def test_is_the_btr_at_the_divisorial_arc(self, dim, q):
@@ -414,10 +431,10 @@ class TestMather:
         report = mather_discrepancy_check(chart, divisor, q, precision=20, n_max=8, cap=96)
         beta, _ = divisorial_arc(chart, divisor, q, 20)
         btr = btr_check(chart, beta, n_max=8, cap=96)
-        assert btr.ord_jacobian == OrderValue.finite(report.ord_jacobian)
-        assert report.source.to_json() == btr.source.to_json()
-        assert report.target.to_json() == btr.target.to_json()
-        assert report.ord_jacobian == q * (dim - 1)
+        assert btr.ord_jacobian == report.btr.ord_jacobian
+        assert report.btr.source.to_json() == btr.source.to_json()
+        assert report.btr.target.to_json() == btr.target.to_json()
+        assert report.btr.ord_jacobian == OrderValue.finite(q * (dim - 1))
 
     def test_zero_jacobian_is_precision_limited_at_the_cap(self):
         chart = blowup_chart_2d()

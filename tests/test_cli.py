@@ -504,6 +504,7 @@ GOLDEN_OUTPUTS = [
     ("blowup-plane.json", ("btr", "--arc", "contact1", "--n-max", "6", "--strict"), 0, "235c14bf01b7e3d637d338ecbc4aa5533aba220229aa27abcb6de74336f86f9a"),
     ("blowup-plane.json", ("mather-check",), 0, "94e0566dc24f7a071e23b380d86e72147141bdf3a6959216ddc1ec8acba20808"),
     ("blowup-plane.json", ("mather-check", "--q", "2", "--strict"), 0, "1d2dfe4883a372c8919ecc205c3a3d9d8fda6ec307bac33d4af8c450ada90069"),
+    ("blowup-plane.json", ("mather-check", "--q", "1", "--divisor-var", "v"), 0, "ecca085097649d19bbdcbff04dfacecf9bb804538bb23d99b502e189bd7201d7"),
     ("cusp.json", ("fiber-dim", "--arc", "main"), 0, "db1ec14ecb42118cac8e9706b1dc56113bab135bffbb7b7e4ababaca6593aa5a"),
     ("cusp.json", ("fiber-dim", "--arc", "unit-branch", "--n", "4"), 0, "c29f16ecd9395f204b225766897e5a10c01e192e393aeb94b945bceb28571149"),
     ("cusp.json", ("embdim-jet", "--arc", "main", "--n", "5"), 0, "49ce770cf56bc530f7954548cf1a1a40bfdd640e449f273c613d82259b07ad66"),
