@@ -206,23 +206,11 @@ def _parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _check_tasks(doc):
-    """Every ``tasks`` entry names a command and only parameters that command reads."""
-    for i, task in enumerate(doc.tasks):
-        command = task["command"]
-        if not isinstance(command, str) or command not in COMMANDS:
-            raise InputError(f"tasks[{i}].command: unknown command {json.dumps(command)}")
-        for key in task:
-            if key != "command" and key not in COMMANDS[command].params:
-                raise InputError(f"tasks[{i}].{key}: not a parameter of {command!r}")
-
-
 def _param(args, doc, key: str, default):
-    """Flag value, then the first task of the command that sets it, then params, then default."""
+    """Flag value, then the document's params, then default."""
     value = getattr(args, key)
     if value is None:
-        tasks = (t for t in doc.tasks if t.get("command") == args.command)
-        value = next((t for t in tasks if t.get(key) is not None), doc.params).get(key)
+        value = doc.params.get(key)
     if value is None:
         if default is REQUIRED:
             flag = PARAMETERS[key].flag
@@ -238,7 +226,6 @@ def _report(args, cap):
     doc = None
     if row.subject is not None:
         doc = load_document(args.document)
-        _check_tasks(doc)
         subject = getattr(doc, row.subject)
         if subject is None:
             raise InputError(f"document declares no {row.subject}")

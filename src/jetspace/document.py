@@ -2,7 +2,7 @@
 
 A document declares the base field, the transcendentals available to
 arc coefficients, one variety, named arcs on it, an optional morphism,
-and default task parameters.  Polynomial and series values are strings
+and default parameters.  Polynomial and series values are strings
 in the small infix grammar of ``exprs``; rationals are always ``a/b``
 strings or integer literals, never floats.  A JSON integer, like an
 integer literal of the grammar, has at most ``MAX_LITERAL_DIGITS`` digits.
@@ -25,9 +25,9 @@ Example::
       "params": {"n": 3}
     }
 
-A morphism block has ``source`` (a variety block), optional ``target``
-(defaults to the document's variety), and ``components`` (polynomial
-strings in the source variables).
+A morphism block has ``source`` (a variety block) and ``components``
+(polynomial strings in the source variables); its target is the
+document's variety.
 
 Every object refuses a key it does not know: the document root, the
 variety and morphism blocks, each arc and each generic spec.  A misspelt
@@ -58,7 +58,7 @@ from .series import DEFAULT_PRECISION, PRECISION_CAP
 
 @dataclass(frozen=True)
 class Parameter:
-    """A task parameter, given by a command-line flag, a ``tasks`` entry or ``params``.
+    """A parameter, given by a command-line flag or ``params``.
 
     ``types`` are the JSON types a document may give; ``flag_type`` turns
     a flag's text into such a value.  ``floor`` and ``ceiling`` bound a
@@ -130,7 +130,6 @@ class ProblemDocument:
     arc_specs: Mapping[str, tuple]
     morphism: MorphismPresentation | None
     params: dict[str, Any]
-    tasks: tuple[dict[str, Any], ...]
 
     def build_arc(self, name: str, precision: int = DEFAULT_PRECISION) -> Arc:
         if name not in self.arc_specs:
@@ -206,8 +205,6 @@ def _parse_polynomials(texts, field, variables, context) -> tuple:
 
 
 def _parse_variety(block, field, context) -> VarietyPresentation:
-    if not isinstance(block, dict):
-        raise InputError(f"{context}: expected an object")
     _check_keys(block, ("name", "variables", "generators", "declared_dim"), context)
     variables = _expect(block, "variables", list, context, required=True)
     if not variables:
@@ -277,11 +274,7 @@ def load_document(path: str) -> ProblemDocument:
 def parse_document(raw: Any) -> ProblemDocument:
     if not isinstance(raw, dict):
         raise InputError("document root must be a JSON object")
-    _check_keys(
-        raw,
-        ("field", "transcendentals", "variety", "morphism", "arcs", "params", "tasks"),
-        "document",
-    )
+    _check_keys(raw, ("field", "transcendentals", "variety", "morphism", "arcs", "params"), "document")
     field = _parse_field(raw.get("field", "rationals"), "field")
     transcendentals = _expect(raw, "transcendentals", list, "document", default=[])
     _check_symbols(transcendentals, "transcendentals")
@@ -304,17 +297,14 @@ def parse_document(raw: Any) -> ProblemDocument:
     morphism = None
     if "morphism" in raw:
         block = _expect(raw, "morphism", dict, "document", required=True)
-        _check_keys(block, ("name", "source", "target", "components"), "morphism")
+        _check_keys(block, ("name", "source", "components"), "morphism")
         source = _parse_variety(
             _expect(block, "source", dict, "morphism", required=True), field, "morphism.source"
         )
-        target = variety
-        if "target" in block:
-            target = _parse_variety(block["target"], field, "morphism.target")
         comp_strings = _expect(block, "components", list, "morphism", required=True)
         components = _parse_polynomials(comp_strings, field, source.variables, "morphism.components")
         morphism = MorphismPresentation(
-            source, target, components, name=_expect(block, "name", str, "morphism", default="")
+            source, variety, components, name=_expect(block, "name", str, "morphism", default="")
         )
 
     arc_specs: dict[str, tuple] = {}
@@ -349,16 +339,10 @@ def parse_document(raw: Any) -> ProblemDocument:
     params = _expect(raw, "params", dict, "document", default={})
     _check_keys(params, PARAMETERS, "params")
 
-    tasks = _expect(raw, "tasks", list, "document", default=[])
-    for i, task in enumerate(tasks):
-        if not isinstance(task, dict) or "command" not in task:
-            raise InputError(f"tasks[{i}]: expected an object with a 'command' key")
-
     return ProblemDocument(
         field=field,
         variety=variety,
         arc_specs=MappingProxyType(arc_specs),
         morphism=morphism,
         params=dict(params),
-        tasks=tuple(tasks),
     )

@@ -1,5 +1,6 @@
 """Fiber dimensions, embedding dimensions, BTR, divisorial arcs."""
 
+import dataclasses
 import itertools
 from types import SimpleNamespace
 
@@ -34,13 +35,21 @@ from jetspace.analysis import (
 )
 from jetspace.arcs import Arc, GenericComponent, generic_arc, make_arc
 from jetspace.catalog import _catalog_arcs, blow_up_chart
-from jetspace import invariants
-from jetspace.errors import InputError, InternalInvariantViolation, MissingDeclaredDim, PrecisionLimited
-from jetspace.exact import BaseField, SparsePolynomial, TranscendenceDegree
+from jetspace import analysis, invariants
+from jetspace.errors import (
+    DivisionByZero,
+    InputError,
+    InternalInvariantViolation,
+    MissingDeclaredDim,
+    NonDivisibleJacobianOrder,
+    PrecisionLimited,
+    PrecisionTooLow,
+)
+from jetspace.exact import BaseField, FieldElement, SparsePolynomial, TranscendenceDegree
 from jetspace.geometry import MorphismPresentation, VarietyPresentation
 from jetspace.invariants import refined_profile_of_omega
 from jetspace.jets import jet_jacobian_corank
-from jetspace.series import OrderValue, SeriesExpression
+from jetspace.series import OrderValue, SeriesExpression, TruncatedSeries
 
 
 def _cusp_arc(precision=12):
@@ -586,3 +595,70 @@ def test_formula_vs_oracle_random_monomial_curves():
                         e_m = profiles[m].invariant_factor(i).value
                         e_n = profiles[n].invariant_factor(i).value
                         assert e_n == min(n + 1, e_m)
+
+
+# Guards of the kernel that no command reaches: each refuses its input with
+# this error type and message.
+KERNEL_GUARDS = [
+    pytest.param(lambda: Q.inv(0), DivisionByZero, "scalar division by zero", id="inv-zero-over-Q"),
+    pytest.param(lambda: BaseField(5).inv(0), DivisionByZero, "scalar division by zero", id="inv-zero-over-GF5"),
+    pytest.param(
+        lambda: FieldElement(var("x"), SparsePolynomial.zero(Q)), DivisionByZero,
+        "field element with zero denominator", id="field-element-zero-denominator",
+    ),
+    pytest.param(lambda: var("x") ** -1, ValueError, "negative exponent on a polynomial", id="negative-power"),
+    pytest.param(
+        lambda: TruncatedSeries(Q, []), ValueError, "a truncated series needs precision >= 1", id="empty-series"
+    ),
+    pytest.param(lambda: sexpr(1).expand(0), ValueError, "precision must be >= 1", id="expand-to-zero"),
+    pytest.param(lambda: _cusp_arc(0), InputError, "arc precision must be >= 1", id="arc-precision-zero"),
+    pytest.param(
+        lambda: _cusp_arc(8).residue_dimension_profile(8), PrecisionTooLow,
+        "operation needs precision > 8, arc has 8", id="residue-profile-at-precision",
+    ),
+    pytest.param(
+        lambda: invariants.smith_orders([[sexpr(1).expand(3)]], 2), ValueError,
+        "matrix rows disagree with num_columns", id="smith-short-row",
+    ),
+    pytest.param(
+        lambda: invariants.smith_orders([], 2), ValueError,
+        "empty matrix needs an explicit precision", id="smith-empty-without-precision",
+    ),
+    pytest.param(
+        lambda: invariants.fitting_minor_oracle([]), ValueError,
+        "empty matrix needs explicit num_columns", id="oracle-empty-without-columns",
+    ),
+    pytest.param(
+        lambda: invariants.fitting_minor_oracle([], num_columns=2), ValueError,
+        "empty matrix needs an explicit precision", id="oracle-empty-without-precision",
+    ),
+    pytest.param(
+        lambda: invariants.smith_orders([], 1, precision=3).invariant_factor(-1), IndexError,
+        "invariant factor index must be >= 0", id="negative-invariant-factor",
+    ),
+    pytest.param(
+        lambda: invariants.smith_orders([], 1, precision=3).fitting_invariant(-1), IndexError,
+        "fitting invariant index must be >= 0", id="negative-fitting-invariant",
+    ),
+    pytest.param(lambda: OrderValue.at_least(3).value, ValueError, "order is not finite", id="bound-has-no-value"),
+    pytest.param(lambda: blow_up_chart(1), ValueError, "blow-up chart needs dimension >= 2", id="blow-up-of-a-line"),
+]
+
+
+@pytest.mark.parametrize("call, error, message", KERNEL_GUARDS)
+def test_kernel_guard_refuses_its_input(call, error, message):
+    with pytest.raises(error) as raised:
+        call()
+    assert str(raised.value) == message
+
+
+def test_mather_check_refuses_jacobian_order_not_divisible_by_q(monkeypatch):
+    btr = analysis.btr_check
+    monkeypatch.setattr(
+        analysis,
+        "btr_check",
+        lambda *args: dataclasses.replace(btr(*args), ord_jacobian=OrderValue.finite(3)),
+    )
+    with pytest.raises(NonDivisibleJacobianOrder) as raised:
+        mather_discrepancy_check(blow_up_chart(2), "y1", 2, precision=8)
+    assert str(raised.value) == "order 3 of the morphism Jacobian is not divisible by the contact order 2"

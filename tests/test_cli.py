@@ -111,16 +111,6 @@ def test_parameter_falls_back_to_document(tmp_path, capsys):
     assert json.loads(out)["fiber_dim"]["level"] == 3
 
 
-def test_task_parameters_take_precedence_over_params(tmp_path, capsys):
-    doc = dict(CUSP_DOC)
-    doc["tasks"] = [{"command": "fiber-dim", "n": 1}]
-    path = _write(tmp_path, doc)
-    code, out, _ = _run(capsys, ["fiber-dim", path])
-    assert code == 0
-    assert json.loads(out)["fiber_dim"]["level"] == 1
-    assert json.loads(out)["fiber_dim"]["value"] == 4
-
-
 def test_profile_command(tmp_path, capsys):
     path = _write(tmp_path, CUSP_DOC)
     code, out, _ = _run(capsys, ["profile", path, "--arc", "main"])
@@ -335,6 +325,15 @@ def test_bool_prime_and_zero_divisor_exit_with_typed_errors(tmp_path, capsys, do
             dict(CUSP_DOC, variety={"variables": ["x", "y"], "generator": ["y^2 - x^3"]}),
             "variety.generator: unknown key",
         ),
+        # A parameter comes from a flag or params, and a morphism maps into the document's variety.
+        (
+            dict(CUSP_DOC, tasks=[{"command": "profile", "n": 1}]),
+            "document.tasks: unknown key (known: field, transcendentals, variety, morphism, arcs, params)\n",
+        ),
+        (
+            dict(BLOWUP_DOC, morphism={**BLOWUP_DOC["morphism"], "target": BLOWUP_DOC["variety"]}),
+            "morphism.target: unknown key (known: name, source, components)\n",
+        ),
     ],
 )
 def test_malformed_document_exits_with_an_input_error(tmp_path, capsys, doc, message):
@@ -351,11 +350,11 @@ def test_malformed_document_exits_with_an_input_error(tmp_path, capsys, doc, mes
         (CUSP_DOC, ["embdim-arc", "--n-max", "191"], "n_max"),
         (BLOWUP_DOC, ["divisorial", "--q", "96", "--divisor-var", "u"], "q"),
         (dict(CUSP_DOC, params={"n": 10**9}), ["fiber-dim"], "n"),
-        (dict(CUSP_DOC, tasks=[{"command": "profile", "precision": 10**6}]), ["profile"], "precision"),
+        (dict(CUSP_DOC, params={"precision": 10**6}), ["profile"], "precision"),
         (CUSP_DOC, ["embdim-arc", "--window", "99999999999999999999"], "window"),
         (dict(CUSP_DOC, params={"window": 192}), ["jet-codim"], "window"),
         # The longest JSON integer a document may hold.
-        (dict(CUSP_DOC, tasks=[{"command": "fiber-dim", "n": 10**MAX_LITERAL_DIGITS - 1}]), ["fiber-dim"], "n"),
+        (dict(CUSP_DOC, params={"n": 10**MAX_LITERAL_DIGITS - 1}), ["fiber-dim"], "n"),
     ],
 )
 def test_numeric_parameter_above_ceiling_rejected(tmp_path, capsys, doc, argv, key):
@@ -370,7 +369,7 @@ def test_numeric_parameter_above_ceiling_rejected(tmp_path, capsys, doc, argv, k
 
 def test_json_integer_above_literal_ceiling_rejected(tmp_path, capsys):
     digits = MAX_LITERAL_DIGITS + 1
-    path = _write(tmp_path, dict(CUSP_DOC, tasks=[{"command": "fiber-dim", "n": 10**digits - 1}]))
+    path = _write(tmp_path, dict(CUSP_DOC, params={"n": 10**digits - 1}))
     code, out, err = _run(capsys, ["fiber-dim", path])
     assert (code, out) == (1, "")
     assert err == f"error[InputError]: {path}: integer of {digits} digits exceeds the maximum {MAX_LITERAL_DIGITS}\n"
@@ -385,10 +384,10 @@ def test_parameter_ceilings_cover_shipped_values():
     problems = Path(__file__).resolve().parent.parent / "problems"
     for path in sorted(problems.glob("*.json")):
         doc = json.loads(path.read_text())
-        for values in [doc.get("params", {})] + doc.get("tasks", []):
-            for key, spec in PARAMETERS.items():
-                if key in values and spec.ceiling is not None:
-                    assert int(values[key]) <= spec.ceiling, (path.name, key)
+        values = doc.get("params", {})
+        for key, spec in PARAMETERS.items():
+            if key in values and spec.ceiling is not None:
+                assert int(values[key]) <= spec.ceiling, (path.name, key)
 
 
 def test_text_format(tmp_path, capsys):
@@ -754,7 +753,7 @@ def test_parser_is_built_once(tmp_path, capsys):
 
 
 # Floors and types, by rejection only: each value is refused before any
-# computation, from a flag, a tasks entry or the params block alike.
+# computation, from a flag or the params block alike.
 REJECTED_VALUES = [
     (CUSP_DOC, ["embdim-jet", "--n", "-2"], "parameter 'n' is -2, below its floor 0"),
     (CUSP_DOC, ["fiber-dim", "--n", "-1"], "parameter 'n' is -1, below its floor 0"),
@@ -768,7 +767,7 @@ REJECTED_VALUES = [
     (dict(CUSP_DOC, params={"n": True}), ["fiber-dim"], "parameter 'n' is true, expected int"),
     (dict(CUSP_DOC, params={"n": "3"}), ["jet-ideal"], "parameter 'n' is \"3\", expected int"),
     (dict(CUSP_DOC, params={"window": 0}), ["embdim-arc"], "parameter 'window' is 0, below its floor 1"),
-    (dict(CUSP_DOC, tasks=[{"command": "profile", "precision": -1}]), ["profile"], "below its floor 1"),
+    (dict(CUSP_DOC, params={"precision": -1}), ["profile"], "below its floor 1"),
     (dict(CUSP_DOC, params={"arc": ["main"]}), ["profile"], "parameter 'arc' is [\"main\"], expected str"),
     (dict(CUSP_DOC, params={"dim_source": "guessed"}), ["jet-codim"], "expected one of betti, declared"),
     (dict(BLOWUP_DOC, params={"q": 1, "divisor_var": False}), ["divisorial"], "expected str or int"),
@@ -796,24 +795,6 @@ def test_precision_cap_out_of_range_rejected(tmp_path, capsys, monkeypatch, cap)
     assert code == 1
     assert out == ""
     assert err.startswith("error[InputError]: JETSPACE_PRECISION_CAP=")
-
-
-@pytest.mark.parametrize(
-    "task, message",
-    [
-        ({"command": "fiber-dimm"}, 'tasks[1].command: unknown command "fiber-dimm"'),
-        ({"command": ["fiber-dim"]}, 'tasks[1].command: unknown command ["fiber-dim"]'),
-        ({"command": "fiber-dim", "level": 1}, "tasks[1].level: not a parameter of 'fiber-dim'"),
-        ({"command": "fiber-dim", "n_max": 4}, "tasks[1].n_max: not a parameter of 'fiber-dim'"),
-    ],
-)
-def test_task_with_unknown_command_or_unread_key_rejected(tmp_path, capsys, task, message):
-    doc = dict(CUSP_DOC, tasks=[{"command": "profile"}, task])
-    path = _write(tmp_path, doc)
-    code, out, err = _run(capsys, ["profile", path])
-    assert code == 1
-    assert out == ""
-    assert err.startswith("error[InputError]: ") and message in err
 
 
 def test_digit_divisor_var_is_a_one_based_index(capsys):
@@ -893,11 +874,6 @@ UNREACHED_PATHS = [
     pytest.param(["profile"], _MISSING, 1, "error[InputError]: cannot read {path}", id="unreadable-path"),
     pytest.param(["profile"], [CUSP_DOC], 1, "error[InputError]: document root must be a JSON object", id="non-object-root"),
     pytest.param(
-        ["fiber-dim"], dict(CUSP_DOC, tasks=["fiber-dim"]), 1,
-        "error[InputError]: tasks[0]: expected an object with a 'command' key",
-        id="task-not-an-object",
-    ),
-    pytest.param(
         ["profile"], dict(CUSP_DOC, arcs={"main": {"components": [{"generic": 5}, "t^3"]}}), 1,
         "error[InputError]: arcs.main.components[0].generic: expected an object",
         id="generic-spec-not-an-object",
@@ -926,17 +902,6 @@ UNREACHED_PATHS = [
         ["divisorial", "--q", "1", "--divisor-var", "5"], BLOWUP_DOC, 1,
         "error[InputError]: divisor variable index 5 out of range",
         id="divisor-var-index-out-of-range",
-    ),
-    # The morphism maps into its own target block, not into the document's line.
-    pytest.param(
-        ["btr"],
-        {
-            "variety": {"name": "line", "variables": ["z"]},
-            "morphism": {**BLOWUP_DOC["morphism"], "target": BLOWUP_DOC["variety"]},
-            "arcs": BLOWUP_DOC["arcs"],
-        },
-        0, '"equality_holds": true',
-        id="btr-on-a-morphism-target-block",
     ),
     # With no declared_dim, smoothness at the center compares with the free rank.
     pytest.param(

@@ -611,6 +611,41 @@ class TestUnknownKeys:
         with pytest.raises(InputError, match=r"^arcs\.g\.components\[0\]\.generic\.strat: unknown"):
             parse_document(_doc(arcs=arcs))
 
+    # A command's parameters live in params, and a morphism maps into the document's variety.
+    def test_tasks(self):
+        with pytest.raises(InputError) as err:
+            parse_document(_doc(tasks=[{"command": "fiber-dim", "n": 1}]))
+        assert str(err.value) == (
+            "document.tasks: unknown key (known: field, transcendentals, variety, morphism, arcs, params)"
+        )
+
+    def test_morphism_target(self):
+        morphism = {
+            "source": {"variables": ["u"]},
+            "target": {"variables": ["x", "y"]},
+            "components": ["u^2", "u^3"],
+        }
+        with pytest.raises(InputError) as err:
+            parse_document(_doc(morphism=morphism))
+        assert str(err.value) == "morphism.target: unknown key (known: name, source, components)"
+
+
+@pytest.mark.parametrize(
+    "raw, message",
+    [
+        ({}, "document: missing required key 'variety'"),
+        ({"variety": {}}, "variety: missing required key 'variables'"),
+        (_doc(morphism={"components": ["u^2", "u^3"]}), "morphism: missing required key 'source'"),
+        (_doc(morphism={"source": {"variables": ["u"]}}), "morphism: missing required key 'components'"),
+        (_doc(arcs={"a": {}}), "arcs.a: missing required key 'components'"),
+    ],
+    ids=["variety", "variables", "morphism-source", "morphism-components", "arc-components"],
+)
+def test_missing_required_key_rejected(raw, message):
+    with pytest.raises(InputError) as err:
+        parse_document(raw)
+    assert str(err.value) == message
+
 
 # The documents of the CI console-script checks that parse.
 CI_DOCUMENTS = (

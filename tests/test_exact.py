@@ -6,7 +6,7 @@ from functools import partial
 
 import pytest
 from hypothesis import given, settings, strategies as st
-from sympy import Poly, symbols
+from sympy import Poly, isprime, symbols
 from sympy.polys.domains import GF, QQ
 from sympy.polys.matrices import DomainMatrix
 
@@ -48,6 +48,23 @@ class TestBaseField:
         # 151 * 751 * 28351 passes Miller-Rabin to the bases 2, 3, 5 and 7.
         with pytest.raises(NotPrime):
             BaseField(3215031751)
+
+    # n - 1 = 2^s * d with s >= 2, so the witness loop squares; the last is
+    # the largest prime below the characteristic ceiling.
+    @pytest.mark.parametrize("p", [61, 97, 65537, 998244353, 3317044064679887385961813])
+    def test_prime_whose_witness_loop_squares_accepted(self, p):
+        assert BaseField(p).p == p
+
+    def test_strong_pseudoprime_to_bases_below_41_rejected(self):
+        # A strong pseudoprime to every prime base from 2 to 37: only base 41 refutes it.
+        with pytest.raises(NotPrime):
+            BaseField(318665857834031151167461)
+
+    def test_primality_matches_sympy(self):
+        rng = random.Random(20170721)
+        sample = [rng.randrange(42, 10**7) for _ in range(3000)]
+        sample += [10**18 + 2 * rng.randrange(10**6) + 1 for _ in range(300)]
+        assert [exact._is_prime(n) for n in sample] == [isprime(n) for n in sample]
 
     def test_characteristic_ceiling(self):
         with pytest.raises(InputError):
