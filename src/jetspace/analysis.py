@@ -27,8 +27,9 @@ every level (``Arc.residue_dimension_profile``, decided by
 ``transcendence_degree`` from the coefficients: a count of distinct
 variables where each nonconstant coefficient is a scaled variable, one
 elimination otherwise).  Stabilization of s_n is detected
-heuristically over a window; a sequence that keeps growing is reported
-as "suspected infinite", never as a proof.  ``embdim_arc`` and
+heuristically over a fixed window of ``WINDOW`` levels, so a horizon
+n_max below ``WINDOW - 1`` is refused; a sequence that keeps growing is
+reported as "suspected infinite", never as a proof.  ``embdim_arc`` and
 ``jet_codim`` are one stabilization driver and differ only in D; the
 driver serves several dimension sources from one refinement and one
 residue profile.
@@ -67,7 +68,7 @@ from .jets import jet_jacobian_corank, jet_levels
 from .series import PRECISION_CAP, OrderValue
 
 DEFAULT_N_MAX = 12
-DEFAULT_WINDOW = 3
+WINDOW = 3  # a verdict compares s_n at the last WINDOW levels
 ORACLE_LEVELS = range(7)  # the levels an oracle check covers when none is named
 
 
@@ -209,7 +210,7 @@ class StabilizationReport:
 
     D (``ambient_rank``) is the declared dimension or the arc-level free
     rank, as ``dim_source`` says.  ``value`` is set when the last
-    ``window`` values agree and the level-n free rank has reached the
+    ``WINDOW`` values agree and the level-n free rank has reached the
     arc-level one, and is None otherwise.  A report that does not
     stabilize means suspected infinite embedding dimension: the point is
     either inside the singular arcs or not a stable point.
@@ -218,7 +219,6 @@ class StabilizationReport:
     kind: str  # "embdim-arc" or "jet-codim"
     dim_source: str  # "betti" or "declared"
     rows: tuple[StabRow, ...]
-    window: int
     arc_profile: InvariantProfile
     char_p_jacobian: bool
     arc: Arc  # evaluated on: the input arc, refined and known up to level n_max
@@ -231,9 +231,9 @@ class StabilizationReport:
 
     @property
     def value(self) -> int | None:
-        tail = self.codim_sequence()[-self.window :]
-        reached = all(r.jet_betti == self.arc_profile.betti for r in self.rows[-self.window :])
-        if len(tail) == self.window and len(set(tail)) == 1 and reached:
+        tail = self.codim_sequence()[-WINDOW:]
+        reached = all(r.jet_betti == self.arc_profile.betti for r in self.rows[-WINDOW:])
+        if len(set(tail)) == 1 and reached:
             return tail[-1]
         return None
 
@@ -272,7 +272,7 @@ class StabilizationReport:
                 }
                 for r, s_n in zip(self.rows, self.codim_sequence())
             ],
-            "window": self.window,
+            "window": WINDOW,
             "verdict": self.verdict(),
             "stabilized": self.stabilized,
             "value": self.value,
@@ -283,8 +283,14 @@ class StabilizationReport:
         return out
 
 
+def _check_horizon(n_max: int) -> None:
+    # Levels 0..n_max must hold a full window, or no verdict could ever close.
+    if n_max < WINDOW - 1:
+        raise InputError(f"n_max must be >= {WINDOW - 1} to hold a window of {WINDOW} levels, got {n_max}")
+
+
 def _stabilizations(
-    arc: Arc, requests: Sequence[tuple[str, str]], n_max: int, window: int, cap: int
+    arc: Arc, requests: Sequence[tuple[str, str]], n_max: int, cap: int
 ) -> list[StabilizationReport]:
     """s_n for n <= n_max on the refined arc, one report per (kind, dim_source).
 
@@ -298,8 +304,7 @@ def _stabilizations(
             raise InputError(f"unknown dimension source {dim_source!r}")
         if dim_source == "declared" and arc.variety.declared_dim is None:
             raise MissingDeclaredDim()
-    if n_max < 0 or window < 1:
-        raise InputError("n_max must be >= 0 and window >= 1")
+    _check_horizon(n_max)
     arc_profile, arc = refined_profile_of_omega(arc, cap)
     arc = arc.with_precision(n_max + 1)
     # A limited arc-level profile serves only the levels below its precision.
@@ -309,7 +314,7 @@ def _stabilizations(
     residue_dims, char_p = arc.residue_dimension_profile(n_max)
     rows = tuple(StabRow(n, levels.at_level(n).betti, residue_dims[n]) for n in range(n_max + 1))
     reports = [
-        StabilizationReport(kind, dim_source, rows, window, arc_profile, char_p, arc)
+        StabilizationReport(kind, dim_source, rows, arc_profile, char_p, arc)
         for kind, dim_source in requests
     ]
     for report in reports:
@@ -325,18 +330,16 @@ def _stabilizations(
 def embdim_arc(
     arc: Arc,
     n_max: int = DEFAULT_N_MAX,
-    window: int = DEFAULT_WINDOW,
     cap: int = PRECISION_CAP,
 ) -> StabilizationReport:
     """Embedding dimension of the arc space at the arc, via stabilization."""
-    return _stabilizations(arc, [("embdim-arc", "betti")], n_max, window, cap)[0]
+    return _stabilizations(arc, [("embdim-arc", "betti")], n_max, cap)[0]
 
 
 def jet_codim(
     arc: Arc,
     dim_source: str = "betti",
     n_max: int = DEFAULT_N_MAX,
-    window: int = DEFAULT_WINDOW,
     cap: int = PRECISION_CAP,
 ) -> StabilizationReport:
     """Jet codimension of the arc, with the dimension source made explicit.
@@ -344,7 +347,7 @@ def jet_codim(
     The ``betti`` source is the dimension at the arc's generic point for
     reduced equidimensional varieties away from the singular locus.
     """
-    return _stabilizations(arc, [("jet-codim", dim_source)], n_max, window, cap)[0]
+    return _stabilizations(arc, [("jet-codim", dim_source)], n_max, cap)[0]
 
 
 def _extended(report: StabilizationReport) -> float:
@@ -406,7 +409,6 @@ def btr_check(
     f: MorphismPresentation,
     beta: Arc,
     n_max: int = DEFAULT_N_MAX,
-    window: int = DEFAULT_WINDOW,
     cap: int = PRECISION_CAP,
 ) -> BtrReport:
     """Check the birational transformation rule along one arc.
@@ -416,12 +418,13 @@ def btr_check(
     embedding dimensions on both sides, the two-sided inequalities, and
     the equality whenever the source is smooth at the arc's center.
     """
+    _check_horizon(n_max)
     alpha = push_arc(f, beta)
     relative = relative_omega_presentation(f)
     rel_profile, beta = refined_pullback_profile(relative, beta, cap)
     ord_jac = rel_profile.fitting_invariant(0)
-    source_report = embdim_arc(beta, n_max, window, cap)
-    target_report = embdim_arc(alpha, n_max, window, cap)
+    source_report = embdim_arc(beta, n_max, cap)
+    target_report = embdim_arc(alpha, n_max, cap)
     source_dim = f.source.declared_dim
     if source_dim is None:
         source_dim = source_report.arc_profile.betti
@@ -533,7 +536,6 @@ def mather_discrepancy_check(
     q: int,
     precision: int,
     n_max: int = DEFAULT_N_MAX,
-    window: int = DEFAULT_WINDOW,
     cap: int = PRECISION_CAP,
 ) -> MatherReport:
     """The BTR at the maximal divisorial arc, checked against the discrepancy formula.
@@ -545,7 +547,7 @@ def mather_discrepancy_check(
     discrepancy plus one must also bound the target dimension from below.
     """
     beta, name = _divisor_arc(f, divisor_var, q, max(precision, n_max + 2))
-    btr = btr_check(f, beta, n_max, window, cap)
+    btr = btr_check(f, beta, n_max, cap)
     ord_jac, target = btr.ord_jacobian, btr.target
     if not ord_jac.is_finite:
         raise PrecisionLimited(

@@ -27,7 +27,6 @@ from dataclasses import dataclass
 from typing import Callable
 
 from .analysis import (
-    DEFAULT_WINDOW,
     ORACLE_LEVELS,
     _stabilizations,
     btr_check,
@@ -505,9 +504,7 @@ def check_embdim_equals_jet_codim() -> CheckResult:
     cases = 0
     for key, name, arc in _catalog_arcs(_STAB_N_MAX + 4, skip=_ON_SINGULAR_LOCUS):
         # One refinement and one residue elimination serve all three reports.
-        emb, by_betti, by_declared = _stabilizations(
-            arc, _EMBDIM_AND_CODIMS, _STAB_N_MAX, DEFAULT_WINDOW, 96
-        )
+        emb, by_betti, by_declared = _stabilizations(arc, _EMBDIM_AND_CODIMS, _STAB_N_MAX, 96)
         for other in (by_betti, by_declared):
             cases += 1
             # ``value`` is None exactly when the report did not stabilize.

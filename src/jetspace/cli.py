@@ -26,7 +26,6 @@ from typing import Any, Callable
 
 from .analysis import (
     DEFAULT_N_MAX,
-    DEFAULT_WINDOW,
     ORACLE_LEVELS,
     btr_check,
     divisorial_arc,
@@ -84,7 +83,7 @@ def _profile(doc, v, cap):
 
 
 _ARC = {"arc": None, "precision": DEFAULT_PRECISION}
-_STABILIZATION = {"n_max": DEFAULT_N_MAX, "window": DEFAULT_WINDOW}
+_STABILIZATION = {"n_max": DEFAULT_N_MAX}
 _DIVISOR = {"q": REQUIRED, "divisor_var": REQUIRED}
 
 COMMANDS = {
@@ -120,19 +119,19 @@ COMMANDS = {
     "embdim-arc": Command(
         "embedding dimension of the arc space at an arc",
         {**_ARC, **_STABILIZATION},
-        lambda doc, v, cap: embdim_arc(v.arc, v.n_max, v.window, cap),
+        lambda doc, v, cap: embdim_arc(v.arc, v.n_max, cap),
         infinite="embedding dimension",
     ),
     "jet-codim": Command(
         "jet codimension of an arc",
         {**_ARC, **_STABILIZATION, "dim_source": "betti"},
-        lambda doc, v, cap: jet_codim(v.arc, v.dim_source, v.n_max, v.window, cap),
+        lambda doc, v, cap: jet_codim(v.arc, v.dim_source, v.n_max, cap),
         infinite="jet codimension",
     ),
     "btr": Command(
         "birational transformation rule along a source arc",
         {**_ARC, **_STABILIZATION},
-        lambda doc, v, cap: btr_check(doc.morphism, v.arc, v.n_max, v.window, cap),
+        lambda doc, v, cap: btr_check(doc.morphism, v.arc, v.n_max, cap),
         subject="morphism",
     ),
     "divisorial": Command(
@@ -152,7 +151,7 @@ COMMANDS = {
         "check the Mather-discrepancy embedding-dimension formula",
         {"precision": DEFAULT_PRECISION, **_STABILIZATION, **_DIVISOR},
         lambda doc, v, cap: mather_discrepancy_check(
-            doc.morphism, v.divisor_var, v.q, v.precision, v.n_max, v.window, cap
+            doc.morphism, v.divisor_var, v.q, v.precision, v.n_max, cap
         ),
         lambda result, v: {"report": result.to_json(), "passed": result.passed},
         subject="morphism",

@@ -48,6 +48,7 @@ from dataclasses import dataclass
 from types import MappingProxyType
 from typing import Any, Callable, Mapping
 
+from .analysis import WINDOW
 from .arcs import Arc, GenericComponent, make_arc
 from .errors import InputError
 from .exact import RATIONALS, BaseField
@@ -104,9 +105,8 @@ PARAMETERS = {
     spec.name: spec
     for spec in (
         Parameter("n", "jet level", (int,), int, 0, PRECISION_CAP - 1),
-        Parameter("n_max", "stabilization horizon", (int,), int, 0, PRECISION_CAP - 2),
-        # n_max <= PRECISION_CAP - 2, so a wider window could never close.
-        Parameter("window", "stabilization window", (int,), int, 1, PRECISION_CAP - 1),
+        # A verdict compares the last WINDOW levels, so 0..n_max must hold them.
+        Parameter("n_max", "stabilization horizon", (int,), int, WINDOW - 1, PRECISION_CAP - 2),
         Parameter("precision", "working precision in t", (int,), int, 1, PRECISION_CAP),
         Parameter("q", "contact order for divisorial arcs", (int,), int, 1, PRECISION_CAP // 2 - 1),
         Parameter(

@@ -78,7 +78,7 @@ class MatrixTooLarge(JetspaceError):
 
 class MissingDeclaredDim(InputError):
     def __init__(self):
-        super().__init__("variety has no declared_dim but the task asked for the declared source")
+        super().__init__("variety has no declared_dim, so the declared dimension source is unavailable")
 
 
 class MorphismInvalidOnArc(JetspaceError):

@@ -69,7 +69,8 @@ MAX_LITERAL_DIGITS = 1000
 MAX_NESTING = 100
 
 _SYMBOL_START = set("abcdefghijklmnopqrstuvwxyzABCDEFGHIJKLMNOPQRSTUVWXYZ_")
-_SYMBOL_BODY = _SYMBOL_START | set("0123456789")
+_DIGITS = set("0123456789")  # ASCII only: str.isdigit() also accepts "²" and "٣"
+_SYMBOL_BODY = _SYMBOL_START | _DIGITS
 
 
 def is_symbol(name: str) -> bool:
@@ -86,9 +87,9 @@ def _tokenize(text: str, context: str):
         if ch in " \t":
             i += 1
             continue
-        if ch.isdigit():
+        if ch in _DIGITS:
             j = i
-            while j < n and text[j].isdigit():
+            while j < n and text[j] in _DIGITS:
                 j += 1
             if j - i > MAX_LITERAL_DIGITS:
                 message = f"integer literal of {j - i} digits exceeds the maximum {MAX_LITERAL_DIGITS}"

@@ -386,10 +386,10 @@ class SeriesExpression:
         return cls(field, [value])
 
     @classmethod
-    def t_power(cls, field: BaseField, e: int, coefficient=1) -> "SeriesExpression":
+    def t_power(cls, field: BaseField, e: int) -> "SeriesExpression":
         if e < 0:
             raise ValueError(f"t_power needs an exponent >= 0, got {e}")
-        return cls(field, [0] * e + [coefficient])
+        return cls(field, [0] * e + [1])
 
     def is_k_rational(self) -> bool:
         """True when no transcendental occurs."""

@@ -52,6 +52,20 @@ from jetspace.jets import jet_jacobian_corank
 from jetspace.series import OrderValue, SeriesExpression, TruncatedSeries
 
 
+@pytest.fixture
+def smith_calls(monkeypatch):
+    """The argument tuples of every ``smith_orders`` call made during the test."""
+    calls = []
+    diagonalize = invariants.smith_orders
+
+    def spy(*args, **kwargs):
+        calls.append(args)
+        return diagonalize(*args, **kwargs)
+
+    monkeypatch.setattr(invariants, "smith_orders", spy)
+    return calls
+
+
 def _cusp_arc(precision=12):
     return make_arc(
         cusp_variety(),
@@ -186,27 +200,32 @@ class TestJetCodim:
             jet_codim(arc, "declared", n_max=4)
 
     @pytest.mark.parametrize(
-        "dim_source, n_max, window, error",
+        "dim_source, n_max, error",
         [
-            ("betti", -1, 3, InputError),
-            ("betti", 8, 0, InputError),
-            ("volume", 8, 3, InputError),
-            ("declared", 8, 3, MissingDeclaredDim),
+            ("betti", -1, InputError),
+            ("betti", 1, InputError),
+            ("volume", 8, InputError),
+            ("declared", 8, MissingDeclaredDim),
         ],
     )
-    def test_inputs_are_checked_before_any_refinement(self, monkeypatch, dim_source, n_max, window, error):
-        calls = []
-        diagonalize = invariants.smith_orders
-
-        def spy(*args, **kwargs):
-            calls.append(args)
-            return diagonalize(*args, **kwargs)
-
-        monkeypatch.setattr(invariants, "smith_orders", spy)
+    def test_inputs_are_checked_before_any_refinement(self, smith_calls, dim_source, n_max, error):
         arc = generic_arc(VarietyPresentation(Q, ("x",), ()), [0], 16)
         with pytest.raises(error):
-            _stabilizations(arc, [("jet-codim", dim_source)], n_max, window, 64)
-        assert calls == []
+            _stabilizations(arc, [("jet-codim", dim_source)], n_max, 64)
+        assert smith_calls == []
+
+    def test_horizon_below_the_window_is_refused_before_any_refinement(self, smith_calls):
+        # A verdict compares levels n_max - 2 .. n_max, so n_max = 1 could never stabilize.
+        message = "n_max must be >= 2 to hold a window of 3 levels, got 1"
+        chart = blowup_chart_2d()
+        beta, _ = divisorial_arc(chart, "u", 1, 16)
+        with pytest.raises(InputError, match=message):
+            embdim_arc(beta, n_max=1)
+        with pytest.raises(InputError, match=message):
+            btr_check(chart, beta, n_max=1)
+        with pytest.raises(InputError, match=message):
+            mather_discrepancy_check(chart, "u", 1, precision=20, n_max=1)
+        assert smith_calls == []
 
     def test_a_decreasing_sequence_is_an_internal_violation(self, monkeypatch):
         # D = 1 on the arc t of the line, so residue dimensions 0, 3 give s_0 = 1, s_1 = -1.
@@ -220,9 +239,9 @@ class TestJetCodim:
     def test_several_sources_from_one_refinement_match_the_single_calls(self):
         requests = [("embdim-arc", "betti"), ("jet-codim", "betti"), ("jet-codim", "declared")]
         for arc in (_cusp_arc(16), generic_arc(affine_space(2), [1, 0], 16)):
-            reports = _stabilizations(arc, requests, 8, 3, 64)
-            singles = [embdim_arc(arc, 8, 3, 64), jet_codim(arc, "betti", 8, 3, 64)]
-            singles.append(jet_codim(arc, "declared", 8, 3, 64))
+            reports = _stabilizations(arc, requests, 8, 64)
+            singles = [embdim_arc(arc, 8, 64), jet_codim(arc, "betti", 8, 64)]
+            singles.append(jet_codim(arc, "declared", 8, 64))
             assert [r.kind for r in reports] == [kind for kind, _ in requests]
             assert [r.to_json() for r in reports] == [r.to_json() for r in singles]
 
@@ -577,12 +596,8 @@ def test_formula_vs_oracle_random_monomial_curves():
             arc = make_arc(
                 curve,
                 [
-                    SeriesExpression.t_power(
-                        field, a, FieldElement.from_scalar(field, c**a)
-                    ),
-                    SeriesExpression.t_power(
-                        field, b, FieldElement.from_scalar(field, c**b)
-                    ),
+                    SeriesExpression(field, [0] * a + [FieldElement.from_scalar(field, c**a)]),
+                    SeriesExpression(field, [0] * b + [FieldElement.from_scalar(field, c**b)]),
                 ],
                 12,
             )

@@ -10,7 +10,7 @@ from pathlib import Path
 import pytest
 
 from jetspace.analysis import DEFAULT_N_MAX
-from jetspace.cli import main
+from jetspace.cli import COMMANDS, main
 from jetspace.document import PARAMETERS
 from jetspace.exprs import MAX_LITERAL_DIGITS
 from jetspace.series import DEFAULT_PRECISION, PRECISION_CAP
@@ -334,6 +334,10 @@ def test_bool_prime_and_zero_divisor_exit_with_typed_errors(tmp_path, capsys, do
             dict(BLOWUP_DOC, morphism={**BLOWUP_DOC["morphism"], "target": BLOWUP_DOC["variety"]}),
             "morphism.target: unknown key (known: name, source, components)\n",
         ),
+        (
+            dict(CUSP_DOC, params={"window": 3}),
+            "params.window: unknown key (known: n, n_max, precision, q, divisor_var, arc, dim_source)\n",
+        ),
     ],
 )
 def test_malformed_document_exits_with_an_input_error(tmp_path, capsys, doc, message):
@@ -351,8 +355,6 @@ def test_malformed_document_exits_with_an_input_error(tmp_path, capsys, doc, mes
         (BLOWUP_DOC, ["divisorial", "--q", "96", "--divisor-var", "u"], "q"),
         (dict(CUSP_DOC, params={"n": 10**9}), ["fiber-dim"], "n"),
         (dict(CUSP_DOC, params={"precision": 10**6}), ["profile"], "precision"),
-        (CUSP_DOC, ["embdim-arc", "--window", "99999999999999999999"], "window"),
-        (dict(CUSP_DOC, params={"window": 192}), ["jet-codim"], "window"),
         # The longest JSON integer a document may hold.
         (dict(CUSP_DOC, params={"n": 10**MAX_LITERAL_DIGITS - 1}), ["fiber-dim"], "n"),
     ],
@@ -717,8 +719,6 @@ def test_help_exits_zero(capsys):
 
 
 def _unread_flags():
-    from jetspace.cli import COMMANDS
-
     for command, row in COMMANDS.items():
         document = [] if row.subject is None else [str(PROBLEMS / "blowup-plane.json")]
         for key, spec in PARAMETERS.items():
@@ -732,6 +732,37 @@ def test_flag_the_command_does_not_read_is_rejected(capsys, argv):
     assert code == 1
     assert out == ""
     assert f"unrecognized arguments: {argv[-2]} 1" in err
+
+
+@pytest.mark.parametrize("command", list(COMMANDS))
+def test_window_is_no_flag(capsys, command):
+    # The stabilization window is the constant analysis.WINDOW, on every command.
+    document = [] if COMMANDS[command].subject is None else [str(PROBLEMS / "blowup-plane.json")]
+    code, out, err = _run(capsys, [command, *document, "--window", "3"])
+    assert (code, out) == (1, "")
+    assert err == "error[InputError]: jetspace: unrecognized arguments: --window 3\n"
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["embdim-arc", "--arc", "contact1"],
+        ["mather-check", "--q", "1", "--divisor-var", "u"],
+    ],
+    ids=["embdim-arc", "mather-check"],
+)
+def test_horizon_below_the_window_is_refused(capsys, argv):
+    # A verdict compares the last 3 levels, so levels 0..1 could never show a plateau.
+    path = str(PROBLEMS / "blowup-plane.json")
+    code, out, err = _run(capsys, [argv[0], path, *argv[1:], "--n-max", "1"])
+    assert (code, out) == (1, "")
+    assert err == "error[InputError]: parameter 'n_max' is 1, below its floor 2\n"
+
+
+def test_horizon_at_the_floor_stabilizes(capsys):
+    code, out, err = _run(capsys, ["embdim-arc", str(PROBLEMS / "blowup-plane.json"), "--arc", "contact1", "--n-max", "2"])
+    assert (code, err) == (0, "")
+    assert json.loads(out)["report"]["verdict"] == "Stabilized(1)"
 
 
 def test_cli_imports_the_catalog_only_in_its_command():
@@ -759,14 +790,12 @@ REJECTED_VALUES = [
     (CUSP_DOC, ["fiber-dim", "--n", "-1"], "parameter 'n' is -1, below its floor 0"),
     (CUSP_DOC, ["profile", "--n", "-1"], "parameter 'n' is -1, below its floor 0"),
     (CUSP_DOC, ["oracle-check", "--n", "-1"], "parameter 'n' is -1, below its floor 0"),
-    (CUSP_DOC, ["embdim-arc", "--n-max", "-1"], "parameter 'n_max' is -1, below its floor 0"),
-    (CUSP_DOC, ["jet-codim", "--window", "0"], "parameter 'window' is 0, below its floor 1"),
+    (CUSP_DOC, ["embdim-arc", "--n-max", "-1"], "parameter 'n_max' is -1, below its floor 2"),
     (CUSP_DOC, ["profile", "--precision", "0"], "parameter 'precision' is 0, below its floor 1"),
     (BLOWUP_DOC, ["divisorial", "--q", "0", "--divisor-var", "u"], "parameter 'q' is 0, below its floor 1"),
     (dict(CUSP_DOC, params={"n": 3.7}), ["fiber-dim"], "parameter 'n' is 3.7, expected int"),
     (dict(CUSP_DOC, params={"n": True}), ["fiber-dim"], "parameter 'n' is true, expected int"),
     (dict(CUSP_DOC, params={"n": "3"}), ["jet-ideal"], "parameter 'n' is \"3\", expected int"),
-    (dict(CUSP_DOC, params={"window": 0}), ["embdim-arc"], "parameter 'window' is 0, below its floor 1"),
     (dict(CUSP_DOC, params={"precision": -1}), ["profile"], "below its floor 1"),
     (dict(CUSP_DOC, params={"arc": ["main"]}), ["profile"], "parameter 'arc' is [\"main\"], expected str"),
     (dict(CUSP_DOC, params={"dim_source": "guessed"}), ["jet-codim"], "expected one of betti, declared"),
@@ -870,6 +899,11 @@ UNREACHED_PATHS = [
         "error[ParseError]: unexpected character '$' at column 3 in variety.generators[0]",
         id="unexpected-character",
     ),
+    pytest.param(
+        ["jet-ideal", "--n", "1"], {"variety": {"variables": ["x"], "generators": ["x^\u00b2"]}}, 1,
+        "error[ParseError]: unexpected character '\u00b2' at column 3 in variety.generators[0]",
+        id="non-ascii-digit",
+    ),
     pytest.param(["profile"], '{"variety": ', 1, "error[InputError]: {path} is not valid JSON", id="invalid-json"),
     pytest.param(["profile"], _MISSING, 1, "error[InputError]: cannot read {path}", id="unreadable-path"),
     pytest.param(["profile"], [CUSP_DOC], 1, "error[InputError]: document root must be a JSON object", id="non-object-root"),
@@ -902,6 +936,11 @@ UNREACHED_PATHS = [
         ["divisorial", "--q", "1", "--divisor-var", "5"], BLOWUP_DOC, 1,
         "error[InputError]: divisor variable index 5 out of range",
         id="divisor-var-index-out-of-range",
+    ),
+    pytest.param(
+        ["jet-codim", "--dim-source", "declared"], dict(CUSP_DOC, variety=_without(CUSP_DOC["variety"], "declared_dim")), 1,
+        "error[MissingDeclaredDim]: variety has no declared_dim, so the declared dimension source is unavailable\n",
+        id="declared-source-without-declared-dim",
     ),
     # With no declared_dim, smoothness at the center compares with the free rank.
     pytest.param(

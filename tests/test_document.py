@@ -84,6 +84,13 @@ class TestParsePolynomial:
         original = y * y - x ** 3 + SparsePolynomial.constant(Q, Fraction(1, 2))
         assert parse_polynomial(str(original), Q, ("x", "y")) == original
 
+    @pytest.mark.parametrize("text, char, column", [("x^\u00b2", "\u00b2", 3), ("\u0663*x", "\u0663", 1)])
+    def test_non_ascii_digit_is_an_unexpected_character(self, text, char, column):
+        # str.isdigit() accepts a superscript two and an Arabic-Indic three; the grammar does not.
+        with pytest.raises(ParseError) as info:
+            parse_polynomial(text, Q, ("x",), context="variety.generators[0]")
+        assert str(info.value) == f"unexpected character {char!r} at column {column} in variety.generators[0]"
+
     def test_bad_syntax(self):
         for text in ("x +", "^2", "(x", "x ^ y", "2 3"):
             with pytest.raises(ParseError):
